@@ -46,6 +46,7 @@
 #include "common/cli.hpp"
 #include "common/error.hpp"
 #include "common/json.hpp"
+#include "common/stats.hpp"
 #include "net/chaos.hpp"
 #include "net/http.hpp"
 #include "net/server.hpp"
@@ -156,15 +157,6 @@ HealthyOutcome run_timed_client(const net::Endpoint& ep, std::uint64_t sid,
   return out;
 }
 
-double percentile(std::vector<double>& v, double p) {
-  if (v.empty()) return 0.0;
-  const auto idx = static_cast<std::size_t>(
-      p * static_cast<double>(v.size() - 1) + 0.5);
-  std::nth_element(v.begin(), v.begin() + static_cast<std::ptrdiff_t>(idx),
-                   v.end());
-  return v[idx];
-}
-
 struct PhaseResult {
   std::string name;
   double p50_us = 0.0;
@@ -258,9 +250,11 @@ PhaseResult run_phase(const std::string& name, const net::Endpoint& ep,
     all_us.insert(all_us.end(), o.frame_us.begin(), o.frame_us.end());
   }
   res.wall_s = std::chrono::duration<double>(Clock::now() - start).count();
-  res.p50_us = percentile(all_us, 0.50);
-  res.p90_us = percentile(all_us, 0.90);
-  res.p99_us = percentile(all_us, 0.99);
+  if (!all_us.empty()) {
+    res.p50_us = stats::percentile(all_us, 50.0);
+    res.p90_us = stats::percentile(all_us, 90.0);
+    res.p99_us = stats::percentile(all_us, 99.0);
+  }
   res.events_per_s =
       res.wall_s > 0.0 ? static_cast<double>(res.events) / res.wall_s : 0.0;
   res.chaos_runs = chaos_runs.load();

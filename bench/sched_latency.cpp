@@ -51,6 +51,7 @@
 #include "common/cli.hpp"
 #include "common/error.hpp"
 #include "common/json.hpp"
+#include "common/stats.hpp"
 #include "core/hop_job.hpp"
 #include "core/streaming.hpp"
 #include "obs/export.hpp"
@@ -72,15 +73,6 @@ struct PhaseResult {
   std::size_t samples = 0;
 };
 
-double percentile(std::vector<double>& v, double p) {
-  if (v.empty()) return 0.0;
-  const auto idx = static_cast<std::size_t>(
-      p * static_cast<double>(v.size() - 1) + 0.5);
-  std::nth_element(v.begin(), v.begin() + static_cast<std::ptrdiff_t>(idx),
-                   v.end());
-  return v[idx];
-}
-
 PhaseResult summarize(const std::string& name, std::vector<double> lat_us) {
   PhaseResult r;
   r.name = name;
@@ -89,9 +81,11 @@ PhaseResult summarize(const std::string& name, std::vector<double> lat_us) {
   for (const double us : lat_us) sum += us;
   r.mean_us =
       lat_us.empty() ? 0.0 : sum / static_cast<double>(lat_us.size());
-  r.p50_us = percentile(lat_us, 0.50);
-  r.p90_us = percentile(lat_us, 0.90);
-  r.p99_us = percentile(lat_us, 0.99);
+  if (!lat_us.empty()) {
+    r.p50_us = stats::percentile(lat_us, 50.0);
+    r.p90_us = stats::percentile(lat_us, 90.0);
+    r.p99_us = stats::percentile(lat_us, 99.0);
+  }
   return r;
 }
 

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <array>
 #include <cmath>
-#include <type_traits>
 
 #include "common/error.hpp"
 #include "dsp/attitude.hpp"
@@ -48,22 +47,9 @@ class UpField {
   std::span<const Vec3> per_sample_{};
 };
 
-/// Force accessors: the projection math is written once against this shape
-/// and instantiated for array-of-structs (Trace) and structure-of-arrays
-/// (channel spans / SampleRing) storage. Both produce identical Vec3 values
-/// sample by sample, so the two instantiations are bit-equivalent.
-struct AosForces {
-  std::span<const Vec3> forces;
-  [[nodiscard]] std::size_t size() const { return forces.size(); }
-  Vec3 operator[](std::size_t i) const { return forces[i]; }
-  [[nodiscard]] Vec3 principal_dir(std::size_t begin, std::size_t end,
-                                   const Vec3& up) const {
-    return dsp::principal_horizontal_direction(
-        forces.subspan(begin, end - begin), up);
-  }
-};
-
-struct SoaForces {
+/// Raw specific-force channels, read as Vec3 per sample where the
+/// per-sample up track needs it.
+struct Forces {
   std::span<const double> x;
   std::span<const double> y;
   std::span<const double> z;
@@ -108,7 +94,6 @@ void finish_into(std::span<const double> vertical,
 /// principal direction or re-fit per window with sign continuity. `seam_dir`
 /// carries the previous window's direction in and the last window's out;
 /// batch callers pass a zero-initialized local (no previous direction).
-template <typename Forces>
 void anterior_channel_into(const Forces& forces, const UpField& ups,
                            double fs, double anterior_window_s, Vec3& seam_dir,
                            const Vec3* fixed_dir,
@@ -124,16 +109,14 @@ void anterior_channel_into(const Forces& forces, const UpField& ups,
     // window so the channel doesn't flip mid-trace (or mid-stream).
     if (seam_dir.norm2() > 0.0 && dir.dot(seam_dir) < 0.0) dir = -dir;
     seam_dir = dir;
-    if constexpr (std::is_same_v<Forces, SoaForces>) {
-      if (ups.is_constant()) {
-        // Exact expression-order replica of the Vec3 loop below.
-        const std::size_t count = end - begin;
-        dsp::simd::residual_project(
-            forces.x.subspan(begin, count), forces.y.subspan(begin, count),
-            forces.z.subspan(begin, count), ups.constant(), dir,
-            std::span<double>(anterior).subspan(begin, count));
-        return;
-      }
+    if (ups.is_constant()) {
+      // Exact expression-order replica of the Vec3 loop below.
+      const std::size_t count = end - begin;
+      dsp::simd::residual_project(
+          forces.x.subspan(begin, count), forces.y.subspan(begin, count),
+          forces.z.subspan(begin, count), ups.constant(), dir,
+          std::span<double>(anterior).subspan(begin, count));
+      return;
     }
     for (std::size_t i = begin; i < end; ++i) {
       const Vec3 f = forces[i];
@@ -158,7 +141,6 @@ void anterior_channel_into(const Forces& forces, const UpField& ups,
   }
 }
 
-template <typename Forces>
 void project_common_into(const Forces& forces, double fs, double lowpass_hz,
                          double anterior_window_s, const UpField& ups,
                          dsp::Workspace* ws, Vec3& seam_dir,
@@ -169,15 +151,10 @@ void project_common_into(const Forces& forces, double fs, double lowpass_hz,
   thread_local std::vector<double> vertical;
   thread_local std::vector<double> anterior;
   vertical.resize(forces.size());
-  bool vertical_done = false;
-  if constexpr (std::is_same_v<Forces, SoaForces>) {
-    if (ups.is_constant()) {
-      dsp::simd::axis_project(forces.x, forces.y, forces.z, ups.constant(),
-                              kGravity, vertical);
-      vertical_done = true;
-    }
-  }
-  if (!vertical_done) {
+  if (ups.is_constant()) {
+    dsp::simd::axis_project(forces.x, forces.y, forces.z, ups.constant(),
+                            kGravity, vertical);
+  } else {
     for (std::size_t i = 0; i < forces.size(); ++i) {
       vertical[i] = forces[i].dot(ups[i]) - kGravity;
     }
@@ -185,18 +162,6 @@ void project_common_into(const Forces& forces, double fs, double lowpass_hz,
   anterior_channel_into(forces, ups, fs, anterior_window_s, seam_dir,
                         fixed_dir, anterior);
   finish_into(vertical, anterior, fs, lowpass_hz, ws, out);
-}
-
-template <typename Forces>
-ProjectedTrace project_common(const Forces& forces, double fs,
-                              double lowpass_hz, double anterior_window_s,
-                              const UpField& ups, dsp::Workspace* ws,
-                              Vec3& seam_dir,
-                              const Vec3* fixed_dir = nullptr) {
-  ProjectedTrace out;
-  project_common_into(forces, fs, lowpass_hz, anterior_window_s, ups, ws,
-                      seam_dir, fixed_dir, out);
-  return out;
 }
 
 /// Float32 gravity estimate: lane-parallel float filtfilt + per-channel
@@ -274,19 +239,23 @@ Vec3 principal_horizontal_f32(std::span<const float> x,
   return (e1 * v1 + e2 * v2).normalized();
 }
 
+/// Splits a trace into channel arrays and projects them (the Trace
+/// adapters' shared body).
+ProjectedTrace project_split(const imu::Trace& trace, double lowpass_hz,
+                             double anterior_window_s,
+                             std::span<const Vec3> ups, dsp::Workspace* ws) {
+  ProjectedTrace out;
+  project_channels_into(trace.accel_axis(0), trace.accel_axis(1),
+                        trace.accel_axis(2), trace.fs(), lowpass_hz,
+                        anterior_window_s, ups, ws, nullptr, {}, out);
+  return out;
+}
+
 }  // namespace
 
 ProjectedTrace project_trace(const imu::Trace& trace, double lowpass_hz,
                              double anterior_window_s, dsp::Workspace* ws) {
-  expects(trace.size() >= 16, "project_trace: >= 16 samples");
-  expects(lowpass_hz > 0.0, "project_trace: lowpass_hz > 0");
-  PTRACK_OBS_SPAN("ptrack.core.project");
-  PTRACK_COUNT("ptrack.core.projections");
-  const auto forces = trace.accel_vectors();
-  const Vec3 up = dsp::estimate_up(forces, trace.fs());
-  Vec3 seam_dir{};
-  return project_common(AosForces{forces}, trace.fs(), lowpass_hz,
-                        anterior_window_s, UpField(up), ws, seam_dir);
+  return project_split(trace, lowpass_hz, anterior_window_s, {}, ws);
 }
 
 ProjectedTrace project_trace_with_attitude(const imu::Trace& trace,
@@ -294,21 +263,13 @@ ProjectedTrace project_trace_with_attitude(const imu::Trace& trace,
                                            double anterior_window_s,
                                            dsp::Workspace* ws) {
   expects(trace.size() >= 16, "project_trace_with_attitude: >= 16 samples");
-  expects(lowpass_hz > 0.0, "project_trace_with_attitude: lowpass_hz > 0");
-  PTRACK_OBS_SPAN("ptrack.core.project");
-  PTRACK_COUNT("ptrack.core.projections");
   dsp::AttitudeEstimator estimator;
-  const double dt = trace.dt();
   std::vector<Vec3> ups;
   ups.reserve(trace.size());
   for (const imu::Sample& s : trace.samples()) {
-    ups.push_back(estimator.update(s.gyro, s.accel, dt));
+    ups.push_back(estimator.update(s.gyro, s.accel, trace.dt()));
   }
-  const auto forces = trace.accel_vectors();
-  Vec3 seam_dir{};
-  return project_common(AosForces{forces}, trace.fs(), lowpass_hz,
-                        anterior_window_s, UpField(std::span<const Vec3>(ups)),
-                        ws, seam_dir);
+  return project_split(trace, lowpass_hz, anterior_window_s, ups, ws);
 }
 
 void project_channels_into(std::span<const double> ax,
@@ -331,64 +292,44 @@ void project_channels_into(std::span<const double> ax,
   expects(lowpass_hz > 0.0, "project_channels: lowpass_hz > 0");
   PTRACK_OBS_SPAN("ptrack.core.project");
   PTRACK_COUNT("ptrack.core.projections");
-  const SoaForces forces{ax, ay, az};
+  const Forces forces{ax, ay, az};
   Vec3 local_seam{};
   Vec3& seam_dir = seam ? seam->prev_anterior_dir : local_seam;
+  // Axes pinned to the wider history when one is given (up from its
+  // gravity estimate unless a per-sample track is supplied, anterior
+  // principal direction from its horizontal residual); otherwise both come
+  // from the projected span itself.
+  const AxisHistory hist = axes.empty() ? AxisHistory{ax, ay, az} : axes;
+  const UpField up_field =
+      ups.empty() ? UpField(dsp::estimate_up(hist.ax, hist.ay, hist.az, fs,
+                                             0.3, ws))
+                  : UpField(ups);
+  Vec3 pinned_dir{};
   if (!axes.empty()) {
-    // Axes pinned to the wider history: up from the history's gravity
-    // estimate (unless a per-sample track is supplied), anterior principal
-    // direction from the history's horizontal residual.
-    const Vec3 up = ups.empty() ? dsp::estimate_up(axes.ax, axes.ay, axes.az,
-                                                   fs, 0.3, ws)
-                                : UpField(ups).window_mean(0, ups.size());
-    const Vec3 dir =
+    const Vec3 up = ups.empty() ? up_field.constant()
+                                : up_field.window_mean(0, ups.size());
+    pinned_dir =
         dsp::principal_horizontal_direction(axes.ax, axes.ay, axes.az, up);
-    if (ups.empty()) {
-      project_common_into(forces, fs, lowpass_hz, anterior_window_s,
-                          UpField(up), ws, seam_dir, &dir, out);
-      return;
-    }
-    project_common_into(forces, fs, lowpass_hz, anterior_window_s,
-                        UpField(ups), ws, seam_dir, &dir, out);
-    return;
   }
-  if (ups.empty()) {
-    const Vec3 up = dsp::estimate_up(ax, ay, az, fs, 0.3, ws);
-    project_common_into(forces, fs, lowpass_hz, anterior_window_s, UpField(up),
-                        ws, seam_dir, nullptr, out);
-    return;
-  }
-  project_common_into(forces, fs, lowpass_hz, anterior_window_s, UpField(ups),
-                      ws, seam_dir, nullptr, out);
+  project_common_into(forces, fs, lowpass_hz, anterior_window_s, up_field, ws,
+                      seam_dir, axes.empty() ? nullptr : &pinned_dir, out);
 }
 
-ProjectedTrace project_channels(std::span<const double> ax,
-                                std::span<const double> ay,
-                                std::span<const double> az, double fs,
-                                double lowpass_hz, double anterior_window_s,
-                                std::span<const Vec3> ups, dsp::Workspace* ws,
-                                ProjectionSeam* seam, const AxisHistory& axes) {
-  ProjectedTrace out;
-  project_channels_into(ax, ay, az, fs, lowpass_hz, anterior_window_s, ups, ws,
-                        seam, axes, out);
-  return out;
-}
-
-void project_channels_f32_into(std::span<const float> ax,
-                               std::span<const float> ay,
-                               std::span<const float> az, double fs,
-                               double lowpass_hz, double anterior_window_s,
-                               dsp::Workspace& ws, ProjectionSeam* seam,
-                               const AxisHistoryF& axes, ProjectedTraceF& out) {
-  expects(ax.size() >= 16, "project_channels_f32: >= 16 samples");
+void project_channels_into(std::span<const float> ax,
+                           std::span<const float> ay,
+                           std::span<const float> az, double fs,
+                           double lowpass_hz, double anterior_window_s,
+                           dsp::Workspace& ws, ProjectionSeam* seam,
+                           const AxisHistoryF& axes, ProjectedTraceF& out) {
+  expects(ax.size() >= 16, "project_channels (f32): >= 16 samples");
   expects(ax.size() == ay.size() && ay.size() == az.size(),
-          "project_channels_f32: equal channel lengths");
+          "project_channels (f32): equal channel lengths");
   expects(axes.empty() ||
               (axes.ax.size() == axes.ay.size() &&
                axes.ay.size() == axes.az.size() && axes.ax.size() >= 16),
-          "project_channels_f32: axis spans equal-length and >= 16 samples");
-  expects(fs > 0.0, "project_channels_f32: fs > 0");
-  expects(lowpass_hz > 0.0, "project_channels_f32: lowpass_hz > 0");
+          "project_channels (f32): axis spans equal-length and >= 16 samples");
+  expects(fs > 0.0, "project_channels (f32): fs > 0");
+  expects(lowpass_hz > 0.0, "project_channels (f32): lowpass_hz > 0");
   PTRACK_OBS_SPAN("ptrack.core.project");
   PTRACK_COUNT("ptrack.core.projections");
 
@@ -454,20 +395,6 @@ void project_channels_f32_into(std::span<const float> ax,
   const std::array<std::span<float>, 2> outs{out.vertical, out.anterior};
   dsp::filtfilt_multif_into(dsp::butterworth_lowpass(4, fc, fs), ins, 64, ws,
                             outs);
-}
-
-ProjectedTraceF project_channels_f32(std::span<const float> ax,
-                                     std::span<const float> ay,
-                                     std::span<const float> az, double fs,
-                                     double lowpass_hz,
-                                     double anterior_window_s,
-                                     dsp::Workspace& ws,
-                                     ProjectionSeam* seam,
-                                     const AxisHistoryF& axes) {
-  ProjectedTraceF out;
-  project_channels_f32_into(ax, ay, az, fs, lowpass_hz, anterior_window_s, ws,
-                            seam, axes, out);
-  return out;
 }
 
 }  // namespace ptrack::core

@@ -29,6 +29,9 @@ struct ProjectedTrace {
 /// `ws` (optional) provides reusable scratch for the zero-phase filters so
 /// repeated calls (streaming windows, batch traces) avoid the per-call
 /// padding allocations.
+///
+/// An adapter: splits the trace into channel arrays and calls
+/// project_channels_into.
 ProjectedTrace project_trace(const imu::Trace& trace, double lowpass_hz,
                              double anterior_window_s = 0.0,
                              dsp::Workspace* ws = nullptr);
@@ -68,30 +71,22 @@ struct AxisHistory {
 };
 
 /// Structure-of-arrays projection over raw channel spans (e.g. views into
-/// an imu::SampleRing) — no Trace or AoS materialization. Semantics match
-/// project_trace bit-for-bit when `ups` is empty and `seam` is null.
+/// an imu::SampleRing) — no Trace or AoS materialization. The one
+/// projection implementation: project_trace and project_trace_with_attitude
+/// split a trace into channels and call it. Fills `out` in place (resizing
+/// its channels), so a caller that keeps one ProjectedTrace across hops
+/// stops allocating once the channel capacity has warmed up.
 ///
 /// `ups` (optional) supplies a per-sample up track (attitude-filter path);
 /// it must be empty or exactly ax.size() long. When empty, the up
 /// direction is the batch gravity estimate over the spans.
 ///
+/// `seam` (optional) carries the anterior sign across calls; null or
+/// zero-initialized reproduces batch behaviour.
+///
 /// `axes` (optional) supplies wider history spans for axis estimation;
 /// see AxisHistory. With per-sample `ups` the up track is used as given
 /// and `axes` only pins the anterior principal direction.
-ProjectedTrace project_channels(std::span<const double> ax,
-                                std::span<const double> ay,
-                                std::span<const double> az, double fs,
-                                double lowpass_hz,
-                                double anterior_window_s = 0.0,
-                                std::span<const Vec3> ups = {},
-                                dsp::Workspace* ws = nullptr,
-                                ProjectionSeam* seam = nullptr,
-                                const AxisHistory& axes = {});
-
-/// Reuse-friendly form of project_channels: fills `out` in place (resizing
-/// its channels), so a caller that keeps one ProjectedTrace across hops
-/// stops allocating once the channel capacity has warmed up. This is the
-/// variant the streaming projection stage calls at steady state.
 void project_channels_into(std::span<const double> ax,
                            std::span<const double> ay,
                            std::span<const double> az, double fs,
@@ -100,7 +95,7 @@ void project_channels_into(std::span<const double> ax,
                            ProjectionSeam* seam, const AxisHistory& axes,
                            ProjectedTrace& out);
 
-/// Float32 projection results (see project_channels_f32).
+/// Float32 projection results (see the float-span project_channels_into).
 struct ProjectedTraceF {
   std::vector<float> vertical;
   std::vector<float> anterior;
@@ -116,32 +111,21 @@ struct AxisHistoryF {
 };
 
 /// Float32 fast-path projection over float channel spans (e.g. the
-/// SampleRing's float mirrors). Same structure as project_channels — batch
-/// gravity estimate, principal horizontal direction, vertical + anterior
-/// projection, zero-phase low-pass — but every per-sample pass runs in
-/// float32 through the SIMD kernels (twice the lane width and half the
-/// memory traffic). Axis *directions* are still reduced in double: they are
-/// three numbers whose error multiplies every sample. No attitude-filter
-/// (per-sample ups) variant: callers needing it stay on the double path.
-/// Divergence from the double pipeline is bounded by float rounding in the
-/// projections and filters; tests/test_streaming_f32.cpp gates it against
-/// the batch-double oracle.
-ProjectedTraceF project_channels_f32(std::span<const float> ax,
-                                     std::span<const float> ay,
-                                     std::span<const float> az, double fs,
-                                     double lowpass_hz,
-                                     double anterior_window_s,
-                                     dsp::Workspace& ws,
-                                     ProjectionSeam* seam = nullptr,
-                                     const AxisHistoryF& axes = {});
-
-/// Reuse-friendly float32 form: fills `out` in place (see
-/// project_channels_into).
-void project_channels_f32_into(std::span<const float> ax,
-                               std::span<const float> ay,
-                               std::span<const float> az, double fs,
-                               double lowpass_hz, double anterior_window_s,
-                               dsp::Workspace& ws, ProjectionSeam* seam,
-                               const AxisHistoryF& axes, ProjectedTraceF& out);
+/// SampleRing's float mirrors), filling `out` in place. Same structure as
+/// the double overload — batch gravity estimate, principal horizontal
+/// direction, vertical + anterior projection, zero-phase low-pass — but
+/// every per-sample pass runs in float32 through the SIMD kernels (twice
+/// the lane width and half the memory traffic). Axis *directions* are
+/// still reduced in double: they are three numbers whose error multiplies
+/// every sample. No attitude-filter (per-sample ups) variant: callers
+/// needing it stay on the double path. Divergence from the double pipeline
+/// is bounded by float rounding in the projections and filters;
+/// tests/test_streaming_f32.cpp gates it against the batch-double oracle.
+void project_channels_into(std::span<const float> ax,
+                           std::span<const float> ay,
+                           std::span<const float> az, double fs,
+                           double lowpass_hz, double anterior_window_s,
+                           dsp::Workspace& ws, ProjectionSeam* seam,
+                           const AxisHistoryF& axes, ProjectedTraceF& out);
 
 }  // namespace ptrack::core

@@ -96,21 +96,23 @@ void HopJob::run_scheduled(std::size_t executor) {
       std::lock_guard<std::mutex> lk(err_mu_);
       if (!error_) error_ = std::current_exception();
     }
-    int expected = kRunning;
-    if (state_.compare_exchange_strong(expected, kIdle,
-                                       std::memory_order_acq_rel)) {
-      break;
+    {
+      // Go idle under idle_mu_: waiters (wait_idle, ~HopJob) only observe
+      // kIdle under that lock, so the owner cannot free the job until this
+      // block has released it. The counter bump and the notify are the
+      // last touches of *this, both before the unlock.
+      std::lock_guard<std::mutex> lk(idle_mu_);
+      int expected = kRunning;
+      if (state_.compare_exchange_strong(expected, kIdle,
+                                         std::memory_order_acq_rel)) {
+        runs_completed_.fetch_add(1, std::memory_order_relaxed);
+        idle_cv_.notify_all();
+        return;
+      }
     }
     // kRunningDirty: samples landed after our swap; drain again within the
     // same task rather than paying another submit round trip.
     state_.store(kRunning, std::memory_order_release);
-  }
-  runs_completed_.fetch_add(1, std::memory_order_relaxed);
-  {
-    // Notify under the lock so a waiter cannot observe kIdle, destroy the
-    // job, and leave us notifying a dead condition variable.
-    std::lock_guard<std::mutex> lk(idle_mu_);
-    idle_cv_.notify_all();
   }
 }
 

@@ -13,7 +13,6 @@
 #include <memory>
 #include <vector>
 
-#include "core/step_counter.hpp"
 #include "core/stride_estimator.hpp"
 #include "core/types.hpp"
 #include "dsp/workspace.hpp"
@@ -62,12 +61,16 @@ class PTrack {
   /// non-finite or nonphysical cells — there is no signal to track).
   [[nodiscard]] TrackResult process(const imu::Trace& trace) const;
 
+  /// The pipeline body without the quality layer (projection -> counting
+  /// -> strides) over a trace taken as clean: no assessment, no repair,
+  /// no quality fields. Self-training uses it to read the classified
+  /// cycles of its calibration walks.
+  [[nodiscard]] TrackResult process_repaired(const imu::Trace& trace) const;
+
   [[nodiscard]] const PTrackConfig& config() const { return cfg_; }
   void set_profile(const StrideProfile& profile);
 
  private:
-  /// The pre-quality pipeline body (projection -> counting -> strides).
-  [[nodiscard]] TrackResult process_repaired(const imu::Trace& trace) const;
 
   /// Batch driver: loads the trace (with optional per-sample quality flags)
   /// into a ring and flushes one StagePipeline over it.

@@ -6,7 +6,6 @@
 
 #include "common/error.hpp"
 #include "common/stats.hpp"
-#include "core/step_counter.hpp"
 #include "core/ptrack.hpp"
 #include "core/stride_estimator.hpp"
 
@@ -24,8 +23,13 @@ CycleBank classify_cycles(const imu::Trace& trace,
                           const SelfTrainingConfig& cfg) {
   CycleBank bank;
   bank.projected = project_trace(trace, cfg.counter.lowpass_hz);
-  const StepCounter counter(cfg.counter);
-  const TrackResult result = counter.process_projected(bank.projected);
+  // Classify on the same projection the bank keeps: one whole-trace
+  // anterior fit, batch gravity estimate.
+  PTrackConfig pcfg;
+  pcfg.counter = cfg.counter;
+  pcfg.counter.anterior_window_s = 0.0;
+  pcfg.counter.use_attitude_filter = false;
+  const TrackResult result = PTrack(pcfg).process_repaired(trace);
   for (const CycleRecord& c : result.cycles) {
     if (c.type == GaitType::Walking) bank.walking.push_back(c);
     if (c.type == GaitType::Stepping) bank.stepping.push_back(c);

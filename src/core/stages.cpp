@@ -83,7 +83,7 @@ void ProjectionStage::advance(const imu::SampleRing& ring, bool flush) {
                               ring.ayf(axis_begin, end),
                               ring.azf(axis_begin, end)};
         }
-        project_channels_f32_into(
+        project_channels_into(
             ring.axf(begin, end), ring.ayf(begin, end), ring.azf(begin, end),
             fs_, cfg_.lowpass_hz, cfg_.anterior_window_s, *ws_, &seam_, axes,
             projf_);

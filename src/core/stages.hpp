@@ -64,9 +64,8 @@ inline constexpr double kProjectionMarginS = 2.5;
 /// Trailing raw-history window (s) the projection estimates its up /
 /// anterior axes over when advancing incrementally. Axes fit only to the
 /// short per-hop re-projection span wander with local gestures (and flip
-/// borderline offset tests); 20 s matches the legacy recompute window, so
-/// the incremental mode's axis stability is no worse than the sliding
-/// window it replaced. A batch flush spans the whole trace in one region,
+/// borderline offset tests); 20 s of history keeps them as steady as a
+/// 20 s batch window would. A batch flush spans the whole trace in one region,
 /// where the history and the projected span coincide and the axes reduce
 /// to the batch estimate exactly.
 inline constexpr double kProjectionAxisWindowS = 20.0;
@@ -76,8 +75,8 @@ inline constexpr double kSegmentationMarginS = 1.8;
 /// Numeric precision of the projection frontend. kDouble is the batch
 /// pipeline's arithmetic, bit-stable against the batch oracle. kFloat32
 /// routes the per-sample projection and filtering passes through the f32
-/// SIMD kernels (project_channels_f32: twice the lane width, half the
-/// memory traffic) and widens the finalized channels back to the double
+/// SIMD kernels (the float-span project_channels_into: twice the lane
+/// width, half the memory traffic) and widens the finalized channels back to the double
 /// rings, so every stage downstream of projection is unchanged. Requires a
 /// SampleRing with enable_f32() and a workspace; incompatible with the
 /// attitude-filter path (which stays double-only). Divergence from kDouble
@@ -171,9 +170,9 @@ class SegmentationStage {
 
 /// Classifies candidate cycles, confirms withheld stepping streaks,
 /// estimates per-step strides and finalizes events once their median
-/// smoothing window closes. Mirrors the batch StepCounter + PTrack stride
-/// fill exactly (same classification state machine, same fill and
-/// moving-median arithmetic).
+/// smoothing window closes. Given all candidates in one flushing advance
+/// it is the batch classification and stride fill; hop-wise it runs the
+/// same state machine, fill and moving-median arithmetic incrementally.
 class EventAssembler {
  public:
   EventAssembler(const StepCounterConfig& counter_cfg,
@@ -219,7 +218,8 @@ class EventAssembler {
   GaitIdentifier identifier_;
   StrideEstimator estimator_;
 
-  // Candidate bookkeeping (mirrors StepCounter::process_projected).
+  // Candidate bookkeeping: a gap between consecutive candidates breaks
+  // any stepping streak.
   std::size_t prev_end_ = 0;
   bool have_prev_ = false;
   std::vector<CycleRecord> withheld_;  ///< open streak, <= streak-1 entries

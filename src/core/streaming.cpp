@@ -17,12 +17,6 @@ namespace {
 double validated_fs(double fs, const StreamingConfig& config) {
   expects(fs > 0.0, "StreamingTracker: fs > 0");
   expects(config.hop_s > 0.0, "StreamingTracker: hop_s > 0");
-  expects(config.guard_s > 0.0, "StreamingTracker: guard_s > 0");
-  expects(config.window_s > 2.0 * config.guard_s,
-          "StreamingTracker: window_s > 2 * guard_s");
-  expects(config.precision == Precision::kDouble ||
-              config.mode == StreamingConfig::Mode::kIncremental,
-          "StreamingTracker: float32 precision requires incremental mode");
   expects(config.precision == Precision::kDouble ||
               !config.pipeline.counter.use_attitude_filter,
           "StreamingTracker: float32 precision has no attitude-filter path");
@@ -38,11 +32,9 @@ StreamingTracker::StreamingTracker(double fs, StreamingConfig config)
       pipe_(config.pipeline.counter, config.pipeline.stride, fs, &workspace_,
             config.precision),
       hop_samples_(std::max<std::size_t>(
-          1, static_cast<std::size_t>(config.hop_s * fs))),
-      pipeline_(config.pipeline) {
+          1, static_cast<std::size_t>(config.hop_s * fs))) {
   if (config_.precision == Precision::kFloat32) ring_.enable_f32();
-  if (config_.mode == StreamingConfig::Mode::kIncremental &&
-      config_.pipeline.quality.enabled) {
+  if (config_.pipeline.quality.enabled) {
     quality_.emplace(fs_, config_.pipeline.quality);
     repair_buf_.reserve(quality_->latency_bound() + 1);
   }
@@ -56,13 +48,8 @@ void StreamingTracker::push(const imu::Sample& sample) {
   next_t_ += 1.0 / fs_;
   ++samples_pushed_;
 
-  if (config_.mode == StreamingConfig::Mode::kRecompute) {
-    push_recompute(s);
-    return;
-  }
-
-  // Incremental: route through the online quality stage (which holds a
-  // bounded tail back until each sample's fate is decided) into the ring.
+  // Route through the online quality stage (which holds a bounded tail
+  // back until each sample's fate is decided) into the ring.
   if (quality_) {
     repair_buf_.clear();
     quality_->push(s, repair_buf_);
@@ -105,10 +92,9 @@ void StreamingTracker::run_hop(bool flush) {
     pipe_.advance(ring_, flush);
 
     // The assembler finalizes events chronologically and never retracts, so
-    // the drained batch appends to ready_ already sorted — no per-hop sort
-    // (and no re-sort of everything already pending, as the recompute path
-    // once did). Capacity-preserving drains keep the hop allocation-free
-    // once ready_ has warmed up.
+    // the drained batch appends to ready_ already sorted — no per-hop sort.
+    // Capacity-preserving drains keep the hop allocation-free once ready_
+    // has warmed up.
     pipe_.drain_events(ready_);
     pipe_.discard_cycles();  // streaming exposes events only
 
@@ -116,60 +102,6 @@ void StreamingTracker::run_hop(bool flush) {
     ring_.trim_to(std::min(pipe_.min_required_index(), ring_.end()));
   }
   if (flush) warmed_up_ = true;
-}
-
-void StreamingTracker::push_recompute(const imu::Sample& s) {
-  PTRACK_CHECK_MSG(config_.mode == StreamingConfig::Mode::kRecompute,
-                   "StreamingTracker::push_recompute: recompute-mode entry");
-  window_.push_back(s);
-
-  // Trim the sliding window.
-  const double min_keep = next_t_ - config_.window_s;
-  while (!window_.empty() && window_.front().t < min_keep &&
-         window_.front().t < emit_frontier_ - config_.guard_s) {
-    window_start_t_ = window_.front().t + 1.0 / fs_;
-    window_.pop_front();
-  }
-
-  if (next_t_ - last_processed_t_ >= config_.hop_s) {
-    process_window(next_t_ - config_.guard_s);
-    last_processed_t_ = next_t_;
-  }
-}
-
-void StreamingTracker::process_window(double horizon) {
-  PTRACK_CHECK_MSG(std::isfinite(horizon),
-                   "StreamingTracker::process_window: finite horizon");
-  if (window_.size() < 32) return;
-  PTRACK_OBS_SPAN("ptrack.streaming.window");
-  ++windows_processed_;
-  PTRACK_COUNT("ptrack.core.streaming.windows");
-
-  // Materialize the window as a trace with window-relative timestamps.
-  std::vector<imu::Sample> samples(window_.begin(), window_.end());
-  const double t0 = samples.front().t;
-  for (imu::Sample& s : samples) s.t -= t0;
-  const imu::Trace trace(fs_, std::move(samples));
-
-  const TrackResult result = pipeline_.process(trace);
-  const std::size_t sorted_prefix = ready_.size();
-  for (const StepEvent& e : result.events) {
-    const double t_abs = e.t + t0;
-    if (t_abs <= emit_frontier_ || t_abs > horizon) continue;
-    StepEvent out = e;
-    out.t = t_abs;
-    ready_.push_back(out);
-  }
-  // Advance the frontier even when no events landed, so a re-run over the
-  // same region cannot re-emit older events with slightly shifted stamps.
-  if (horizon > emit_frontier_) emit_frontier_ = horizon;
-  // The new events are chronological among themselves (batch order), so a
-  // merge at the append boundary suffices — no full re-sort of ready_.
-  std::inplace_merge(
-      ready_.begin(),
-      ready_.begin() + static_cast<std::ptrdiff_t>(sorted_prefix),
-      ready_.end(),
-      [](const StepEvent& a, const StepEvent& b) { return a.t < b.t; });
 }
 
 std::vector<StepEvent> StreamingTracker::poll() {
@@ -201,12 +133,6 @@ std::vector<StepEvent> StreamingTracker::finish() {
 
 // ptrack-lint: allow(entry-check) terminal flush is legal in any state
 void StreamingTracker::drain_into(std::vector<StepEvent>& out) {
-  if (config_.mode == StreamingConfig::Mode::kRecompute) {
-    process_window(next_t_ + 1.0);  // flush: no guard
-    last_processed_t_ = next_t_;
-    poll_into(out);
-    return;
-  }
   if (quality_) {
     repair_buf_.clear();
     quality_->flush(repair_buf_);

@@ -2,20 +2,13 @@
 // events as they are confirmed — the operating mode of the paper's
 // smartwatch prototype, with bounded memory.
 //
-// Default mode (kIncremental): the pushed stream flows through the online
-// quality stage (imu::IncrementalQuality) into a contiguous SoA ring
-// (imu::SampleRing), and every hop advances the same incremental stage
-// graph the batch facade runs (core/stages.hpp). Each hop touches only the
-// new samples plus bounded finalization margins, so per-hop cost is
-// independent of how long the stream has been running — and of any
-// analysis-window length. Events come out finalized, chronological and
-// never retracted.
-//
-// Baseline mode (kRecompute): the original sliding-window wrapper — keep a
-// window of recent samples, re-run the batch pipeline over it each hop and
-// emit events beyond the already-emitted frontier, withholding a trailing
-// guard region. O(window) per hop; retained for benchmarking
-// (bench/micro_streaming.cpp) and as a behavioural reference.
+// The pushed stream flows through the online quality stage
+// (imu::IncrementalQuality) into a contiguous SoA ring (imu::SampleRing),
+// and every hop advances the same incremental stage graph the batch facade
+// runs (core/stages.hpp). Each hop touches only the new samples plus
+// bounded finalization margins, so per-hop cost is independent of how long
+// the stream has been running. Events come out finalized, chronological
+// and never retracted.
 //
 // Consistency: over the same stream, the incremental event sequence is
 // validated hop-for-hop against the batch result on the same samples
@@ -25,13 +18,10 @@
 //
 // Short streams: the pipeline needs >= 16 samples to project and three
 // step peaks (>= ~0.7 s apart) to form a cycle, so finish() on a stream of
-// fewer than 32 samples emits nothing in either mode (the recompute mode
-// additionally skips windows below 32 samples outright).
+// fewer than 32 samples emits nothing.
 
 #pragma once
 
-#include <cmath>
-#include <deque>
 #include <optional>
 #include <vector>
 
@@ -47,28 +37,16 @@ namespace ptrack::core {
 /// Streaming configuration on top of the batch PTrackConfig.
 struct StreamingConfig {
   PTrackConfig pipeline{};
-  /// Execution mode: incremental stage graph (default) or the legacy
-  /// full-window recompute baseline.
-  enum class Mode { kIncremental, kRecompute };
-  Mode mode = Mode::kIncremental;
-  /// Advance the pipeline after this many seconds of new samples.
+  /// Advance the pipeline after this many seconds of new samples. (No
+  /// analysis window: stage state carries across hops, and each stage
+  /// derives its own finalization margin; see core/stages.hpp.)
   double hop_s = 2.0;
-  /// Recompute mode: sliding analysis window (s). Must comfortably exceed
-  /// the guard. (The incremental mode needs no window — its state carries
-  /// across hops.)
-  double window_s = 20.0;
-  /// Recompute mode: events younger than this are withheld as unconfirmed
-  /// (s), covering the stepping streak plus a segmentation margin. (The
-  /// incremental mode derives its finalization margins per stage; see
-  /// core/stages.hpp.)
-  double guard_s = 5.0;
-  /// Numeric precision of the per-hop projection frontend (incremental
-  /// mode only — the recompute baseline re-runs the double batch pipeline
-  /// by definition). kFloat32 is the opt-in fast path: the ring keeps f32
-  /// accel mirrors and the projection stage runs project_channels_f32;
-  /// everything downstream of projection stays double. Incompatible with
-  /// Mode::kRecompute and with use_attitude_filter (construction throws).
-  /// See core::Precision for the accuracy contract.
+  /// Numeric precision of the per-hop projection frontend. kFloat32 is the
+  /// opt-in fast path: the ring keeps f32 accel mirrors and the projection
+  /// stage runs the float-span project_channels_into; everything
+  /// downstream of projection stays double. Incompatible with
+  /// use_attitude_filter (construction throws). See core::Precision for
+  /// the accuracy contract.
   Precision precision = Precision::kDouble;
   /// Arm an alloc::NoAllocScope around every steady-state incremental hop
   /// (each non-flush advance after the first flush). With PTrack checks
@@ -84,7 +62,7 @@ struct StreamingConfig {
 /// events only.
 struct StreamingStats {
   std::size_t samples_pushed = 0;     ///< samples accepted by push()
-  std::size_t windows_processed = 0;  ///< pipeline hops (advances/re-runs)
+  std::size_t windows_processed = 0;  ///< pipeline hops (advances)
   std::size_t events_emitted = 0;     ///< events handed out via poll()
   std::size_t degraded_events = 0;    ///< emitted events flagged degraded
   double distance_m = 0.0;            ///< sum of emitted strides
@@ -172,17 +150,12 @@ class StreamingTracker {
   }
 
  private:
-  // Incremental mode: one stage-graph advance over the ring's new tail.
+  // One stage-graph advance over the ring's new tail.
   void run_hop(bool flush);
-
-  // Recompute mode: legacy full-window re-run.
-  void push_recompute(const imu::Sample& sample);
-  void process_window(double horizon);
 
   double fs_;
   StreamingConfig config_;
 
-  // --- Incremental mode state -------------------------------------------
   dsp::Workspace workspace_;             ///< must outlive pipe_
   imu::SampleRing ring_;
   StagePipeline pipe_;
@@ -191,16 +164,8 @@ class StreamingTracker {
   std::size_t hop_samples_;
   std::size_t samples_since_hop_ = 0;
   bool warmed_up_ = false;  ///< a flush hop has run (buffers are sized)
+  double next_t_ = 0.0;     ///< stream time of the next sample
 
-  // --- Recompute mode state ---------------------------------------------
-  PTrack pipeline_;
-  std::deque<imu::Sample> window_;   ///< sliding sample window
-  double window_start_t_ = 0.0;      ///< absolute time of window_.front()
-  double next_t_ = 0.0;              ///< absolute time of the next sample
-  double last_processed_t_ = 0.0;    ///< stream time at last pipeline run
-  double emit_frontier_ = 0.0;       ///< events up to here were emitted
-
-  // --- Shared accounting -------------------------------------------------
   std::vector<StepEvent> ready_;     ///< confirmed, not yet polled
   std::size_t emitted_steps_ = 0;
   std::size_t emitted_degraded_ = 0;

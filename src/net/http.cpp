@@ -136,19 +136,19 @@ HttpGetResult http_get(const Endpoint& ep, std::string_view target,
     req += "GET ";
     req += target;
     req += " HTTP/1.0\r\nHost: ptrack\r\nConnection: close\r\n\r\n";
-    if (!sock.write_all(std::span<const std::uint8_t>(
-            reinterpret_cast<const std::uint8_t*>(req.data()),
-            req.size()))) {
-      res.error = "send failed or timed out";
-      return res;
-    }
+    // A server may answer and close without reading the request (the
+    // admin plane's immediate 503 shed). The send then fails with EPIPE
+    // while the response already waits in our receive buffer, so read it
+    // either way; the send failure is the error only if nothing came back.
+    const bool sent = sock.write_all(std::span<const std::uint8_t>(
+        reinterpret_cast<const std::uint8_t*>(req.data()), req.size()));
     std::string raw;
     std::array<std::uint8_t, 4096> chunk{};
     while (true) {
       const std::ptrdiff_t n = sock.read_some(chunk);
       if (n == 0) break;  // EOF: HTTP/1.0 close delimits the body
       if (n < 0) {
-        res.error = "receive timed out";
+        res.error = sent ? "receive timed out" : "send failed or timed out";
         return res;
       }
       if (raw.size() + static_cast<std::size_t>(n) >
@@ -158,6 +158,10 @@ HttpGetResult http_get(const Endpoint& ep, std::string_view target,
       }
       raw.append(reinterpret_cast<const char*>(chunk.data()),
                  static_cast<std::size_t>(n));
+    }
+    if (!sent && raw.empty()) {
+      res.error = "send failed or timed out";
+      return res;
     }
     const std::string_view view(raw);
     if (view.substr(0, 7) != "HTTP/1.") {

@@ -11,9 +11,9 @@
 // Exporting (write_chrome_trace) and reset_trace() must only run while
 // span-producing threads are quiescent AND a happens-before edge exists
 // from their last span to the exporting thread — a thread join, or the
-// ThreadPool drain (workers release via the done counter that run()
-// acquires). The CLI exports after BatchRunner::run returned, which
-// satisfies both.
+// end of a Scheduler::parallel_for (workers release via the job's done and
+// outstanding counters that the caller acquires). The CLI exports after
+// BatchRunner::run returned, which satisfies both.
 //
 // Ring wrap: a thread that produces more than kRingCapacity events between
 // exports overwrites its oldest ones. The exporter re-balances what is

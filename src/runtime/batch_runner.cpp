@@ -3,13 +3,13 @@
 #include <algorithm>
 #include <exception>
 #include <filesystem>
+#include <thread>
 
 #include "common/check.hpp"
 #include "common/error.hpp"
 #include "imu/trace_io.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
-#include "runtime/thread_pool.hpp"
 
 namespace ptrack::runtime {
 
@@ -25,12 +25,19 @@ std::string_view to_string(TraceError::Stage s) {
 
 namespace {
 
+/// Threads to use for `requested` (0 = one per hardware thread).
+std::size_t resolve_threads(std::size_t requested) {
+  if (requested > 0) return requested;
+  const unsigned hw = std::thread::hardware_concurrency();
+  return hw > 0 ? hw : 1;
+}
+
 std::unique_ptr<Scheduler> make_owned_scheduler(const BatchOptions& opt) {
   if (opt.scheduler != nullptr) return nullptr;
   SchedulerOptions so;
-  // Pool convention carried over from the fork-join era: `threads` counts
-  // the calling thread, the scheduler counts only spawned workers.
-  so.workers = ThreadPool::resolve_threads(opt.threads) - 1;
+  // `threads` counts the calling thread, the scheduler counts only spawned
+  // workers.
+  so.workers = resolve_threads(opt.threads) - 1;
   // ptrack-lint: allow(alloc) runner construction, amortized over every batch it runs
   return std::make_unique<Scheduler>(so);
 }

@@ -384,9 +384,12 @@ void Scheduler::claimer_trampoline(void* ctx, std::size_t executor,
     }
   }
   // This claimer dies (index space consumed). The job may only be
-  // reclaimed once outstanding hits zero.
+  // reclaimed once outstanding hits zero, and the caller checks that under
+  // job.mu: decrementing under the same lock keeps it from seeing zero,
+  // returning and freeing the stack job before this claimer is done with
+  // the mutex and condition variable.
+  std::lock_guard<std::mutex> lk(job.mu);
   if (job.outstanding.fetch_sub(1, std::memory_order_acq_rel) == 1) {
-    std::lock_guard<std::mutex> lk(job.mu);
     job.cv.notify_all();
   }
 }

@@ -158,7 +158,7 @@ TEST(Streaming, StatelessBetweenQuietPeriods) {
 
 TEST(Streaming, InvalidConfigThrows) {
   core::StreamingConfig cfg;
-  cfg.window_s = 5.0;  // <= 2 * guard
+  cfg.hop_s = 0.0;
   EXPECT_THROW(core::StreamingTracker(100.0, cfg), InvalidArgument);
   EXPECT_THROW(core::StreamingTracker(0.0, {}), InvalidArgument);
 }

@@ -5,7 +5,7 @@
 #include "common/stats.hpp"
 #include "common/error.hpp"
 #include "core/frontend.hpp"
-#include "core/step_counter.hpp"
+#include "core/ptrack.hpp"
 #include "core/stride_estimator.hpp"
 #include "synth/synthesizer.hpp"
 
@@ -28,8 +28,7 @@ StrideFixture make(synth::ActivityKind kind, std::uint64_t seed) {
                                  : synth::Scenario::pure_stepping(40.0);
   s.result = synth::synthesize(scenario, s.user, synth::SynthOptions{}, rng);
   s.projected = core::project_trace(s.result.trace, 5.0);
-  const core::StepCounter counter{core::StepCounterConfig{}};
-  s.counted = counter.process_projected(s.projected);
+  s.counted = core::PTrack().process_repaired(s.result.trace);
   return s;
 }
 

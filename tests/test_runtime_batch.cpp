@@ -1,5 +1,4 @@
-// Runtime tests: the thread pool runs every task exactly once and
-// propagates failures, and BatchRunner is deterministic — the same batch
+// Runtime tests: BatchRunner is deterministic — the same batch
 // produces bit-identical TrackResults at 1 and 8 worker threads, in input
 // order, matching a direct single-threaded PTrack run. Fault isolation:
 // a trace that throws in the pipeline or a CSV that fails to parse is
@@ -11,13 +10,13 @@
 #include <cstdio>
 #include <filesystem>
 #include <stdexcept>
+#include <thread>
 #include <vector>
 
 #include "common/error.hpp"
 #include "core/ptrack.hpp"
 #include "imu/trace_io.hpp"
 #include "runtime/batch_runner.hpp"
-#include "runtime/thread_pool.hpp"
 #include "synth/synthesizer.hpp"
 
 using namespace ptrack;
@@ -63,57 +62,12 @@ void expect_identical(const core::TrackResult& a, const core::TrackResult& b) {
 
 }  // namespace
 
-TEST(ThreadPool, RunsEveryTaskExactlyOnce) {
-  runtime::ThreadPool pool(4);
-  EXPECT_EQ(pool.size(), 4u);
-
-  const std::size_t n_tasks = 100;  // far more tasks than workers
-  std::vector<std::atomic<int>> hits(n_tasks);
-  pool.run(n_tasks, [&](std::size_t task, std::size_t worker) {
-    ASSERT_LT(task, n_tasks);
-    ASSERT_LT(worker, pool.size());
-    hits[task].fetch_add(1);
-  });
-  for (std::size_t i = 0; i < n_tasks; ++i) EXPECT_EQ(hits[i].load(), 1);
-}
-
-TEST(ThreadPool, SingleThreadRunsInline) {
-  runtime::ThreadPool pool(1);
-  const auto main_id = std::this_thread::get_id();
-  pool.run(10, [&](std::size_t, std::size_t worker) {
-    EXPECT_EQ(worker, 0u);
-    EXPECT_EQ(std::this_thread::get_id(), main_id);
-  });
-}
-
-TEST(ThreadPool, ReusableAcrossRuns) {
-  runtime::ThreadPool pool(3);
-  for (int round = 0; round < 5; ++round) {
-    std::atomic<std::size_t> total{0};
-    pool.run(17, [&](std::size_t task, std::size_t) {
-      total.fetch_add(task + 1);
-    });
-    EXPECT_EQ(total.load(), 17u * 18u / 2u);
-  }
-}
-
-TEST(ThreadPool, PropagatesTaskException) {
-  runtime::ThreadPool pool(4);
-  EXPECT_THROW(
-      pool.run(50,
-               [&](std::size_t task, std::size_t) {
-                 if (task == 23) throw std::runtime_error("task 23 failed");
-               }),
-      std::runtime_error);
-  // The pool must remain usable after a failed run.
-  std::atomic<int> ok{0};
-  pool.run(8, [&](std::size_t, std::size_t) { ok.fetch_add(1); });
-  EXPECT_EQ(ok.load(), 8);
-}
-
-TEST(ThreadPool, ResolveThreads) {
-  EXPECT_EQ(runtime::ThreadPool::resolve_threads(3), 3u);
-  EXPECT_GE(runtime::ThreadPool::resolve_threads(0), 1u);
+TEST(BatchRunner, ResolvesThreadCount) {
+  // `threads` counts the calling thread; 0 means one per hardware thread.
+  EXPECT_EQ(runtime::BatchRunner({}, {.threads = 3}).threads(), 3u);
+  const unsigned hw = std::thread::hardware_concurrency();
+  EXPECT_EQ(runtime::BatchRunner({}, {.threads = 0}).threads(),
+            hw > 0 ? std::size_t{hw} : 1u);
 }
 
 TEST(BatchRunner, MatchesDirectPipelineInInputOrder) {

@@ -8,13 +8,16 @@
 //
 // The stress cases are the TSan targets: N producers x M workers x both
 // lanes with randomized affinity (steal pressure), concurrent parallel_for
-// callers, and a producer hammering a HopJob while the batch lane is busy.
+// callers, a producer hammering a HopJob while the batch lane is busy, and
+// tight job-lifetime loops (short dispatch-only jobs, HopJob teardown right
+// after idle) that expose any touch of a job after its owner may free it.
 
 #include <gtest/gtest.h>
 
 #include <array>
 #include <atomic>
 #include <chrono>
+#include <memory>
 #include <mutex>
 #include <random>
 #include <stdexcept>
@@ -452,6 +455,26 @@ TEST(SchedulerBatch, DispatchOnlyCallerClaimsNoTasks) {
   EXPECT_EQ(ran, 4u);
 }
 
+TEST(Scheduler, DispatchOnlyParallelForNeverOutlivesItsJob) {
+  // Many short dispatch-only jobs: the caller returns (and its stack job
+  // dies) the moment the last claimer retires, so any claimer touch of
+  // the job after its final decrement is a use-after-free that TSan/ASan
+  // builds report. 1-2 tasks keep the retire/return window as tight as
+  // it gets.
+  Scheduler sched(opts(2));
+  std::atomic<std::size_t> ran{0};
+  constexpr std::size_t kCalls = 100000;
+  for (std::size_t c = 0; c < kCalls; ++c) {
+    sched.parallel_for(
+        Lane::kThroughput, 1 + c % 2,
+        [&](std::size_t, std::size_t) {
+          ran.fetch_add(1, std::memory_order_relaxed);
+        },
+        /*caller_participates=*/false);
+  }
+  EXPECT_EQ(ran.load(), kCalls + kCalls / 2);
+}
+
 // ---------------------------------------------------------------------------
 // HopJob: off-thread streaming hops
 
@@ -607,4 +630,21 @@ TEST(HopJob, StressProducerVsBatchOnSharedScheduler) {
   ref.drain_into(want);
   ASSERT_GT(want.size(), 0u);
   expect_events_identical(got, want);
+}
+
+TEST(HopJob, DestroyRightAfterIdleIsSafe) {
+  // Create / push / (wait_idle) / destroy cycles on a live scheduler: the
+  // owner frees the job as soon as it observes idle, so the executor must
+  // not touch the job after going idle. Heap jobs make a late touch
+  // visible to ASan; TSan sees the race on the freed members.
+  Scheduler sched(opts(2));
+  runtime::SchedulerHopExecutor exec(sched);
+  const auto trace = make_walk_trace(0xf7ee, 1.0);
+  for (std::size_t cycle = 0; cycle < 2000; ++cycle) {
+    auto job = std::make_unique<core::HopJob>(exec, cycle, trace.fs());
+    for (std::size_t i = 0; i < 1 + cycle % 8; ++i) job->push(trace[i]);
+    if (cycle % 2 == 0) job->wait_idle();  // odd cycles: ~HopJob waits
+    job.reset();
+  }
+  EXPECT_EQ(sched.stats().task_exceptions, 0u);
 }

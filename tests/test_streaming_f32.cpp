@@ -182,16 +182,8 @@ TEST(Float32Stream, DeterministicAcrossRuns) {
 }
 
 TEST(Float32Stream, RejectsUnsupportedConfigurations) {
-  // No f32 recompute baseline (it re-runs the double batch pipeline by
-  // definition) and no f32 attitude-filter path (double-only).
-  {
-    core::StreamingConfig cfg = base_config(core::Precision::kFloat32);
-    cfg.mode = core::StreamingConfig::Mode::kRecompute;
-    EXPECT_THROW(core::StreamingTracker(100.0, cfg), InvalidArgument);
-  }
-  {
-    core::StreamingConfig cfg = base_config(core::Precision::kFloat32);
-    cfg.pipeline.counter.use_attitude_filter = true;
-    EXPECT_THROW(core::StreamingTracker(100.0, cfg), InvalidArgument);
-  }
+  // No f32 attitude-filter path (double-only).
+  core::StreamingConfig cfg = base_config(core::Precision::kFloat32);
+  cfg.pipeline.counter.use_attitude_filter = true;
+  EXPECT_THROW(core::StreamingTracker(100.0, cfg), InvalidArgument);
 }
