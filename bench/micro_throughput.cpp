@@ -120,7 +120,9 @@ void BM_FiltfiltMulti3F32(benchmark::State& state) {
   const auto xs = walking_minute().trace.accel_magnitude();
   const std::size_t n = 2000;
   std::vector<float> xf(3 * n);
-  dsp::simd::narrow({xs.data(), 3 * n}, xf);
+  for (std::size_t i = 0; i < xf.size(); ++i) {
+    xf[i] = static_cast<float>(xs[i]);
+  }
   const std::array<std::span<const float>, 3> chans{
       std::span<const float>(xf.data(), n),
       std::span<const float>(xf.data() + n, n),
@@ -130,7 +132,7 @@ void BM_FiltfiltMulti3F32(benchmark::State& state) {
   dsp::simd::force_isa(state.range(0) != 0 ? dsp::simd::detected()
                                            : dsp::simd::Isa::kScalar);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(dsp::filtfilt_multif_mean(cascade, chans, 64, ws));
+    benchmark::DoNotOptimize(dsp::filtfilt_multi_mean(cascade, chans, 64, ws));
   }
   dsp::simd::force_isa(dsp::simd::detected());
   state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
@@ -159,12 +161,15 @@ void BM_AxisProject(benchmark::State& state) {
 BENCHMARK(BM_AxisProject)->ArgName("simd")->Arg(0)->Arg(1);
 
 void BM_Projection(benchmark::State& state) {
-  const auto vectors = walking_minute().trace.accel_vectors();
+  const auto& trace = walking_minute().trace;
+  const auto x = trace.accel_axis(0);
+  const auto y = trace.accel_axis(1);
+  const auto z = trace.accel_axis(2);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(dsp::project(vectors, 100.0));
+    benchmark::DoNotOptimize(dsp::project(x, y, z, 100.0));
   }
   state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
-                          static_cast<int64_t>(vectors.size()));
+                          static_cast<int64_t>(x.size()));
 }
 BENCHMARK(BM_Projection);
 

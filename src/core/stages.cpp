@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <limits>
+#include <type_traits>
 #include <utility>
 
 #include "common/check.hpp"
@@ -17,6 +18,18 @@ namespace {
 
 [[nodiscard]] std::size_t seconds_to_samples(double s, double fs) {
   return static_cast<std::size_t>(s * fs);
+}
+
+/// Raw accel channels [b, e) of the ring in precision T (the double
+/// channels or their f32 mirrors).
+template <typename T>
+AxisHistory<T> accel_spans(const imu::SampleRing& ring, std::size_t b,
+                           std::size_t e) {
+  if constexpr (std::is_same_v<T, float>) {
+    return {ring.axf(b, e), ring.ayf(b, e), ring.azf(b, e)};
+  } else {
+    return {ring.ax(b, e), ring.ay(b, e), ring.az(b, e)};
+  }
 }
 
 }  // namespace
@@ -36,8 +49,7 @@ ProjectionStage::ProjectionStage(const StepCounterConfig& cfg, double fs,
   expects(fs > 0.0, "ProjectionStage: fs > 0");
   expects(precision == Precision::kDouble || !cfg.use_attitude_filter,
           "ProjectionStage: float32 precision has no attitude-filter path");
-  expects(precision == Precision::kDouble || ws != nullptr,
-          "ProjectionStage: float32 precision requires a workspace");
+  expects(ws != nullptr, "ProjectionStage: requires a workspace");
 }
 
 void ProjectionStage::advance(const imu::SampleRing& ring, bool flush) {
@@ -74,43 +86,39 @@ void ProjectionStage::advance(const imu::SampleRing& ring, bool flush) {
       const bool pin_axes =
           cfg_.anterior_window_s <= 0.0 && axis_begin < begin;
       if (precision_ == Precision::kFloat32) {
-        // f32 fast path: project the ring's float mirrors, widen the
-        // finalized tail back into the double rings. Downstream stages are
-        // precision-blind.
-        AxisHistoryF axes{};
-        if (pin_axes) {
-          axes = AxisHistoryF{ring.axf(axis_begin, end),
-                              ring.ayf(axis_begin, end),
-                              ring.azf(axis_begin, end)};
-        }
-        project_channels_into(
-            ring.axf(begin, end), ring.ayf(begin, end), ring.azf(begin, end),
-            fs_, cfg_.lowpass_hz, cfg_.anterior_window_s, *ws_, &seam_, axes,
-            projf_);
-        for (std::size_t i = stable; i < target; ++i) {
-          vert_.push(static_cast<double>(projf_.vertical[i - begin]));
-          ant_.push(static_cast<double>(projf_.anterior[i - begin]));
-        }
+        // Downstream stages are precision-blind: the float region is
+        // widened into the double rings as it is finalized.
+        project_region(ring, begin, end, axis_begin, pin_axes, stable, target,
+                       projf_);
       } else {
-        AxisHistory axes{};
-        if (pin_axes) {
-          axes = AxisHistory{ring.ax(axis_begin, end), ring.ay(axis_begin, end),
-                             ring.az(axis_begin, end)};
-        }
-        project_channels_into(
-            ring.ax(begin, end), ring.ay(begin, end), ring.az(begin, end), fs_,
-            cfg_.lowpass_hz, cfg_.anterior_window_s,
-            cfg_.use_attitude_filter ? ups_.span(begin, end)
-                                     : std::span<const Vec3>{},
-            ws_, &seam_, axes, proj_);
-        for (std::size_t i = stable; i < target; ++i) {
-          vert_.push(proj_.vertical[i - begin]);
-          ant_.push(proj_.anterior[i - begin]);
-        }
+        project_region(ring, begin, end, axis_begin, pin_axes, stable, target,
+                       proj_);
       }
     }
   }
   if (cfg_.use_attitude_filter) ups_.trim_to(min_required());
+}
+
+template <typename T>
+void ProjectionStage::project_region(const imu::SampleRing& ring,
+                                     std::size_t begin, std::size_t end,
+                                     std::size_t axis_begin, bool pin_axes,
+                                     std::size_t stable, std::size_t target,
+                                     ProjectedChannels<T>& out) {
+  PTRACK_CHECK_MSG(begin <= stable && stable < target && target <= end,
+                   "ProjectionStage: finalized range inside the region");
+  const AxisHistory<T> raw = accel_spans<T>(ring, begin, end);
+  const AxisHistory<T> axes =
+      pin_axes ? accel_spans<T>(ring, axis_begin, end) : AxisHistory<T>{};
+  project_channels_into(raw.ax, raw.ay, raw.az, fs_, cfg_.lowpass_hz,
+                        cfg_.anterior_window_s,
+                        cfg_.use_attitude_filter ? ups_.span(begin, end)
+                                                 : std::span<const Vec3>{},
+                        *ws_, &seam_, axes, out);
+  for (std::size_t i = stable; i < target; ++i) {
+    vert_.push(static_cast<double>(out.vertical[i - begin]));
+    ant_.push(static_cast<double>(out.anterior[i - begin]));
+  }
 }
 
 std::size_t ProjectionStage::min_required() const {

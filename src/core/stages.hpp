@@ -74,13 +74,13 @@ inline constexpr double kSegmentationMarginS = 1.8;
 
 /// Numeric precision of the projection frontend. kDouble is the batch
 /// pipeline's arithmetic, bit-stable against the batch oracle. kFloat32
-/// routes the per-sample projection and filtering passes through the f32
-/// SIMD kernels (the float-span project_channels_into: twice the lane
-/// width, half the memory traffic) and widens the finalized channels back to the double
-/// rings, so every stage downstream of projection is unchanged. Requires a
-/// SampleRing with enable_f32() and a workspace; incompatible with the
-/// attitude-filter path (which stays double-only). Divergence from kDouble
-/// is bounded by float rounding (tests/test_streaming_f32.cpp).
+/// runs the float instantiation of project_channels_into over the ring's
+/// f32 mirrors (twice the SIMD lane width, half the memory traffic) and
+/// widens the finalized channels back to the double rings, so every stage
+/// downstream of projection is unchanged. Requires a SampleRing with
+/// enable_f32(); incompatible with the attitude-filter path (which stays
+/// double-only). Divergence from kDouble is bounded by float rounding
+/// (tests/test_streaming_f32.cpp).
 enum class Precision { kDouble, kFloat32 };
 
 /// Cumulative per-stage wall-clock cost (µs); zeros when obs is disabled.
@@ -97,6 +97,8 @@ struct StageStats {
 /// raw ring's index space.
 class ProjectionStage {
  public:
+  /// `ws` (required, non-null) holds the projection's filter scratch and
+  /// must outlive the stage.
   ProjectionStage(const StepCounterConfig& cfg, double fs, dsp::Workspace* ws,
                   Precision precision = Precision::kDouble);
 
@@ -128,11 +130,19 @@ class ProjectionStage {
   Ring<double> ant_;
   ProjectionSeam seam_{};
 
+  // Re-projects raw [begin, end) in precision T and appends the finalized
+  // [stable, target) to the double rings.
+  template <typename T>
+  void project_region(const imu::SampleRing& ring, std::size_t begin,
+                      std::size_t end, std::size_t axis_begin, bool pin_axes,
+                      std::size_t stable, std::size_t target,
+                      ProjectedChannels<T>& out);
+
   // Reused per-hop projection outputs: project_channels_into refills them
   // in place, so re-projection stops allocating once the region capacity
   // has warmed up.
-  ProjectedTrace proj_{};
-  ProjectedTraceF projf_{};
+  ProjectedChannels<double> proj_{};
+  ProjectedChannels<float> projf_{};
 
   // Attitude-filter mode: per-sample up track, fed causally.
   Ring<Vec3> ups_;

@@ -43,8 +43,8 @@ struct StreamingConfig {
   double hop_s = 2.0;
   /// Numeric precision of the per-hop projection frontend. kFloat32 is the
   /// opt-in fast path: the ring keeps f32 accel mirrors and the projection
-  /// stage runs the float-span project_channels_into; everything
-  /// downstream of projection stays double. Incompatible with
+  /// stage runs the float instantiation of project_channels_into;
+  /// everything downstream of projection stays double. Incompatible with
   /// use_attitude_filter (construction throws). See core::Precision for
   /// the accuracy contract.
   Precision precision = Precision::kDouble;

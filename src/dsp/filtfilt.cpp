@@ -1,7 +1,6 @@
 #include "dsp/filtfilt.hpp"
 
 #include <algorithm>
-#include <type_traits>
 
 #include "common/check.hpp"
 #include "common/error.hpp"
@@ -84,12 +83,7 @@ std::span<T> multi_filter_core(const BiquadCascade& cascade,
   }
   const std::size_t m = n + 2 * pad;
 
-  T* buf = nullptr;
-  if constexpr (std::is_same_v<T, float>) {
-    buf = ws.float_scratch(0, m * kL).data();
-  } else {
-    buf = ws.real_scratch(0, m * kL).data();
-  }
+  T* buf = ws.scratch<T>(0, m * kL).data();
   for (std::size_t c = 0; c < k; ++c) {
     pad_reflect_lane(xs[c], pad, buf, c);
   }
@@ -106,13 +100,8 @@ std::span<T> multi_filter_core(const BiquadCascade& cascade,
   for (std::size_t s = 0; s < secs.size(); ++s) coeffs[s] = secs[s].coeffs();
   const std::span<const BiquadCoeffs> sections(coeffs.data(), secs.size());
 
-  if constexpr (std::is_same_v<T, float>) {
-    simd::cascade_multif(sections, buf, m, false);
-    simd::cascade_multif(sections, buf, m, true);
-  } else {
-    simd::cascade_multi(sections, buf, m, false);
-    simd::cascade_multi(sections, buf, m, true);
-  }
+  simd::cascade_multi(sections, buf, m, false);
+  simd::cascade_multi(sections, buf, m, true);
   return {buf, m * kL};
 }
 
@@ -209,10 +198,10 @@ void filtfilt_multi_into(const BiquadCascade& cascade,
   multi_into<double>(cascade, xs, pad, ws, outs);
 }
 
-void filtfilt_multif_into(const BiquadCascade& cascade,
-                          std::span<const std::span<const float>> xs,
-                          std::size_t pad, Workspace& ws,
-                          std::span<const std::span<float>> outs) {
+void filtfilt_multi_into(const BiquadCascade& cascade,
+                         std::span<const std::span<const float>> xs,
+                         std::size_t pad, Workspace& ws,
+                         std::span<const std::span<float>> outs) {
   multi_into<float>(cascade, xs, pad, ws, outs);
 }
 
@@ -222,7 +211,7 @@ std::array<double, simd::kIirLanes> filtfilt_multi_mean(
   return multi_mean<double>(cascade, xs, pad, ws);
 }
 
-std::array<float, simd::kIirLanes> filtfilt_multif_mean(
+std::array<float, simd::kIirLanes> filtfilt_multi_mean(
     const BiquadCascade& cascade, std::span<const std::span<const float>> xs,
     std::size_t pad, Workspace& ws) {
   return multi_mean<float>(cascade, xs, pad, ws);
@@ -231,18 +220,6 @@ std::array<float, simd::kIirLanes> filtfilt_multif_mean(
 std::vector<double> zero_phase_lowpass(std::span<const double> xs,
                                        double cutoff_hz, double fs, int order) {
   return filtfilt(butterworth_lowpass(order, cutoff_hz, fs), xs);
-}
-
-std::vector<double> zero_phase_lowpass(std::span<const double> xs,
-                                       double cutoff_hz, double fs, int order,
-                                       Workspace& ws) {
-  return filtfilt(butterworth_lowpass(order, cutoff_hz, fs), xs, 64, ws);
-}
-
-void zero_phase_lowpass_into(std::span<const double> xs, double cutoff_hz,
-                             double fs, int order, Workspace& ws,
-                             std::vector<double>& out) {
-  filtfilt_into(butterworth_lowpass(order, cutoff_hz, fs), xs, 64, ws, out);
 }
 
 }  // namespace ptrack::dsp

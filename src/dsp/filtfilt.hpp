@@ -50,12 +50,12 @@ void filtfilt_multi_into(const BiquadCascade& cascade,
                          std::size_t pad, Workspace& ws,
                          std::span<const std::span<double>> outs);
 
-/// Float32 variant of filtfilt_multi_into (float slot 0; coefficients are
-/// narrowed to float once, matching the canonical cascade_multif contract).
-void filtfilt_multif_into(const BiquadCascade& cascade,
-                          std::span<const std::span<const float>> xs,
-                          std::size_t pad, Workspace& ws,
-                          std::span<const std::span<float>> outs);
+/// Float32 overload (float slot 0; coefficients are narrowed to float once,
+/// matching the float cascade_multi contract).
+void filtfilt_multi_into(const BiquadCascade& cascade,
+                         std::span<const std::span<const float>> xs,
+                         std::size_t pad, Workspace& ws,
+                         std::span<const std::span<float>> outs);
 
 /// Lane-parallel zero-phase filter returning only each channel's mean over
 /// the unpadded region (entries past xs.size() are zero). The mean is the
@@ -66,8 +66,8 @@ std::array<double, simd::kIirLanes> filtfilt_multi_mean(
     const BiquadCascade& cascade, std::span<const std::span<const double>> xs,
     std::size_t pad, Workspace& ws);
 
-/// Float32 variant of filtfilt_multi_mean (accumulates in float).
-std::array<float, simd::kIirLanes> filtfilt_multif_mean(
+/// Float32 overload (accumulates in float).
+std::array<float, simd::kIirLanes> filtfilt_multi_mean(
     const BiquadCascade& cascade, std::span<const std::span<const float>> xs,
     std::size_t pad, Workspace& ws);
 
@@ -75,15 +75,5 @@ std::array<float, simd::kIirLanes> filtfilt_multif_mean(
 std::vector<double> zero_phase_lowpass(std::span<const double> xs,
                                        double cutoff_hz, double fs,
                                        int order = 4);
-
-/// Workspace variant of zero_phase_lowpass.
-std::vector<double> zero_phase_lowpass(std::span<const double> xs,
-                                       double cutoff_hz, double fs, int order,
-                                       Workspace& ws);
-
-/// Workspace + output-reuse variant of zero_phase_lowpass.
-void zero_phase_lowpass_into(std::span<const double> xs, double cutoff_hz,
-                             double fs, int order, Workspace& ws,
-                             std::vector<double>& out);
 
 }  // namespace ptrack::dsp

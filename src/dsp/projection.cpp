@@ -1,8 +1,9 @@
 #include "dsp/projection.hpp"
 
+#include <algorithm>
 #include <array>
 #include <cmath>
-#include <utility>
+#include <vector>
 
 #include "common/error.hpp"
 #include "dsp/butterworth.hpp"
@@ -12,153 +13,59 @@
 
 namespace ptrack::dsp {
 
-namespace {
-
-/// Shared estimate_up core over already-split channel spans.
-Vec3 estimate_up_channels(std::span<const double> x, std::span<const double> y,
-                          std::span<const double> z, double fs,
-                          double cutoff_hz, Workspace* ws) {
+template <typename T>
+Vec3 estimate_up(std::span<const T> x, std::span<const T> y,
+                 std::span<const T> z, double fs, double cutoff_hz,
+                 Workspace& ws) {
   expects(x.size() >= 4, "estimate_up: >= 4 samples");
   expects(x.size() == y.size() && y.size() == z.size(),
           "estimate_up: equal channel lengths");
   expects(fs > 0.0, "estimate_up: fs > 0");
   // Heavy low-pass, then average: cyclic components vanish, gravity remains.
+  // Per channel the filtered mean is bit-identical to a single-channel
+  // zero_phase_lowpass followed by a serial mean.
   const double fc = std::min(cutoff_hz, 0.45 * fs);
-  Vec3 g{};
-  if (ws) {
-    // All three channels through the lane-parallel zero-phase filter in one
-    // pass (padded scratch in slot 0). Per channel this is bit-identical to
-    // the old one-at-a-time zero_phase_lowpass_into + serial mean.
-    const std::array<std::span<const double>, 3> chans{x, y, z};
-    const auto means = filtfilt_multi_mean(butterworth_lowpass(2, fc, fs),
-                                           chans, 64, *ws);
-    g = {means[0], means[1], means[2]};
-  } else {
-    const auto lx = zero_phase_lowpass(x, fc, fs, 2);
-    const auto ly = zero_phase_lowpass(y, fc, fs, 2);
-    const auto lz = zero_phase_lowpass(z, fc, fs, 2);
-    for (std::size_t i = 0; i < lx.size(); ++i) {
-      g += Vec3{lx[i], ly[i], lz[i]};
-    }
-    g /= static_cast<double>(lx.size());
-  }
+  const std::array<std::span<const T>, 3> chans{x, y, z};
+  const auto means =
+      filtfilt_multi_mean(butterworth_lowpass(2, fc, fs), chans, 64, ws);
+  const Vec3 g{static_cast<double>(means[0]), static_cast<double>(means[1]),
+               static_cast<double>(means[2])};
   check(g.norm() > 1e-6, "estimate_up: gravity magnitude not degenerate");
   return g.normalized();
 }
 
-/// Shared principal-direction core; `get(i)` yields the i-th force vector.
-template <typename GetForce>
-Vec3 principal_horizontal_impl(std::size_t n, GetForce&& get, const Vec3& up) {
-  expects(n > 0, "principal_horizontal_direction: non-empty");
-  // Build an orthonormal horizontal basis (e1, e2) perpendicular to up.
-  Vec3 ref = std::abs(up.z) < 0.9 ? kVertical : kAnterior;
-  const Vec3 e1 = up.cross(ref).normalized();
-  const Vec3 e2 = up.cross(e1).normalized();
-
-  // 2x2 covariance of the horizontal residual in (e1, e2).
-  double m1 = 0.0;
-  double m2 = 0.0;
-  std::vector<std::pair<double, double>> h;
-  // ptrack-lint: push-allow(alloc) batch axis estimation; the streaming
-  // frontend estimates axes over bounded history at hop rate instead
-  h.reserve(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    const Vec3 f = get(i);
-    const Vec3 residual = f - up * f.dot(up);
-    const double a = residual.dot(e1);
-    const double b = residual.dot(e2);
-    h.emplace_back(a, b);
-    m1 += a;
-    m2 += b;
-  }
-  // ptrack-lint: pop-allow(alloc)
-  m1 /= static_cast<double>(h.size());
-  m2 /= static_cast<double>(h.size());
-  double s11 = 0.0;
-  double s12 = 0.0;
-  double s22 = 0.0;
-  for (const auto& [a, b] : h) {
-    s11 += (a - m1) * (a - m1);
-    s12 += (a - m1) * (b - m2);
-    s22 += (b - m2) * (b - m2);
-  }
-
-  // Leading eigenvector of [[s11, s12], [s12, s22]].
-  const double tr = s11 + s22;
-  const double det = s11 * s22 - s12 * s12;
-  const double lambda = 0.5 * tr + std::sqrt(std::max(0.25 * tr * tr - det, 0.0));
-  double v1;
-  double v2;
-  if (std::abs(s12) > 1e-12) {
-    v1 = lambda - s22;
-    v2 = s12;
-  } else if (s11 >= s22) {
-    v1 = 1.0;
-    v2 = 0.0;
-  } else {
-    v1 = 0.0;
-    v2 = 1.0;
-  }
-  return (e1 * v1 + e2 * v2).normalized();
-}
-
-}  // namespace
-
-Vec3 estimate_up(std::span<const Vec3> specific_force, double fs,
-                 double cutoff_hz) {
-  std::vector<double> x(specific_force.size());
-  std::vector<double> y(specific_force.size());
-  std::vector<double> z(specific_force.size());
-  for (std::size_t i = 0; i < specific_force.size(); ++i) {
-    x[i] = specific_force[i].x;
-    y[i] = specific_force[i].y;
-    z[i] = specific_force[i].z;
-  }
-  return estimate_up_channels(x, y, z, fs, cutoff_hz, nullptr);
-}
-
-Vec3 estimate_up(std::span<const double> x, std::span<const double> y,
-                 std::span<const double> z, double fs, double cutoff_hz,
-                 Workspace* ws) {
-  return estimate_up_channels(x, y, z, fs, cutoff_hz, ws);
-}
-
-Vec3 principal_horizontal_direction(std::span<const Vec3> specific_force,
-                                    const Vec3& up) {
-  return principal_horizontal_impl(
-      specific_force.size(),
-      [&](std::size_t i) { return specific_force[i]; }, up);
-}
-
-Vec3 principal_horizontal_direction(std::span<const double> x,
-                                    std::span<const double> y,
-                                    std::span<const double> z,
-                                    const Vec3& up) {
+template <typename T>
+Vec3 principal_horizontal_direction(std::span<const T> x,
+                                    std::span<const T> y,
+                                    std::span<const T> z, const Vec3& up) {
   expects(x.size() == y.size() && y.size() == z.size(),
           "principal_horizontal_direction: equal channel lengths");
   const std::size_t n = x.size();
   expects(n > 0, "principal_horizontal_direction: non-empty");
-  Vec3 ref = std::abs(up.z) < 0.9 ? kVertical : kAnterior;
+  // Orthonormal horizontal basis (e1, e2) perpendicular to up.
+  const Vec3 ref = std::abs(up.z) < 0.9 ? kVertical : kAnterior;
   const Vec3 e1 = up.cross(ref).normalized();
   const Vec3 e2 = up.cross(e1).normalized();
 
-  // Horizontal-residual coordinates via the SIMD projection kernel (exact
-  // expression-order replica of the Vec3 arithmetic), then the same serial
-  // reductions as the AoS overload — results are bit-identical to it.
-  thread_local std::vector<double> ta;
-  thread_local std::vector<double> tb;
+  // Horizontal-residual coordinates via the SIMD projection kernel (an
+  // exact expression-order replica of the Vec3 arithmetic). Per-thread
+  // scratch, not workspace scratch: a server holds one workspace per
+  // stream, and this buffer spans the whole axis history.
+  thread_local std::vector<T> ta;
+  thread_local std::vector<T> tb;
   // ptrack-lint: push-allow(alloc) per-thread scratch; steady capacity
   ta.resize(n);
   tb.resize(n);
   // ptrack-lint: pop-allow(alloc)
-  simd::residual_project(x, y, z, up, e1, ta);
-  simd::residual_project(x, y, z, up, e2, tb);
+  simd::residual_project(x, y, z, up, e1, std::span<T>(ta));
+  simd::residual_project(x, y, z, up, e2, std::span<T>(tb));
 
+  // 2x2 covariance of the horizontal residual in (e1, e2), in double.
   double m1 = 0.0;
   double m2 = 0.0;
   for (std::size_t i = 0; i < n; ++i) {
-    m1 += ta[i];
-    m2 += tb[i];
+    m1 += static_cast<double>(ta[i]);
+    m2 += static_cast<double>(tb[i]);
   }
   m1 /= static_cast<double>(n);
   m2 /= static_cast<double>(n);
@@ -166,11 +73,14 @@ Vec3 principal_horizontal_direction(std::span<const double> x,
   double s12 = 0.0;
   double s22 = 0.0;
   for (std::size_t i = 0; i < n; ++i) {
-    s11 += (ta[i] - m1) * (ta[i] - m1);
-    s12 += (ta[i] - m1) * (tb[i] - m2);
-    s22 += (tb[i] - m2) * (tb[i] - m2);
+    const double a = static_cast<double>(ta[i]) - m1;
+    const double b = static_cast<double>(tb[i]) - m2;
+    s11 += a * a;
+    s12 += a * b;
+    s22 += b * b;
   }
 
+  // Leading eigenvector of [[s11, s12], [s12, s22]].
   const double tr = s11 + s22;
   const double det = s11 * s22 - s12 * s12;
   const double lambda =
@@ -190,37 +100,42 @@ Vec3 principal_horizontal_direction(std::span<const double> x,
   return (e1 * v1 + e2 * v2).normalized();
 }
 
-ProjectedSignal project(std::span<const Vec3> specific_force, double fs) {
-  const Vec3 up = estimate_up(specific_force, fs);
-  const Vec3 forward = principal_horizontal_direction(specific_force, up);
-  return project_with_axes(specific_force, fs, up, forward);
-}
+template Vec3 estimate_up<double>(std::span<const double>,
+                                  std::span<const double>,
+                                  std::span<const double>, double, double,
+                                  Workspace&);
+template Vec3 estimate_up<float>(std::span<const float>,
+                                 std::span<const float>,
+                                 std::span<const float>, double, double,
+                                 Workspace&);
+template Vec3 principal_horizontal_direction<double>(std::span<const double>,
+                                                     std::span<const double>,
+                                                     std::span<const double>,
+                                                     const Vec3&);
+template Vec3 principal_horizontal_direction<float>(std::span<const float>,
+                                                    std::span<const float>,
+                                                    std::span<const float>,
+                                                    const Vec3&);
 
-ProjectedSignal project_with_axes(std::span<const Vec3> specific_force,
-                                  double fs, const Vec3& up,
-                                  const Vec3& forward) {
-  expects(fs > 0.0, "project_with_axes: fs > 0");
-  expects(std::abs(up.norm() - 1.0) < 1e-6, "project_with_axes: unit up");
-  expects(std::abs(forward.norm() - 1.0) < 1e-6,
-          "project_with_axes: unit forward");
+ProjectedSignal project(std::span<const double> x, std::span<const double> y,
+                        std::span<const double> z, double fs) {
+  Workspace ws;
   ProjectedSignal out;
   out.fs = fs;
-  out.up = up;
-  out.forward = forward;
-  const Vec3 side = up.cross(forward).normalized();
-  // ptrack-lint: push-allow(alloc) batch-only AoS projection; the streaming
-  // path projects through the SoA channel frontend
-  out.vertical.reserve(specific_force.size());
-  out.anterior.reserve(specific_force.size());
-  out.lateral.reserve(specific_force.size());
-  for (const Vec3& f : specific_force) {
-    // Specific force f = a_lin - g_vec with g_vec = -g*up, so the linear
-    // vertical acceleration is f.up - g.
-    out.vertical.push_back(f.dot(up) - kGravity);
-    out.anterior.push_back(f.dot(forward));
-    out.lateral.push_back(f.dot(side));
-  }
+  out.up = estimate_up(x, y, z, fs, 0.3, ws);
+  out.forward = principal_horizontal_direction(x, y, z, out.up);
+  const Vec3 side = out.up.cross(out.forward).normalized();
+  // ptrack-lint: push-allow(alloc) batch-only result vectors for the
+  // baseline models; the streaming path projects through core's frontend
+  out.vertical.resize(x.size());
+  out.anterior.resize(x.size());
+  out.lateral.resize(x.size());
   // ptrack-lint: pop-allow(alloc)
+  // Specific force f = a_lin - g_vec with g_vec = -g*up, so the linear
+  // vertical acceleration is f.up - g.
+  simd::axis_project(x, y, z, out.up, kGravity, out.vertical);
+  simd::axis_project(x, y, z, out.forward, 0.0, out.anterior);
+  simd::axis_project(x, y, z, side, 0.0, out.lateral);
   return out;
 }
 

@@ -6,6 +6,15 @@
 // principal axis of the horizontal residual acceleration, recovered by a
 // least-squares fit — when a user walks, the arm's back-and-forth swing
 // makes the anterior axis the direction of largest horizontal variance.
+//
+// The two axis estimators are the only copies of that arithmetic in the
+// tree. They are templates over the channel precision (double, or float for
+// the f32 streaming frontend) and run on structure-of-arrays channel spans;
+// the axis directions themselves are always reduced in double, since their
+// three components carry their error into every projected sample. Both
+// instantiations live in projection.cpp. core::project_channels_into builds
+// the PTrack frontend on them; project() below is the whole-trace
+// projection the baseline models use.
 
 #pragma once
 
@@ -15,6 +24,8 @@
 #include "common/vec3.hpp"
 
 namespace ptrack::dsp {
+
+class Workspace;
 
 /// Result of projecting a specific-force (accelerometer) sequence.
 struct ProjectedSignal {
@@ -26,43 +37,33 @@ struct ProjectedSignal {
   double fs = 0.0;               ///< sample rate (Hz)
 };
 
-/// Estimates the unit "up" direction from specific-force readings by heavy
-/// low-pass filtering (cutoff_hz, default 0.3 Hz) and averaging. For a device
-/// at rest or in cyclic motion the low-passed specific force points up with
-/// magnitude ~g.
-Vec3 estimate_up(std::span<const Vec3> specific_force, double fs,
-                 double cutoff_hz = 0.3);
-
-class Workspace;
-
-/// Structure-of-arrays variant of estimate_up for span views over channel
-/// storage (e.g. imu::SampleRing): no AoS materialization. Arithmetic is
-/// identical to the Vec3 overload (which delegates here). `ws` (optional)
-/// provides filter scratch; real slots 0 and 1 are clobbered.
-Vec3 estimate_up(std::span<const double> x, std::span<const double> y,
-                 std::span<const double> z, double fs, double cutoff_hz = 0.3,
-                 Workspace* ws = nullptr);
+/// Estimates the unit "up" direction from specific-force channels by heavy
+/// low-pass filtering (cutoff_hz, 0.3 Hz in PTrack) and averaging: all three
+/// channels go through the lane-parallel zero-phase filter in one pass and
+/// only their means are kept. For a device at rest or in cyclic motion the
+/// low-passed specific force points up with magnitude ~g. Requires >= 4
+/// samples per channel; clobbers `ws` scratch slot 0 of precision T.
+/// T is double or float.
+template <typename T>
+Vec3 estimate_up(std::span<const T> x, std::span<const T> y,
+                 std::span<const T> z, double fs, double cutoff_hz,
+                 Workspace& ws);
 
 /// Principal horizontal direction of the residual (gravity-removed)
 /// acceleration: the eigenvector of the 2x2 horizontal covariance with the
-/// larger eigenvalue. `up` must be a unit vector.
-Vec3 principal_horizontal_direction(std::span<const Vec3> specific_force,
-                                    const Vec3& up);
+/// larger eigenvalue. `up` must be a unit vector. The per-sample residual
+/// coordinates are computed in T by the SIMD projection kernel (into
+/// per-thread scratch); the covariance is accumulated in double.
+template <typename T>
+Vec3 principal_horizontal_direction(std::span<const T> x,
+                                    std::span<const T> y,
+                                    std::span<const T> z, const Vec3& up);
 
-/// Structure-of-arrays variant (same arithmetic; shared implementation).
-Vec3 principal_horizontal_direction(std::span<const double> x,
-                                    std::span<const double> y,
-                                    std::span<const double> z,
-                                    const Vec3& up);
-
-/// Full projection: vertical = f.u - g, horizontal residual decomposed into
-/// anterior/lateral. Requires at least 4 samples and fs > 0.
-ProjectedSignal project(std::span<const Vec3> specific_force, double fs);
-
-/// Projection with caller-supplied axes (used in streaming mode where the
-/// axes are estimated over a longer history than a single gait cycle).
-ProjectedSignal project_with_axes(std::span<const Vec3> specific_force,
-                                  double fs, const Vec3& up,
-                                  const Vec3& forward);
+/// Whole-trace projection: up from the gravity estimate, forward from the
+/// principal horizontal direction, then vertical = f.up - g and the
+/// horizontal residual split into anterior/lateral. Requires at least 4
+/// samples and fs > 0.
+ProjectedSignal project(std::span<const double> x, std::span<const double> y,
+                        std::span<const double> z, double fs);
 
 }  // namespace ptrack::dsp

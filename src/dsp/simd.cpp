@@ -13,12 +13,8 @@ namespace detail {
 
 const KernelTable& scalar_table() {
   static const KernelTable t = {
-      &sum_canonical<double>,
-      &sum_canonical<float>,
-      &dot_canonical<double>,
-      &dot_canonical<float>,
-      &sumsq_dev_canonical<double>,
-      &sumsq_dev_canonical<float>,
+      &dot_canonical,
+      &sumsq_dev_canonical,
       &axis_project_canonical<double>,
       &axis_project_canonical<float>,
       &residual_project_canonical<double>,
@@ -26,8 +22,6 @@ const KernelTable& scalar_table() {
       &negate_canonical,
       &sub_scalar_canonical,
       &diff_div_canonical,
-      &widen_canonical,
-      &narrow_canonical,
       &min_until_greater_fwd_canonical,
       &min_until_greater_bwd_canonical,
       &normalize_lags_canonical,
@@ -103,30 +97,13 @@ const char* isa_name(Isa isa) {
   }
 }
 
-double sum(std::span<const double> xs) {
-  return dispatch().table->sum_d(xs.data(), xs.size());
-}
-
-float sumf(std::span<const float> xs) {
-  return dispatch().table->sum_f(xs.data(), xs.size());
-}
-
 double dot(std::span<const double> a, std::span<const double> b) {
   expects(a.size() == b.size(), "simd::dot: equal lengths");
   return dispatch().table->dot_d(a.data(), b.data(), a.size());
 }
 
-float dotf(std::span<const float> a, std::span<const float> b) {
-  expects(a.size() == b.size(), "simd::dotf: equal lengths");
-  return dispatch().table->dot_f(a.data(), b.data(), a.size());
-}
-
 double sumsq_dev(std::span<const double> xs, double mean) {
   return dispatch().table->sumsq_dev_d(xs.data(), xs.size(), mean);
-}
-
-float sumsq_devf(std::span<const float> xs, float mean) {
-  return dispatch().table->sumsq_dev_f(xs.data(), xs.size(), mean);
 }
 
 void axis_project(std::span<const double> x, std::span<const double> y,
@@ -139,12 +116,12 @@ void axis_project(std::span<const double> x, std::span<const double> y,
                                    bias, out.data());
 }
 
-void axis_projectf(std::span<const float> x, std::span<const float> y,
-                   std::span<const float> z, const Vec3& u, float bias,
-                   std::span<float> out) {
+void axis_project(std::span<const float> x, std::span<const float> y,
+                  std::span<const float> z, const Vec3& u, float bias,
+                  std::span<float> out) {
   expects(x.size() == y.size() && y.size() == z.size() &&
               z.size() == out.size(),
-          "simd::axis_projectf: equal lengths");
+          "simd::axis_project: equal lengths");
   dispatch().table->axis_project_f(x.data(), y.data(), z.data(), x.size(), u,
                                    bias, out.data());
 }
@@ -159,12 +136,12 @@ void residual_project(std::span<const double> x, std::span<const double> y,
                                        up, dir, out.data());
 }
 
-void residual_projectf(std::span<const float> x, std::span<const float> y,
-                       std::span<const float> z, const Vec3& up,
-                       const Vec3& dir, std::span<float> out) {
+void residual_project(std::span<const float> x, std::span<const float> y,
+                      std::span<const float> z, const Vec3& up,
+                      const Vec3& dir, std::span<float> out) {
   expects(x.size() == y.size() && y.size() == z.size() &&
               z.size() == out.size(),
-          "simd::residual_projectf: equal lengths");
+          "simd::residual_project: equal lengths");
   dispatch().table->residual_project_f(x.data(), y.data(), z.data(), x.size(),
                                        up, dir, out.data());
 }
@@ -185,16 +162,6 @@ void diff_div(std::span<const double> hi, std::span<const double> lo,
           "simd::diff_div: equal lengths");
   dispatch().table->diff_div_d(hi.data(), lo.data(), hi.size(), div,
                                out.data());
-}
-
-void widen(std::span<const float> xs, std::span<double> out) {
-  expects(xs.size() == out.size(), "simd::widen: equal lengths");
-  dispatch().table->widen_f(xs.data(), xs.size(), out.data());
-}
-
-void narrow(std::span<const double> xs, std::span<float> out) {
-  expects(xs.size() == out.size(), "simd::narrow: equal lengths");
-  dispatch().table->narrow_d(xs.data(), xs.size(), out.data());
 }
 
 double min_until_greater_fwd(std::span<const double> xs, double h) {
@@ -222,10 +189,10 @@ void cascade_multi(std::span<const BiquadCoeffs> sections, double* data,
                                     backward);
 }
 
-void cascade_multif(std::span<const BiquadCoeffs> sections, float* data,
-                    std::size_t n, bool backward) {
+void cascade_multi(std::span<const BiquadCoeffs> sections, float* data,
+                   std::size_t n, bool backward) {
   expects(sections.size() <= detail::kMaxSections,
-          "simd::cascade_multif: section count");
+          "simd::cascade_multi: section count");
   dispatch().table->cascade_multi_f(sections.data(), sections.size(), data, n,
                                     backward);
 }

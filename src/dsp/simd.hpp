@@ -12,9 +12,9 @@
 // the vector lanes produce *identical* results, bit for bit
 // (tests/test_dsp_simd.cpp asserts it). Elementwise maps replicate the
 // exact expression-tree order of the code they replaced; reductions follow
-// one canonical lane-block order — kDoubleBlock (kFloatBlock) independent
-// partial accumulators, one per lane position, combined pairwise as
-// ((p0+p1)+(p2+p3)) [+ ((p4+p5)+(p6+p7))], then the tail added serially —
+// one canonical lane-block order — kDoubleBlock independent partial
+// accumulators, one per lane position, combined pairwise as
+// ((p0+p1)+(p2+p3)), then the tail added serially —
 // which is exactly what a vector accumulator plus that horizontal combine
 // computes. No kernel uses FMA (every TU builds with -ffp-contract=off):
 // contraction would round differently per ISA and break the contract.
@@ -51,34 +51,28 @@ void force_isa(Isa isa);
 /// Human-readable ISA name ("scalar", "avx2", "neon").
 [[nodiscard]] const char* isa_name(Isa isa);
 
-/// Canonical reduction block widths (partial accumulators per reduction).
+/// Canonical reduction block width (partial accumulators per reduction).
 inline constexpr std::size_t kDoubleBlock = 4;
-inline constexpr std::size_t kFloatBlock = 8;
 
 // --- Reductions (canonical block order) ------------------------------------
 
-/// Sum of xs.
-[[nodiscard]] double sum(std::span<const double> xs);
-[[nodiscard]] float sumf(std::span<const float> xs);
-
 /// Inner product of a and b (a.size() == b.size()).
 [[nodiscard]] double dot(std::span<const double> a, std::span<const double> b);
-[[nodiscard]] float dotf(std::span<const float> a, std::span<const float> b);
 
 /// Sum of squared deviations from `mean`.
 [[nodiscard]] double sumsq_dev(std::span<const double> xs, double mean);
-[[nodiscard]] float sumsq_devf(std::span<const float> xs, float mean);
 
 // --- Elementwise maps (exact expression-order replicas) ---------------------
 
 /// out[i] = ((x[i]*u.x + y[i]*u.y) + z[i]*u.z) - bias — the vertical
-/// projection (Vec3::dot order, then the gravity subtraction).
+/// projection (Vec3::dot order, then the gravity subtraction). The float
+/// overload narrows `u` to float once and runs every step in float.
 void axis_project(std::span<const double> x, std::span<const double> y,
                   std::span<const double> z, const Vec3& u, double bias,
                   std::span<double> out);
-void axis_projectf(std::span<const float> x, std::span<const float> y,
-                   std::span<const float> z, const Vec3& u, float bias,
-                   std::span<float> out);
+void axis_project(std::span<const float> x, std::span<const float> y,
+                  std::span<const float> z, const Vec3& u, float bias,
+                  std::span<float> out);
 
 /// out[i] = (f - up * f.dot(up)).dot(dir) for f = (x[i], y[i], z[i]) — the
 /// anterior projection of the gravity-removed residual, in the exact
@@ -86,9 +80,9 @@ void axis_projectf(std::span<const float> x, std::span<const float> y,
 void residual_project(std::span<const double> x, std::span<const double> y,
                       std::span<const double> z, const Vec3& up,
                       const Vec3& dir, std::span<double> out);
-void residual_projectf(std::span<const float> x, std::span<const float> y,
-                       std::span<const float> z, const Vec3& up,
-                       const Vec3& dir, std::span<float> out);
+void residual_project(std::span<const float> x, std::span<const float> y,
+                      std::span<const float> z, const Vec3& up,
+                      const Vec3& dir, std::span<float> out);
 
 /// out[i] = -xs[i].
 void negate(std::span<const double> xs, std::span<double> out);
@@ -100,10 +94,6 @@ void sub_scalar(std::span<const double> xs, double m, std::span<double> out);
 /// prefix-sum moving average.
 void diff_div(std::span<const double> hi, std::span<const double> lo,
               double div, std::span<double> out);
-
-/// Precision casts between the double rings and the float32 pipeline view.
-void widen(std::span<const float> xs, std::span<double> out);
-void narrow(std::span<const double> xs, std::span<float> out);
 
 // --- Scans ------------------------------------------------------------------
 
@@ -137,7 +127,7 @@ inline constexpr std::size_t kIirLanes = 4;
 /// influence the others. `sections.size() <= 8`.
 void cascade_multi(std::span<const BiquadCoeffs> sections, double* data,
                    std::size_t n, bool backward);
-void cascade_multif(std::span<const BiquadCoeffs> sections, float* data,
-                    std::size_t n, bool backward);
+void cascade_multi(std::span<const BiquadCoeffs> sections, float* data,
+                   std::size_t n, bool backward);
 
 }  // namespace ptrack::dsp::simd

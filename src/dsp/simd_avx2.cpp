@@ -26,42 +26,10 @@ inline double hsum(__m256d v) {
   return _mm_cvtsd_f64(pair) + _mm_cvtsd_f64(_mm_unpackhi_pd(pair, pair));
 }
 
-/// ((p0+p1)+(p2+p3)) + ((p4+p5)+(p6+p7)) — the canonical 8-lane combine.
-inline float hsumf(__m256 v) {
-  const __m128 lo = _mm256_castps256_ps128(v);
-  const __m128 hi = _mm256_extractf128_ps(v, 1);
-  const __m128 pair = _mm_hadd_ps(lo, hi);    // (p0+p1, p2+p3, p4+p5, p6+p7)
-  const __m128 quad = _mm_hadd_ps(pair, pair);
-  return _mm_cvtss_f32(quad) +
-         _mm_cvtss_f32(_mm_shuffle_ps(quad, quad, 1));
-}
-
 inline double hmin(__m256d v) {
   const __m128d m =
       _mm_min_pd(_mm256_castpd256_pd128(v), _mm256_extractf128_pd(v, 1));
   return std::min(_mm_cvtsd_f64(m), _mm_cvtsd_f64(_mm_unpackhi_pd(m, m)));
-}
-
-double sum_avx2(const double* xs, std::size_t n) {
-  __m256d acc = _mm256_setzero_pd();
-  std::size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    acc = _mm256_add_pd(acc, _mm256_loadu_pd(xs + i));
-  }
-  double total = hsum(acc);
-  for (; i < n; ++i) total += xs[i];
-  return total;
-}
-
-float sumf_avx2(const float* xs, std::size_t n) {
-  __m256 acc = _mm256_setzero_ps();
-  std::size_t i = 0;
-  for (; i + 8 <= n; i += 8) {
-    acc = _mm256_add_ps(acc, _mm256_loadu_ps(xs + i));
-  }
-  float total = hsumf(acc);
-  for (; i < n; ++i) total += xs[i];
-  return total;
 }
 
 double dot_avx2(const double* a, const double* b, std::size_t n) {
@@ -72,18 +40,6 @@ double dot_avx2(const double* a, const double* b, std::size_t n) {
         acc, _mm256_mul_pd(_mm256_loadu_pd(a + i), _mm256_loadu_pd(b + i)));
   }
   double total = hsum(acc);
-  for (; i < n; ++i) total += a[i] * b[i];
-  return total;
-}
-
-float dotf_avx2(const float* a, const float* b, std::size_t n) {
-  __m256 acc = _mm256_setzero_ps();
-  std::size_t i = 0;
-  for (; i + 8 <= n; i += 8) {
-    acc = _mm256_add_ps(
-        acc, _mm256_mul_ps(_mm256_loadu_ps(a + i), _mm256_loadu_ps(b + i)));
-  }
-  float total = hsumf(acc);
   for (; i < n; ++i) total += a[i] * b[i];
   return total;
 }
@@ -99,22 +55,6 @@ double sumsq_dev_avx2(const double* xs, std::size_t n, double mean) {
   double total = hsum(acc);
   for (; i < n; ++i) {
     const double d = xs[i] - mean;
-    total += d * d;
-  }
-  return total;
-}
-
-float sumsq_devf_avx2(const float* xs, std::size_t n, float mean) {
-  const __m256 mv = _mm256_set1_ps(mean);
-  __m256 acc = _mm256_setzero_ps();
-  std::size_t i = 0;
-  for (; i + 8 <= n; i += 8) {
-    const __m256 d = _mm256_sub_ps(_mm256_loadu_ps(xs + i), mv);
-    acc = _mm256_add_ps(acc, _mm256_mul_ps(d, d));
-  }
-  float total = hsumf(acc);
-  for (; i < n; ++i) {
-    const float d = xs[i] - mean;
     total += d * d;
   }
   return total;
@@ -265,22 +205,6 @@ void diff_div_avx2(const double* hi, const double* lo, std::size_t n,
             dv));
   }
   for (; i < n; ++i) out[i] = (hi[i] - lo[i]) / div;
-}
-
-void widen_avx2(const float* xs, std::size_t n, double* out) {
-  std::size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    _mm256_storeu_pd(out + i, _mm256_cvtps_pd(_mm_loadu_ps(xs + i)));
-  }
-  for (; i < n; ++i) out[i] = static_cast<double>(xs[i]);
-}
-
-void narrow_avx2(const double* xs, std::size_t n, float* out) {
-  std::size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    _mm_storeu_ps(out + i, _mm256_cvtpd_ps(_mm256_loadu_pd(xs + i)));
-  }
-  for (; i < n; ++i) out[i] = static_cast<float>(xs[i]);
 }
 
 double min_until_greater_fwd_avx2(const double* xs, std::size_t n, double h) {
@@ -445,12 +369,8 @@ void cascade_multif_avx2(const BiquadCoeffs* sections, std::size_t nsec,
 
 const KernelTable& avx2_table() {
   static const KernelTable t = {
-      &sum_avx2,
-      &sumf_avx2,
       &dot_avx2,
-      &dotf_avx2,
       &sumsq_dev_avx2,
-      &sumsq_devf_avx2,
       &axis_project_avx2,
       &axis_projectf_avx2,
       &residual_project_avx2,
@@ -458,8 +378,6 @@ const KernelTable& avx2_table() {
       &negate_avx2,
       &sub_scalar_avx2,
       &diff_div_avx2,
-      &widen_avx2,
-      &narrow_avx2,
       &min_until_greater_fwd_avx2,
       &min_until_greater_bwd_avx2,
       &normalize_lags_avx2,

@@ -2,7 +2,7 @@
 // the canonical scalar kernels every ISA must reproduce bit for bit.
 //
 // The scalar kernels below are the *definition* of each kernel's result:
-// reductions keep kDoubleBlock/kFloatBlock independent partial accumulators
+// reductions keep kDoubleBlock independent partial accumulators
 // (one per vector lane position) combined pairwise, elementwise maps fix
 // one expression-tree order per element. A vector implementation is correct
 // exactly when it computes the same thing — same lanes, same combine, no
@@ -28,12 +28,8 @@ inline constexpr std::size_t kMaxSections = 8;
 
 /// One entry per kernel; each ISA provides a table of these.
 struct KernelTable {
-  double (*sum_d)(const double*, std::size_t);
-  float (*sum_f)(const float*, std::size_t);
   double (*dot_d)(const double*, const double*, std::size_t);
-  float (*dot_f)(const float*, const float*, std::size_t);
   double (*sumsq_dev_d)(const double*, std::size_t, double);
-  float (*sumsq_dev_f)(const float*, std::size_t, float);
   void (*axis_project_d)(const double*, const double*, const double*,
                          std::size_t, Vec3, double, double*);
   void (*axis_project_f)(const float*, const float*, const float*,
@@ -46,8 +42,6 @@ struct KernelTable {
   void (*sub_scalar_d)(const double*, std::size_t, double, double*);
   void (*diff_div_d)(const double*, const double*, std::size_t, double,
                      double*);
-  void (*widen_f)(const float*, std::size_t, double*);
-  void (*narrow_d)(const double*, std::size_t, float*);
   double (*min_until_greater_fwd_d)(const double*, std::size_t, double);
   double (*min_until_greater_bwd_d)(const double*, std::size_t, double);
   void (*normalize_lags_d)(const double*, std::size_t, std::size_t, double,
@@ -70,63 +64,38 @@ const KernelTable& neon_table();
 
 // --- Canonical scalar kernels ----------------------------------------------
 
-template <typename T>
-inline constexpr std::size_t kBlock =
-    sizeof(T) == sizeof(double) ? kDoubleBlock : kFloatBlock;
-
 /// Pairwise combine of the partial accumulators — the fixed order a vector
 /// horizontal sum reproduces.
-template <typename T, std::size_t B = kBlock<T>>
-T combine_block(const T* acc) {
-  if constexpr (B == 4) {
-    return (acc[0] + acc[1]) + (acc[2] + acc[3]);
-  } else {
-    static_assert(B == 8);
-    return ((acc[0] + acc[1]) + (acc[2] + acc[3])) +
-           ((acc[4] + acc[5]) + (acc[6] + acc[7]));
-  }
+inline double combine_block(const double* acc) {
+  return (acc[0] + acc[1]) + (acc[2] + acc[3]);
 }
 
-template <typename T>
-T sum_canonical(const T* xs, std::size_t n) {
-  constexpr std::size_t B = kBlock<T>;
-  T acc[B] = {};
-  std::size_t i = 0;
-  for (; i + B <= n; i += B) {
-    for (std::size_t j = 0; j < B; ++j) acc[j] += xs[i + j];
-  }
-  T total = combine_block<T>(acc);
-  for (; i < n; ++i) total += xs[i];
-  return total;
-}
-
-template <typename T>
-T dot_canonical(const T* a, const T* b, std::size_t n) {
-  constexpr std::size_t B = kBlock<T>;
-  T acc[B] = {};
+inline double dot_canonical(const double* a, const double* b, std::size_t n) {
+  constexpr std::size_t B = kDoubleBlock;
+  double acc[B] = {};
   std::size_t i = 0;
   for (; i + B <= n; i += B) {
     for (std::size_t j = 0; j < B; ++j) acc[j] += a[i + j] * b[i + j];
   }
-  T total = combine_block<T>(acc);
+  double total = combine_block(acc);
   for (; i < n; ++i) total += a[i] * b[i];
   return total;
 }
 
-template <typename T>
-T sumsq_dev_canonical(const T* xs, std::size_t n, T mean) {
-  constexpr std::size_t B = kBlock<T>;
-  T acc[B] = {};
+inline double sumsq_dev_canonical(const double* xs, std::size_t n,
+                                  double mean) {
+  constexpr std::size_t B = kDoubleBlock;
+  double acc[B] = {};
   std::size_t i = 0;
   for (; i + B <= n; i += B) {
     for (std::size_t j = 0; j < B; ++j) {
-      const T d = xs[i + j] - mean;
+      const double d = xs[i + j] - mean;
       acc[j] += d * d;
     }
   }
-  T total = combine_block<T>(acc);
+  double total = combine_block(acc);
   for (; i < n; ++i) {
-    const T d = xs[i] - mean;
+    const double d = xs[i] - mean;
     total += d * d;
   }
   return total;
@@ -173,14 +142,6 @@ inline void sub_scalar_canonical(const double* xs, std::size_t n, double m,
 inline void diff_div_canonical(const double* hi, const double* lo,
                                std::size_t n, double div, double* out) {
   for (std::size_t i = 0; i < n; ++i) out[i] = (hi[i] - lo[i]) / div;
-}
-
-inline void widen_canonical(const float* xs, std::size_t n, double* out) {
-  for (std::size_t i = 0; i < n; ++i) out[i] = static_cast<double>(xs[i]);
-}
-
-inline void narrow_canonical(const double* xs, std::size_t n, float* out) {
-  for (std::size_t i = 0; i < n; ++i) out[i] = static_cast<float>(xs[i]);
 }
 
 inline double min_until_greater_fwd_canonical(const double* xs, std::size_t n,

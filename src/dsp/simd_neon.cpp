@@ -2,9 +2,9 @@
 // -m flags — only -ffp-contract=off to uphold the no-FMA contract).
 //
 // Reductions keep the canonical lane-position partials in two 2×double
-// (resp. two 4×float) accumulators and combine them in the canonical
-// pairwise order; elementwise maps and the lane-parallel cascade mirror the
-// scalar expression trees with vmulq/vaddq (never vfmaq). The scan and
+// accumulators and combine them in the canonical pairwise order;
+// elementwise maps and the lane-parallel cascade mirror the scalar
+// expression trees with vmulq/vaddq (never vfmaq). The scan and
 // normalization kernels reuse the canonical scalar implementations — they
 // are cheap relative to the filters, and branchy early-exit scans gain
 // little from 2-wide vectors.
@@ -26,40 +26,6 @@ inline double hsum(float64x2_t acc0, float64x2_t acc1) {
   return vaddvq_f64(acc0) + vaddvq_f64(acc1);
 }
 
-/// acc0 = {p0..p3}, acc1 = {p4..p7}; vpadds gives the canonical pairwise
-/// ((p0+p1)+(p2+p3)) per accumulator.
-inline float hsumf(float32x4_t acc) {
-  const float32x2_t pair =
-      vpadd_f32(vget_low_f32(acc), vget_high_f32(acc));  // (p0+p1, p2+p3)
-  return vget_lane_f32(pair, 0) + vget_lane_f32(pair, 1);
-}
-
-double sum_neon(const double* xs, std::size_t n) {
-  float64x2_t acc0 = vdupq_n_f64(0.0);
-  float64x2_t acc1 = vdupq_n_f64(0.0);
-  std::size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    acc0 = vaddq_f64(acc0, vld1q_f64(xs + i));
-    acc1 = vaddq_f64(acc1, vld1q_f64(xs + i + 2));
-  }
-  double total = hsum(acc0, acc1);
-  for (; i < n; ++i) total += xs[i];
-  return total;
-}
-
-float sumf_neon(const float* xs, std::size_t n) {
-  float32x4_t acc0 = vdupq_n_f32(0.0F);
-  float32x4_t acc1 = vdupq_n_f32(0.0F);
-  std::size_t i = 0;
-  for (; i + 8 <= n; i += 8) {
-    acc0 = vaddq_f32(acc0, vld1q_f32(xs + i));
-    acc1 = vaddq_f32(acc1, vld1q_f32(xs + i + 4));
-  }
-  float total = hsumf(acc0) + hsumf(acc1);
-  for (; i < n; ++i) total += xs[i];
-  return total;
-}
-
 double dot_neon(const double* a, const double* b, std::size_t n) {
   float64x2_t acc0 = vdupq_n_f64(0.0);
   float64x2_t acc1 = vdupq_n_f64(0.0);
@@ -70,20 +36,6 @@ double dot_neon(const double* a, const double* b, std::size_t n) {
                      vmulq_f64(vld1q_f64(a + i + 2), vld1q_f64(b + i + 2)));
   }
   double total = hsum(acc0, acc1);
-  for (; i < n; ++i) total += a[i] * b[i];
-  return total;
-}
-
-float dotf_neon(const float* a, const float* b, std::size_t n) {
-  float32x4_t acc0 = vdupq_n_f32(0.0F);
-  float32x4_t acc1 = vdupq_n_f32(0.0F);
-  std::size_t i = 0;
-  for (; i + 8 <= n; i += 8) {
-    acc0 = vaddq_f32(acc0, vmulq_f32(vld1q_f32(a + i), vld1q_f32(b + i)));
-    acc1 = vaddq_f32(acc1,
-                     vmulq_f32(vld1q_f32(a + i + 4), vld1q_f32(b + i + 4)));
-  }
-  float total = hsumf(acc0) + hsumf(acc1);
   for (; i < n; ++i) total += a[i] * b[i];
   return total;
 }
@@ -102,25 +54,6 @@ double sumsq_dev_neon(const double* xs, std::size_t n, double mean) {
   double total = hsum(acc0, acc1);
   for (; i < n; ++i) {
     const double d = xs[i] - mean;
-    total += d * d;
-  }
-  return total;
-}
-
-float sumsq_devf_neon(const float* xs, std::size_t n, float mean) {
-  const float32x4_t mv = vdupq_n_f32(mean);
-  float32x4_t acc0 = vdupq_n_f32(0.0F);
-  float32x4_t acc1 = vdupq_n_f32(0.0F);
-  std::size_t i = 0;
-  for (; i + 8 <= n; i += 8) {
-    const float32x4_t d0 = vsubq_f32(vld1q_f32(xs + i), mv);
-    const float32x4_t d1 = vsubq_f32(vld1q_f32(xs + i + 4), mv);
-    acc0 = vaddq_f32(acc0, vmulq_f32(d0, d0));
-    acc1 = vaddq_f32(acc1, vmulq_f32(d1, d1));
-  }
-  float total = hsumf(acc0) + hsumf(acc1);
-  for (; i < n; ++i) {
-    const float d = xs[i] - mean;
     total += d * d;
   }
   return total;
@@ -266,22 +199,6 @@ void diff_div_neon(const double* hi, const double* lo, std::size_t n,
   for (; i < n; ++i) out[i] = (hi[i] - lo[i]) / div;
 }
 
-void widen_neon(const float* xs, std::size_t n, double* out) {
-  std::size_t i = 0;
-  for (; i + 2 <= n; i += 2) {
-    vst1q_f64(out + i, vcvt_f64_f32(vld1_f32(xs + i)));
-  }
-  for (; i < n; ++i) out[i] = static_cast<double>(xs[i]);
-}
-
-void narrow_neon(const double* xs, std::size_t n, float* out) {
-  std::size_t i = 0;
-  for (; i + 2 <= n; i += 2) {
-    vst1_f32(out + i, vcvt_f32_f64(vld1q_f64(xs + i)));
-  }
-  for (; i < n; ++i) out[i] = static_cast<float>(xs[i]);
-}
-
 // As in the AVX2 lane: a compile-time section count keeps the recurrence
 // state in registers instead of a runtime-indexed array, removing a
 // store-forward round trip from the serial dependency chain.
@@ -390,12 +307,8 @@ void cascade_multif_neon(const BiquadCoeffs* sections, std::size_t nsec,
 
 const KernelTable& neon_table() {
   static const KernelTable t = {
-      &sum_neon,
-      &sumf_neon,
       &dot_neon,
-      &dotf_neon,
       &sumsq_dev_neon,
-      &sumsq_devf_neon,
       &axis_project_neon,
       &axis_projectf_neon,
       &residual_project_neon,
@@ -403,8 +316,6 @@ const KernelTable& neon_table() {
       &negate_neon,
       &sub_scalar_neon,
       &diff_div_neon,
-      &widen_neon,
-      &narrow_neon,
       &min_until_greater_fwd_canonical,
       &min_until_greater_bwd_canonical,
       &normalize_lags_canonical,

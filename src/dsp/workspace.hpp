@@ -21,6 +21,7 @@
 #include <array>
 #include <complex>
 #include <memory>
+#include <type_traits>
 #include <vector>
 
 #include "dsp/aligned.hpp"
@@ -55,6 +56,17 @@ class Workspace {
   /// Scratch buffer of n floats (resized, contents unspecified) — backing
   /// store for the float32 pipeline variant's kernels.
   AlignedVector<float>& float_scratch(std::size_t slot, std::size_t n);
+
+  /// Scratch in the caller's precision: real_scratch for double,
+  /// float_scratch for float (each precision has its own slot numbering).
+  template <typename T>
+  AlignedVector<T>& scratch(std::size_t slot, std::size_t n) {
+    if constexpr (std::is_same_v<T, float>) {
+      return float_scratch(slot, n);
+    } else {
+      return real_scratch(slot, n);
+    }
+  }
 
   /// Twiddle tables for a power-of-two FFT size, built on first use and
   /// cached for the lifetime of the workspace. The returned reference stays

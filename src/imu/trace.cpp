@@ -29,13 +29,6 @@ Trace Trace::slice(std::size_t begin, std::size_t end) const {
                      samples_.begin() + static_cast<std::ptrdiff_t>(end)});
 }
 
-std::vector<Vec3> Trace::accel_vectors() const {
-  std::vector<Vec3> out;
-  out.reserve(samples_.size());
-  for (const Sample& s : samples_) out.push_back(s.accel);
-  return out;
-}
-
 std::vector<double> Trace::accel_axis(int axis) const {
   expects(axis >= 0 && axis <= 2, "accel_axis: axis in {0,1,2}");
   std::vector<double> out;

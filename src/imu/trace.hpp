@@ -41,9 +41,6 @@ class Trace {
   /// Sub-trace covering sample indices [begin, end).
   [[nodiscard]] Trace slice(std::size_t begin, std::size_t end) const;
 
-  /// Acceleration (specific-force) vectors in sample order.
-  [[nodiscard]] std::vector<Vec3> accel_vectors() const;
-
   /// One acceleration axis as a flat array: 0 = x, 1 = y, 2 = z.
   [[nodiscard]] std::vector<double> accel_axis(int axis) const;
 

@@ -18,8 +18,9 @@ namespace {
 /// removed).
 std::vector<double> vertical_accel(const imu::Trace& trace,
                                    double lowpass_hz) {
-  const auto vectors = trace.accel_vectors();
-  const dsp::ProjectedSignal proj = dsp::project(vectors, trace.fs());
+  const dsp::ProjectedSignal proj =
+      dsp::project(trace.accel_axis(0), trace.accel_axis(1),
+                   trace.accel_axis(2), trace.fs());
   return dsp::zero_phase_lowpass(
       proj.vertical, std::min(lowpass_hz, 0.45 * trace.fs()), trace.fs(), 4);
 }

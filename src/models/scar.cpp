@@ -41,8 +41,9 @@ std::size_t scar_feature_count() {
 FeatureVector scar_features(const imu::Trace& window) {
   expects(window.size() >= 16, "scar_features: window >= 16 samples");
   const double fs = window.fs();
-  const auto vectors = window.accel_vectors();
-  const dsp::ProjectedSignal proj = dsp::project(vectors, fs);
+  const dsp::ProjectedSignal proj =
+      dsp::project(window.accel_axis(0), window.accel_axis(1),
+                   window.accel_axis(2), fs);
 
   std::vector<double> horizontal(proj.anterior.size());
   for (std::size_t i = 0; i < horizontal.size(); ++i) {
@@ -166,8 +167,9 @@ StepDetection ScarCounter::count_steps(const imu::Trace& trace) {
     std::size_t run_end = w;
     while (run_end < is_gait.size() && is_gait[run_end]) ++run_end;
     const imu::Trace run = trace.slice(w * win, run_end * win);
-    const auto vectors = run.accel_vectors();
-    const dsp::ProjectedSignal proj = dsp::project(vectors, run.fs());
+    const dsp::ProjectedSignal proj =
+        dsp::project(run.accel_axis(0), run.accel_axis(1), run.accel_axis(2),
+                     run.fs());
     const auto vert = dsp::zero_phase_lowpass(proj.vertical, 3.0, run.fs(), 4);
     dsp::PeakOptions opt;
     opt.min_distance =

@@ -21,8 +21,8 @@ struct SteppedSignal {
 
 SteppedSignal split_into_steps(const imu::Trace& trace) {
   SteppedSignal out;
-  const auto vectors = trace.accel_vectors();
-  out.proj = dsp::project(vectors, trace.fs());
+  out.proj = dsp::project(trace.accel_axis(0), trace.accel_axis(1),
+                          trace.accel_axis(2), trace.fs());
   out.vert_lp = dsp::zero_phase_lowpass(out.proj.vertical, 3.0, trace.fs(), 4);
   dsp::PeakOptions opt;
   opt.min_distance =

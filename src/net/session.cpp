@@ -111,8 +111,12 @@ Session::IoResult Session::on_hello(const Frame& frame) {
   }
   const bool fs_ok = std::isfinite(hello.fs) && hello.fs >= cfg_.fs_min &&
                      hello.fs <= cfg_.fs_max;
+  // The f32 frontend has no attitude-filter path, so a pipeline configured
+  // with one serves double streams only.
+  const bool f32_ok =
+      cfg_.allow_f32 && !cfg_.streaming.pipeline.counter.use_attitude_filter;
   const bool precision_ok =
-      hello.precision == 0 || (hello.precision == 1 && cfg_.allow_f32);
+      hello.precision == 0 || (hello.precision == 1 && f32_ok);
   if (!fs_ok || !precision_ok) {
     ++counters_.frames_rejected;
     PTRACK_COUNT("ptrack.net.frames.rejected");

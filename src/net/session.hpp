@@ -52,7 +52,9 @@ struct SessionConfig {
   std::size_t out_buf_limit = 256 * 1024;
   /// Largest single read the server issues (sizes the decoder reservation).
   std::size_t read_chunk = 16 * 1024;
-  bool allow_f32 = true;   ///< accept precision=1 HELLOs
+  /// Accept precision=1 HELLOs (never when `streaming` uses the attitude
+  /// filter, which has no float32 path).
+  bool allow_f32 = true;
 };
 
 /// Monotone per-session counters (server aggregates them into ptrack.net.*).

@@ -6,7 +6,6 @@
 #include <cmath>
 
 #include "common/angles.hpp"
-#include "dsp/detrend.hpp"
 #include "dsp/integrate.hpp"
 #include "dsp/resample.hpp"
 
@@ -97,24 +96,6 @@ TEST(ZeroVelocitySegments, SplitsAtCrossings) {
 
 TEST(ZeroVelocitySegments, EmptyInput) {
   EXPECT_TRUE(dsp::zero_velocity_segments(std::vector<double>{}).empty());
-}
-
-TEST(Detrend, RemovesLine) {
-  std::vector<double> xs(50);
-  for (std::size_t i = 0; i < xs.size(); ++i) {
-    xs[i] = 3.0 + 0.5 * static_cast<double>(i);
-  }
-  for (double v : dsp::detrend_linear(xs)) EXPECT_NEAR(v, 0.0, 1e-9);
-}
-
-TEST(Detrend, FitLineCoefficients) {
-  std::vector<double> xs(10);
-  for (std::size_t i = 0; i < xs.size(); ++i) {
-    xs[i] = -2.0 + 1.5 * static_cast<double>(i);
-  }
-  const dsp::LineFit fit = dsp::fit_line(xs);
-  EXPECT_NEAR(fit.intercept, -2.0, 1e-9);
-  EXPECT_NEAR(fit.slope, 1.5, 1e-9);
 }
 
 TEST(Resample, DownUpRoundTripPreservesShape) {

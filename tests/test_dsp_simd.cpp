@@ -120,35 +120,19 @@ TEST(SimdKernels, ReductionsBitExact) {
       const auto ys = rand_vec<double>(n + off, 12);
       const std::span<const double> x{xs.data() + off, n};
       const std::span<const double> y{ys.data() + off, n};
-      const auto [s0, s1] = both_isas([&] { return simd::sum(x); });
-      EXPECT_EQ(s0, s1) << "sum n=" << n << " off=" << off;
       const auto [d0, d1] = both_isas([&] { return simd::dot(x, y); });
       EXPECT_EQ(d0, d1) << "dot n=" << n << " off=" << off;
       const auto [q0, q1] =
           both_isas([&] { return simd::sumsq_dev(x, 0.25); });
       EXPECT_EQ(q0, q1) << "sumsq_dev n=" << n << " off=" << off;
-
-      const auto xf = rand_vec<float>(n + off, 13);
-      const auto yf = rand_vec<float>(n + off, 14);
-      const std::span<const float> fx{xf.data() + off, n};
-      const std::span<const float> fy{yf.data() + off, n};
-      const auto [f0, f1] = both_isas([&] { return simd::sumf(fx); });
-      EXPECT_EQ(f0, f1) << "sumf n=" << n << " off=" << off;
-      const auto [g0, g1] = both_isas([&] { return simd::dotf(fx, fy); });
-      EXPECT_EQ(g0, g1) << "dotf n=" << n << " off=" << off;
-      const auto [h0, h1] =
-          both_isas([&] { return simd::sumsq_devf(fx, 0.25F); });
-      EXPECT_EQ(h0, h1) << "sumsq_devf n=" << n << " off=" << off;
     }
   }
 }
 
 TEST(SimdKernels, EmptyReductionsAreZero) {
   IsaGuard guard(simd::detected());
-  EXPECT_EQ(simd::sum({}), 0.0);
   EXPECT_EQ(simd::dot({}, {}), 0.0);
   EXPECT_EQ(simd::sumsq_dev({}, 1.0), 0.0);
-  EXPECT_EQ(simd::sumf({}), 0.0F);
 }
 
 // ---------------------------------------------------------------------------
@@ -190,14 +174,14 @@ TEST(SimdKernels, ProjectionsBitExact) {
 
       const auto [b0, b1] = both_isas([&] {
         std::vector<float> out(n);
-        simd::axis_projectf(fx, fy, fz, up, 9.81F, out);
+        simd::axis_project(fx, fy, fz, up, 9.81F, out);
         return out;
       });
       expect_bits_equal(b0, b1);
 
       const auto [c0, c1] = both_isas([&] {
         std::vector<float> out(n);
-        simd::residual_projectf(fx, fy, fz, up, dir, out);
+        simd::residual_project(fx, fy, fz, up, dir, out);
         return out;
       });
       expect_bits_equal(c0, c1);
@@ -234,21 +218,6 @@ TEST(SimdKernels, ElementwiseMapsBitExact) {
         return out;
       });
       expect_bits_equal(d0, d1);
-
-      const auto xf = rand_vec<float>(n + off, 33);
-      const auto [w0, w1] = both_isas([&] {
-        std::vector<double> out(n);
-        simd::widen({xf.data() + off, n}, out);
-        return out;
-      });
-      expect_bits_equal(w0, w1);
-
-      const auto [m0, m1] = both_isas([&] {
-        std::vector<float> out(n);
-        simd::narrow(x, out);
-        return out;
-      });
-      expect_bits_equal(m0, m1);
     }
   }
 }
@@ -329,7 +298,7 @@ TEST(SimdKernels, CascadeMultiBitExactAcrossIsas) {
       const auto seed_dataf = rand_vec<float>(n * simd::kIirLanes, 62);
       const auto [c, d] = both_isas([&] {
         std::vector<float> data = seed_dataf;
-        simd::cascade_multif(sections, data.data(), n, backward);
+        simd::cascade_multi(sections, data.data(), n, backward);
         return data;
       });
       expect_bits_equal(c, d);

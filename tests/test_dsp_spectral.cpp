@@ -8,7 +8,6 @@
 #include "common/error.hpp"
 #include "dsp/correlate.hpp"
 #include "dsp/fft.hpp"
-#include "dsp/windows.hpp"
 
 using namespace ptrack;
 
@@ -139,19 +138,4 @@ TEST(DominantPeriod, FindsSinePeriod) {
 TEST(DominantPeriod, ZeroWhenNoPeak) {
   const std::vector<double> xs(64, 1.0);
   EXPECT_EQ(dsp::dominant_period(xs, 4, 30), 0u);
-}
-
-TEST(Windows, HannEndsAtZeroPeaksAtOne) {
-  const auto w = dsp::hann(33);
-  EXPECT_DOUBLE_EQ(w.front(), 0.0);
-  EXPECT_DOUBLE_EQ(w.back(), 0.0);
-  EXPECT_NEAR(w[16], 1.0, 1e-12);
-}
-
-TEST(Windows, FrameIndicesCoverSignal) {
-  const auto frames = dsp::frame_indices(100, 20, 10);
-  ASSERT_EQ(frames.size(), 9u);
-  EXPECT_EQ(frames.front().first, 0u);
-  EXPECT_EQ(frames.back().second, 100u);
-  for (const auto& [b, e] : frames) EXPECT_EQ(e - b, 20u);
 }

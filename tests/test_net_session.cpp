@@ -161,6 +161,27 @@ TEST(NetSession, HelloValidation) {
   }
 }
 
+TEST(NetSession, Float32HelloRejectedUnderAttitudeFilter) {
+  // The f32 frontend has no attitude-filter path: a server configured with
+  // one answers a precision=1 HELLO with a typed ERROR, not a dropped socket.
+  SessionConfig cfg;
+  cfg.streaming.pipeline.counter.use_attitude_filter = true;
+  {
+    Session session{cfg};
+    EXPECT_EQ(feed(session, hello_bytes(1, 100.0, 1)),
+              Session::IoResult::kClose);
+    EXPECT_FALSE(session.hello_done());
+    EXPECT_EQ(expect_single_error(session).code, ErrorCode::kBadHello);
+    EXPECT_EQ(session.counters().frames_rejected, 1u);
+  }
+  {  // double streams are still served
+    Session session{cfg};
+    EXPECT_EQ(feed(session, hello_bytes(2, 100.0, 0)),
+              Session::IoResult::kOk);
+    EXPECT_TRUE(session.hello_done());
+  }
+}
+
 TEST(NetSession, MalformedFrameClosesWithError) {
   Session session{SessionConfig{}};
   std::vector<std::uint8_t> bytes = hello_bytes(5, 100.0);
