@@ -1,7 +1,13 @@
 #include "bench_util.hpp"
 
+#include <sched.h>
+
+#include <algorithm>
 #include <cmath>
 #include <string>
+
+#include "dsp/simd.hpp"
+#include "obs/metrics.hpp"
 
 namespace ptrack::bench {
 
@@ -51,6 +57,22 @@ double count_accuracy(std::size_t counted, std::size_t truth) {
                               static_cast<double>(truth)) /
                      static_cast<double>(truth);
   return 1.0 - err;
+}
+
+void write_host(json::Writer& w, std::size_t workers) {
+  cpu_set_t set;
+  CPU_ZERO(&set);
+  int cpus = 1;
+  if (sched_getaffinity(0, sizeof(set), &set) == 0) {
+    cpus = std::max(1, CPU_COUNT(&set));
+  }
+  w.key("host").begin_object();
+  w.key("nproc").value(static_cast<std::size_t>(cpus));
+  w.key("isa").value(dsp::simd::isa_name(dsp::simd::detected()));
+  w.key("build_type").value(PTRACK_BENCH_BUILD_TYPE);
+  w.key("obs_compiled").value(PTRACK_OBS_ENABLED != 0);
+  w.key("workers").value(workers);
+  w.end_object();
 }
 
 }  // namespace ptrack::bench

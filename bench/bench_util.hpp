@@ -7,6 +7,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "common/json.hpp"
 #include "common/rng.hpp"
 #include "models/scar.hpp"
 #include "synth/profile.hpp"
@@ -38,5 +39,11 @@ std::vector<std::string> scar_gait_labels();
 
 /// Step-count accuracy as the paper reports it: 1 - |counted - true|/true.
 double count_accuracy(std::size_t counted, std::size_t truth);
+
+/// Writes key "host" into `w`'s open object: the machine block e2e_bench
+/// prints (nproc = CPUs this process may run on, the detected SIMD ISA, the
+/// build type, whether obs instrumentation is compiled in) plus the
+/// bench's worker-thread count, so a recorded figure names its hardware.
+void write_host(json::Writer& w, std::size_t workers);
 
 }  // namespace ptrack::bench

@@ -24,9 +24,11 @@
 //   --gate        fail (exit 1) unless, for the `inc` arm, the post-flush
 //                 mean hop cost over the trace's last third is <= 1.5x
 //                 its first third (hop cost does not grow with stream age)
-//   --json PATH   write {"bench":"micro_streaming","metrics":{...},
-//                 "historical_recompute":{...}} (also via the
-//                 PTRACK_BENCH_JSON environment variable)
+//   --json PATH   write {"bench":"micro_streaming","host":{...},
+//                 "metrics":{...},"historical_recompute":{...}} (also via
+//                 the PTRACK_BENCH_JSON environment variable); "host" is
+//                 the machine block e2e_bench prints, with workers = 1
+//                 (the replay is single-threaded)
 
 #include <algorithm>
 #include <chrono>
@@ -256,6 +258,7 @@ int main(int argc, char** argv) {
       json::Writer w(out);
       w.begin_object();
       w.key("bench").value(std::string("micro_streaming"));
+      bench::write_host(w, 1);
       w.key("metrics").begin_object();
       w.key("reduced").value(reduced);
       w.key("trace_s").value(seconds);

@@ -91,55 +91,64 @@ void BM_ButterworthFiltfiltWorkspace(benchmark::State& state) {
 }
 BENCHMARK(BM_ButterworthFiltfiltWorkspace);
 
-// SIMD micro-kernels, arg 0 = forced scalar fallback, arg 1 = detected ISA:
-// the kernel-level record of the vector win in BENCH_throughput.json. The
-// 3-channel lane-parallel gravity filter is the per-hop dominant cost
-// (estimate_up over the 20 s axis window), so it gets scalar/vector arms in
-// both precisions; axis_project is the widest pure-map kernel.
-void BM_FiltfiltMulti3(benchmark::State& state) {
-  const auto xs = walking_minute().trace.accel_magnitude();
-  const std::size_t n = 2000;
-  const std::array<std::span<const double>, 3> chans{
-      std::span<const double>(xs.data(), n),
-      std::span<const double>(xs.data() + n, n),
-      std::span<const double>(xs.data() + 2 * n, n)};
-  const auto cascade = dsp::butterworth_lowpass(2, 0.3, 100.0);
-  dsp::Workspace ws;
-  dsp::simd::force_isa(state.range(0) != 0 ? dsp::simd::detected()
-                                           : dsp::simd::Isa::kScalar);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(dsp::filtfilt_multi_mean(cascade, chans, 64, ws));
+/// The first 2000 samples of each accelerometer channel.
+std::array<std::vector<double>, 3> axis_window(const imu::Trace& trace) {
+  std::array<std::vector<double>, 3> out;
+  for (std::size_t axis = 0; axis < out.size(); ++axis) {
+    out[axis] = trace.accel_axis(static_cast<int>(axis));
+    out[axis].resize(2000);
   }
-  dsp::simd::force_isa(dsp::simd::detected());
+  return out;
+}
+
+// The projection's two axis fits over the 20 s (2000-sample) axis window a
+// steady streaming hop pins. BM_EstimateUp arg table:1 is that hop (the
+// gravity weights come from the shared precomputed table: one weighted sum
+// per channel); table:0 is every other history length (warm-up hops, the
+// batch flush, windowed-anterior regions), which first computes the weights
+// into workspace scratch with one scalar forward/backward filter pass.
+void BM_EstimateUp(benchmark::State& state) {
+  const imu::Trace& trace = walking_minute().trace;
+  const auto chans = axis_window(trace);
+  const std::span<const double> x = chans[0];
+  const std::span<const double> y = chans[1];
+  const std::span<const double> z = chans[2];
+  const std::size_t n = x.size();
+  const dsp::GravityWeights table(n, trace.fs(), dsp::kGravityCutoffHz);
+  dsp::Workspace ws;
+  const bool use_table = state.range(0) != 0;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(
+        use_table ? dsp::estimate_up(x, y, z, table.weights())
+                  : dsp::estimate_up(x, y, z, trace.fs(),
+                                     dsp::kGravityCutoffHz, ws));
+  }
   state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
                           static_cast<int64_t>(3 * n));
 }
-BENCHMARK(BM_FiltfiltMulti3)->ArgName("simd")->Arg(0)->Arg(1);
+BENCHMARK(BM_EstimateUp)->ArgName("table")->Arg(0)->Arg(1);
 
-void BM_FiltfiltMulti3F32(benchmark::State& state) {
-  const auto xs = walking_minute().trace.accel_magnitude();
-  const std::size_t n = 2000;
-  std::vector<float> xf(3 * n);
-  for (std::size_t i = 0; i < xf.size(); ++i) {
-    xf[i] = static_cast<float>(xs[i]);
-  }
-  const std::array<std::span<const float>, 3> chans{
-      std::span<const float>(xf.data(), n),
-      std::span<const float>(xf.data() + n, n),
-      std::span<const float>(xf.data() + 2 * n, n)};
-  const auto cascade = dsp::butterworth_lowpass(2, 0.3, 100.0);
+void BM_PrincipalHorizontal(benchmark::State& state) {
+  const imu::Trace& trace = walking_minute().trace;
+  const auto chans = axis_window(trace);
+  const std::span<const double> x = chans[0];
+  const std::span<const double> y = chans[1];
+  const std::span<const double> z = chans[2];
+  const std::size_t n = x.size();
   dsp::Workspace ws;
-  dsp::simd::force_isa(state.range(0) != 0 ? dsp::simd::detected()
-                                           : dsp::simd::Isa::kScalar);
+  const Vec3 up = dsp::estimate_up(x, y, z, trace.fs(),
+                                   dsp::kGravityCutoffHz, ws);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(dsp::filtfilt_multi_mean(cascade, chans, 64, ws));
+    benchmark::DoNotOptimize(dsp::principal_horizontal_direction(x, y, z, up));
   }
-  dsp::simd::force_isa(dsp::simd::detected());
   state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
                           static_cast<int64_t>(3 * n));
 }
-BENCHMARK(BM_FiltfiltMulti3F32)->ArgName("simd")->Arg(0)->Arg(1);
+BENCHMARK(BM_PrincipalHorizontal);
 
+// SIMD micro-kernel, arg 0 = forced scalar fallback, arg 1 = detected ISA:
+// the kernel-level record of the vector win in BENCH_throughput.json.
+// axis_project is the widest pure-map kernel.
 void BM_AxisProject(benchmark::State& state) {
   const auto xs = walking_minute().trace.accel_magnitude();
   const std::size_t n = 2000;

@@ -77,6 +77,8 @@ void project_channels_into(std::span<const T> ax, std::span<const T> ay,
               (axes.ax.size() == axes.ay.size() &&
                axes.ay.size() == axes.az.size() && axes.ax.size() >= 16),
           "project_channels: axis spans equal-length and >= 16 samples");
+  expects(axes.up_weights.empty() || axes.up_weights.size() == axes.ax.size(),
+          "project_channels: gravity weights match the axis history");
   expects(fs > 0.0, "project_channels: fs > 0");
   expects(lowpass_hz > 0.0, "project_channels: lowpass_hz > 0");
   PTRACK_OBS_SPAN("ptrack.core.project");
@@ -89,9 +91,12 @@ void project_channels_into(std::span<const T> ax, std::span<const T> ay,
   const AxisHistory<T> hist =
       axes.empty() ? AxisHistory<T>{ax, ay, az} : axes;
   const UpField up_field =
-      ups.empty()
-          ? UpField(dsp::estimate_up(hist.ax, hist.ay, hist.az, fs, 0.3, ws))
-          : UpField(ups);
+      !ups.empty() ? UpField(ups)
+      : hist.up_weights.empty()
+          ? UpField(dsp::estimate_up(hist.ax, hist.ay, hist.az, fs,
+                                     dsp::kGravityCutoffHz, ws))
+          : UpField(dsp::estimate_up(hist.ax, hist.ay, hist.az,
+                                     hist.up_weights));
   Vec3 pinned_dir{};
   if (!axes.empty()) {
     const Vec3 up =

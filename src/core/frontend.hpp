@@ -10,6 +10,18 @@
 // directions are reduced in double. project_trace is the batch adapter; the
 // streaming ProjectionStage (core/stages.hpp) calls the template directly on
 // ring views.
+//
+// The gravity estimate is a fixed linear functional of the axis history
+// (dsp/projection.hpp derives it): its weights depend only on the history
+// length, fs and the 0.3 Hz cutoff. A steady streaming hop always pins the
+// same 20 s history length, so ProjectionStage holds one immutable
+// dsp::GravityWeights table for it, shared process-wide by every stage of
+// the same fs (dsp::shared_gravity_weights) and held for the stage's
+// lifetime; such a hop passes the table in AxisHistory::up_weights and does
+// no filtering, lookup or allocation for the up axis. Every other length
+// (warm-up hops, the batch flush, windowed-anterior regions) computes its
+// weights into workspace scratch, at the cost of one scalar filter pass
+// each way over the history.
 
 #pragma once
 
@@ -70,11 +82,17 @@ struct ProjectionSeam {
 /// gestures. Passing the last N seconds of raw history here pins the axes
 /// to that longer window instead (the projected span itself is unchanged).
 /// Empty means "estimate from the projected span" — the batch behaviour.
+///
+/// `up_weights` (optional) are the gravity estimate's weights for exactly
+/// this history length at the call's fs and dsp::kGravityCutoffHz — a
+/// precomputed dsp::GravityWeights table. Empty means the call computes
+/// them into workspace scratch; either way the up vector is the same.
 template <typename T>
 struct AxisHistory {
   std::span<const T> ax;
   std::span<const T> ay;
   std::span<const T> az;
+  std::span<const double> up_weights{};
   [[nodiscard]] bool empty() const { return ax.empty(); }
 };
 
@@ -87,10 +105,13 @@ struct AxisHistory {
 /// `ups` (optional, double only) supplies a per-sample up track
 /// (attitude-filter path); it must be empty or exactly ax.size() long.
 /// When empty, the up direction is the batch gravity estimate over the
-/// spans. The float instantiation has no attitude-filter path and requires
-/// `ups` to be empty.
+/// axis spans: dsp::estimate_up, a weighted sum with the gravity weights
+/// (taken from `axes.up_weights` when given, otherwise computed into `ws`
+/// real scratch slot 0). The float instantiation has no attitude-filter
+/// path and requires `ups` to be empty.
 ///
-/// `ws` provides the filter scratch of precision T (slot 0).
+/// `ws` provides the filter scratch of precision T (slot 0) and the
+/// gravity weights' real slot 0.
 ///
 /// `seam` (optional) carries the anterior sign across calls; null or
 /// zero-initialized reproduces batch behaviour.

@@ -108,8 +108,16 @@ void ProjectionStage::project_region(const imu::SampleRing& ring,
   PTRACK_CHECK_MSG(begin <= stable && stable < target && target <= end,
                    "ProjectionStage: finalized range inside the region");
   const AxisHistory<T> raw = accel_spans<T>(ring, begin, end);
-  const AxisHistory<T> axes =
+  AxisHistory<T> axes =
       pin_axes ? accel_spans<T>(ring, axis_begin, end) : AxisHistory<T>{};
+  if (pin_axes && !cfg_.use_attitude_filter &&
+      end - axis_begin == axis_window_) {
+    if (!up_weights_) {
+      up_weights_ = dsp::shared_gravity_weights(axis_window_, fs_,
+                                                dsp::kGravityCutoffHz);
+    }
+    axes.up_weights = up_weights_->weights();
+  }
   project_channels_into(raw.ax, raw.ay, raw.az, fs_, cfg_.lowpass_hz,
                         cfg_.anterior_window_s,
                         cfg_.use_attitude_filter ? ups_.span(begin, end)

@@ -43,6 +43,7 @@
 #pragma once
 
 #include <cstddef>
+#include <memory>
 #include <span>
 #include <vector>
 
@@ -53,6 +54,7 @@
 #include "core/stride_estimator.hpp"
 #include "core/types.hpp"
 #include "dsp/attitude.hpp"
+#include "dsp/projection.hpp"
 #include "dsp/workspace.hpp"
 #include "imu/sample_ring.hpp"
 
@@ -68,6 +70,8 @@ inline constexpr double kProjectionMarginS = 2.5;
 /// 20 s batch window would. A batch flush spans the whole trace in one region,
 /// where the history and the projected span coincide and the axes reduce
 /// to the batch estimate exactly.
+/// Because every steady hop pins exactly this many samples, the gravity
+/// estimate's weights over it are one shared, precomputed table.
 inline constexpr double kProjectionAxisWindowS = 20.0;
 inline constexpr double kSegmentationLookbackS = 5.0;
 inline constexpr double kSegmentationMarginS = 1.8;
@@ -125,6 +129,11 @@ class ProjectionStage {
   std::size_t ctx_;          ///< re-projection context (samples)
   std::size_t margin_;       ///< finalization margin (samples)
   std::size_t axis_window_;  ///< axis-estimation history (samples)
+  /// Gravity weights for a full axis_window_ history: the process-wide
+  /// table for this fs, taken on the first hop that pins a full window and
+  /// held for the stage's lifetime, so steady hops neither look it up nor
+  /// filter the history (dsp/projection.hpp).
+  std::shared_ptr<const dsp::GravityWeights> up_weights_;
 
   Ring<double> vert_;
   Ring<double> ant_;

@@ -1,6 +1,7 @@
 #include "dsp/filtfilt.hpp"
 
 #include <algorithm>
+#include <array>
 
 #include "common/check.hpp"
 #include "common/error.hpp"
@@ -127,27 +128,6 @@ void multi_into(const BiquadCascade& cascade,
   }
 }
 
-template <typename T>
-std::array<T, simd::kIirLanes> multi_mean(
-    const BiquadCascade& cascade, std::span<const std::span<const T>> xs,
-    std::size_t pad, Workspace& ws) {
-  constexpr std::size_t kL = simd::kIirLanes;
-  std::array<T, kL> means{};
-  if (xs.empty()) return means;
-  const std::size_t n = xs[0].size();
-  if (n == 0) return means;
-  pad = std::min(pad, n - 1);
-  const auto buf = multi_filter_core<T>(cascade, xs, pad, ws);
-  for (std::size_t c = 0; c < xs.size(); ++c) {
-    // Serial left-to-right sum: bit-identical to accumulating the
-    // single-channel filtfilt output.
-    T sum = static_cast<T>(0);
-    for (std::size_t i = 0; i < n; ++i) sum += buf[(pad + i) * kL + c];
-    means[c] = sum / static_cast<T>(n);
-  }
-  return means;
-}
-
 }  // namespace
 
 std::vector<double> filtfilt(const BiquadCascade& cascade,
@@ -203,18 +183,6 @@ void filtfilt_multi_into(const BiquadCascade& cascade,
                          std::size_t pad, Workspace& ws,
                          std::span<const std::span<float>> outs) {
   multi_into<float>(cascade, xs, pad, ws, outs);
-}
-
-std::array<double, simd::kIirLanes> filtfilt_multi_mean(
-    const BiquadCascade& cascade, std::span<const std::span<const double>> xs,
-    std::size_t pad, Workspace& ws) {
-  return multi_mean<double>(cascade, xs, pad, ws);
-}
-
-std::array<float, simd::kIirLanes> filtfilt_multi_mean(
-    const BiquadCascade& cascade, std::span<const std::span<const float>> xs,
-    std::size_t pad, Workspace& ws) {
-  return multi_mean<float>(cascade, xs, pad, ws);
 }
 
 std::vector<double> zero_phase_lowpass(std::span<const double> xs,

@@ -7,7 +7,6 @@
 
 #pragma once
 
-#include <array>
 #include <span>
 #include <vector>
 
@@ -56,20 +55,6 @@ void filtfilt_multi_into(const BiquadCascade& cascade,
                          std::span<const std::span<const float>> xs,
                          std::size_t pad, Workspace& ws,
                          std::span<const std::span<float>> outs);
-
-/// Lane-parallel zero-phase filter returning only each channel's mean over
-/// the unpadded region (entries past xs.size() are zero). The mean is the
-/// plain serial left-to-right sum over the filtered channel divided by its
-/// length — bit-identical to accumulating filtfilt_into()'s output — so the
-/// up-axis estimate is unchanged by the batched path.
-std::array<double, simd::kIirLanes> filtfilt_multi_mean(
-    const BiquadCascade& cascade, std::span<const std::span<const double>> xs,
-    std::size_t pad, Workspace& ws);
-
-/// Float32 overload (accumulates in float).
-std::array<float, simd::kIirLanes> filtfilt_multi_mean(
-    const BiquadCascade& cascade, std::span<const std::span<const float>> xs,
-    std::size_t pad, Workspace& ws);
 
 /// Convenience: zero-phase Butterworth low-pass of the given order.
 std::vector<double> zero_phase_lowpass(std::span<const double> xs,

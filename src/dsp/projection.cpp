@@ -1,37 +1,154 @@
 #include "dsp/projection.hpp"
 
 #include <algorithm>
-#include <array>
 #include <cmath>
+#include <mutex>
 #include <vector>
 
 #include "common/error.hpp"
 #include "dsp/butterworth.hpp"
-#include "dsp/filtfilt.hpp"
 #include "dsp/simd.hpp"
 #include "dsp/workspace.hpp"
 
 namespace ptrack::dsp {
+
+namespace {
+
+/// Odd-reflection pad of the gravity filter on each side: 64 samples,
+/// clamped so at least one interior sample is never mirrored.
+std::size_t gravity_pad(std::size_t n) {
+  return std::min<std::size_t>(64, n - 1);
+}
+
+/// One zero-state biquad pass over buf[0, m), forward or backward, in
+/// direct form I with the state in registers: the feedback product a1 *
+/// y[k-1] is the only serial dependency, so a pass costs about one
+/// multiply-subtract of latency per sample. (A scattered look-ahead form
+/// with half the chain length measured slower: it doubles the work per
+/// sample.)
+void biquad_pass(const BiquadCoeffs& c, double* buf, std::size_t m,
+                 bool backward) {
+  double x1 = 0.0;
+  double x2 = 0.0;
+  double y1 = 0.0;
+  double y2 = 0.0;
+  for (std::size_t k = 0; k < m; ++k) {
+    double& v = buf[backward ? m - 1 - k : k];
+    const double x = v;
+    const double y =
+        (c.b0 * x + c.b1 * x1 + c.b2 * x2 - c.a2 * y2) - c.a1 * y1;
+    x2 = x1;
+    x1 = x;
+    y2 = y1;
+    y1 = y;
+    v = y;
+  }
+}
+
+}  // namespace
+
+std::size_t gravity_weights_scratch(std::size_t n) {
+  expects(n >= 1, "gravity_weights_scratch: >= 1 sample");
+  return n + 2 * gravity_pad(n);
+}
+
+std::span<const double> gravity_weights_into(std::size_t n, double fs,
+                                             double cutoff_hz,
+                                             std::span<double> scratch) {
+  expects(n >= 4, "gravity_weights_into: >= 4 samples");
+  expects(fs > 0.0, "gravity_weights_into: fs > 0");
+  const std::size_t pad = gravity_pad(n);
+  expects(scratch.size() == n + 2 * pad,
+          "gravity_weights_into: scratch sized by gravity_weights_scratch");
+
+  // filtfilt of the interior indicator: forward, then backward, each from
+  // zero state. The order-2 design is a single section. The forward pass
+  // starts at the interior: over the leading zeros a zero-state filter
+  // stays exactly zero.
+  const BiquadCascade filter =
+      butterworth_lowpass(2, std::min(cutoff_hz, 0.45 * fs), fs);
+  const BiquadCoeffs& c = filter.sections().front().coeffs();
+  double* buf = scratch.data();
+  std::fill(buf, buf + pad, 0.0);
+  std::fill(buf + pad, buf + pad + n, 1.0);
+  std::fill(buf + pad + n, buf + scratch.size(), 0.0);
+  biquad_pass(c, buf + pad, n + pad, false);
+  biquad_pass(c, buf, scratch.size(), true);
+
+  // Fold each padded sample's weight onto the samples it was reflected
+  // from: left pad sample i holds 2 x[0] - x[pad - i], right pad sample
+  // pad + n - 1 + k holds 2 x[n-1] - x[n-1-k]. The weight of x[j] is
+  // accumulated in place at scratch[pad + j].
+  double* w = buf + pad;
+  for (std::size_t i = 0; i < pad; ++i) {
+    const double v = buf[i];
+    w[0] += 2.0 * v;
+    w[pad - i] -= v;
+  }
+  for (std::size_t k = 1; k <= pad; ++k) {
+    const double v = w[n - 1 + k];
+    w[n - 1] += 2.0 * v;
+    w[n - 1 - k] -= v;
+  }
+  const double inv_n = 1.0 / static_cast<double>(n);
+  for (std::size_t j = 0; j < n; ++j) w[j] *= inv_n;
+  return {w, n};
+}
+
+GravityWeights::GravityWeights(std::size_t n, double fs, double cutoff_hz)
+    : fs_(fs),
+      cutoff_hz_(cutoff_hz),
+      storage_(gravity_weights_scratch(n)),
+      weights_(gravity_weights_into(n, fs, cutoff_hz, storage_)) {}
+
+std::shared_ptr<const GravityWeights> shared_gravity_weights(
+    std::size_t n, double fs, double cutoff_hz) {
+  // Tables no holder uses any more are kept up to this many entries, so a
+  // rate that streams come back to is computed once per process, while a
+  // stream of distinct client rates cannot grow the registry without bound.
+  constexpr std::size_t kRetained = 8;
+  static std::mutex mu;
+  static std::vector<std::shared_ptr<const GravityWeights>> registry;
+  const std::lock_guard<std::mutex> lock(mu);
+  for (const auto& table : registry) {
+    if (table->size() == n && table->fs() == fs &&
+        table->cutoff_hz() == cutoff_hz) {
+      return table;
+    }
+  }
+  // use_count() == 1: only the registry holds it, and no one can take a
+  // new reference without this lock.
+  if (registry.size() >= kRetained) {
+    std::erase_if(registry, [](const auto& t) { return t.use_count() == 1; });
+  }
+  // ptrack-lint: push-allow(alloc) one table per rate in use; setup only
+  registry.push_back(std::make_shared<const GravityWeights>(n, fs, cutoff_hz));
+  // ptrack-lint: pop-allow(alloc)
+  return registry.back();
+}
+
+template <typename T>
+Vec3 estimate_up(std::span<const T> x, std::span<const T> y,
+                 std::span<const T> z, std::span<const double> w) {
+  const std::size_t n = x.size();
+  expects(n >= 4, "estimate_up: >= 4 samples");
+  expects(n == y.size() && n == z.size() && n == w.size(),
+          "estimate_up: equal channel and weight lengths");
+  // The gravity estimate's linear functional: one weighted sum per channel,
+  // in double.
+  const Vec3 g = simd::weighted_sum3(w, x, y, z);
+  check(g.norm() > 1e-6, "estimate_up: gravity magnitude not degenerate");
+  return g.normalized();
+}
 
 template <typename T>
 Vec3 estimate_up(std::span<const T> x, std::span<const T> y,
                  std::span<const T> z, double fs, double cutoff_hz,
                  Workspace& ws) {
   expects(x.size() >= 4, "estimate_up: >= 4 samples");
-  expects(x.size() == y.size() && y.size() == z.size(),
-          "estimate_up: equal channel lengths");
-  expects(fs > 0.0, "estimate_up: fs > 0");
-  // Heavy low-pass, then average: cyclic components vanish, gravity remains.
-  // Per channel the filtered mean is bit-identical to a single-channel
-  // zero_phase_lowpass followed by a serial mean.
-  const double fc = std::min(cutoff_hz, 0.45 * fs);
-  const std::array<std::span<const T>, 3> chans{x, y, z};
-  const auto means =
-      filtfilt_multi_mean(butterworth_lowpass(2, fc, fs), chans, 64, ws);
-  const Vec3 g{static_cast<double>(means[0]), static_cast<double>(means[1]),
-               static_cast<double>(means[2])};
-  check(g.norm() > 1e-6, "estimate_up: gravity magnitude not degenerate");
-  return g.normalized();
+  auto& scratch = ws.real_scratch(0, gravity_weights_scratch(x.size()));
+  return estimate_up(x, y, z,
+                     gravity_weights_into(x.size(), fs, cutoff_hz, scratch));
 }
 
 template <typename T>
@@ -47,38 +164,27 @@ Vec3 principal_horizontal_direction(std::span<const T> x,
   const Vec3 e1 = up.cross(ref).normalized();
   const Vec3 e2 = up.cross(e1).normalized();
 
-  // Horizontal-residual coordinates via the SIMD projection kernel (an
-  // exact expression-order replica of the Vec3 arithmetic). Per-thread
-  // scratch, not workspace scratch: a server holds one workspace per
-  // stream, and this buffer spans the whole axis history.
-  thread_local std::vector<T> ta;
-  thread_local std::vector<T> tb;
-  // ptrack-lint: push-allow(alloc) per-thread scratch; steady capacity
-  ta.resize(n);
-  tb.resize(n);
-  // ptrack-lint: pop-allow(alloc)
-  simd::residual_project(x, y, z, up, e1, std::span<T>(ta));
-  simd::residual_project(x, y, z, up, e2, std::span<T>(tb));
-
-  // 2x2 covariance of the horizontal residual in (e1, e2), in double.
-  double m1 = 0.0;
-  double m2 = 0.0;
-  for (std::size_t i = 0; i < n; ++i) {
-    m1 += static_cast<double>(ta[i]);
-    m2 += static_cast<double>(tb[i]);
-  }
-  m1 /= static_cast<double>(n);
-  m2 /= static_cast<double>(n);
-  double s11 = 0.0;
-  double s12 = 0.0;
-  double s22 = 0.0;
-  for (std::size_t i = 0; i < n; ++i) {
-    const double a = static_cast<double>(ta[i]) - m1;
-    const double b = static_cast<double>(tb[i]) - m2;
-    s11 += a * a;
-    s12 += a * b;
-    s22 += b * b;
-  }
+  // One pass of first and second moments of d = f - f[0] in double, then
+  // the scatter matrix about the mean, C = sum d d^T - (sum d)(sum d)^T / n,
+  // and its horizontal 2x2 block s_ab = e_a^T C e_b.
+  const Vec3 f0{static_cast<double>(x[0]), static_cast<double>(y[0]),
+                static_cast<double>(z[0])};
+  const simd::Moments3 m = simd::moments3(x, y, z, f0);
+  const auto count = static_cast<double>(n);
+  const double cxx = m.xx - m.sum.x * m.sum.x / count;
+  const double cxy = m.xy - m.sum.x * m.sum.y / count;
+  const double cxz = m.xz - m.sum.x * m.sum.z / count;
+  const double cyy = m.yy - m.sum.y * m.sum.y / count;
+  const double cyz = m.yz - m.sum.y * m.sum.z / count;
+  const double czz = m.zz - m.sum.z * m.sum.z / count;
+  const auto apply_c = [&](const Vec3& v) {
+    return Vec3{cxx * v.x + cxy * v.y + cxz * v.z,
+                cxy * v.x + cyy * v.y + cyz * v.z,
+                cxz * v.x + cyz * v.y + czz * v.z};
+  };
+  const double s11 = e1.dot(apply_c(e1));
+  const double s12 = e1.dot(apply_c(e2));
+  const double s22 = e2.dot(apply_c(e2));
 
   // Leading eigenvector of [[s11, s12], [s12, s22]].
   const double tr = s11 + s22;
@@ -102,6 +208,14 @@ Vec3 principal_horizontal_direction(std::span<const T> x,
 
 template Vec3 estimate_up<double>(std::span<const double>,
                                   std::span<const double>,
+                                  std::span<const double>,
+                                  std::span<const double>);
+template Vec3 estimate_up<float>(std::span<const float>,
+                                 std::span<const float>,
+                                 std::span<const float>,
+                                 std::span<const double>);
+template Vec3 estimate_up<double>(std::span<const double>,
+                                  std::span<const double>,
                                   std::span<const double>, double, double,
                                   Workspace&);
 template Vec3 estimate_up<float>(std::span<const float>,
@@ -122,7 +236,7 @@ ProjectedSignal project(std::span<const double> x, std::span<const double> y,
   Workspace ws;
   ProjectedSignal out;
   out.fs = fs;
-  out.up = estimate_up(x, y, z, fs, 0.3, ws);
+  out.up = estimate_up(x, y, z, fs, kGravityCutoffHz, ws);
   out.forward = principal_horizontal_direction(x, y, z, out.up);
   const Vec3 side = out.up.cross(out.forward).normalized();
   // ptrack-lint: push-allow(alloc) batch-only result vectors for the

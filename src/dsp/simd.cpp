@@ -15,6 +15,10 @@ const KernelTable& scalar_table() {
   static const KernelTable t = {
       &dot_canonical,
       &sumsq_dev_canonical,
+      &weighted_sum3_canonical<double>,
+      &weighted_sum3_canonical<float>,
+      &moments3_canonical<double>,
+      &moments3_canonical<float>,
       &axis_project_canonical<double>,
       &axis_project_canonical<float>,
       &residual_project_canonical<double>,
@@ -104,6 +108,40 @@ double dot(std::span<const double> a, std::span<const double> b) {
 
 double sumsq_dev(std::span<const double> xs, double mean) {
   return dispatch().table->sumsq_dev_d(xs.data(), xs.size(), mean);
+}
+
+Vec3 weighted_sum3(std::span<const double> w, std::span<const double> x,
+                   std::span<const double> y, std::span<const double> z) {
+  expects(w.size() == x.size() && x.size() == y.size() &&
+              y.size() == z.size(),
+          "simd::weighted_sum3: equal lengths");
+  return dispatch().table->weighted_sum3_d(w.data(), x.data(), y.data(),
+                                           z.data(), w.size());
+}
+
+Vec3 weighted_sum3(std::span<const double> w, std::span<const float> x,
+                   std::span<const float> y, std::span<const float> z) {
+  expects(w.size() == x.size() && x.size() == y.size() &&
+              y.size() == z.size(),
+          "simd::weighted_sum3: equal lengths");
+  return dispatch().table->weighted_sum3_f(w.data(), x.data(), y.data(),
+                                           z.data(), w.size());
+}
+
+Moments3 moments3(std::span<const double> x, std::span<const double> y,
+                  std::span<const double> z, const Vec3& shift) {
+  expects(x.size() == y.size() && y.size() == z.size(),
+          "simd::moments3: equal lengths");
+  return dispatch().table->moments3_d(x.data(), y.data(), z.data(), x.size(),
+                                      shift);
+}
+
+Moments3 moments3(std::span<const float> x, std::span<const float> y,
+                  std::span<const float> z, const Vec3& shift) {
+  expects(x.size() == y.size() && y.size() == z.size(),
+          "simd::moments3: equal lengths");
+  return dispatch().table->moments3_f(x.data(), y.data(), z.data(), x.size(),
+                                      shift);
 }
 
 void axis_project(std::span<const double> x, std::span<const double> y,

@@ -62,6 +62,37 @@ inline constexpr std::size_t kDoubleBlock = 4;
 /// Sum of squared deviations from `mean`.
 [[nodiscard]] double sumsq_dev(std::span<const double> xs, double mean);
 
+/// Three weighted channel sums against one weight vector, in double:
+/// (sum w[i]*x[i], sum w[i]*y[i], sum w[i]*z[i]) — the gravity estimate's
+/// linear functional (dsp/projection.hpp). Float channels are widened per
+/// element. All four spans have equal length.
+[[nodiscard]] Vec3 weighted_sum3(std::span<const double> w,
+                                 std::span<const double> x,
+                                 std::span<const double> y,
+                                 std::span<const double> z);
+[[nodiscard]] Vec3 weighted_sum3(std::span<const double> w,
+                                 std::span<const float> x,
+                                 std::span<const float> y,
+                                 std::span<const float> z);
+
+/// First and second moments of d = (x[i], y[i], z[i]) - shift in double,
+/// the principal-axis fit's one pass over the raw channels.
+struct Moments3 {
+  Vec3 sum;  ///< sum of d
+  double xx = 0.0;
+  double xy = 0.0;
+  double xz = 0.0;
+  double yy = 0.0;
+  double yz = 0.0;
+  double zz = 0.0;
+};
+[[nodiscard]] Moments3 moments3(std::span<const double> x,
+                                std::span<const double> y,
+                                std::span<const double> z, const Vec3& shift);
+[[nodiscard]] Moments3 moments3(std::span<const float> x,
+                                std::span<const float> y,
+                                std::span<const float> z, const Vec3& shift);
+
 // --- Elementwise maps (exact expression-order replicas) ---------------------
 
 /// out[i] = ((x[i]*u.x + y[i]*u.y) + z[i]*u.z) - bias — the vertical

@@ -60,6 +60,80 @@ double sumsq_dev_avx2(const double* xs, std::size_t n, double mean) {
   return total;
 }
 
+/// Four consecutive channel samples widened to double lanes.
+inline __m256d load4(const double* p) { return _mm256_loadu_pd(p); }
+inline __m256d load4(const float* p) {
+  return _mm256_cvtps_pd(_mm_loadu_ps(p));
+}
+
+template <typename T>
+Vec3 weighted_sum3_avx2(const double* w, const T* x, const T* y, const T* z,
+                        std::size_t n) {
+  __m256d ax = _mm256_setzero_pd();
+  __m256d ay = _mm256_setzero_pd();
+  __m256d az = _mm256_setzero_pd();
+  std::size_t i = 0;
+  for (; i + 4 <= n; i += 4) {
+    const __m256d wv = _mm256_loadu_pd(w + i);
+    ax = _mm256_add_pd(ax, _mm256_mul_pd(wv, load4(x + i)));
+    ay = _mm256_add_pd(ay, _mm256_mul_pd(wv, load4(y + i)));
+    az = _mm256_add_pd(az, _mm256_mul_pd(wv, load4(z + i)));
+  }
+  Vec3 total{hsum(ax), hsum(ay), hsum(az)};
+  for (; i < n; ++i) {
+    total.x += w[i] * static_cast<double>(x[i]);
+    total.y += w[i] * static_cast<double>(y[i]);
+    total.z += w[i] * static_cast<double>(z[i]);
+  }
+  return total;
+}
+
+template <typename T>
+Moments3 moments3_avx2(const T* x, const T* y, const T* z, std::size_t n,
+                       Vec3 shift) {
+  const __m256d sx = _mm256_set1_pd(shift.x);
+  const __m256d sy = _mm256_set1_pd(shift.y);
+  const __m256d sz = _mm256_set1_pd(shift.z);
+  __m256d ax = _mm256_setzero_pd();
+  __m256d ay = _mm256_setzero_pd();
+  __m256d az = _mm256_setzero_pd();
+  __m256d axx = _mm256_setzero_pd();
+  __m256d axy = _mm256_setzero_pd();
+  __m256d axz = _mm256_setzero_pd();
+  __m256d ayy = _mm256_setzero_pd();
+  __m256d ayz = _mm256_setzero_pd();
+  __m256d azz = _mm256_setzero_pd();
+  std::size_t i = 0;
+  for (; i + 4 <= n; i += 4) {
+    const __m256d dx = _mm256_sub_pd(load4(x + i), sx);
+    const __m256d dy = _mm256_sub_pd(load4(y + i), sy);
+    const __m256d dz = _mm256_sub_pd(load4(z + i), sz);
+    ax = _mm256_add_pd(ax, dx);
+    ay = _mm256_add_pd(ay, dy);
+    az = _mm256_add_pd(az, dz);
+    axx = _mm256_add_pd(axx, _mm256_mul_pd(dx, dx));
+    axy = _mm256_add_pd(axy, _mm256_mul_pd(dx, dy));
+    axz = _mm256_add_pd(axz, _mm256_mul_pd(dx, dz));
+    ayy = _mm256_add_pd(ayy, _mm256_mul_pd(dy, dy));
+    ayz = _mm256_add_pd(ayz, _mm256_mul_pd(dy, dz));
+    azz = _mm256_add_pd(azz, _mm256_mul_pd(dz, dz));
+  }
+  Moments3 m;
+  m.sum = {hsum(ax), hsum(ay), hsum(az)};
+  m.xx = hsum(axx);
+  m.xy = hsum(axy);
+  m.xz = hsum(axz);
+  m.yy = hsum(ayy);
+  m.yz = hsum(ayz);
+  m.zz = hsum(azz);
+  for (; i < n; ++i) {
+    add_moments(m, static_cast<double>(x[i]) - shift.x,
+                static_cast<double>(y[i]) - shift.y,
+                static_cast<double>(z[i]) - shift.z);
+  }
+  return m;
+}
+
 void axis_project_avx2(const double* x, const double* y, const double* z,
                        std::size_t n, Vec3 u, double bias, double* out) {
   const __m256d uxv = _mm256_set1_pd(u.x);
@@ -371,6 +445,10 @@ const KernelTable& avx2_table() {
   static const KernelTable t = {
       &dot_avx2,
       &sumsq_dev_avx2,
+      &weighted_sum3_avx2<double>,
+      &weighted_sum3_avx2<float>,
+      &moments3_avx2<double>,
+      &moments3_avx2<float>,
       &axis_project_avx2,
       &axis_projectf_avx2,
       &residual_project_avx2,

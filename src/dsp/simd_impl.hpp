@@ -30,6 +30,14 @@ inline constexpr std::size_t kMaxSections = 8;
 struct KernelTable {
   double (*dot_d)(const double*, const double*, std::size_t);
   double (*sumsq_dev_d)(const double*, std::size_t, double);
+  Vec3 (*weighted_sum3_d)(const double*, const double*, const double*,
+                          const double*, std::size_t);
+  Vec3 (*weighted_sum3_f)(const double*, const float*, const float*,
+                          const float*, std::size_t);
+  Moments3 (*moments3_d)(const double*, const double*, const double*,
+                         std::size_t, Vec3);
+  Moments3 (*moments3_f)(const float*, const float*, const float*,
+                         std::size_t, Vec3);
   void (*axis_project_d)(const double*, const double*, const double*,
                          std::size_t, Vec3, double, double*);
   void (*axis_project_f)(const float*, const float*, const float*,
@@ -99,6 +107,85 @@ inline double sumsq_dev_canonical(const double* xs, std::size_t n,
     total += d * d;
   }
   return total;
+}
+
+template <typename T>
+Vec3 weighted_sum3_canonical(const double* w, const T* x, const T* y,
+                             const T* z, std::size_t n) {
+  constexpr std::size_t B = kDoubleBlock;
+  double ax[B] = {};
+  double ay[B] = {};
+  double az[B] = {};
+  std::size_t i = 0;
+  for (; i + B <= n; i += B) {
+    for (std::size_t j = 0; j < B; ++j) {
+      const double wj = w[i + j];
+      ax[j] += wj * static_cast<double>(x[i + j]);
+      ay[j] += wj * static_cast<double>(y[i + j]);
+      az[j] += wj * static_cast<double>(z[i + j]);
+    }
+  }
+  Vec3 total{combine_block(ax), combine_block(ay), combine_block(az)};
+  for (; i < n; ++i) {
+    total.x += w[i] * static_cast<double>(x[i]);
+    total.y += w[i] * static_cast<double>(y[i]);
+    total.z += w[i] * static_cast<double>(z[i]);
+  }
+  return total;
+}
+
+/// Adds one sample's deviations to the running moments (the serial tail
+/// order every ISA shares).
+inline void add_moments(Moments3& m, double dx, double dy, double dz) {
+  m.sum.x += dx;
+  m.sum.y += dy;
+  m.sum.z += dz;
+  m.xx += dx * dx;
+  m.xy += dx * dy;
+  m.xz += dx * dz;
+  m.yy += dy * dy;
+  m.yz += dy * dz;
+  m.zz += dz * dz;
+}
+
+template <typename T>
+Moments3 moments3_canonical(const T* x, const T* y, const T* z,
+                            std::size_t n, Vec3 shift) {
+  constexpr std::size_t B = kDoubleBlock;
+  // acc[k] holds moment k's lane partials: x y z xx xy xz yy yz zz.
+  double acc[9][B] = {};
+  std::size_t i = 0;
+  for (; i + B <= n; i += B) {
+    for (std::size_t j = 0; j < B; ++j) {
+      const double dx = static_cast<double>(x[i + j]) - shift.x;
+      const double dy = static_cast<double>(y[i + j]) - shift.y;
+      const double dz = static_cast<double>(z[i + j]) - shift.z;
+      acc[0][j] += dx;
+      acc[1][j] += dy;
+      acc[2][j] += dz;
+      acc[3][j] += dx * dx;
+      acc[4][j] += dx * dy;
+      acc[5][j] += dx * dz;
+      acc[6][j] += dy * dy;
+      acc[7][j] += dy * dz;
+      acc[8][j] += dz * dz;
+    }
+  }
+  Moments3 m;
+  m.sum = {combine_block(acc[0]), combine_block(acc[1]),
+           combine_block(acc[2])};
+  m.xx = combine_block(acc[3]);
+  m.xy = combine_block(acc[4]);
+  m.xz = combine_block(acc[5]);
+  m.yy = combine_block(acc[6]);
+  m.yz = combine_block(acc[7]);
+  m.zz = combine_block(acc[8]);
+  for (; i < n; ++i) {
+    add_moments(m, static_cast<double>(x[i]) - shift.x,
+                static_cast<double>(y[i]) - shift.y,
+                static_cast<double>(z[i]) - shift.z);
+  }
+  return m;
 }
 
 template <typename T>

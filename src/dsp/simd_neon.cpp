@@ -7,7 +7,8 @@
 // expression trees with vmulq/vaddq (never vfmaq). The scan and
 // normalization kernels reuse the canonical scalar implementations — they
 // are cheap relative to the filters, and branchy early-exit scans gain
-// little from 2-wide vectors.
+// little from 2-wide vectors — and so do the projection axis fits'
+// weighted_sum3 / moments3 reductions (one pass each per hop).
 
 #include <arm_neon.h>
 
@@ -309,6 +310,10 @@ const KernelTable& neon_table() {
   static const KernelTable t = {
       &dot_neon,
       &sumsq_dev_neon,
+      &weighted_sum3_canonical<double>,
+      &weighted_sum3_canonical<float>,
+      &moments3_canonical<double>,
+      &moments3_canonical<float>,
       &axis_project_neon,
       &axis_projectf_neon,
       &residual_project_neon,

@@ -1,10 +1,14 @@
 // ptrack_serve's engine: a single-threaded poll(2) reactor multiplexing
 // many device connections onto incremental streaming pipelines.
 //
-// Why single-threaded: PR 5-7 made a steady-state stream hop cost ~74 µs
-// flat, so one core sustains ~20k live 100 Hz streams; the reactor stays
-// allocation-light, lock-free and trivially convincible about fault
-// isolation (no cross-session shared state to corrupt). Scale-out is
+// Why single-threaded: a steady-state 2 s stream hop costs ~50 µs p50, flat
+// with stream age (bench/micro_streaming on a 4-vCPU AVX2 host,
+// BENCH_streaming.json), so one core sustains ~25k live 100 Hz streams;
+// in a traced serve_uds run a 1 s hop costs ~37 µs p50. The reactor stays
+// allocation-light, lock-free on the hop path and trivially convincible
+// about fault isolation (no cross-session mutable state to corrupt: the
+// one object sessions share, the gravity weight table of their fs, is
+// immutable, and its registry lock is taken once per stream). Scale-out is
 // process-per-core behind SO_REUSEPORT, not threads in this loop.
 //
 // Overload & failure policy (DESIGN.md §16):

@@ -5,6 +5,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <latch>
+#include <memory>
+#include <thread>
+#include <vector>
 
 #include "common/error.hpp"
 #include "core/streaming.hpp"
@@ -264,4 +268,85 @@ TEST(Streaming, StatsSnapshotTracksLifetime) {
   EXPECT_DOUBLE_EQ(after.distance_m, stream.distance());
   EXPECT_GE(after.degraded_fraction(), 0.0);
   EXPECT_LE(after.degraded_fraction(), 1.0);
+}
+
+// Every same-fs stream pins its projection axes with one process-wide,
+// read-only gravity weight table, created by whichever stream needs it
+// first. Streams driven concurrently from several threads (both
+// precisions, sample-interleaved) must each emit exactly the events they
+// emit when run alone. Under TSan this is also the race check on the
+// table's publication.
+TEST(Streaming, SharedGravityTableAcrossThreads) {
+  constexpr std::size_t kThreads = 4;
+  constexpr std::size_t kStreamsPerThread = 3;
+  constexpr std::size_t kChunk = 37;
+  constexpr std::size_t kStreams = kThreads * kStreamsPerThread;
+  std::vector<imu::Trace> traces;
+  traces.reserve(kStreams);
+  for (std::size_t i = 0; i < kStreams; ++i) {
+    traces.push_back(make(synth::Scenario::pure_walking(40.0), 560 + i).trace);
+  }
+  const auto config = [](std::size_t stream) {
+    core::StreamingConfig cfg = config_for_user();
+    cfg.precision = stream % 2 == 0 ? core::Precision::kDouble
+                                    : core::Precision::kFloat32;
+    return cfg;
+  };
+
+  std::vector<std::vector<core::StepEvent>> alone(kStreams);
+  for (std::size_t i = 0; i < kStreams; ++i) {
+    core::StreamingTracker stream(traces[i].fs(), config(i));
+    for (std::size_t k = 0; k < traces[i].size(); ++k) {
+      stream.push(traces[i][k]);
+      if ((k + 1) % kChunk == 0) stream.poll_into(alone[i]);
+    }
+    stream.drain_into(alone[i]);
+    ASSERT_GT(alone[i].size(), 30u) << "stream " << i;
+  }
+
+  std::vector<std::vector<core::StepEvent>> together(kStreams);
+  std::latch start(kThreads);
+  std::vector<std::thread> threads;
+  threads.reserve(kThreads);
+  for (std::size_t t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      std::vector<std::unique_ptr<core::StreamingTracker>> streams;
+      streams.reserve(kStreamsPerThread);
+      for (std::size_t j = 0; j < kStreamsPerThread; ++j) {
+        const std::size_t i = t * kStreamsPerThread + j;
+        streams.push_back(std::make_unique<core::StreamingTracker>(
+            traces[i].fs(), config(i)));
+      }
+      start.arrive_and_wait();
+      for (std::size_t k = 0;; k += kChunk) {
+        bool any = false;
+        for (std::size_t j = 0; j < kStreamsPerThread; ++j) {
+          const std::size_t i = t * kStreamsPerThread + j;
+          const std::size_t end = std::min(k + kChunk, traces[i].size());
+          for (std::size_t q = k; q < end; ++q) streams[j]->push(traces[i][q]);
+          if (k < end) {
+            any = true;
+            if (end - k == kChunk) streams[j]->poll_into(together[i]);
+          }
+        }
+        if (!any) break;
+      }
+      for (std::size_t j = 0; j < kStreamsPerThread; ++j) {
+        streams[j]->drain_into(together[t * kStreamsPerThread + j]);
+      }
+    });
+  }
+  for (auto& thread : threads) thread.join();
+
+  for (std::size_t i = 0; i < kStreams; ++i) {
+    SCOPED_TRACE(testing::Message() << "stream " << i);
+    ASSERT_EQ(together[i].size(), alone[i].size());
+    for (std::size_t e = 0; e < alone[i].size(); ++e) {
+      EXPECT_EQ(together[i][e].t, alone[i][e].t);
+      EXPECT_EQ(together[i][e].stride, alone[i][e].stride);
+      EXPECT_EQ(together[i][e].type, alone[i][e].type);
+      EXPECT_EQ(together[i][e].quality, alone[i][e].quality);
+      EXPECT_EQ(together[i][e].degraded, alone[i][e].degraded);
+    }
+  }
 }

@@ -75,6 +75,16 @@ void expect_bits_equal(const std::vector<T>& a, const std::vector<T>& b) {
   }
 }
 
+void expect_moments_equal(const simd::Moments3& a, const simd::Moments3& b) {
+  EXPECT_EQ(a.sum, b.sum);
+  EXPECT_EQ(a.xx, b.xx);
+  EXPECT_EQ(a.xy, b.xy);
+  EXPECT_EQ(a.xz, b.xz);
+  EXPECT_EQ(a.yy, b.yy);
+  EXPECT_EQ(a.yz, b.yz);
+  EXPECT_EQ(a.zz, b.zz);
+}
+
 }  // namespace
 
 // ---------------------------------------------------------------------------
@@ -125,6 +135,31 @@ TEST(SimdKernels, ReductionsBitExact) {
       const auto [q0, q1] =
           both_isas([&] { return simd::sumsq_dev(x, 0.25); });
       EXPECT_EQ(q0, q1) << "sumsq_dev n=" << n << " off=" << off;
+
+      // The projection axis fits: weighted channel sums and raw-channel
+      // moments, over double and widened float channels.
+      const auto zs = rand_vec<double>(n + off, 13);
+      const std::span<const double> z{zs.data() + off, n};
+      const auto [w0, w1] =
+          both_isas([&] { return simd::weighted_sum3(x, y, z, x); });
+      EXPECT_EQ(w0, w1) << "weighted_sum3 n=" << n << " off=" << off;
+      const Vec3 shift{0.5, -1.25, 2.0};
+      const auto [m0, m1] =
+          both_isas([&] { return simd::moments3(x, y, z, shift); });
+      expect_moments_equal(m0, m1);
+
+      const auto xf = rand_vec<float>(n + off, 14);
+      const auto yf = rand_vec<float>(n + off, 15);
+      const auto zf = rand_vec<float>(n + off, 16);
+      const std::span<const float> a{xf.data() + off, n};
+      const std::span<const float> b{yf.data() + off, n};
+      const std::span<const float> c{zf.data() + off, n};
+      const auto [v0, v1] =
+          both_isas([&] { return simd::weighted_sum3(x, a, b, c); });
+      EXPECT_EQ(v0, v1) << "weighted_sum3 f32 n=" << n << " off=" << off;
+      const auto [g0, g1] =
+          both_isas([&] { return simd::moments3(a, b, c, shift); });
+      expect_moments_equal(g0, g1);
     }
   }
 }
@@ -133,6 +168,12 @@ TEST(SimdKernels, EmptyReductionsAreZero) {
   IsaGuard guard(simd::detected());
   EXPECT_EQ(simd::dot({}, {}), 0.0);
   EXPECT_EQ(simd::sumsq_dev({}, 1.0), 0.0);
+  EXPECT_EQ(simd::weighted_sum3({}, std::span<const double>{}, {}, {}),
+            Vec3{});
+  const simd::Moments3 m =
+      simd::moments3(std::span<const float>{}, {}, {}, Vec3{1.0, 2.0, 3.0});
+  EXPECT_EQ(m.sum, Vec3{});
+  EXPECT_EQ(m.xx + m.xy + m.xz + m.yy + m.yz + m.zz, 0.0);
 }
 
 // ---------------------------------------------------------------------------
@@ -364,28 +405,5 @@ TEST(SimdComposite, FiltfiltMultiMatchesSingleChannel) {
     dsp::filtfilt_into(cascade, b, 64, ws_single, ref_b);
     expect_bits_equal(out_a, ref_a);
     expect_bits_equal(out_b, ref_b);
-  }
-}
-
-TEST(SimdComposite, FiltfiltMultiMeanMatchesSerialMean) {
-  IsaGuard guard(simd::detected());
-  const auto cascade = dsp::butterworth_lowpass(2, 0.3, 100.0);
-  dsp::Workspace ws;
-  const std::size_t n = 512;
-  const auto a = rand_vec<double>(n, 91);
-  const auto b = rand_vec<double>(n, 92);
-  const auto c = rand_vec<double>(n, 93);
-  const std::array<std::span<const double>, 3> xs{
-      std::span<const double>(a), std::span<const double>(b),
-      std::span<const double>(c)};
-  const auto means = dsp::filtfilt_multi_mean(cascade, xs, 64, ws);
-
-  dsp::Workspace ws2;
-  for (std::size_t ci = 0; ci < 3; ++ci) {
-    std::vector<double> out(n);
-    dsp::filtfilt_into(cascade, xs[ci], 64, ws2, out);
-    double sum = 0.0;
-    for (double v : out) sum += v;
-    EXPECT_EQ(means[ci], sum / static_cast<double>(n)) << "channel " << ci;
   }
 }

@@ -75,10 +75,12 @@ std::uint64_t run_hops(core::StreamingTracker& stream, const imu::Trace& trace,
 }
 
 void expect_steady_hops_allocation_free(const NamedTrace& s,
-                                        core::Precision precision) {
+                                        core::Precision precision,
+                                        double anterior_window_s = 0.0) {
   synth::UserProfile user;
   core::StreamingConfig cfg;
   cfg.pipeline.stride.profile = {user.arm_length, user.leg_length, 2.0};
+  cfg.pipeline.counter.anterior_window_s = anterior_window_s;
   cfg.precision = precision;
 
   core::StreamingTracker stream(s.trace.fs(), cfg);
@@ -130,5 +132,17 @@ TEST(NoAllocSteadyState, Float32PrecisionAcrossScenarios) {
   for (const NamedTrace& s : scenarios()) {
     SCOPED_TRACE(s.name);
     expect_steady_hops_allocation_free(s, core::Precision::kFloat32);
+  }
+}
+
+// Windowed anterior mode re-fits the axes over each hop's re-projected
+// region instead of pinning the 20 s history, so its gravity weights are
+// computed into workspace scratch every hop rather than read from the
+// shared table; that path must be allocation-free too.
+TEST(NoAllocSteadyState, WindowedAnteriorAcrossScenarios) {
+  for (const NamedTrace& s : scenarios()) {
+    SCOPED_TRACE(s.name);
+    expect_steady_hops_allocation_free(s, core::Precision::kDouble, 10.0);
+    expect_steady_hops_allocation_free(s, core::Precision::kFloat32, 10.0);
   }
 }
