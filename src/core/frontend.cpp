@@ -2,8 +2,10 @@
 
 #include <algorithm>
 #include <array>
+#include <cmath>
 #include <type_traits>
 
+#include "common/check.hpp"
 #include "common/error.hpp"
 #include "dsp/butterworth.hpp"
 #include "dsp/filtfilt.hpp"
@@ -56,7 +58,98 @@ Vec3 force(std::span<const T> x, std::span<const T> y, std::span<const T> z,
           static_cast<double>(z[i])};
 }
 
+/// Row i of the raw filter lanes (see LowpassCarry): (f, 1) without a
+/// per-sample up track, (f.u_i - g, f - u_i (f.u_i)) with one — the
+/// vertical sample and the anterior residual in the exact arithmetic of
+/// project_channels_into's per-sample path.
+void raw_lane_row(std::span<const double> ax, std::span<const double> ay,
+                  std::span<const double> az, std::span<const Vec3> ups,
+                  std::size_t i, double* row) {
+  const Vec3 f = force(ax, ay, az, i);
+  if (ups.empty()) {
+    row[0] = f.x;
+    row[1] = f.y;
+    row[2] = f.z;
+    row[3] = 1.0;
+    return;
+  }
+  const Vec3& up = ups[i];
+  const Vec3 residual = f - up * f.dot(up);
+  row[0] = f.dot(up) - kGravity;
+  row[1] = residual.x;
+  row[2] = residual.y;
+  row[3] = residual.z;
+}
+
 }  // namespace
+
+dsp::BiquadCascade output_lowpass(double lowpass_hz, double fs) {
+  return dsp::butterworth_lowpass(4, std::min(lowpass_hz, 0.45 * fs), fs);
+}
+
+LowpassCarry::LowpassCarry(double lowpass_hz, double fs) {
+  expects(fs > 0.0 && lowpass_hz > 0.0, "LowpassCarry: fs, lowpass_hz > 0");
+  const dsp::BiquadCascade cascade = output_lowpass(lowpass_hz, fs);
+  nsec_ = cascade.sections().size();
+  for (std::size_t s = 0; s < nsec_; ++s) {
+    sections_[s] = cascade.sections()[s].coeffs();
+  }
+}
+
+void LowpassCarry::seed(std::span<const double> ax, std::span<const double> ay,
+                        std::span<const double> az, std::span<const Vec3> ups,
+                        std::size_t count, std::size_t at,
+                        dsp::Workspace& ws) {
+  constexpr std::size_t kL = dsp::simd::kIirLanes;
+  const std::size_t n = ax.size();
+  expects(n >= 2 && ay.size() == n && az.size() == n &&
+              (ups.empty() || ups.size() == n) && count <= n,
+          "LowpassCarry::seed: equal spans covering the seeded samples");
+  // The same odd reflection a carry-less filtfilt applies to the projected
+  // channels: reflecting the lanes and then combining them is reflecting
+  // the combination (the constant lane reflects to itself).
+  const std::size_t pad = std::min(kLowpassPad, n - 1);
+  double* rows = ws.real_scratch(0, (pad + count) * kL).data();
+  std::array<double, kL> first{};
+  raw_lane_row(ax, ay, az, ups, 0, first.data());
+  for (std::size_t i = 0; i < pad; ++i) {
+    double* row = rows + i * kL;
+    raw_lane_row(ax, ay, az, ups, pad - i, row);
+    for (std::size_t c = 0; c < kL; ++c) row[c] = 2.0 * first[c] - row[c];
+  }
+  for (std::size_t i = 0; i < count; ++i) {
+    raw_lane_row(ax, ay, az, ups, i, rows + (pad + i) * kL);
+  }
+  state_.fill(0.0);
+  run(rows, pad + count);
+  at_ = at;
+}
+
+void LowpassCarry::advance(std::span<const double> ax,
+                           std::span<const double> ay,
+                           std::span<const double> az,
+                           std::span<const Vec3> ups, dsp::Workspace& ws) {
+  constexpr std::size_t kL = dsp::simd::kIirLanes;
+  const std::size_t n = ax.size();
+  expects(ay.size() == n && az.size() == n &&
+              (ups.empty() || ups.size() == n),
+          "LowpassCarry::advance: equal spans");
+  PTRACK_CHECK_MSG(valid_, "LowpassCarry::advance: a seeded state");
+  double* rows = ws.real_scratch(0, n * kL).data();
+  for (std::size_t i = 0; i < n; ++i) {
+    raw_lane_row(ax, ay, az, ups, i, rows + i * kL);
+  }
+  run(rows, n);
+  at_ += n;
+}
+
+void LowpassCarry::run(double* rows, std::size_t count) {
+  PTRACK_CHECK_MSG(nsec_ > 0, "LowpassCarry::run: a designed low-pass");
+  dsp::simd::cascade_multi({sections_.data(), nsec_}, rows, count, false,
+                           state_.data());
+  valid_ = std::ranges::all_of(state_span(),
+                               [](double v) { return std::isfinite(v); });
+}
 
 template <typename T>
 void project_channels_into(std::span<const T> ax, std::span<const T> ay,
@@ -64,7 +157,8 @@ void project_channels_into(std::span<const T> ax, std::span<const T> ay,
                            double lowpass_hz, double anterior_window_s,
                            std::span<const Vec3> ups, dsp::Workspace& ws,
                            ProjectionSeam* seam, const AxisHistory<T>& axes,
-                           ProjectedChannels<T>& out) {
+                           ProjectedChannels<T>& out,
+                           const FilterCarry& carry) {
   const std::size_t n = ax.size();
   expects(n >= 16, "project_channels: >= 16 samples");
   expects(n == ay.size() && ay.size() == az.size(),
@@ -81,13 +175,18 @@ void project_channels_into(std::span<const T> ax, std::span<const T> ay,
           "project_channels: gravity weights match the axis history");
   expects(fs > 0.0, "project_channels: fs > 0");
   expects(lowpass_hz > 0.0, "project_channels: lowpass_hz > 0");
+  expects(carry.empty() ? carry.lead == 0
+                        : carry.lead < n && n - carry.lead > kLowpassPad,
+          "project_channels: carried lead leaves an unclamped right pad");
   PTRACK_OBS_SPAN("ptrack.core.project");
   PTRACK_COUNT("ptrack.core.projections");
+  const std::size_t lead = carry.lead;
+  const std::size_t m = n - lead;  // projected and filtered samples
 
   // Axes pinned to the wider history when one is given (up from its
   // gravity estimate unless a per-sample track is supplied, anterior
   // principal direction from its horizontal residual); otherwise both come
-  // from the projected span itself.
+  // from the spans themselves, lead included.
   const AxisHistory<T> hist =
       axes.empty() ? AxisHistory<T>{ax, ay, az} : axes;
   const UpField up_field =
@@ -107,32 +206,32 @@ void project_channels_into(std::span<const T> ax, std::span<const T> ay,
 
   // Raw (pre-filter) channels in per-thread scratch: both are transient
   // inputs to the zero-phase filter, so reusing them across calls keeps the
-  // streaming hop allocation-free.
+  // streaming hop allocation-free. Index j holds sample lead + j.
   thread_local std::vector<T> vertical;
   thread_local std::vector<T> anterior;
-  vertical.resize(n);
-  anterior.resize(n);
+  vertical.resize(m);
+  anterior.resize(m);
   // Specific force f = a_lin - g_vec with g_vec = -g*up, so the linear
   // vertical acceleration is f.up - g.
   if (up_field.is_constant()) {
-    dsp::simd::axis_project(ax, ay, az, up_field.constant(),
+    dsp::simd::axis_project(ax.subspan(lead), ay.subspan(lead),
+                            az.subspan(lead), up_field.constant(),
                             static_cast<T>(kGravity), std::span<T>(vertical));
   } else {
-    for (std::size_t i = 0; i < n; ++i) {
+    for (std::size_t i = lead; i < n; ++i) {
       const Vec3 f = force(ax, ay, az, i);
-      vertical[i] = static_cast<T>(f.dot(ups[i]) - kGravity);
+      vertical[i - lead] = static_cast<T>(f.dot(ups[i]) - kGravity);
     }
   }
 
   // Anterior projection of the gravity-removed residual, with one principal
-  // direction for the whole span or re-fit per window.
+  // direction for the whole span or re-fit per window. Every window is fit
+  // (and moves the seam) as without a carry; only its part from `lead` on
+  // is projected.
   Vec3 local_seam{};
   Vec3& seam_dir = seam ? seam->prev_anterior_dir : local_seam;
+  Vec3 lead_dir{};  // direction of the window holding sample `lead`
   const auto project_range = [&](std::size_t begin, std::size_t end) {
-    const std::size_t count = end - begin;
-    const std::span<const T> x = ax.subspan(begin, count);
-    const std::span<const T> y = ay.subspan(begin, count);
-    const std::span<const T> z = az.subspan(begin, count);
     Vec3 dir = pinned_dir;
     if (axes.empty()) {
       // The window's representative up for the fit. The double frontend
@@ -144,13 +243,23 @@ void project_channels_into(std::span<const T> ax, std::span<const T> ay,
       const Vec3 fit_up = std::is_same_v<T, float>
                               ? up_field.constant()
                               : up_field.window_mean(begin, end);
-      dir = dsp::principal_horizontal_direction(x, y, z, fit_up);
+      dir = dsp::principal_horizontal_direction(
+          ax.subspan(begin, end - begin), ay.subspan(begin, end - begin),
+          az.subspan(begin, end - begin), fit_up);
     }
     // Sign continuity: PCA is sign-ambiguous; align with the previous
     // window so the channel doesn't flip mid-trace (or mid-stream).
     if (seam_dir.norm2() > 0.0 && dir.dot(seam_dir) < 0.0) dir = -dir;
     seam_dir = dir;
-    const std::span<T> dst = std::span<T>(anterior).subspan(begin, count);
+    if (end <= lead) return;
+    if (begin <= lead) lead_dir = dir;
+    begin = std::max(begin, lead);
+    const std::size_t count = end - begin;
+    const std::span<const T> x = ax.subspan(begin, count);
+    const std::span<const T> y = ay.subspan(begin, count);
+    const std::span<const T> z = az.subspan(begin, count);
+    const std::span<T> dst =
+        std::span<T>(anterior).subspan(begin - lead, count);
     if (up_field.is_constant()) {
       dsp::simd::residual_project(x, y, z, up_field.constant(), dir, dst);
       return;
@@ -181,23 +290,61 @@ void project_channels_into(std::span<const T> ax, std::span<const T> ay,
   // Both channels through the lane-parallel zero-phase filter in one pass;
   // per channel bit-identical to a single-channel zero_phase_lowpass.
   out.fs = fs;
-  out.vertical.resize(n);
-  out.anterior.resize(n);
-  const double fc = std::min(lowpass_hz, 0.45 * fs);
+  out.vertical.resize(m);
+  out.anterior.resize(m);
+  const dsp::BiquadCascade lowpass = output_lowpass(lowpass_hz, fs);
   const std::array<std::span<const T>, 2> ins{vertical, anterior};
   const std::array<std::span<T>, 2> outs{out.vertical, out.anterior};
-  dsp::filtfilt_multi_into(dsp::butterworth_lowpass(4, fc, fs), ins, 64, ws,
-                           outs);
+  if (carry.empty()) {
+    dsp::filtfilt_multi_into(lowpass, ins, kLowpassPad, ws, outs);
+    return;
+  }
+  // Each channel's state is its lane combination of the raw-lane state
+  // (see LowpassCarry), under this call's axes.
+  std::array<double, dsp::simd::kIirLanes> cv{};
+  std::array<double, dsp::simd::kIirLanes> ca{};
+  if (up_field.is_constant()) {
+    const Vec3& u = up_field.constant();
+    const Vec3 d = lead_dir - u * u.dot(lead_dir);
+    cv = {u.x, u.y, u.z, -kGravity};
+    ca = {d.x, d.y, d.z, 0.0};
+  } else {
+    cv = {1.0, 0.0, 0.0, 0.0};
+    ca = {0.0, lead_dir.x, lead_dir.y, lead_dir.z};
+  }
+  constexpr std::size_t kL = dsp::simd::kIirLanes;
+  std::array<T, dsp::simd::cascade_state_size(
+                    dsp::BiquadCascade::kMaxSections)>
+      state{};
+  const std::size_t size =
+      dsp::simd::cascade_state_size(lowpass.sections().size());
+  expects(carry.raw_state.size() == size,
+          "project_channels: carried state sized to the output low-pass");
+  for (std::size_t r = 0; r < size; r += kL) {
+    double v = 0.0;
+    double a = 0.0;
+    for (std::size_t c = 0; c < kL; ++c) {
+      v += cv[c] * carry.raw_state[r + c];
+      a += ca[c] * carry.raw_state[r + c];
+    }
+    state[r] = static_cast<T>(v);
+    state[r + 1] = static_cast<T>(a);
+  }
+  dsp::filtfilt_multi_carried_into(lowpass, ins,
+                                   std::span<const T>(state.data(), size),
+                                   kLowpassPad, ws, outs);
 }
 
 template void project_channels_into<double>(
     std::span<const double>, std::span<const double>, std::span<const double>,
     double, double, double, std::span<const Vec3>, dsp::Workspace&,
-    ProjectionSeam*, const AxisHistory<double>&, ProjectedChannels<double>&);
+    ProjectionSeam*, const AxisHistory<double>&, ProjectedChannels<double>&,
+    const FilterCarry&);
 template void project_channels_into<float>(
     std::span<const float>, std::span<const float>, std::span<const float>,
     double, double, double, std::span<const Vec3>, dsp::Workspace&,
-    ProjectionSeam*, const AxisHistory<float>&, ProjectedChannels<float>&);
+    ProjectionSeam*, const AxisHistory<float>&, ProjectedChannels<float>&,
+    const FilterCarry&);
 
 ProjectedTrace project_trace(const imu::Trace& trace, double lowpass_hz,
                              double anterior_window_s, dsp::Workspace* ws) {

@@ -19,16 +19,25 @@
 // the same fs (dsp::shared_gravity_weights) and held for the stage's
 // lifetime; such a hop passes the table in AxisHistory::up_weights and does
 // no filtering, lookup or allocation for the up axis. Every other length
-// (warm-up hops, the batch flush, windowed-anterior regions) computes its
-// weights into workspace scratch, at the cost of one scalar filter pass
-// each way over the history.
+// (the batch flush, unpinned stream-start and windowed-anterior regions)
+// computes its weights into workspace scratch, at the cost of one scalar
+// filter pass each way over the history; ProjectionStage takes the
+// shorter pinned lengths of warm-up hops from the shared registry too.
+//
+// A streaming caller may also carry the output low-pass's forward state
+// across calls (FilterCarry, LowpassCarry): the call then still fits its
+// axes over the whole span but projects and filters only the samples
+// after the carried lead.
 
 #pragma once
 
+#include <array>
 #include <span>
 #include <vector>
 
 #include "common/vec3.hpp"
+#include "dsp/biquad.hpp"
+#include "dsp/simd.hpp"
 #include "dsp/workspace.hpp"
 #include "imu/trace.hpp"
 
@@ -96,6 +105,88 @@ struct AxisHistory {
   [[nodiscard]] bool empty() const { return ax.empty(); }
 };
 
+/// Reflected pad (samples per side, clamped to the span) of the output
+/// low-pass.
+inline constexpr std::size_t kLowpassPad = 64;
+
+/// The output low-pass: an order-4 Butterworth at min(lowpass_hz, 0.45 fs),
+/// run zero-phase over both projected channels.
+[[nodiscard]] dsp::BiquadCascade output_lowpass(double lowpass_hz, double fs);
+
+/// The output low-pass's forward state carried into a projection call
+/// from the earlier calls of one stream. Samples [0, lead) of the call's
+/// spans were finalized before: they feed the axis fits exactly as
+/// without a carry, but are neither projected nor filtered, and the
+/// outputs hold samples [lead, n) only. `raw_state` is the forward state
+/// at `lead` over the four raw lanes (LowpassCarry), in simd::cascade_state
+/// layout. The call converts it to the vertical and anterior channels'
+/// state with its own axes and starts the forward pass from it in place of
+/// the left pad. Empty = no carry (lead must be 0).
+struct FilterCarry {
+  std::size_t lead = 0;
+  std::span<const double> raw_state{};
+  [[nodiscard]] bool empty() const { return raw_state.empty(); }
+};
+
+/// Forward state of the output low-pass over four raw input lanes, carried
+/// across the hops of one stream. Every projected sample is a fixed linear
+/// combination of its lanes under the call's axes:
+///   - no per-sample up track: lanes (f_x, f_y, f_z, 1), vertical =
+///     (u, -g), anterior = (d - (u.d) u, 0);
+///   - per-sample up track u_i: lanes (v_i, r_x, r_y, r_z) with v_i =
+///     f.u_i - g and r_i = f - u_i (f.u_i), vertical = (1, 0),
+///     anterior = (0, d);
+/// and biquad state is linear in its input history, so converting this
+/// state with the current axes gives the state a zero-state filter over
+/// that whole history, projected with those axes, would hold — the same
+/// history re-projected every hop, without re-filtering it. The lanes are
+/// read from double channels for both precisions, and the state is double.
+class LowpassCarry {
+ public:
+  LowpassCarry(double lowpass_hz, double fs);
+
+  /// True when the state is finite and sits just before absolute sample
+  /// `i`.
+  [[nodiscard]] bool valid_at(std::size_t i) const {
+    return valid_ && at_ == i;
+  }
+  [[nodiscard]] FilterCarry carry(std::size_t lead) const {
+    return {lead, state_span()};
+  }
+
+  /// Re-seeds from zero state: the forward pass a carry-less projection
+  /// call over `ax/ay/az` (and per-sample `ups`, empty or one per sample)
+  /// runs, reflected left pad included, stopped before sample `count`. The
+  /// state then sits before absolute sample `at`. Clobbers `ws` real
+  /// slot 0 (as does advance).
+  void seed(std::span<const double> ax, std::span<const double> ay,
+            std::span<const double> az, std::span<const Vec3> ups,
+            std::size_t count, std::size_t at, dsp::Workspace& ws);
+
+  /// Advances the state over the samples of the spans, which must start at
+  /// the state's position; it then sits after them. A non-finite result
+  /// invalidates the carry (the next hop re-seeds).
+  void advance(std::span<const double> ax, std::span<const double> ay,
+               std::span<const double> az, std::span<const Vec3> ups,
+               dsp::Workspace& ws);
+
+ private:
+  // Runs the cascade over `count` interleaved lane rows (clobbered) from
+  // the state.
+  void run(double* rows, std::size_t count);
+  [[nodiscard]] std::span<const double> state_span() const {
+    return {state_.data(), dsp::simd::cascade_state_size(nsec_)};
+  }
+
+  std::array<dsp::BiquadCoeffs, dsp::BiquadCascade::kMaxSections> sections_{};
+  std::size_t nsec_ = 0;
+  std::array<double,
+             dsp::simd::cascade_state_size(dsp::BiquadCascade::kMaxSections)>
+      state_{};
+  std::size_t at_ = 0;
+  bool valid_ = false;
+};
+
 /// Structure-of-arrays projection over raw channel spans (e.g. views into
 /// an imu::SampleRing or its float mirrors) — no Trace or AoS
 /// materialization. T is double or float. Fills `out` in place (resizing
@@ -121,6 +212,11 @@ struct AxisHistory {
 /// `anterior_window_s` has no effect with it. With per-sample `ups` the up
 /// track is used as given and `axes` only pins the anterior direction.
 ///
+/// `carry` (optional) continues the output low-pass of a stream; see
+/// FilterCarry. Windowed anterior mode converts it with the direction of
+/// the window that holds sample `lead`. Requires n - lead > kLowpassPad so
+/// the right pad is not clamped shorter than a carry-less call's.
+///
 /// Float divergence from the double instantiation is bounded by float
 /// rounding in the projections and filters; tests/test_core_frontend.cpp
 /// checks the channels and tests/test_streaming_f32.cpp the events.
@@ -130,6 +226,7 @@ void project_channels_into(std::span<const T> ax, std::span<const T> ay,
                            double lowpass_hz, double anterior_window_s,
                            std::span<const Vec3> ups, dsp::Workspace& ws,
                            ProjectionSeam* seam, const AxisHistory<T>& axes,
-                           ProjectedChannels<T>& out);
+                           ProjectedChannels<T>& out,
+                           const FilterCarry& carry = {});
 
 }  // namespace ptrack::core

@@ -45,7 +45,8 @@ ProjectionStage::ProjectionStage(const StepCounterConfig& cfg, double fs,
       precision_(precision),
       ctx_(seconds_to_samples(kProjectionCtxS, fs)),
       margin_(seconds_to_samples(kProjectionMarginS, fs)),
-      axis_window_(seconds_to_samples(kProjectionAxisWindowS, fs)) {
+      axis_window_(seconds_to_samples(kProjectionAxisWindowS, fs)),
+      carry_(cfg.lowpass_hz, fs) {
   expects(fs > 0.0, "ProjectionStage: fs > 0");
   expects(precision == Precision::kDouble || !cfg.use_attitude_filter,
           "ProjectionStage: float32 precision has no attitude-filter path");
@@ -70,8 +71,12 @@ void ProjectionStage::advance(const imu::SampleRing& ring, bool flush) {
   const std::size_t stable = vert_.end();
   const std::size_t target = flush ? end : (end > margin_ ? end - margin_ : 0);
   if (target > stable) {
-    // Re-project a trailing context region so the zero-phase filters see
-    // settled left state and fresh right context; keep only [stable, target).
+    // The axes are fit over a trailing context region [begin, end), as a
+    // re-projection of it would be. With a carried low-pass state only the
+    // new samples [stable, end) are projected and filtered; without one
+    // (stream start, batch, after a re-seed) the whole region is, with the
+    // zero-phase filter's usual reflected left pad. Either way only
+    // [stable, target) is kept.
     std::size_t begin = stable > ctx_ ? stable - ctx_ : 0;
     begin = std::max(begin, ring.base());
     if (end - begin >= 16) {
@@ -85,15 +90,20 @@ void ProjectionStage::advance(const imu::SampleRing& ring, bool flush) {
       axis_begin = std::max(axis_begin, ring.base());
       const bool pin_axes =
           cfg_.anterior_window_s <= 0.0 && axis_begin < begin;
+      // A flush with a tail shorter than the filter's pad would clamp the
+      // right pad below a re-projection's, so it re-projects instead.
+      const bool carried =
+          carry_.valid_at(stable) && end - stable > kLowpassPad;
+      const Region region{begin,  end,    axis_begin, pin_axes,
+                          stable, target, carried};
       if (precision_ == Precision::kFloat32) {
         // Downstream stages are precision-blind: the float region is
         // widened into the double rings as it is finalized.
-        project_region(ring, begin, end, axis_begin, pin_axes, stable, target,
-                       projf_);
+        project_region(ring, region, projf_);
       } else {
-        project_region(ring, begin, end, axis_begin, pin_axes, stable, target,
-                       proj_);
+        project_region(ring, region, proj_);
       }
+      advance_carry(ring, region, flush);
     }
   }
   if (cfg_.use_attitude_filter) ups_.trim_to(min_required());
@@ -101,31 +111,68 @@ void ProjectionStage::advance(const imu::SampleRing& ring, bool flush) {
 
 template <typename T>
 void ProjectionStage::project_region(const imu::SampleRing& ring,
-                                     std::size_t begin, std::size_t end,
-                                     std::size_t axis_begin, bool pin_axes,
-                                     std::size_t stable, std::size_t target,
+                                     const Region& r,
                                      ProjectedChannels<T>& out) {
-  PTRACK_CHECK_MSG(begin <= stable && stable < target && target <= end,
+  PTRACK_CHECK_MSG(r.begin <= r.stable && r.stable < r.target &&
+                       r.target <= r.end,
                    "ProjectionStage: finalized range inside the region");
-  const AxisHistory<T> raw = accel_spans<T>(ring, begin, end);
-  AxisHistory<T> axes =
-      pin_axes ? accel_spans<T>(ring, axis_begin, end) : AxisHistory<T>{};
-  if (pin_axes && !cfg_.use_attitude_filter &&
-      end - axis_begin == axis_window_) {
-    if (!up_weights_) {
-      up_weights_ = dsp::shared_gravity_weights(axis_window_, fs_,
-                                                dsp::kGravityCutoffHz);
+  const AxisHistory<T> raw = accel_spans<T>(ring, r.begin, r.end);
+  AxisHistory<T> axes = r.pin_axes ? accel_spans<T>(ring, r.axis_begin, r.end)
+                                   : AxisHistory<T>{};
+  // Every pinned history length takes its gravity weights from the shared
+  // registry: the steady 20 s window from the table this stage holds,
+  // warm-up lengths from a table held for this call only.
+  std::shared_ptr<const dsp::GravityWeights> warmup_weights;
+  if (r.pin_axes && !cfg_.use_attitude_filter) {
+    const std::size_t len = r.end - r.axis_begin;
+    if (len == axis_window_) {
+      if (!up_weights_) {
+        up_weights_ = dsp::shared_gravity_weights(axis_window_, fs_,
+                                                  dsp::kGravityCutoffHz);
+      }
+      axes.up_weights = up_weights_->weights();
+    } else {
+      warmup_weights =
+          dsp::shared_gravity_weights(len, fs_, dsp::kGravityCutoffHz);
+      axes.up_weights = warmup_weights->weights();
     }
-    axes.up_weights = up_weights_->weights();
   }
   project_channels_into(raw.ax, raw.ay, raw.az, fs_, cfg_.lowpass_hz,
                         cfg_.anterior_window_s,
-                        cfg_.use_attitude_filter ? ups_.span(begin, end)
+                        cfg_.use_attitude_filter ? ups_.span(r.begin, r.end)
                                                  : std::span<const Vec3>{},
-                        *ws_, &seam_, axes, out);
-  for (std::size_t i = stable; i < target; ++i) {
-    vert_.push(static_cast<double>(out.vertical[i - begin]));
-    ant_.push(static_cast<double>(out.anterior[i - begin]));
+                        *ws_, &seam_, axes, out,
+                        r.carried ? carry_.carry(r.stable - r.begin)
+                                  : FilterCarry{});
+  // out holds samples [stable, end) with a carried state, else
+  // [begin, end).
+  const std::size_t first = r.carried ? r.stable : r.begin;
+  for (std::size_t i = r.stable; i < r.target; ++i) {
+    vert_.push(static_cast<double>(out.vertical[i - first]));
+    ant_.push(static_cast<double>(out.anterior[i - first]));
+  }
+}
+
+void ProjectionStage::advance_carry(const imu::SampleRing& ring,
+                                    const Region& r, bool flush) {
+  PTRACK_CHECK_MSG(r.begin <= r.stable && r.stable < r.target &&
+                       r.target <= r.end,
+                   "ProjectionStage: carried range inside the region");
+  const auto ups = [&](std::size_t b, std::size_t e) {
+    return cfg_.use_attitude_filter ? ups_.span(b, e)
+                                    : std::span<const Vec3>{};
+  };
+  if (carry_.valid_at(r.stable)) {
+    carry_.advance(ring.ax(r.stable, r.target), ring.ay(r.stable, r.target),
+                   ring.az(r.stable, r.target), ups(r.stable, r.target),
+                   *ws_);
+  } else if (!flush) {
+    // Re-seed with the zero-state warm-up this hop's re-projection ran. A
+    // flush does not seed: a batch run ends there, and a stream that goes
+    // on re-seeds on its next hop.
+    carry_.seed(ring.ax(r.begin, r.end), ring.ay(r.begin, r.end),
+                ring.az(r.begin, r.end), ups(r.begin, r.end),
+                r.target - r.begin, r.target, *ws_);
   }
 }
 
@@ -220,6 +267,19 @@ void SegmentationStage::advance(const Ring<double>& vertical, bool flush,
       ++pair_index_;  // skip the stale peak and retry
     }
   }
+  // Retire the unpaired tail early where the batch loop is bound to skip
+  // it: future peaks land at >= scan_floor_, so a tail whose newest peak
+  // is more than max_gap before it can never complete a cycle, and a
+  // leading gap above max_gap fails whatever the third peak is. The tail
+  // is retained (min_required) until it pairs or retires, so this keeps
+  // that retention bounded.
+  if (pair_index_ + 1 < peaks_.size() &&
+      peaks_[pair_index_ + 1] - peaks_[pair_index_] > max_gap) {
+    ++pair_index_;
+  }
+  if (pair_index_ < peaks_.size() && peaks_.back() + max_gap < scan_floor_) {
+    pair_index_ = peaks_.size();
+  }
   // Drop the consumed peak prefix (indices only; amortized O(1)).
   if (pair_index_ > 64) {
     peaks_.erase(peaks_.begin(),
@@ -228,7 +288,15 @@ void SegmentationStage::advance(const Ring<double>& vertical, bool flush,
   }
 }
 
-std::size_t SegmentationStage::min_required() const { return scan_floor_; }
+std::size_t SegmentationStage::min_required() const {
+  // Unpaired peaks were accepted from samples the scan floor may already
+  // have passed (a peak whose prominence clears only after more than the
+  // margin of right context lands below an earlier accept_to); the cycle
+  // they may still open reads the channel from the oldest of them.
+  return pair_index_ < peaks_.size()
+             ? std::min(scan_floor_, peaks_[pair_index_])
+             : scan_floor_;
+}
 
 // ---------------------------------------------------------------------------
 // EventAssembler

@@ -13,8 +13,10 @@
 //
 // Every stage reads its input through `std::span` views over rings
 // addressed by *absolute* sample indices (imu::SampleRing, Ring<double>),
-// so a hop touches only the new tail plus a bounded context region — no
-// per-hop window materialization, no O(window) recompute.
+// so a hop touches only the new tail plus bounded context regions — no
+// per-hop window materialization, and no cost that grows with stream age
+// (DESIGN.md §13 lists what a steady hop does read: the new samples, the
+// 20 s axis history and the segmentation lookback).
 //
 // Batch-oracle contract: driving a fresh StagePipeline with one push of
 // the whole trace and a single advance(flush = true) degenerates every
@@ -28,9 +30,13 @@
 // Incremental finalization: zero-phase filtering and prominence-based peak
 // detection are non-causal, so each stage keeps a margin between the data
 // frontier and what it finalizes:
-//   - ProjectionStage re-projects a trailing context region each hop and
-//     finalizes output only `kProjectionMarginS` behind the newest sample
-//     (covers the filtfilt reflect pad and IIR settling);
+//   - ProjectionStage projects and filters each hop's new samples,
+//     starting the zero-phase filter's forward pass from a state carried
+//     across hops (core::LowpassCarry) and finalizing output only
+//     `kProjectionMarginS` behind the newest sample (covers the right
+//     reflect pad and the backward pass's settling); a hop without a
+//     carried state re-projects a `kProjectionCtxS` context region from
+//     zero state instead and seeds one;
 //   - SegmentationStage re-scans from `kSegmentationLookbackS` before the
 //     last finalized peak and accepts new peaks only
 //     `kSegmentationMarginS` behind the projected frontier (covers the
@@ -61,6 +67,11 @@
 namespace ptrack::core {
 
 /// Finalization margins (s). See the header comment for what each covers.
+/// kProjectionCtxS is the context behind the finalized frontier that the
+/// projection fits its axes over when they are not pinned (stream start,
+/// windowed anterior mode) and that a hop without a carried low-pass
+/// state re-projects to seed one; a steady hop filters only its new
+/// samples.
 inline constexpr double kProjectionCtxS = 3.0;
 inline constexpr double kProjectionMarginS = 2.5;
 /// Trailing raw-history window (s) the projection estimates its up /
@@ -98,7 +109,10 @@ struct StageStats {
 /// Projects the raw stream into band-limited vertical/anterior channels,
 /// finalizing samples `kProjectionMarginS` behind the raw frontier. The
 /// finalized channels accumulate in absolute-indexed rings aligned with the
-/// raw ring's index space.
+/// raw ring's index space. The output low-pass's forward state is carried
+/// across hops over raw input lanes and converted with each hop's axes
+/// (core::LowpassCarry), so a steady hop projects and filters only the
+/// samples after its finalized frontier.
 class ProjectionStage {
  public:
   /// `ws` (required, non-null) holds the projection's filter scratch and
@@ -135,17 +149,37 @@ class ProjectionStage {
   /// filter the history (dsp/projection.hpp).
   std::shared_ptr<const dsp::GravityWeights> up_weights_;
 
+  /// Forward low-pass state over the raw lanes, just before vert_.end()
+  /// when valid.
+  LowpassCarry carry_;
+
   Ring<double> vert_;
   Ring<double> ant_;
   ProjectionSeam seam_{};
 
-  // Re-projects raw [begin, end) in precision T and appends the finalized
+  /// One hop's projection region (absolute raw indices): axes fit over
+  /// [begin, end) (or the pinned history [axis_begin, end)); samples from
+  /// stable (carried low-pass state) or begin (zero state) projected and
+  /// filtered; [stable, target) finalized.
+  struct Region {
+    std::size_t begin;
+    std::size_t end;
+    std::size_t axis_begin;
+    bool pin_axes;
+    std::size_t stable;
+    std::size_t target;
+    bool carried;
+  };
+
+  // Projects the region in precision T and appends the finalized
   // [stable, target) to the double rings.
   template <typename T>
-  void project_region(const imu::SampleRing& ring, std::size_t begin,
-                      std::size_t end, std::size_t axis_begin, bool pin_axes,
-                      std::size_t stable, std::size_t target,
+  void project_region(const imu::SampleRing& ring, const Region& r,
                       ProjectedChannels<T>& out);
+  // Moves the carried low-pass state to `target`: advances it over
+  // [stable, target), or re-seeds it when there is none.
+  void advance_carry(const imu::SampleRing& ring, const Region& r,
+                     bool flush);
 
   // Reused per-hop projection outputs: project_channels_into refills them
   // in place, so re-projection stops allocating once the region capacity

@@ -48,33 +48,38 @@ void filtfilt_inplace(const BiquadCascade& cascade, std::span<double> padded) {
 
 // Odd reflection of one channel into lane `lane` of the interleaved
 // (sample-major, kIirLanes-stride) buffer — the same values pad_reflect_into
-// writes, just strided.
+// writes, just strided — with `lpad` samples mirrored about the front and
+// `rpad` about the back.
 template <typename T>
-void pad_reflect_lane(std::span<const T> xs, std::size_t pad, T* out,
-                      std::size_t lane) {
+void pad_reflect_lane(std::span<const T> xs, std::size_t lpad,
+                      std::size_t rpad, T* out, std::size_t lane) {
   constexpr std::size_t kL = simd::kIirLanes;
   const std::size_t n = xs.size();
-  PTRACK_CHECK_MSG(n >= 1 && pad < n,
+  PTRACK_CHECK_MSG(n >= 1 && lpad < n && rpad < n,
                    "pad_reflect_lane: pad shorter than the signal");
   const T two = static_cast<T>(2);
-  for (std::size_t i = 0; i < pad; ++i) {
-    out[i * kL + lane] = two * xs.front() - xs[pad - i];
+  for (std::size_t i = 0; i < lpad; ++i) {
+    out[i * kL + lane] = two * xs.front() - xs[lpad - i];
   }
-  for (std::size_t i = 0; i < n; ++i) out[(pad + i) * kL + lane] = xs[i];
-  for (std::size_t i = 1; i <= pad; ++i) {
-    out[(pad + n - 1 + i) * kL + lane] = two * xs.back() - xs[n - 1 - i];
+  for (std::size_t i = 0; i < n; ++i) out[(lpad + i) * kL + lane] = xs[i];
+  for (std::size_t i = 1; i <= rpad; ++i) {
+    out[(lpad + n - 1 + i) * kL + lane] = two * xs.back() - xs[n - 1 - i];
   }
 }
 
 // Pads every channel into the interleaved scratch and runs the zero-phase
-// forward/backward cascade over all lanes at once. `pad` must already be
-// clamped; returns the padded interleaved buffer of (n + 2*pad) samples.
+// forward/backward cascade over all lanes at once. The pads must already
+// be clamped. With `state` empty the forward pass starts from zero state
+// behind `lpad` reflected samples; otherwise (lpad == 0) it starts from
+// `state` (simd::cascade_state_size values, channel c in lane c). Returns
+// the padded interleaved buffer of (lpad + n + rpad) samples.
 // Backward pass = iterating the samples in reverse with fresh filter state,
 // which is bit-identical to filtfilt_inplace's reverse/process/reverse.
 template <typename T>
 std::span<T> multi_filter_core(const BiquadCascade& cascade,
                                std::span<const std::span<const T>> xs,
-                               std::size_t pad, Workspace& ws) {
+                               std::size_t lpad, std::size_t rpad,
+                               std::span<const T> state, Workspace& ws) {
   constexpr std::size_t kL = simd::kIirLanes;
   const std::size_t k = xs.size();
   expects(k >= 1 && k <= kL, "filtfilt_multi: 1..kIirLanes channels");
@@ -82,11 +87,11 @@ std::span<T> multi_filter_core(const BiquadCascade& cascade,
   for (const auto& chan : xs) {
     expects(chan.size() == n, "filtfilt_multi: equal-length channels");
   }
-  const std::size_t m = n + 2 * pad;
+  const std::size_t m = lpad + n + rpad;
 
   T* buf = ws.scratch<T>(0, m * kL).data();
   for (std::size_t c = 0; c < k; ++c) {
-    pad_reflect_lane(xs[c], pad, buf, c);
+    pad_reflect_lane(xs[c], lpad, rpad, buf, c);
   }
   // Unused lanes never influence the occupied ones, but stale scratch there
   // could drive the recurrence through denormals/Inf and stall every lane's
@@ -101,7 +106,16 @@ std::span<T> multi_filter_core(const BiquadCascade& cascade,
   for (std::size_t s = 0; s < secs.size(); ++s) coeffs[s] = secs[s].coeffs();
   const std::span<const BiquadCoeffs> sections(coeffs.data(), secs.size());
 
-  simd::cascade_multi(sections, buf, m, false);
+  std::array<T, simd::cascade_state_size(8)> carried{};
+  T* fwd_state = nullptr;
+  if (!state.empty()) {
+    expects(lpad == 0 &&
+                state.size() == simd::cascade_state_size(sections.size()),
+            "filtfilt_multi: carried state sized to the cascade");
+    std::copy(state.begin(), state.end(), carried.begin());
+    fwd_state = carried.data();
+  }
+  simd::cascade_multi(sections, buf, m, false, fwd_state);
   simd::cascade_multi(sections, buf, m, true);
   return {buf, m * kL};
 }
@@ -109,7 +123,8 @@ std::span<T> multi_filter_core(const BiquadCascade& cascade,
 template <typename T>
 void multi_into(const BiquadCascade& cascade,
                 std::span<const std::span<const T>> xs, std::size_t pad,
-                Workspace& ws, std::span<const std::span<T>> outs) {
+                std::span<const T> state, Workspace& ws,
+                std::span<const std::span<T>> outs) {
   constexpr std::size_t kL = simd::kIirLanes;
   expects(outs.size() == xs.size(),
           "filtfilt_multi_into: one output per channel");
@@ -120,10 +135,11 @@ void multi_into(const BiquadCascade& cascade,
   }
   if (n == 0) return;
   pad = std::min(pad, n - 1);
-  const auto buf = multi_filter_core<T>(cascade, xs, pad, ws);
+  const std::size_t lpad = state.empty() ? pad : 0;
+  const auto buf = multi_filter_core<T>(cascade, xs, lpad, pad, state, ws);
   for (std::size_t c = 0; c < outs.size(); ++c) {
     for (std::size_t i = 0; i < n; ++i) {
-      outs[c][i] = buf[(pad + i) * kL + c];
+      outs[c][i] = buf[(lpad + i) * kL + c];
     }
   }
 }
@@ -175,14 +191,32 @@ void filtfilt_multi_into(const BiquadCascade& cascade,
                          std::span<const std::span<const double>> xs,
                          std::size_t pad, Workspace& ws,
                          std::span<const std::span<double>> outs) {
-  multi_into<double>(cascade, xs, pad, ws, outs);
+  multi_into<double>(cascade, xs, pad, {}, ws, outs);
 }
 
 void filtfilt_multi_into(const BiquadCascade& cascade,
                          std::span<const std::span<const float>> xs,
                          std::size_t pad, Workspace& ws,
                          std::span<const std::span<float>> outs) {
-  multi_into<float>(cascade, xs, pad, ws, outs);
+  multi_into<float>(cascade, xs, pad, {}, ws, outs);
+}
+
+void filtfilt_multi_carried_into(const BiquadCascade& cascade,
+                                 std::span<const std::span<const double>> xs,
+                                 std::span<const double> state,
+                                 std::size_t pad, Workspace& ws,
+                                 std::span<const std::span<double>> outs) {
+  expects(!state.empty(), "filtfilt_multi_carried_into: state given");
+  multi_into<double>(cascade, xs, pad, state, ws, outs);
+}
+
+void filtfilt_multi_carried_into(const BiquadCascade& cascade,
+                                 std::span<const std::span<const float>> xs,
+                                 std::span<const float> state,
+                                 std::size_t pad, Workspace& ws,
+                                 std::span<const std::span<float>> outs) {
+  expects(!state.empty(), "filtfilt_multi_carried_into: state given");
+  multi_into<float>(cascade, xs, pad, state, ws, outs);
 }
 
 std::vector<double> zero_phase_lowpass(std::span<const double> xs,

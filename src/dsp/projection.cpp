@@ -101,30 +101,71 @@ GravityWeights::GravityWeights(std::size_t n, double fs, double cutoff_hz)
       storage_(gravity_weights_scratch(n)),
       weights_(gravity_weights_into(n, fs, cutoff_hz, storage_)) {}
 
+namespace {
+
+struct Registry {
+  std::mutex mu;
+  /// Least recently requested first.
+  std::vector<std::shared_ptr<const GravityWeights>> tables;
+};
+
+Registry& registry() {
+  static Registry r;
+  return r;
+}
+
+/// use_count() == 1: only the registry holds the table, and no one can take
+/// a new reference without the registry lock.
+bool unheld(const std::shared_ptr<const GravityWeights>& t) {
+  return t.use_count() == 1;
+}
+
+}  // namespace
+
 std::shared_ptr<const GravityWeights> shared_gravity_weights(
     std::size_t n, double fs, double cutoff_hz) {
-  // Tables no holder uses any more are kept up to this many entries, so a
-  // rate that streams come back to is computed once per process, while a
-  // stream of distinct client rates cannot grow the registry without bound.
-  constexpr std::size_t kRetained = 8;
-  static std::mutex mu;
-  static std::vector<std::shared_ptr<const GravityWeights>> registry;
-  const std::lock_guard<std::mutex> lock(mu);
-  for (const auto& table : registry) {
-    if (table->size() == n && table->fs() == fs &&
-        table->cutoff_hz() == cutoff_hz) {
-      return table;
+  Registry& reg = registry();
+  const std::lock_guard<std::mutex> lock(reg.mu);
+  auto& tables = reg.tables;
+  auto it = std::find_if(tables.begin(), tables.end(), [&](const auto& t) {
+    return t->size() == n && t->fs() == fs && t->cutoff_hz() == cutoff_hz;
+  });
+  if (it != tables.end()) {
+    std::rotate(it, it + 1, tables.end());
+  } else {
+    // ptrack-lint: push-allow(alloc) one table per key in use; warm-up only
+    tables.push_back(std::make_shared<const GravityWeights>(n, fs, cutoff_hz));
+    // ptrack-lint: pop-allow(alloc)
+  }
+  // Keep the returned table and drop the least recently requested unheld
+  // ones until the unheld total, the returned table counted as if its
+  // holder had already let go, is within the budget.
+  std::size_t unheld_bytes = tables.back()->bytes();
+  for (auto t = tables.rbegin() + 1; t != tables.rend(); ++t) {
+    if (unheld(*t)) unheld_bytes += (*t)->bytes();
+  }
+  for (auto t = tables.begin();
+       unheld_bytes > kGravityRegistryUnheldBytes && t + 1 != tables.end();) {
+    if (unheld(*t)) {
+      unheld_bytes -= (*t)->bytes();
+      t = tables.erase(t);
+    } else {
+      ++t;
     }
   }
-  // use_count() == 1: only the registry holds it, and no one can take a
-  // new reference without this lock.
-  if (registry.size() >= kRetained) {
-    std::erase_if(registry, [](const auto& t) { return t.use_count() == 1; });
+  return tables.back();
+}
+
+GravityRegistryStats gravity_registry_stats() {
+  Registry& reg = registry();
+  const std::lock_guard<std::mutex> lock(reg.mu);
+  GravityRegistryStats stats;
+  for (const auto& t : reg.tables) {
+    ++stats.tables;
+    stats.bytes += t->bytes();
+    if (unheld(t)) stats.unheld_bytes += t->bytes();
   }
-  // ptrack-lint: push-allow(alloc) one table per rate in use; setup only
-  registry.push_back(std::make_shared<const GravityWeights>(n, fs, cutoff_hz));
-  // ptrack-lint: pop-allow(alloc)
-  return registry.back();
+  return stats;
 }
 
 template <typename T>

@@ -92,6 +92,10 @@ class GravityWeights {
   [[nodiscard]] std::size_t size() const { return weights_.size(); }
   [[nodiscard]] double fs() const { return fs_; }
   [[nodiscard]] double cutoff_hz() const { return cutoff_hz_; }
+  /// Bytes of weight storage (padded scratch length).
+  [[nodiscard]] std::size_t bytes() const {
+    return storage_.size() * sizeof(double);
+  }
 
  private:
   double fs_;
@@ -100,15 +104,31 @@ class GravityWeights {
   std::span<const double> weights_;
 };
 
+/// Bytes of tables nobody holds that the shared registry keeps: enough for
+/// a few warm-up ladders (one 1 s-hop ladder at 100 Hz is ~170 KB).
+inline constexpr std::size_t kGravityRegistryUnheldBytes = std::size_t{1}
+                                                           << 20;
+
 /// The process-wide table for (n, fs, cutoff_hz), computed on first request
 /// and shared read-only by every holder (a streaming ProjectionStage keeps
-/// its own reference for its lifetime). The registry retains tables no one
-/// holds only while it has fewer than 8 entries, so a rate streams return
-/// to is computed once per process, and distinct client rates cannot grow
-/// it past the keys in use plus that allowance. Thread-safe; takes a lock,
-/// so call it at setup, never per hop.
+/// its steady-window table for its lifetime and a warm-up length's table
+/// for one hop). Tables no one holds are kept, least recently requested
+/// dropped first, while they total at most kGravityRegistryUnheldBytes
+/// (the table returned counts as unheld): lengths and rates that streams
+/// come back to are computed once per process, and distinct client rates
+/// cannot grow the registry past the tables in use plus that budget (or
+/// one table, if a single table is larger). Thread-safe; takes a lock, so
+/// call it at setup or on warm-up hops, never on a steady hop.
 std::shared_ptr<const GravityWeights> shared_gravity_weights(
     std::size_t n, double fs, double cutoff_hz);
+
+/// Snapshot of the shared registry's footprint.
+struct GravityRegistryStats {
+  std::size_t tables = 0;
+  std::size_t bytes = 0;         ///< all tables' weight storage
+  std::size_t unheld_bytes = 0;  ///< tables only the registry holds
+};
+[[nodiscard]] GravityRegistryStats gravity_registry_stats();
 
 /// Estimates the unit "up" direction from specific-force channels with the
 /// precomputed gravity weights `w` (w.size() == channel length, n >= 4):

@@ -220,19 +220,19 @@ void normalize_lags(std::span<const double> raw, std::size_t n, double den,
 }
 
 void cascade_multi(std::span<const BiquadCoeffs> sections, double* data,
-                   std::size_t n, bool backward) {
+                   std::size_t n, bool backward, double* state) {
   expects(sections.size() <= detail::kMaxSections,
           "simd::cascade_multi: section count");
   dispatch().table->cascade_multi_d(sections.data(), sections.size(), data, n,
-                                    backward);
+                                    backward, state);
 }
 
 void cascade_multi(std::span<const BiquadCoeffs> sections, float* data,
-                   std::size_t n, bool backward) {
+                   std::size_t n, bool backward, float* state) {
   expects(sections.size() <= detail::kMaxSections,
           "simd::cascade_multi: section count");
   dispatch().table->cascade_multi_f(sections.data(), sections.size(), data, n,
-                                    backward);
+                                    backward, state);
 }
 
 }  // namespace ptrack::dsp::simd

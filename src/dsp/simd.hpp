@@ -148,17 +148,30 @@ void normalize_lags(std::span<const double> raw, std::size_t n, double den,
 /// Channel lanes per sample in the interleaved multi-channel filter layout.
 inline constexpr std::size_t kIirLanes = 4;
 
+/// Values of lane-parallel cascade state for `nsec` sections: the
+/// transposed direct-form registers (s1, s2) of every section and lane,
+/// laid out state[(2 * s + j) * kIirLanes + c] with j = 0 for s1, 1 for s2.
+[[nodiscard]] constexpr std::size_t cascade_state_size(std::size_t nsec) {
+  return 2 * nsec * kIirLanes;
+}
+
 /// Runs a biquad cascade over `n` samples of kIirLanes interleaved channels
-/// (data[i * kIirLanes + c]; state starts at zero), forward or backward in
-/// sample order. Per lane this is bit-identical to BiquadCascade::step over
-/// that channel alone: IIR recurrences are serial in time, so the
-/// parallelism comes from the lanes, not the samples — which is why the
-/// filtfilt hot path batches channels (filtfilt_multi_*) instead of
-/// vectorizing one. Unused lanes may hold arbitrary values; they never
-/// influence the others. `sections.size() <= 8`.
+/// (data[i * kIirLanes + c]), forward or backward in sample order. Per lane
+/// this is bit-identical to BiquadCascade::step over that channel alone:
+/// IIR recurrences are serial in time, so the parallelism comes from the
+/// lanes, not the samples — which is why the filtfilt hot path batches
+/// channels (filtfilt_multi_*) instead of vectorizing one. Unused lanes may
+/// hold arbitrary values; they never influence the others.
+/// `sections.size() <= 8`.
+///
+/// `state` (optional, cascade_state_size(sections.size()) values) is the
+/// cascade state before the first processed sample; on return it holds
+/// the state after the last. Null starts from zero state and reports
+/// nothing. Splitting a run at any k with the state carried is
+/// bit-identical to one call over all n samples.
 void cascade_multi(std::span<const BiquadCoeffs> sections, double* data,
-                   std::size_t n, bool backward);
+                   std::size_t n, bool backward, double* state = nullptr);
 void cascade_multi(std::span<const BiquadCoeffs> sections, float* data,
-                   std::size_t n, bool backward);
+                   std::size_t n, bool backward, float* state = nullptr);
 
 }  // namespace ptrack::dsp::simd

@@ -349,7 +349,7 @@ void normalize_lags_avx2(const double* raw, std::size_t n, std::size_t nlags,
 // between winning and losing against the auto-vectorized scalar loop.
 template <std::size_t NSec>
 void cascade_multi_avx2_n(const BiquadCoeffs* sections, double* data,
-                          std::size_t n, bool backward) {
+                          std::size_t n, bool backward, double* state) {
   struct SecV {
     __m256d b0, b1, b2, a1, a2;
   };
@@ -360,8 +360,10 @@ void cascade_multi_avx2_n(const BiquadCoeffs* sections, double* data,
     cs[s] = {_mm256_set1_pd(sections[s].b0), _mm256_set1_pd(sections[s].b1),
              _mm256_set1_pd(sections[s].b2), _mm256_set1_pd(sections[s].a1),
              _mm256_set1_pd(sections[s].a2)};
-    s1[s] = _mm256_setzero_pd();
-    s2[s] = _mm256_setzero_pd();
+    s1[s] = state ? _mm256_loadu_pd(state + (2 * s) * kIirLanes)
+                  : _mm256_setzero_pd();
+    s2[s] = state ? _mm256_loadu_pd(state + (2 * s + 1) * kIirLanes)
+                  : _mm256_setzero_pd();
   }
   for (std::size_t k = 0; k < n; ++k) {
     double* p = data + (backward ? n - 1 - k : k) * kIirLanes;
@@ -377,25 +379,35 @@ void cascade_multi_avx2_n(const BiquadCoeffs* sections, double* data,
     }
     _mm256_storeu_pd(p, x);
   }
+  if (state == nullptr) return;
+  for (std::size_t s = 0; s < NSec; ++s) {
+    _mm256_storeu_pd(state + (2 * s) * kIirLanes, s1[s]);
+    _mm256_storeu_pd(state + (2 * s + 1) * kIirLanes, s2[s]);
+  }
 }
 
 void cascade_multi_avx2(const BiquadCoeffs* sections, std::size_t nsec,
-                        double* data, std::size_t n, bool backward) {
+                        double* data, std::size_t n, bool backward,
+                        double* state) {
   switch (nsec) {
     case 0: return;
-    case 1: return cascade_multi_avx2_n<1>(sections, data, n, backward);
-    case 2: return cascade_multi_avx2_n<2>(sections, data, n, backward);
-    case 3: return cascade_multi_avx2_n<3>(sections, data, n, backward);
-    case 4: return cascade_multi_avx2_n<4>(sections, data, n, backward);
+    case 1:
+      return cascade_multi_avx2_n<1>(sections, data, n, backward, state);
+    case 2:
+      return cascade_multi_avx2_n<2>(sections, data, n, backward, state);
+    case 3:
+      return cascade_multi_avx2_n<3>(sections, data, n, backward, state);
+    case 4:
+      return cascade_multi_avx2_n<4>(sections, data, n, backward, state);
     default: break;
   }
   // Rare deep cascades: fall back to the canonical loop (bit-identical).
-  cascade_multi_canonical<double>(sections, nsec, data, n, backward);
+  cascade_multi_canonical<double>(sections, nsec, data, n, backward, state);
 }
 
 template <std::size_t NSec>
 void cascade_multif_avx2_n(const BiquadCoeffs* sections, float* data,
-                           std::size_t n, bool backward) {
+                           std::size_t n, bool backward, float* state) {
   struct SecV {
     __m128 b0, b1, b2, a1, a2;
   };
@@ -408,8 +420,10 @@ void cascade_multif_avx2_n(const BiquadCoeffs* sections, float* data,
              _mm_set1_ps(static_cast<float>(sections[s].b2)),
              _mm_set1_ps(static_cast<float>(sections[s].a1)),
              _mm_set1_ps(static_cast<float>(sections[s].a2))};
-    s1[s] = _mm_setzero_ps();
-    s2[s] = _mm_setzero_ps();
+    s1[s] = state ? _mm_loadu_ps(state + (2 * s) * kIirLanes)
+                  : _mm_setzero_ps();
+    s2[s] = state ? _mm_loadu_ps(state + (2 * s + 1) * kIirLanes)
+                  : _mm_setzero_ps();
   }
   for (std::size_t k = 0; k < n; ++k) {
     float* p = data + (backward ? n - 1 - k : k) * kIirLanes;
@@ -424,19 +438,29 @@ void cascade_multif_avx2_n(const BiquadCoeffs* sections, float* data,
     }
     _mm_storeu_ps(p, x);
   }
+  if (state == nullptr) return;
+  for (std::size_t s = 0; s < NSec; ++s) {
+    _mm_storeu_ps(state + (2 * s) * kIirLanes, s1[s]);
+    _mm_storeu_ps(state + (2 * s + 1) * kIirLanes, s2[s]);
+  }
 }
 
 void cascade_multif_avx2(const BiquadCoeffs* sections, std::size_t nsec,
-                         float* data, std::size_t n, bool backward) {
+                         float* data, std::size_t n, bool backward,
+                         float* state) {
   switch (nsec) {
     case 0: return;
-    case 1: return cascade_multif_avx2_n<1>(sections, data, n, backward);
-    case 2: return cascade_multif_avx2_n<2>(sections, data, n, backward);
-    case 3: return cascade_multif_avx2_n<3>(sections, data, n, backward);
-    case 4: return cascade_multif_avx2_n<4>(sections, data, n, backward);
+    case 1:
+      return cascade_multif_avx2_n<1>(sections, data, n, backward, state);
+    case 2:
+      return cascade_multif_avx2_n<2>(sections, data, n, backward, state);
+    case 3:
+      return cascade_multif_avx2_n<3>(sections, data, n, backward, state);
+    case 4:
+      return cascade_multif_avx2_n<4>(sections, data, n, backward, state);
     default: break;
   }
-  cascade_multi_canonical<float>(sections, nsec, data, n, backward);
+  cascade_multi_canonical<float>(sections, nsec, data, n, backward, state);
 }
 
 }  // namespace

@@ -55,9 +55,9 @@ struct KernelTable {
   void (*normalize_lags_d)(const double*, std::size_t, std::size_t, double,
                            double*);
   void (*cascade_multi_d)(const BiquadCoeffs*, std::size_t, double*,
-                          std::size_t, bool);
+                          std::size_t, bool, double*);
   void (*cascade_multi_f)(const BiquadCoeffs*, std::size_t, float*,
-                          std::size_t, bool);
+                          std::size_t, bool, float*);
 };
 
 /// The canonical scalar table (always compiled).
@@ -263,9 +263,12 @@ inline void normalize_lags_canonical(const double* raw, std::size_t n,
 
 /// Lane-parallel biquad cascade; per lane this is exactly Biquad::step's
 /// update order, so any lane matches a single-channel BiquadCascade run.
+/// `state` (nullable, cascade_state_size(nsec) values) seeds the sections
+/// and receives their final state; null starts from zero.
 template <typename T>
 void cascade_multi_canonical(const BiquadCoeffs* sections, std::size_t nsec,
-                             T* data, std::size_t n, bool backward) {
+                             T* data, std::size_t n, bool backward,
+                             T* state) {
   struct Sec {
     T b0, b1, b2, a1, a2;
   };
@@ -276,6 +279,10 @@ void cascade_multi_canonical(const BiquadCoeffs* sections, std::size_t nsec,
     cs[s] = {static_cast<T>(sections[s].b0), static_cast<T>(sections[s].b1),
              static_cast<T>(sections[s].b2), static_cast<T>(sections[s].a1),
              static_cast<T>(sections[s].a2)};
+    if (state != nullptr) {
+      std::copy_n(state + (2 * s) * kIirLanes, kIirLanes, s1[s]);
+      std::copy_n(state + (2 * s + 1) * kIirLanes, kIirLanes, s2[s]);
+    }
   }
   for (std::size_t k = 0; k < n; ++k) {
     T* x = data + (backward ? n - 1 - k : k) * kIirLanes;
@@ -287,6 +294,11 @@ void cascade_multi_canonical(const BiquadCoeffs* sections, std::size_t nsec,
         x[j] = y;
       }
     }
+  }
+  if (state == nullptr) return;
+  for (std::size_t s = 0; s < nsec; ++s) {
+    std::copy_n(s1[s], kIirLanes, state + (2 * s) * kIirLanes);
+    std::copy_n(s2[s], kIirLanes, state + (2 * s + 1) * kIirLanes);
   }
 }
 

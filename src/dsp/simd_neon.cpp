@@ -205,7 +205,7 @@ void diff_div_neon(const double* hi, const double* lo, std::size_t n,
 // store-forward round trip from the serial dependency chain.
 template <std::size_t NSec>
 void cascade_multi_neon_n(const BiquadCoeffs* sections, double* data,
-                          std::size_t n, bool backward) {
+                          std::size_t n, bool backward, double* state) {
   struct SecV {
     float64x2_t b0, b1, b2, a1, a2;
   };
@@ -222,6 +222,14 @@ void cascade_multi_neon_n(const BiquadCoeffs* sections, double* data,
     s1hi[s] = vdupq_n_f64(0.0);
     s2lo[s] = vdupq_n_f64(0.0);
     s2hi[s] = vdupq_n_f64(0.0);
+    if (state != nullptr) {
+      const double* s1p = state + (2 * s) * kIirLanes;
+      const double* s2p = state + (2 * s + 1) * kIirLanes;
+      s1lo[s] = vld1q_f64(s1p);
+      s1hi[s] = vld1q_f64(s1p + 2);
+      s2lo[s] = vld1q_f64(s2p);
+      s2hi[s] = vld1q_f64(s2p + 2);
+    }
   }
   for (std::size_t k = 0; k < n; ++k) {
     double* p = data + (backward ? n - 1 - k : k) * kIirLanes;
@@ -244,24 +252,38 @@ void cascade_multi_neon_n(const BiquadCoeffs* sections, double* data,
     vst1q_f64(p, xlo);
     vst1q_f64(p + 2, xhi);
   }
+  if (state == nullptr) return;
+  for (std::size_t s = 0; s < NSec; ++s) {
+    double* s1p = state + (2 * s) * kIirLanes;
+    double* s2p = state + (2 * s + 1) * kIirLanes;
+    vst1q_f64(s1p, s1lo[s]);
+    vst1q_f64(s1p + 2, s1hi[s]);
+    vst1q_f64(s2p, s2lo[s]);
+    vst1q_f64(s2p + 2, s2hi[s]);
+  }
 }
 
 void cascade_multi_neon(const BiquadCoeffs* sections, std::size_t nsec,
-                        double* data, std::size_t n, bool backward) {
+                        double* data, std::size_t n, bool backward,
+                        double* state) {
   switch (nsec) {
     case 0: return;
-    case 1: return cascade_multi_neon_n<1>(sections, data, n, backward);
-    case 2: return cascade_multi_neon_n<2>(sections, data, n, backward);
-    case 3: return cascade_multi_neon_n<3>(sections, data, n, backward);
-    case 4: return cascade_multi_neon_n<4>(sections, data, n, backward);
+    case 1:
+      return cascade_multi_neon_n<1>(sections, data, n, backward, state);
+    case 2:
+      return cascade_multi_neon_n<2>(sections, data, n, backward, state);
+    case 3:
+      return cascade_multi_neon_n<3>(sections, data, n, backward, state);
+    case 4:
+      return cascade_multi_neon_n<4>(sections, data, n, backward, state);
     default: break;
   }
-  cascade_multi_canonical<double>(sections, nsec, data, n, backward);
+  cascade_multi_canonical<double>(sections, nsec, data, n, backward, state);
 }
 
 template <std::size_t NSec>
 void cascade_multif_neon_n(const BiquadCoeffs* sections, float* data,
-                           std::size_t n, bool backward) {
+                           std::size_t n, bool backward, float* state) {
   struct SecV {
     float32x4_t b0, b1, b2, a1, a2;
   };
@@ -274,8 +296,10 @@ void cascade_multif_neon_n(const BiquadCoeffs* sections, float* data,
              vdupq_n_f32(static_cast<float>(sections[s].b2)),
              vdupq_n_f32(static_cast<float>(sections[s].a1)),
              vdupq_n_f32(static_cast<float>(sections[s].a2))};
-    s1[s] = vdupq_n_f32(0.0F);
-    s2[s] = vdupq_n_f32(0.0F);
+    s1[s] = state ? vld1q_f32(state + (2 * s) * kIirLanes)
+                  : vdupq_n_f32(0.0F);
+    s2[s] = state ? vld1q_f32(state + (2 * s + 1) * kIirLanes)
+                  : vdupq_n_f32(0.0F);
   }
   for (std::size_t k = 0; k < n; ++k) {
     float* p = data + (backward ? n - 1 - k : k) * kIirLanes;
@@ -289,19 +313,29 @@ void cascade_multif_neon_n(const BiquadCoeffs* sections, float* data,
     }
     vst1q_f32(p, x);
   }
+  if (state == nullptr) return;
+  for (std::size_t s = 0; s < NSec; ++s) {
+    vst1q_f32(state + (2 * s) * kIirLanes, s1[s]);
+    vst1q_f32(state + (2 * s + 1) * kIirLanes, s2[s]);
+  }
 }
 
 void cascade_multif_neon(const BiquadCoeffs* sections, std::size_t nsec,
-                         float* data, std::size_t n, bool backward) {
+                         float* data, std::size_t n, bool backward,
+                         float* state) {
   switch (nsec) {
     case 0: return;
-    case 1: return cascade_multif_neon_n<1>(sections, data, n, backward);
-    case 2: return cascade_multif_neon_n<2>(sections, data, n, backward);
-    case 3: return cascade_multif_neon_n<3>(sections, data, n, backward);
-    case 4: return cascade_multif_neon_n<4>(sections, data, n, backward);
+    case 1:
+      return cascade_multif_neon_n<1>(sections, data, n, backward, state);
+    case 2:
+      return cascade_multif_neon_n<2>(sections, data, n, backward, state);
+    case 3:
+      return cascade_multif_neon_n<3>(sections, data, n, backward, state);
+    case 4:
+      return cascade_multif_neon_n<4>(sections, data, n, backward, state);
     default: break;
   }
-  cascade_multi_canonical<float>(sections, nsec, data, n, backward);
+  cascade_multi_canonical<float>(sections, nsec, data, n, backward, state);
 }
 
 }  // namespace

@@ -1,15 +1,16 @@
 // ptrack_serve's engine: a single-threaded poll(2) reactor multiplexing
 // many device connections onto incremental streaming pipelines.
 //
-// Why single-threaded: a steady-state 2 s stream hop costs ~50 µs p50, flat
+// Why single-threaded: a steady-state 2 s stream hop costs ~46 µs p50, flat
 // with stream age (bench/micro_streaming on a 4-vCPU AVX2 host,
-// BENCH_streaming.json), so one core sustains ~25k live 100 Hz streams;
-// in a traced serve_uds run a 1 s hop costs ~37 µs p50. The reactor stays
-// allocation-light, lock-free on the hop path and trivially convincible
-// about fault isolation (no cross-session mutable state to corrupt: the
-// one object sessions share, the gravity weight table of their fs, is
-// immutable, and its registry lock is taken once per stream). Scale-out is
-// process-per-core behind SO_REUSEPORT, not threads in this loop.
+// BENCH_streaming.json), so one core sustains ~28k live 100 Hz streams;
+// in a traced serve_uds run a 1 s hop costs ~24 µs p50. The reactor stays
+// allocation-light, lock-free on the steady hop path and trivially
+// convincible about fault isolation (no cross-session mutable state to
+// corrupt: the objects sessions share, the gravity weight tables of their
+// fs, are immutable, and their registry lock is taken only on a stream's
+// warm-up hops). Scale-out is process-per-core behind SO_REUSEPORT, not
+// threads in this loop.
 //
 // Overload & failure policy (DESIGN.md §16):
 //   * Admission: a new connection is shed with ERROR{kOverloaded,

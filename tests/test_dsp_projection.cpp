@@ -239,6 +239,40 @@ TEST(EstimateUp, SharedTableIsOnePerKey) {
   EXPECT_LT(sum, 0.999);
 }
 
+TEST(EstimateUp, SharedRegistryBoundsUnheldBytes) {
+  // A stream's warm-up hops request one table per pinned history length:
+  // a 1 s-hop ladder at 100 Hz is revisited by every stream at that rate,
+  // so a second pass computes nothing new.
+  const auto held = dsp::shared_gravity_weights(2000, 100.0, 0.3);
+  const auto ladder = [] {
+    for (std::size_t n = 600; n < 2000; n += 100) {
+      (void)dsp::shared_gravity_weights(n, 100.0, 0.3);
+    }
+  };
+  ladder();
+  const auto after_first = dsp::gravity_registry_stats();
+  ladder();
+  EXPECT_EQ(dsp::gravity_registry_stats().tables, after_first.tables);
+
+  // Hostile HELLOs: many rates, each with its own ladder of lengths. The
+  // tables nobody holds stay within the byte budget throughout, and a
+  // table someone holds is never dropped.
+  for (const double fs : {25.0, 50.0, 64.0, 99.5, 100.0, 128.0, 200.0,
+                          400.0, 1000.0}) {
+    for (std::size_t k = 1; k <= 40; ++k) {
+      const auto n = static_cast<std::size_t>(static_cast<double>(k) * fs / 2);
+      if (n < 4) continue;
+      (void)dsp::shared_gravity_weights(n, fs, 0.3);
+      const auto stats = dsp::gravity_registry_stats();
+      EXPECT_LE(stats.unheld_bytes, dsp::kGravityRegistryUnheldBytes)
+          << "fs " << fs << " n " << n;
+      EXPECT_LE(stats.bytes,
+                dsp::kGravityRegistryUnheldBytes + held->bytes());
+    }
+  }
+  EXPECT_EQ(dsp::shared_gravity_weights(2000, 100.0, 0.3).get(), held.get());
+}
+
 TEST(PrincipalHorizontal, MomentsMatchResidualCovariance) {
   dsp::Workspace ws;
   // General position: a tilted walking wrist, both precisions.

@@ -377,6 +377,146 @@ TEST(SimdKernels, CascadeMultiLaneMatchesSingleChannelBiquad) {
   }
 }
 
+namespace {
+
+/// A run of n rows in one call equals the same run split at k with the
+/// state carried between the calls, bit for bit, and both report the same
+/// final state.
+template <typename T>
+void expect_split_run_bit_exact(std::span<const dsp::BiquadCoeffs> sections,
+                                std::size_t n, std::size_t k, bool backward) {
+  const auto seed_data = rand_vec<T>(n * simd::kIirLanes, 63);
+  const std::size_t state_size = simd::cascade_state_size(sections.size());
+  std::vector<T> whole = seed_data;
+  std::vector<T> whole_state(state_size, T{0});
+  simd::cascade_multi(sections, whole.data(), n, backward, whole_state.data());
+  // A zero state in is a null state.
+  std::vector<T> stateless = seed_data;
+  simd::cascade_multi(sections, stateless.data(), n, backward);
+  expect_bits_equal(whole, stateless);
+
+  std::vector<T> split = seed_data;
+  std::vector<T> state(state_size, T{0});
+  // Rows [0, k) and [k, n); a backward run visits the second block first.
+  T* lo = split.data();
+  T* hi = split.data() + k * simd::kIirLanes;
+  if (backward) {
+    simd::cascade_multi(sections, hi, n - k, backward, state.data());
+    simd::cascade_multi(sections, lo, k, backward, state.data());
+  } else {
+    simd::cascade_multi(sections, lo, k, backward, state.data());
+    simd::cascade_multi(sections, hi, n - k, backward, state.data());
+  }
+  expect_bits_equal(whole, split);
+  expect_bits_equal(whole_state, state);
+}
+
+}  // namespace
+
+TEST(SimdKernels, CascadeMultiCarriedStateSplitsBitExact) {
+  IsaGuard guard(simd::detected());
+  // Orders 2, 4, 8 and 10: one, two and four sections run the unrolled
+  // vector lanes, five the canonical fallback.
+  for (const int order : {2, 4, 8, 10}) {
+    const auto cascade = dsp::butterworth_lowpass(order, 5.0, 100.0);
+    std::vector<dsp::BiquadCoeffs> sections;
+    for (const auto& s : cascade.sections()) sections.push_back(s.coeffs());
+    for (const simd::Isa isa : {simd::Isa::kScalar, simd::detected()}) {
+      simd::force_isa(isa);
+      for (const std::size_t n : {std::size_t{1}, std::size_t{7},
+                                  std::size_t{414}}) {
+        for (const std::size_t k : {std::size_t{0}, n / 2, n}) {
+          for (const bool backward : {false, true}) {
+            SCOPED_TRACE(::testing::Message()
+                         << "order " << order << " isa "
+                         << simd::isa_name(isa) << " n " << n << " k " << k
+                         << " backward " << backward);
+            expect_split_run_bit_exact<double>(sections, n, k, backward);
+            expect_split_run_bit_exact<float>(sections, n, k, backward);
+          }
+        }
+      }
+    }
+  }
+  // The carried state itself is ISA-independent.
+  const auto cascade = dsp::butterworth_lowpass(4, 5.0, 100.0);
+  std::vector<dsp::BiquadCoeffs> sections;
+  for (const auto& s : cascade.sections()) sections.push_back(s.coeffs());
+  const auto seed_data = rand_vec<double>(300 * simd::kIirLanes, 64);
+  const auto [a, b] = both_isas([&] {
+    std::vector<double> data = seed_data;
+    std::vector<double> state(simd::cascade_state_size(sections.size()), 0.5);
+    simd::cascade_multi(sections, data.data(), 300, false, state.data());
+    data.insert(data.end(), state.begin(), state.end());
+    return data;
+  });
+  expect_bits_equal(a, b);
+}
+
+namespace {
+
+/// filtfilt_multi_carried_into from the forward state a zero-state
+/// filtfilt_multi_into reaches at sample k equals that call from k on.
+template <typename T>
+void expect_carried_filtfilt_matches_full(std::size_t n, std::size_t k) {
+  constexpr std::size_t kL = simd::kIirLanes;
+  const auto cascade = dsp::butterworth_lowpass(4, 5.0, 100.0);
+  const std::vector<T> a = rand_vec<T>(n, 91);
+  const std::vector<T> b = rand_vec<T>(n, 92);
+  dsp::Workspace ws;
+
+  std::vector<T> full_a(n);
+  std::vector<T> full_b(n);
+  const std::array<std::span<const T>, 2> xs{std::span<const T>(a),
+                                             std::span<const T>(b)};
+  const std::array<std::span<T>, 2> full{std::span<T>(full_a),
+                                         std::span<T>(full_b)};
+  dsp::filtfilt_multi_into(cascade, xs, 64, ws, full);
+
+  // The forward state at k: the odd left pad, then samples [0, k).
+  const std::size_t pad = std::min<std::size_t>(64, n - 1);
+  std::vector<T> rows((pad + k) * kL, T{0});
+  for (std::size_t c = 0; c < 2; ++c) {
+    const std::vector<T>& x = c == 0 ? a : b;
+    for (std::size_t i = 0; i < pad; ++i) {
+      rows[i * kL + c] = static_cast<T>(2) * x[0] - x[pad - i];
+    }
+    for (std::size_t i = 0; i < k; ++i) rows[(pad + i) * kL + c] = x[i];
+  }
+  std::vector<dsp::BiquadCoeffs> sections;
+  for (const auto& s : cascade.sections()) sections.push_back(s.coeffs());
+  std::vector<T> state(simd::cascade_state_size(sections.size()), T{0});
+  simd::cascade_multi(sections, rows.data(), pad + k, false, state.data());
+
+  std::vector<T> tail_a(n - k);
+  std::vector<T> tail_b(n - k);
+  const std::array<std::span<const T>, 2> tails{
+      std::span<const T>(a).subspan(k), std::span<const T>(b).subspan(k)};
+  const std::array<std::span<T>, 2> outs{std::span<T>(tail_a),
+                                         std::span<T>(tail_b)};
+  dsp::filtfilt_multi_carried_into(cascade, tails, state, 64, ws, outs);
+  expect_bits_equal(tail_a, std::vector<T>(full_a.begin() + k, full_a.end()));
+  expect_bits_equal(tail_b, std::vector<T>(full_b.begin() + k, full_b.end()));
+}
+
+}  // namespace
+
+TEST(SimdComposite, CarriedFiltfiltMatchesFullRun) {
+  IsaGuard guard(simd::detected());
+  for (const simd::Isa isa : {simd::Isa::kScalar, simd::detected()}) {
+    simd::force_isa(isa);
+    for (const std::size_t n : {std::size_t{130}, std::size_t{650}}) {
+      for (const std::size_t k : {std::size_t{0}, std::size_t{1},
+                                  std::size_t{65}, n - 65}) {
+        SCOPED_TRACE(::testing::Message() << simd::isa_name(isa) << " n "
+                                          << n << " k " << k);
+        expect_carried_filtfilt_matches_full<double>(n, k);
+        expect_carried_filtfilt_matches_full<float>(n, k);
+      }
+    }
+  }
+}
+
 // ---------------------------------------------------------------------------
 // Composite: the batched filtfilt entry points.
 
