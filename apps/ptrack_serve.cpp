@@ -89,7 +89,6 @@ int run(const cli::Args& args) {
   cfg.stall_timeout_s = args.get_double("stall-timeout");
   cfg.drain_deadline_s = args.get_double("drain-deadline");
   cfg.session.streaming.hop_s = args.get_double("hop");
-  cfg.session.allow_f32 = !args.get_bool("no-f32");
 
   // SIGUSR1 snapshot: runs on the reactor thread between poll iterations,
   // so it sees a consistent registry and may use streams freely.
@@ -206,7 +205,6 @@ int main(int argc, char** argv) {
                         "HELLO", "10", false},
       {"drain-deadline", "graceful-shutdown flush budget (s)", "2", false},
       {"hop", "streaming hop interval (s)", "1", false},
-      {"no-f32", "reject float32-precision HELLOs", "", true},
       {"admin-uds", "serve the HTTP admin plane on a Unix domain socket "
                     "at this path", "", false},
       {"admin-tcp", "serve the HTTP admin plane on this TCP port "

@@ -57,7 +57,7 @@ Separation evaluate(const Corpus& corpus, const core::StepCounterConfig& cfg) {
     std::size_t above = 0;
     std::size_t total = 0;
     for (const imu::Trace& trace : traces) {
-      const core::ProjectedTrace proj =
+      const core::ProjectedChannels proj =
           core::project_trace(trace, cfg.lowpass_hz);
       for (const core::CycleCandidate& c :
            core::segment_cycles(proj.vertical, proj.fs, cfg)) {

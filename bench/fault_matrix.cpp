@@ -14,9 +14,11 @@
 //
 // Besides the console table, the binary writes BENCH_robustness.json
 // (override the path with the PTRACK_BENCH_JSON environment variable) in
-// the shared bench schema {"bench": ..., "metrics": {...}}: one record per
-// (fault, severity, repair) cell plus the run's observability counters,
-// machine-trackable across PRs like BENCH_throughput.json.
+// the shared bench schema {"bench": ..., "host": {...}, "metrics": {...}}:
+// one record per (fault, severity, repair) cell plus the run's
+// observability counters, machine-trackable across PRs like
+// BENCH_throughput.json. "host" is the machine block (bench::write_host),
+// with workers = 1 (the cohort runs on one thread).
 //
 // Flags:
 //   --reduced      smaller cohort and sweep (the CI smoke configuration)
@@ -233,6 +235,7 @@ int main(int argc, char** argv) {
       json::Writer w(out);
       w.begin_object();
       w.key("bench").value(std::string("fault_matrix"));
+      bench::write_host(w, 1);
       w.key("metrics").begin_object();
       w.key("reduced").value(reduced);
       w.key("repair_dominates").value(dominated);

@@ -23,7 +23,7 @@ std::vector<double> cycle_offsets(const imu::Trace& trace,
                                   const core::StepCounterConfig& cfg) {
   std::vector<double> offsets;
   if (trace.size() < 32) return offsets;
-  const core::ProjectedTrace proj =
+  const core::ProjectedChannels proj =
       core::project_trace(trace, cfg.lowpass_hz);
   for (const core::CycleCandidate& c :
        core::segment_cycles(proj.vertical, proj.fs, cfg)) {

@@ -5,10 +5,9 @@
 // Simulates the paper's month-scale protocol in compressed form: long
 // sessions interleaving every gait type with every interfering activity,
 // across a user cohort, and reports each counter's total step error rate
-// |counted - true| / true. PTrack runs three ways over the same sessions:
-// the batch pipeline, and the StreamingTracker at 1 s hops in double and in
-// float32 precision, so the streaming and precision layers answer to the
-// paper's figure too.
+// |counted - true| / true. PTrack runs two ways over the same sessions: the
+// batch pipeline and the StreamingTracker at 1 s hops, so the streaming
+// layer answers to the paper's figure too.
 //
 // Flags:
 //   --gate   fail (exit 1) if any PTrack row's error rate is above 0.03
@@ -47,12 +46,10 @@ synth::Scenario daily_session(Rng& rng) {
 }
 
 // Steps the StreamingTracker emits over the whole trace at 1 s hops.
-double streamed_steps(const imu::Trace& trace, const core::PTrackConfig& cfg,
-                      core::Precision precision) {
+double streamed_steps(const imu::Trace& trace, const core::PTrackConfig& cfg) {
   core::StreamingConfig scfg;
   scfg.pipeline = cfg;
   scfg.hop_s = 1.0;
-  scfg.precision = precision;
   core::StreamingTracker stream(trace.fs(), scfg);
   stream.push(trace);
   (void)stream.finish();
@@ -74,7 +71,6 @@ int run(bool gate) {
   double mtage_err = 0.0;
   double ptrack_err = 0.0;
   double stream_err = 0.0;
-  double stream_f32_err = 0.0;
   double minutes = 0.0;
   for (const auto& user : users) {
     for (int session = 0; session < 2; ++session) {
@@ -97,10 +93,7 @@ int run(bool gate) {
           static_cast<double>(mtage.count_steps(r.trace).count) - truth);
       ptrack_err += std::abs(
           static_cast<double>(ptrack.count_steps(r.trace).count) - truth);
-      stream_err += std::abs(
-          streamed_steps(r.trace, cfg, core::Precision::kDouble) - truth);
-      stream_f32_err += std::abs(
-          streamed_steps(r.trace, cfg, core::Precision::kFloat32) - truth);
+      stream_err += std::abs(streamed_steps(r.trace, cfg) - truth);
     }
   }
 
@@ -117,12 +110,11 @@ int run(bool gate) {
   std::cout << "\nPTrack streamed over the same sessions (1 s hops):\n";
   Table streamed({"precision", "error rate"});
   streamed.add_row({"double", Table::num(stream_err / truth_total, 3)});
-  streamed.add_row({"float32", Table::num(stream_f32_err / truth_total, 3)});
   streamed.print(std::cout);
 
   if (gate) {
     bool ok = true;
-    for (const double err : {ptrack_err, stream_err, stream_f32_err}) {
+    for (const double err : {ptrack_err, stream_err}) {
       ok = ok && err / truth_total <= kHeadlineGate;
     }
     if (!ok) {

@@ -4,12 +4,12 @@
 // stream has been running.
 //
 // Method: one synthetic walking trace is replayed sample-by-sample through
-// a core::StreamingTracker per arm: `inc` (double, detected SIMD ISA),
-// `inc_scalar` (double, scalar kernels) and `inc_f32` (float32
-// projection). Every push is timed individually; a push is attributed to
-// the per-hop distribution when the tracker's windows_processed counter
-// advanced during it, yielding a per-hop latency distribution (p50/p90/
-// p99) per arm, kept from the fastest repeat to shed scheduler noise.
+// a core::StreamingTracker per arm: `inc` (detected SIMD ISA) and
+// `inc_scalar` (scalar kernels). Every push is timed individually; a push
+// is attributed to the per-hop distribution when the tracker's
+// windows_processed counter advanced during it, yielding a per-hop latency
+// distribution (p50/p90/p99) per arm, kept from the fastest repeat to shed
+// scheduler noise.
 // Steady-state streams-per-core = stream duration / total CPU time spent
 // pushing — how many live 100 Hz streams one core sustains.
 //
@@ -198,16 +198,13 @@ int main(int argc, char** argv) {
     core::StreamingConfig cfg;
     cfg.pipeline.stride.profile = {user.arm_length, user.leg_length, 2.0};
     cfg.hop_s = 2.0;
-    // Double with the detected SIMD ISA, then the scalar kernels and the
-    // float32 projection: the record of what the vector kernels and the
-    // f32 variant buy on the hot path.
+    // The detected SIMD ISA, then the scalar kernels: the record of what
+    // the vector kernels buy on the hot path.
     std::vector<ArmResult> arms;
     arms.push_back(run_arm("inc", trace, cfg, repeats));
     dsp::simd::force_isa(dsp::simd::Isa::kScalar);
     arms.push_back(run_arm("inc_scalar", trace, cfg, repeats));
     dsp::simd::force_isa(dsp::simd::detected());
-    cfg.precision = core::Precision::kFloat32;
-    arms.push_back(run_arm("inc_f32", trace, cfg, repeats));
 
     std::printf(
         "micro_streaming: %.0f s walking trace @ %.0f Hz, hop 2 s, best of "
@@ -226,7 +223,6 @@ int main(int argc, char** argv) {
 
     const ArmResult& inc = arms[0];
     const ArmResult& inc_scalar = arms[1];
-    const ArmResult& inc_f32 = arms[2];
     const bool hop_cost_flat = inc.late_hop_us <= 1.5 * inc.early_hop_us;
     std::printf(
         "  inc post-flush mean hop, last third vs 1.5 * first third: %.1f us "
@@ -236,15 +232,9 @@ int main(int argc, char** argv) {
     const double simd_speedup =
         inc.hop_mean_us > 0.0 ? inc_scalar.hop_mean_us / inc.hop_mean_us
                               : 0.0;
-    const double f32_speedup =
-        inc_f32.hop_mean_us > 0.0
-            ? inc_scalar.hop_mean_us / inc_f32.hop_mean_us
-            : 0.0;
-    std::printf(
-        "  simd %s: scalar %.1f us -> double %.1f us (%.2fx) -> f32 %.1f us "
-        "(%.2fx)\n",
-        dsp::simd::isa_name(dsp::simd::detected()), inc_scalar.hop_mean_us,
-        inc.hop_mean_us, simd_speedup, inc_f32.hop_mean_us, f32_speedup);
+    std::printf("  simd %s: scalar %.1f us -> %.1f us (%.2fx)\n",
+                dsp::simd::isa_name(dsp::simd::detected()),
+                inc_scalar.hop_mean_us, inc.hop_mean_us, simd_speedup);
 
     std::string path = "BENCH_streaming.json";
     if (args.has("json")) {
@@ -277,7 +267,6 @@ int main(int argc, char** argv) {
       w.key("simd_isa").value(
           std::string(dsp::simd::isa_name(dsp::simd::detected())));
       w.key("simd_hop_speedup").value(simd_speedup);
-      w.key("f32_hop_speedup").value(f32_speedup);
       w.end_object();
       write_historical_recompute(w);
       w.end_object();

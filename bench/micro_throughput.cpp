@@ -5,10 +5,12 @@
 //
 // Besides the console table, the binary writes BENCH_throughput.json
 // (override the path with the PTRACK_BENCH_JSON environment variable) in
-// the shared bench schema {"bench": ..., "metrics": {...}}: one record per
-// benchmark with items/sec and ns/iteration plus the observability
-// counters accumulated over the run, so the perf trajectory is
-// machine-trackable across PRs.
+// the shared bench schema {"bench": ..., "host": {...}, "metrics": {...}}:
+// one record per benchmark with items/sec and ns/iteration plus the
+// observability counters accumulated over the run, so the perf trajectory
+// is machine-trackable across PRs. "host" is the machine block
+// (bench::write_host) with workers = 1: every benchmark runs on one thread
+// except BM_PipelineBatch, whose worker count is in its name.
 
 #include <benchmark/benchmark.h>
 
@@ -361,6 +363,7 @@ class JsonExportReporter : public benchmark::ConsoleReporter {
     json::Writer w(out);
     w.begin_object();
     w.key("bench").value("throughput");
+    bench::write_host(w, 1);
     w.key("metrics").begin_object();
     w.key("simd_isa").value(dsp::simd::isa_name(dsp::simd::detected()));
     w.key("benchmarks").begin_array();

@@ -16,8 +16,10 @@
 //                 configuration)
 //   --gate G      fail (exit 1) when overhead exceeds G (default 0.03;
 //                 0 disables the gate)
-//   --json PATH   write {"bench":"obs_overhead","metrics":{...}} (also via
-//                 the PTRACK_BENCH_JSON environment variable)
+//   --json PATH   write {"bench":"obs_overhead","host":{...},"metrics":{...}}
+//                 (also via the PTRACK_BENCH_JSON environment variable);
+//                 "host" is the machine block (bench::write_host), with
+//                 workers = 1 (the runs are single-threaded)
 //
 // With -DPTRACK_OBS=OFF both arms run the same uninstrumented code; the
 // measured overhead is pure noise around 0 and the gate trivially holds.
@@ -131,6 +133,7 @@ int main(int argc, char** argv) {
       json::Writer w(out);
       w.begin_object();
       w.key("bench").value(std::string("obs_overhead"));
+      bench::write_host(w, 1);
       w.key("metrics").begin_object();
       w.key("reduced").value(reduced);
       w.key("obs_compiled").value(PTRACK_OBS_ENABLED != 0);

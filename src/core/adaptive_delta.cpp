@@ -78,8 +78,8 @@ AdaptiveDelta tune_delta(const imu::Trace& trace,
   fallback.delta = cfg.delta;
   if (trace.size() < 16) return fallback;
 
-  const ProjectedTrace proj = project_trace(trace, cfg.lowpass_hz,
-                                            cfg.anterior_window_s);
+  const ProjectedChannels proj =
+      project_trace(trace, cfg.lowpass_hz, cfg.anterior_window_s);
   std::vector<double> offsets;
   for (const CycleCandidate& c : segment_cycles(proj.vertical, proj.fs, cfg)) {
     const std::size_t n = c.end - c.begin;

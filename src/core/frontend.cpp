@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <array>
 #include <cmath>
-#include <type_traits>
 
 #include "common/check.hpp"
 #include "common/error.hpp"
@@ -49,13 +48,10 @@ class UpField {
   std::span<const Vec3> per_sample_{};
 };
 
-/// The i-th specific-force vector of three channel spans (widened to
-/// double for the per-sample attitude-filter path).
-template <typename T>
-Vec3 force(std::span<const T> x, std::span<const T> y, std::span<const T> z,
-           std::size_t i) {
-  return {static_cast<double>(x[i]), static_cast<double>(y[i]),
-          static_cast<double>(z[i])};
+/// The i-th specific-force vector of three channel spans.
+Vec3 force(std::span<const double> x, std::span<const double> y,
+           std::span<const double> z, std::size_t i) {
+  return {x[i], y[i], z[i]};
 }
 
 /// Row i of the raw filter lanes (see LowpassCarry): (f, 1) without a
@@ -151,13 +147,13 @@ void LowpassCarry::run(double* rows, std::size_t count) {
                                [](double v) { return std::isfinite(v); });
 }
 
-template <typename T>
-void project_channels_into(std::span<const T> ax, std::span<const T> ay,
-                           std::span<const T> az, double fs,
+void project_channels_into(std::span<const double> ax,
+                           std::span<const double> ay,
+                           std::span<const double> az, double fs,
                            double lowpass_hz, double anterior_window_s,
                            std::span<const Vec3> ups, dsp::Workspace& ws,
-                           ProjectionSeam* seam, const AxisHistory<T>& axes,
-                           ProjectedChannels<T>& out,
+                           ProjectionSeam* seam, const AxisHistory& axes,
+                           ProjectedChannels& out,
                            const FilterCarry& carry) {
   const std::size_t n = ax.size();
   expects(n >= 16, "project_channels: >= 16 samples");
@@ -165,8 +161,6 @@ void project_channels_into(std::span<const T> ax, std::span<const T> ay,
           "project_channels: equal channel lengths");
   expects(ups.empty() || ups.size() == n,
           "project_channels: ups empty or one per sample");
-  expects(std::is_same_v<T, double> || ups.empty(),
-          "project_channels: float32 has no attitude-filter path");
   expects(axes.empty() ||
               (axes.ax.size() == axes.ay.size() &&
                axes.ay.size() == axes.az.size() && axes.ax.size() >= 16),
@@ -187,8 +181,7 @@ void project_channels_into(std::span<const T> ax, std::span<const T> ay,
   // gravity estimate unless a per-sample track is supplied, anterior
   // principal direction from its horizontal residual); otherwise both come
   // from the spans themselves, lead included.
-  const AxisHistory<T> hist =
-      axes.empty() ? AxisHistory<T>{ax, ay, az} : axes;
+  const AxisHistory hist = axes.empty() ? AxisHistory{ax, ay, az} : axes;
   const UpField up_field =
       !ups.empty() ? UpField(ups)
       : hist.up_weights.empty()
@@ -207,20 +200,20 @@ void project_channels_into(std::span<const T> ax, std::span<const T> ay,
   // Raw (pre-filter) channels in per-thread scratch: both are transient
   // inputs to the zero-phase filter, so reusing them across calls keeps the
   // streaming hop allocation-free. Index j holds sample lead + j.
-  thread_local std::vector<T> vertical;
-  thread_local std::vector<T> anterior;
+  thread_local std::vector<double> vertical;
+  thread_local std::vector<double> anterior;
   vertical.resize(m);
   anterior.resize(m);
   // Specific force f = a_lin - g_vec with g_vec = -g*up, so the linear
   // vertical acceleration is f.up - g.
   if (up_field.is_constant()) {
     dsp::simd::axis_project(ax.subspan(lead), ay.subspan(lead),
-                            az.subspan(lead), up_field.constant(),
-                            static_cast<T>(kGravity), std::span<T>(vertical));
+                            az.subspan(lead), up_field.constant(), kGravity,
+                            vertical);
   } else {
     for (std::size_t i = lead; i < n; ++i) {
       const Vec3 f = force(ax, ay, az, i);
-      vertical[i - lead] = static_cast<T>(f.dot(ups[i]) - kGravity);
+      vertical[i - lead] = f.dot(ups[i]) - kGravity;
     }
   }
 
@@ -234,18 +227,14 @@ void project_channels_into(std::span<const T> ax, std::span<const T> ay,
   const auto project_range = [&](std::size_t begin, std::size_t end) {
     Vec3 dir = pinned_dir;
     if (axes.empty()) {
-      // The window's representative up for the fit. The double frontend
-      // takes the renormalized mean of the up field over the window even
-      // when the field is the constant gravity estimate (a sum of `count`
-      // copies rounds differently from the estimate itself); the float
-      // frontend fits against the estimate directly. Each precision keeps
-      // its own rounding so that neither one's output moves.
-      const Vec3 fit_up = std::is_same_v<T, float>
-                              ? up_field.constant()
-                              : up_field.window_mean(begin, end);
+      // The window's representative up for the fit: the renormalized mean
+      // of the up field over the window, even when the field is the
+      // constant gravity estimate (a sum of `count` copies rounds
+      // differently from the estimate itself, and the batch channels are
+      // defined with that rounding).
       dir = dsp::principal_horizontal_direction(
           ax.subspan(begin, end - begin), ay.subspan(begin, end - begin),
-          az.subspan(begin, end - begin), fit_up);
+          az.subspan(begin, end - begin), up_field.window_mean(begin, end));
     }
     // Sign continuity: PCA is sign-ambiguous; align with the previous
     // window so the channel doesn't flip mid-trace (or mid-stream).
@@ -255,11 +244,11 @@ void project_channels_into(std::span<const T> ax, std::span<const T> ay,
     if (begin <= lead) lead_dir = dir;
     begin = std::max(begin, lead);
     const std::size_t count = end - begin;
-    const std::span<const T> x = ax.subspan(begin, count);
-    const std::span<const T> y = ay.subspan(begin, count);
-    const std::span<const T> z = az.subspan(begin, count);
-    const std::span<T> dst =
-        std::span<T>(anterior).subspan(begin - lead, count);
+    const std::span<const double> x = ax.subspan(begin, count);
+    const std::span<const double> y = ay.subspan(begin, count);
+    const std::span<const double> z = az.subspan(begin, count);
+    const std::span<double> dst =
+        std::span<double>(anterior).subspan(begin - lead, count);
     if (up_field.is_constant()) {
       dsp::simd::residual_project(x, y, z, up_field.constant(), dir, dst);
       return;
@@ -268,7 +257,7 @@ void project_channels_into(std::span<const T> ax, std::span<const T> ay,
       const Vec3 f = force(x, y, z, i);
       const Vec3& up = ups[begin + i];
       const Vec3 residual = f - up * f.dot(up);
-      dst[i] = static_cast<T>(residual.dot(dir));
+      dst[i] = residual.dot(dir);
     }
   };
 
@@ -293,8 +282,8 @@ void project_channels_into(std::span<const T> ax, std::span<const T> ay,
   out.vertical.resize(m);
   out.anterior.resize(m);
   const dsp::BiquadCascade lowpass = output_lowpass(lowpass_hz, fs);
-  const std::array<std::span<const T>, 2> ins{vertical, anterior};
-  const std::array<std::span<T>, 2> outs{out.vertical, out.anterior};
+  const std::array<std::span<const double>, 2> ins{vertical, anterior};
+  const std::array<std::span<double>, 2> outs{out.vertical, out.anterior};
   if (carry.empty()) {
     dsp::filtfilt_multi_into(lowpass, ins, kLowpassPad, ws, outs);
     return;
@@ -313,8 +302,8 @@ void project_channels_into(std::span<const T> ax, std::span<const T> ay,
     ca = {0.0, lead_dir.x, lead_dir.y, lead_dir.z};
   }
   constexpr std::size_t kL = dsp::simd::kIirLanes;
-  std::array<T, dsp::simd::cascade_state_size(
-                    dsp::BiquadCascade::kMaxSections)>
+  std::array<double, dsp::simd::cascade_state_size(
+                         dsp::BiquadCascade::kMaxSections)>
       state{};
   const std::size_t size =
       dsp::simd::cascade_state_size(lowpass.sections().size());
@@ -327,34 +316,24 @@ void project_channels_into(std::span<const T> ax, std::span<const T> ay,
       v += cv[c] * carry.raw_state[r + c];
       a += ca[c] * carry.raw_state[r + c];
     }
-    state[r] = static_cast<T>(v);
-    state[r + 1] = static_cast<T>(a);
+    state[r] = v;
+    state[r + 1] = a;
   }
   dsp::filtfilt_multi_carried_into(lowpass, ins,
-                                   std::span<const T>(state.data(), size),
+                                   std::span<const double>(state.data(), size),
                                    kLowpassPad, ws, outs);
 }
 
-template void project_channels_into<double>(
-    std::span<const double>, std::span<const double>, std::span<const double>,
-    double, double, double, std::span<const Vec3>, dsp::Workspace&,
-    ProjectionSeam*, const AxisHistory<double>&, ProjectedChannels<double>&,
-    const FilterCarry&);
-template void project_channels_into<float>(
-    std::span<const float>, std::span<const float>, std::span<const float>,
-    double, double, double, std::span<const Vec3>, dsp::Workspace&,
-    ProjectionSeam*, const AxisHistory<float>&, ProjectedChannels<float>&,
-    const FilterCarry&);
-
-ProjectedTrace project_trace(const imu::Trace& trace, double lowpass_hz,
-                             double anterior_window_s, dsp::Workspace* ws) {
+ProjectedChannels project_trace(const imu::Trace& trace, double lowpass_hz,
+                                double anterior_window_s,
+                                dsp::Workspace* ws) {
   expects(lowpass_hz > 0.0, "project_trace: lowpass_hz > 0");
   dsp::Workspace local;
-  ProjectedTrace out;
-  project_channels_into<double>(trace.accel_axis(0), trace.accel_axis(1),
-                                trace.accel_axis(2), trace.fs(), lowpass_hz,
-                                anterior_window_s, {}, ws ? *ws : local,
-                                nullptr, {}, out);
+  ProjectedChannels out;
+  project_channels_into(trace.accel_axis(0), trace.accel_axis(1),
+                        trace.accel_axis(2), trace.fs(), lowpass_hz,
+                        anterior_window_s, {}, ws ? *ws : local, nullptr, {},
+                        out);
   return out;
 }
 

@@ -1,14 +1,12 @@
 // Projection frontend: raw wrist trace -> band-limited vertical + anterior
 // acceleration channels (paper SIII-B2).
 //
-// One implementation, project_channels_into, written once over the channel
-// precision T (double for the batch pipeline and the default stream, float
-// for the opt-in f32 stream) and instantiated for both in frontend.cpp.
-// Its axes come from dsp::estimate_up and dsp::principal_horizontal_direction
-// (dsp/projection.hpp), the tree's only copies of that arithmetic; every
-// per-sample pass runs in T through the SIMD kernels, and the axis
-// directions are reduced in double. project_trace is the batch adapter; the
-// streaming ProjectionStage (core/stages.hpp) calls the template directly on
+// One implementation, project_channels_into, shared by the batch pipeline,
+// the stream and the baselines. Its axes come from dsp::estimate_up and
+// dsp::principal_horizontal_direction (dsp/projection.hpp), the tree's only
+// copies of that arithmetic; every per-sample pass runs through the SIMD
+// kernels. project_trace is the batch adapter; the streaming
+// ProjectionStage (core/stages.hpp) calls project_channels_into directly on
 // ring views.
 //
 // The gravity estimate is a fixed linear functional of the axis history
@@ -43,17 +41,12 @@
 
 namespace ptrack::core {
 
-/// Projected and band-limited channels in precision T, ready for cycle
-/// analysis.
-template <typename T>
+/// Projected and band-limited channels, ready for cycle analysis.
 struct ProjectedChannels {
-  std::vector<T> vertical;  ///< low-passed linear vertical accel
-  std::vector<T> anterior;  ///< low-passed anterior accel
+  std::vector<double> vertical;  ///< low-passed linear vertical accel
+  std::vector<double> anterior;  ///< low-passed anterior accel
   double fs = 0.0;
 };
-
-/// The batch pipeline's (double) projection result.
-using ProjectedTrace = ProjectedChannels<double>;
 
 /// Projects a trace onto vertical/anterior axes and low-passes both channels
 /// with a zero-phase Butterworth at `lowpass_hz` (zero-phase so critical
@@ -70,9 +63,9 @@ using ProjectedTrace = ProjectedChannels<double>;
 ///
 /// An adapter: splits the trace into channel arrays and calls
 /// project_channels_into.
-ProjectedTrace project_trace(const imu::Trace& trace, double lowpass_hz,
-                             double anterior_window_s = 0.0,
-                             dsp::Workspace* ws = nullptr);
+ProjectedChannels project_trace(const imu::Trace& trace, double lowpass_hz,
+                                double anterior_window_s = 0.0,
+                                dsp::Workspace* ws = nullptr);
 
 /// Sign-continuity state for the anterior principal direction, carried
 /// across successive projection calls. PCA is sign-ambiguous; a streaming
@@ -96,11 +89,10 @@ struct ProjectionSeam {
 /// this history length at the call's fs and dsp::kGravityCutoffHz — a
 /// precomputed dsp::GravityWeights table. Empty means the call computes
 /// them into workspace scratch; either way the up vector is the same.
-template <typename T>
 struct AxisHistory {
-  std::span<const T> ax;
-  std::span<const T> ay;
-  std::span<const T> az;
+  std::span<const double> ax;
+  std::span<const double> ay;
+  std::span<const double> az;
   std::span<const double> up_weights{};
   [[nodiscard]] bool empty() const { return ax.empty(); }
 };
@@ -139,8 +131,7 @@ struct FilterCarry {
 /// and biquad state is linear in its input history, so converting this
 /// state with the current axes gives the state a zero-state filter over
 /// that whole history, projected with those axes, would hold — the same
-/// history re-projected every hop, without re-filtering it. The lanes are
-/// read from double channels for both precisions, and the state is double.
+/// history re-projected every hop, without re-filtering it.
 class LowpassCarry {
  public:
   LowpassCarry(double lowpass_hz, double fs);
@@ -188,21 +179,19 @@ class LowpassCarry {
 };
 
 /// Structure-of-arrays projection over raw channel spans (e.g. views into
-/// an imu::SampleRing or its float mirrors) — no Trace or AoS
-/// materialization. T is double or float. Fills `out` in place (resizing
-/// its channels), so a caller that keeps one ProjectedChannels across hops
-/// stops allocating once the channel capacity has warmed up.
+/// an imu::SampleRing) — no Trace or AoS materialization. Fills `out` in
+/// place (resizing its channels), so a caller that keeps one
+/// ProjectedChannels across hops stops allocating once the channel
+/// capacity has warmed up.
 ///
-/// `ups` (optional, double only) supplies a per-sample up track
+/// `ups` (optional) supplies a per-sample up track
 /// (attitude-filter path); it must be empty or exactly ax.size() long.
 /// When empty, the up direction is the batch gravity estimate over the
 /// axis spans: dsp::estimate_up, a weighted sum with the gravity weights
 /// (taken from `axes.up_weights` when given, otherwise computed into `ws`
-/// real scratch slot 0). The float instantiation has no attitude-filter
-/// path and requires `ups` to be empty.
+/// real scratch slot 0).
 ///
-/// `ws` provides the filter scratch of precision T (slot 0) and the
-/// gravity weights' real slot 0.
+/// `ws` provides the filter scratch and the gravity weights (real slot 0).
 ///
 /// `seam` (optional) carries the anterior sign across calls; null or
 /// zero-initialized reproduces batch behaviour.
@@ -216,17 +205,13 @@ class LowpassCarry {
 /// FilterCarry. Windowed anterior mode converts it with the direction of
 /// the window that holds sample `lead`. Requires n - lead > kLowpassPad so
 /// the right pad is not clamped shorter than a carry-less call's.
-///
-/// Float divergence from the double instantiation is bounded by float
-/// rounding in the projections and filters; tests/test_core_frontend.cpp
-/// checks the channels and tests/test_streaming_f32.cpp the events.
-template <typename T>
-void project_channels_into(std::span<const T> ax, std::span<const T> ay,
-                           std::span<const T> az, double fs,
+void project_channels_into(std::span<const double> ax,
+                           std::span<const double> ay,
+                           std::span<const double> az, double fs,
                            double lowpass_hz, double anterior_window_s,
                            std::span<const Vec3> ups, dsp::Workspace& ws,
-                           ProjectionSeam* seam, const AxisHistory<T>& axes,
-                           ProjectedChannels<T>& out,
+                           ProjectionSeam* seam, const AxisHistory& axes,
+                           ProjectedChannels& out,
                            const FilterCarry& carry = {});
 
 }  // namespace ptrack::core

@@ -14,7 +14,7 @@ namespace ptrack::core {
 namespace {
 
 struct CycleBank {
-  ProjectedTrace projected;
+  ProjectedChannels projected;
   std::vector<CycleRecord> walking;
   std::vector<CycleRecord> stepping;
 };

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <limits>
-#include <type_traits>
 #include <utility>
 
 #include "common/check.hpp"
@@ -20,16 +19,10 @@ namespace {
   return static_cast<std::size_t>(s * fs);
 }
 
-/// Raw accel channels [b, e) of the ring in precision T (the double
-/// channels or their f32 mirrors).
-template <typename T>
-AxisHistory<T> accel_spans(const imu::SampleRing& ring, std::size_t b,
-                           std::size_t e) {
-  if constexpr (std::is_same_v<T, float>) {
-    return {ring.axf(b, e), ring.ayf(b, e), ring.azf(b, e)};
-  } else {
-    return {ring.ax(b, e), ring.ay(b, e), ring.az(b, e)};
-  }
+/// Raw accel channels [b, e) of the ring.
+AxisHistory accel_spans(const imu::SampleRing& ring, std::size_t b,
+                        std::size_t e) {
+  return {ring.ax(b, e), ring.ay(b, e), ring.az(b, e)};
 }
 
 }  // namespace
@@ -38,18 +31,15 @@ AxisHistory<T> accel_spans(const imu::SampleRing& ring, std::size_t b,
 // ProjectionStage
 
 ProjectionStage::ProjectionStage(const StepCounterConfig& cfg, double fs,
-                                 dsp::Workspace* ws, Precision precision)
+                                 dsp::Workspace* ws)
     : cfg_(cfg),
       fs_(fs),
       ws_(ws),
-      precision_(precision),
       ctx_(seconds_to_samples(kProjectionCtxS, fs)),
       margin_(seconds_to_samples(kProjectionMarginS, fs)),
       axis_window_(seconds_to_samples(kProjectionAxisWindowS, fs)),
       carry_(cfg.lowpass_hz, fs) {
   expects(fs > 0.0, "ProjectionStage: fs > 0");
-  expects(precision == Precision::kDouble || !cfg.use_attitude_filter,
-          "ProjectionStage: float32 precision has no attitude-filter path");
   expects(ws != nullptr, "ProjectionStage: requires a workspace");
 }
 
@@ -96,29 +86,21 @@ void ProjectionStage::advance(const imu::SampleRing& ring, bool flush) {
           carry_.valid_at(stable) && end - stable > kLowpassPad;
       const Region region{begin,  end,    axis_begin, pin_axes,
                           stable, target, carried};
-      if (precision_ == Precision::kFloat32) {
-        // Downstream stages are precision-blind: the float region is
-        // widened into the double rings as it is finalized.
-        project_region(ring, region, projf_);
-      } else {
-        project_region(ring, region, proj_);
-      }
+      project_region(ring, region);
       advance_carry(ring, region, flush);
     }
   }
   if (cfg_.use_attitude_filter) ups_.trim_to(min_required());
 }
 
-template <typename T>
 void ProjectionStage::project_region(const imu::SampleRing& ring,
-                                     const Region& r,
-                                     ProjectedChannels<T>& out) {
+                                     const Region& r) {
   PTRACK_CHECK_MSG(r.begin <= r.stable && r.stable < r.target &&
                        r.target <= r.end,
                    "ProjectionStage: finalized range inside the region");
-  const AxisHistory<T> raw = accel_spans<T>(ring, r.begin, r.end);
-  AxisHistory<T> axes = r.pin_axes ? accel_spans<T>(ring, r.axis_begin, r.end)
-                                   : AxisHistory<T>{};
+  const AxisHistory raw = accel_spans(ring, r.begin, r.end);
+  AxisHistory axes =
+      r.pin_axes ? accel_spans(ring, r.axis_begin, r.end) : AxisHistory{};
   // Every pinned history length takes its gravity weights from the shared
   // registry: the steady 20 s window from the table this stage holds,
   // warm-up lengths from a table held for this call only.
@@ -141,15 +123,15 @@ void ProjectionStage::project_region(const imu::SampleRing& ring,
                         cfg_.anterior_window_s,
                         cfg_.use_attitude_filter ? ups_.span(r.begin, r.end)
                                                  : std::span<const Vec3>{},
-                        *ws_, &seam_, axes, out,
+                        *ws_, &seam_, axes, proj_,
                         r.carried ? carry_.carry(r.stable - r.begin)
                                   : FilterCarry{});
-  // out holds samples [stable, end) with a carried state, else
+  // proj_ holds samples [stable, end) with a carried state, else
   // [begin, end).
   const std::size_t first = r.carried ? r.stable : r.begin;
   for (std::size_t i = r.stable; i < r.target; ++i) {
-    vert_.push(static_cast<double>(out.vertical[i - first]));
-    ant_.push(static_cast<double>(out.anterior[i - first]));
+    vert_.push(proj_.vertical[i - first]);
+    ant_.push(proj_.anterior[i - first]);
   }
 }
 
@@ -553,8 +535,8 @@ std::size_t EventAssembler::min_required() const {
 
 StagePipeline::StagePipeline(const StepCounterConfig& counter_cfg,
                              const StrideConfig& stride_cfg, double fs,
-                             dsp::Workspace* ws, Precision precision)
-    : projection_(counter_cfg, fs, ws, precision),
+                             dsp::Workspace* ws)
+    : projection_(counter_cfg, fs, ws),
       segmentation_(counter_cfg, fs),
       assembler_(counter_cfg, stride_cfg, fs) {}
 

@@ -87,17 +87,6 @@ inline constexpr double kProjectionAxisWindowS = 20.0;
 inline constexpr double kSegmentationLookbackS = 5.0;
 inline constexpr double kSegmentationMarginS = 1.8;
 
-/// Numeric precision of the projection frontend. kDouble is the batch
-/// pipeline's arithmetic, bit-stable against the batch oracle. kFloat32
-/// runs the float instantiation of project_channels_into over the ring's
-/// f32 mirrors (twice the SIMD lane width, half the memory traffic) and
-/// widens the finalized channels back to the double rings, so every stage
-/// downstream of projection is unchanged. Requires a SampleRing with
-/// enable_f32(); incompatible with the attitude-filter path (which stays
-/// double-only). Divergence from kDouble is bounded by float rounding
-/// (tests/test_streaming_f32.cpp).
-enum class Precision { kDouble, kFloat32 };
-
 /// Cumulative per-stage wall-clock cost (µs); zeros when obs is disabled.
 struct StageStats {
   double project_us = 0.0;  ///< projection + filtering
@@ -117,8 +106,7 @@ class ProjectionStage {
  public:
   /// `ws` (required, non-null) holds the projection's filter scratch and
   /// must outlive the stage.
-  ProjectionStage(const StepCounterConfig& cfg, double fs, dsp::Workspace* ws,
-                  Precision precision = Precision::kDouble);
+  ProjectionStage(const StepCounterConfig& cfg, double fs, dsp::Workspace* ws);
 
   /// Advances the projected frontier over `ring`; flush finalizes up to the
   /// raw frontier. Appends only — previously finalized samples never change.
@@ -139,7 +127,6 @@ class ProjectionStage {
   StepCounterConfig cfg_;
   double fs_;
   dsp::Workspace* ws_;
-  Precision precision_;
   std::size_t ctx_;          ///< re-projection context (samples)
   std::size_t margin_;       ///< finalization margin (samples)
   std::size_t axis_window_;  ///< axis-estimation history (samples)
@@ -171,21 +158,18 @@ class ProjectionStage {
     bool carried;
   };
 
-  // Projects the region in precision T and appends the finalized
-  // [stable, target) to the double rings.
-  template <typename T>
-  void project_region(const imu::SampleRing& ring, const Region& r,
-                      ProjectedChannels<T>& out);
+  // Projects the region into proj_ and appends the finalized
+  // [stable, target) to the rings.
+  void project_region(const imu::SampleRing& ring, const Region& r);
   // Moves the carried low-pass state to `target`: advances it over
   // [stable, target), or re-seeds it when there is none.
   void advance_carry(const imu::SampleRing& ring, const Region& r,
                      bool flush);
 
-  // Reused per-hop projection outputs: project_channels_into refills them
-  // in place, so re-projection stops allocating once the region capacity
-  // has warmed up.
-  ProjectedChannels<double> proj_{};
-  ProjectedChannels<float> projf_{};
+  // Reused per-hop projection output: project_channels_into refills it in
+  // place, so re-projection stops allocating once the region capacity has
+  // warmed up.
+  ProjectedChannels proj_{};
 
   // Attitude-filter mode: per-sample up track, fed causally.
   Ring<Vec3> ups_;
@@ -302,8 +286,7 @@ class EventAssembler {
 class StagePipeline {
  public:
   StagePipeline(const StepCounterConfig& counter_cfg,
-                const StrideConfig& stride_cfg, double fs, dsp::Workspace* ws,
-                Precision precision = Precision::kDouble);
+                const StrideConfig& stride_cfg, double fs, dsp::Workspace* ws);
 
   void set_profile(const StrideProfile& profile);
 

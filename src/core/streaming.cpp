@@ -17,9 +17,6 @@ namespace {
 double validated_fs(double fs, const StreamingConfig& config) {
   expects(fs > 0.0, "StreamingTracker: fs > 0");
   expects(config.hop_s > 0.0, "StreamingTracker: hop_s > 0");
-  expects(config.precision == Precision::kDouble ||
-              !config.pipeline.counter.use_attitude_filter,
-          "StreamingTracker: float32 precision has no attitude-filter path");
   return fs;
 }
 
@@ -29,11 +26,9 @@ double validated_fs(double fs, const StreamingConfig& config) {
 StreamingTracker::StreamingTracker(double fs, StreamingConfig config)
     : fs_(validated_fs(fs, config)),
       config_(config),
-      pipe_(config.pipeline.counter, config.pipeline.stride, fs, &workspace_,
-            config.precision),
+      pipe_(config.pipeline.counter, config.pipeline.stride, fs, &workspace_),
       hop_samples_(std::max<std::size_t>(
           1, static_cast<std::size_t>(config.hop_s * fs))) {
-  if (config_.precision == Precision::kFloat32) ring_.enable_f32();
   if (config_.pipeline.quality.enabled) {
     quality_.emplace(fs_, config_.pipeline.quality);
     repair_buf_.reserve(quality_->latency_bound() + 1);

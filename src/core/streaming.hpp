@@ -41,13 +41,6 @@ struct StreamingConfig {
   /// analysis window: stage state carries across hops, and each stage
   /// derives its own finalization margin; see core/stages.hpp.)
   double hop_s = 2.0;
-  /// Numeric precision of the per-hop projection frontend. kFloat32 is the
-  /// opt-in fast path: the ring keeps f32 accel mirrors and the projection
-  /// stage runs the float instantiation of project_channels_into;
-  /// everything downstream of projection stays double. Incompatible with
-  /// use_attitude_filter (construction throws). See core::Precision for
-  /// the accuracy contract.
-  Precision precision = Precision::kDouble;
   /// Arm an alloc::NoAllocScope around every steady-state incremental hop
   /// (each non-flush advance after the first flush). With PTrack checks
   /// enabled, any heap allocation inside such a hop then throws

@@ -46,7 +46,7 @@ std::vector<SweepEstimate> materialize(const SweepEstimateSet& set) {
 }  // namespace
 
 std::vector<SweepEstimate> StrideEstimator::estimate_cycle(
-    const ProjectedTrace& projected, const CycleRecord& cycle) const {
+    const ProjectedChannels& projected, const CycleRecord& cycle) const {
   return estimate_cycle(
       ChannelSpans{projected.vertical, projected.anterior, projected.fs},
       cycle);

@@ -48,7 +48,7 @@ struct SweepEstimateSet {
 
 /// Span view over projected vertical/anterior channels: the zero-copy
 /// handle used by the streaming pipeline, where the channels live in a
-/// hop-local projection rather than a ProjectedTrace. Cycle indices and
+/// hop-local projection rather than a ProjectedChannels. Cycle indices and
 /// returned times are relative to the span start.
 struct ChannelSpans {
   std::span<const double> vertical;
@@ -64,9 +64,9 @@ class StrideEstimator {
   /// Estimates the (up to two) per-step strides of one classified cycle.
   /// Interference cycles yield an empty result.
   [[nodiscard]] std::vector<SweepEstimate> estimate_cycle(
-      const ProjectedTrace& projected, const CycleRecord& cycle) const;
+      const ProjectedChannels& projected, const CycleRecord& cycle) const;
 
-  /// Span variant; the ProjectedTrace overload delegates here.
+  /// Span variant; the ProjectedChannels overload delegates here.
   [[nodiscard]] std::vector<SweepEstimate> estimate_cycle(
       const ChannelSpans& channels, const CycleRecord& cycle) const;
 

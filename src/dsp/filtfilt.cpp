@@ -50,20 +50,18 @@ void filtfilt_inplace(const BiquadCascade& cascade, std::span<double> padded) {
 // (sample-major, kIirLanes-stride) buffer — the same values pad_reflect_into
 // writes, just strided — with `lpad` samples mirrored about the front and
 // `rpad` about the back.
-template <typename T>
-void pad_reflect_lane(std::span<const T> xs, std::size_t lpad,
-                      std::size_t rpad, T* out, std::size_t lane) {
+void pad_reflect_lane(std::span<const double> xs, std::size_t lpad,
+                      std::size_t rpad, double* out, std::size_t lane) {
   constexpr std::size_t kL = simd::kIirLanes;
   const std::size_t n = xs.size();
   PTRACK_CHECK_MSG(n >= 1 && lpad < n && rpad < n,
                    "pad_reflect_lane: pad shorter than the signal");
-  const T two = static_cast<T>(2);
   for (std::size_t i = 0; i < lpad; ++i) {
-    out[i * kL + lane] = two * xs.front() - xs[lpad - i];
+    out[i * kL + lane] = 2.0 * xs.front() - xs[lpad - i];
   }
   for (std::size_t i = 0; i < n; ++i) out[(lpad + i) * kL + lane] = xs[i];
   for (std::size_t i = 1; i <= rpad; ++i) {
-    out[(lpad + n - 1 + i) * kL + lane] = two * xs.back() - xs[n - 1 - i];
+    out[(lpad + n - 1 + i) * kL + lane] = 2.0 * xs.back() - xs[n - 1 - i];
   }
 }
 
@@ -75,11 +73,10 @@ void pad_reflect_lane(std::span<const T> xs, std::size_t lpad,
 // the padded interleaved buffer of (lpad + n + rpad) samples.
 // Backward pass = iterating the samples in reverse with fresh filter state,
 // which is bit-identical to filtfilt_inplace's reverse/process/reverse.
-template <typename T>
-std::span<T> multi_filter_core(const BiquadCascade& cascade,
-                               std::span<const std::span<const T>> xs,
-                               std::size_t lpad, std::size_t rpad,
-                               std::span<const T> state, Workspace& ws) {
+std::span<double> multi_filter_core(
+    const BiquadCascade& cascade, std::span<const std::span<const double>> xs,
+    std::size_t lpad, std::size_t rpad, std::span<const double> state,
+    Workspace& ws) {
   constexpr std::size_t kL = simd::kIirLanes;
   const std::size_t k = xs.size();
   expects(k >= 1 && k <= kL, "filtfilt_multi: 1..kIirLanes channels");
@@ -89,7 +86,7 @@ std::span<T> multi_filter_core(const BiquadCascade& cascade,
   }
   const std::size_t m = lpad + n + rpad;
 
-  T* buf = ws.scratch<T>(0, m * kL).data();
+  double* buf = ws.real_scratch(0, m * kL).data();
   for (std::size_t c = 0; c < k; ++c) {
     pad_reflect_lane(xs[c], lpad, rpad, buf, c);
   }
@@ -97,7 +94,7 @@ std::span<T> multi_filter_core(const BiquadCascade& cascade,
   // could drive the recurrence through denormals/Inf and stall every lane's
   // arithmetic — zero them.
   for (std::size_t c = k; c < kL; ++c) {
-    for (std::size_t i = 0; i < m; ++i) buf[i * kL + c] = static_cast<T>(0);
+    for (std::size_t i = 0; i < m; ++i) buf[i * kL + c] = 0.0;
   }
 
   const auto& secs = cascade.sections();
@@ -106,8 +103,8 @@ std::span<T> multi_filter_core(const BiquadCascade& cascade,
   for (std::size_t s = 0; s < secs.size(); ++s) coeffs[s] = secs[s].coeffs();
   const std::span<const BiquadCoeffs> sections(coeffs.data(), secs.size());
 
-  std::array<T, simd::cascade_state_size(8)> carried{};
-  T* fwd_state = nullptr;
+  std::array<double, simd::cascade_state_size(8)> carried{};
+  double* fwd_state = nullptr;
   if (!state.empty()) {
     expects(lpad == 0 &&
                 state.size() == simd::cascade_state_size(sections.size()),
@@ -120,11 +117,10 @@ std::span<T> multi_filter_core(const BiquadCascade& cascade,
   return {buf, m * kL};
 }
 
-template <typename T>
 void multi_into(const BiquadCascade& cascade,
-                std::span<const std::span<const T>> xs, std::size_t pad,
-                std::span<const T> state, Workspace& ws,
-                std::span<const std::span<T>> outs) {
+                std::span<const std::span<const double>> xs, std::size_t pad,
+                std::span<const double> state, Workspace& ws,
+                std::span<const std::span<double>> outs) {
   constexpr std::size_t kL = simd::kIirLanes;
   expects(outs.size() == xs.size(),
           "filtfilt_multi_into: one output per channel");
@@ -136,7 +132,7 @@ void multi_into(const BiquadCascade& cascade,
   if (n == 0) return;
   pad = std::min(pad, n - 1);
   const std::size_t lpad = state.empty() ? pad : 0;
-  const auto buf = multi_filter_core<T>(cascade, xs, lpad, pad, state, ws);
+  const auto buf = multi_filter_core(cascade, xs, lpad, pad, state, ws);
   for (std::size_t c = 0; c < outs.size(); ++c) {
     for (std::size_t i = 0; i < n; ++i) {
       outs[c][i] = buf[(lpad + i) * kL + c];
@@ -191,14 +187,7 @@ void filtfilt_multi_into(const BiquadCascade& cascade,
                          std::span<const std::span<const double>> xs,
                          std::size_t pad, Workspace& ws,
                          std::span<const std::span<double>> outs) {
-  multi_into<double>(cascade, xs, pad, {}, ws, outs);
-}
-
-void filtfilt_multi_into(const BiquadCascade& cascade,
-                         std::span<const std::span<const float>> xs,
-                         std::size_t pad, Workspace& ws,
-                         std::span<const std::span<float>> outs) {
-  multi_into<float>(cascade, xs, pad, {}, ws, outs);
+  multi_into(cascade, xs, pad, {}, ws, outs);
 }
 
 void filtfilt_multi_carried_into(const BiquadCascade& cascade,
@@ -207,16 +196,7 @@ void filtfilt_multi_carried_into(const BiquadCascade& cascade,
                                  std::size_t pad, Workspace& ws,
                                  std::span<const std::span<double>> outs) {
   expects(!state.empty(), "filtfilt_multi_carried_into: state given");
-  multi_into<double>(cascade, xs, pad, state, ws, outs);
-}
-
-void filtfilt_multi_carried_into(const BiquadCascade& cascade,
-                                 std::span<const std::span<const float>> xs,
-                                 std::span<const float> state,
-                                 std::size_t pad, Workspace& ws,
-                                 std::span<const std::span<float>> outs) {
-  expects(!state.empty(), "filtfilt_multi_carried_into: state given");
-  multi_into<float>(cascade, xs, pad, state, ws, outs);
+  multi_into(cascade, xs, pad, state, ws, outs);
 }
 
 std::vector<double> zero_phase_lowpass(std::span<const double> xs,

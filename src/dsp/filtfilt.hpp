@@ -49,13 +49,6 @@ void filtfilt_multi_into(const BiquadCascade& cascade,
                          std::size_t pad, Workspace& ws,
                          std::span<const std::span<double>> outs);
 
-/// Float32 overload (float slot 0; coefficients are narrowed to float once,
-/// matching the float cascade_multi contract).
-void filtfilt_multi_into(const BiquadCascade& cascade,
-                         std::span<const std::span<const float>> xs,
-                         std::size_t pad, Workspace& ws,
-                         std::span<const std::span<float>> outs);
-
 /// Zero-phase filter over the tail of a stream whose earlier samples were
 /// filtered before: the forward pass starts from `state` — the cascade's
 /// forward state just before xs[0], in simd::cascade_state layout with
@@ -71,11 +64,6 @@ void filtfilt_multi_carried_into(const BiquadCascade& cascade,
                                  std::span<const double> state,
                                  std::size_t pad, Workspace& ws,
                                  std::span<const std::span<double>> outs);
-void filtfilt_multi_carried_into(const BiquadCascade& cascade,
-                                 std::span<const std::span<const float>> xs,
-                                 std::span<const float> state,
-                                 std::size_t pad, Workspace& ws,
-                                 std::span<const std::span<float>> outs);
 
 /// Convenience: zero-phase Butterworth low-pass of the given order.
 std::vector<double> zero_phase_lowpass(std::span<const double> xs,

@@ -168,9 +168,8 @@ GravityRegistryStats gravity_registry_stats() {
   return stats;
 }
 
-template <typename T>
-Vec3 estimate_up(std::span<const T> x, std::span<const T> y,
-                 std::span<const T> z, std::span<const double> w) {
+Vec3 estimate_up(std::span<const double> x, std::span<const double> y,
+                 std::span<const double> z, std::span<const double> w) {
   const std::size_t n = x.size();
   expects(n >= 4, "estimate_up: >= 4 samples");
   expects(n == y.size() && n == z.size() && n == w.size(),
@@ -182,9 +181,8 @@ Vec3 estimate_up(std::span<const T> x, std::span<const T> y,
   return g.normalized();
 }
 
-template <typename T>
-Vec3 estimate_up(std::span<const T> x, std::span<const T> y,
-                 std::span<const T> z, double fs, double cutoff_hz,
+Vec3 estimate_up(std::span<const double> x, std::span<const double> y,
+                 std::span<const double> z, double fs, double cutoff_hz,
                  Workspace& ws) {
   expects(x.size() >= 4, "estimate_up: >= 4 samples");
   auto& scratch = ws.real_scratch(0, gravity_weights_scratch(x.size()));
@@ -192,10 +190,10 @@ Vec3 estimate_up(std::span<const T> x, std::span<const T> y,
                      gravity_weights_into(x.size(), fs, cutoff_hz, scratch));
 }
 
-template <typename T>
-Vec3 principal_horizontal_direction(std::span<const T> x,
-                                    std::span<const T> y,
-                                    std::span<const T> z, const Vec3& up) {
+Vec3 principal_horizontal_direction(std::span<const double> x,
+                                    std::span<const double> y,
+                                    std::span<const double> z,
+                                    const Vec3& up) {
   expects(x.size() == y.size() && y.size() == z.size(),
           "principal_horizontal_direction: equal channel lengths");
   const std::size_t n = x.size();
@@ -208,8 +206,7 @@ Vec3 principal_horizontal_direction(std::span<const T> x,
   // One pass of first and second moments of d = f - f[0] in double, then
   // the scatter matrix about the mean, C = sum d d^T - (sum d)(sum d)^T / n,
   // and its horizontal 2x2 block s_ab = e_a^T C e_b.
-  const Vec3 f0{static_cast<double>(x[0]), static_cast<double>(y[0]),
-                static_cast<double>(z[0])};
+  const Vec3 f0{x[0], y[0], z[0]};
   const simd::Moments3 m = simd::moments3(x, y, z, f0);
   const auto count = static_cast<double>(n);
   const double cxx = m.xx - m.sum.x * m.sum.x / count;
@@ -246,31 +243,6 @@ Vec3 principal_horizontal_direction(std::span<const T> x,
   }
   return (e1 * v1 + e2 * v2).normalized();
 }
-
-template Vec3 estimate_up<double>(std::span<const double>,
-                                  std::span<const double>,
-                                  std::span<const double>,
-                                  std::span<const double>);
-template Vec3 estimate_up<float>(std::span<const float>,
-                                 std::span<const float>,
-                                 std::span<const float>,
-                                 std::span<const double>);
-template Vec3 estimate_up<double>(std::span<const double>,
-                                  std::span<const double>,
-                                  std::span<const double>, double, double,
-                                  Workspace&);
-template Vec3 estimate_up<float>(std::span<const float>,
-                                 std::span<const float>,
-                                 std::span<const float>, double, double,
-                                 Workspace&);
-template Vec3 principal_horizontal_direction<double>(std::span<const double>,
-                                                     std::span<const double>,
-                                                     std::span<const double>,
-                                                     const Vec3&);
-template Vec3 principal_horizontal_direction<float>(std::span<const float>,
-                                                    std::span<const float>,
-                                                    std::span<const float>,
-                                                    const Vec3&);
 
 ProjectedSignal project(std::span<const double> x, std::span<const double> y,
                         std::span<const double> z, double fs) {

@@ -8,13 +8,9 @@
 // makes the anterior axis the direction of largest horizontal variance.
 //
 // The two axis estimators are the only copies of that arithmetic in the
-// tree. They are templates over the channel precision (double, or float for
-// the f32 streaming frontend) and run on structure-of-arrays channel spans;
-// the axis directions themselves are always reduced in double, since their
-// three components carry their error into every projected sample. Both
-// instantiations live in projection.cpp. core::project_channels_into builds
-// the PTrack frontend on them; project() below is the whole-trace
-// projection the baseline models use.
+// tree. They run on structure-of-arrays channel spans, and
+// core::project_channels_into builds the PTrack frontend on them; project()
+// below is the whole-trace projection the baseline models use.
 //
 // The gravity estimate is a fixed linear functional. It is defined as
 // normalize(mean(filtfilt(pad(x)))) per channel: odd-reflection padding P
@@ -132,20 +128,17 @@ struct GravityRegistryStats {
 
 /// Estimates the unit "up" direction from specific-force channels with the
 /// precomputed gravity weights `w` (w.size() == channel length, n >= 4):
-/// normalize(sum_i w[i] * f[i]), accumulated in double for both
-/// precisions (simd::weighted_sum3). For a device at rest or in cyclic
-/// motion the low-passed specific force points up with magnitude ~g. T is
-/// double or float.
-template <typename T>
-Vec3 estimate_up(std::span<const T> x, std::span<const T> y,
-                 std::span<const T> z, std::span<const double> w);
+/// normalize(sum_i w[i] * f[i]) (simd::weighted_sum3). For a device at
+/// rest or in cyclic motion the low-passed specific force points up with
+/// magnitude ~g.
+Vec3 estimate_up(std::span<const double> x, std::span<const double> y,
+                 std::span<const double> z, std::span<const double> w);
 
 /// As above, computing the weights for (x.size(), fs, cutoff_hz) into `ws`
 /// real scratch slot 0 first (clobbered). Requires >= 4 samples per
 /// channel and fs > 0.
-template <typename T>
-Vec3 estimate_up(std::span<const T> x, std::span<const T> y,
-                 std::span<const T> z, double fs, double cutoff_hz,
+Vec3 estimate_up(std::span<const double> x, std::span<const double> y,
+                 std::span<const double> z, double fs, double cutoff_hz,
                  Workspace& ws);
 
 /// Principal horizontal direction of the residual (gravity-removed)
@@ -156,10 +149,10 @@ Vec3 estimate_up(std::span<const T> x, std::span<const T> y,
 /// 3x3 covariance C of the raw channels: one pass of double moments over
 /// the channels (simd::moments3), taken about the first sample so the
 /// one-pass formula does not cancel against gravity's offset. No scratch.
-template <typename T>
-Vec3 principal_horizontal_direction(std::span<const T> x,
-                                    std::span<const T> y,
-                                    std::span<const T> z, const Vec3& up);
+Vec3 principal_horizontal_direction(std::span<const double> x,
+                                    std::span<const double> y,
+                                    std::span<const double> z,
+                                    const Vec3& up);
 
 /// Whole-trace projection: up from the gravity estimate, forward from the
 /// principal horizontal direction, then vertical = f.up - g and the

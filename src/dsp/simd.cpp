@@ -15,22 +15,17 @@ const KernelTable& scalar_table() {
   static const KernelTable t = {
       &dot_canonical,
       &sumsq_dev_canonical,
-      &weighted_sum3_canonical<double>,
-      &weighted_sum3_canonical<float>,
-      &moments3_canonical<double>,
-      &moments3_canonical<float>,
-      &axis_project_canonical<double>,
-      &axis_project_canonical<float>,
-      &residual_project_canonical<double>,
-      &residual_project_canonical<float>,
+      &weighted_sum3_canonical,
+      &moments3_canonical,
+      &axis_project_canonical,
+      &residual_project_canonical,
       &negate_canonical,
       &sub_scalar_canonical,
       &diff_div_canonical,
       &min_until_greater_fwd_canonical,
       &min_until_greater_bwd_canonical,
       &normalize_lags_canonical,
-      &cascade_multi_canonical<double>,
-      &cascade_multi_canonical<float>,
+      &cascade_multi_canonical,
   };
   return t;
 }
@@ -119,28 +114,11 @@ Vec3 weighted_sum3(std::span<const double> w, std::span<const double> x,
                                            z.data(), w.size());
 }
 
-Vec3 weighted_sum3(std::span<const double> w, std::span<const float> x,
-                   std::span<const float> y, std::span<const float> z) {
-  expects(w.size() == x.size() && x.size() == y.size() &&
-              y.size() == z.size(),
-          "simd::weighted_sum3: equal lengths");
-  return dispatch().table->weighted_sum3_f(w.data(), x.data(), y.data(),
-                                           z.data(), w.size());
-}
-
 Moments3 moments3(std::span<const double> x, std::span<const double> y,
                   std::span<const double> z, const Vec3& shift) {
   expects(x.size() == y.size() && y.size() == z.size(),
           "simd::moments3: equal lengths");
   return dispatch().table->moments3_d(x.data(), y.data(), z.data(), x.size(),
-                                      shift);
-}
-
-Moments3 moments3(std::span<const float> x, std::span<const float> y,
-                  std::span<const float> z, const Vec3& shift) {
-  expects(x.size() == y.size() && y.size() == z.size(),
-          "simd::moments3: equal lengths");
-  return dispatch().table->moments3_f(x.data(), y.data(), z.data(), x.size(),
                                       shift);
 }
 
@@ -154,16 +132,6 @@ void axis_project(std::span<const double> x, std::span<const double> y,
                                    bias, out.data());
 }
 
-void axis_project(std::span<const float> x, std::span<const float> y,
-                  std::span<const float> z, const Vec3& u, float bias,
-                  std::span<float> out) {
-  expects(x.size() == y.size() && y.size() == z.size() &&
-              z.size() == out.size(),
-          "simd::axis_project: equal lengths");
-  dispatch().table->axis_project_f(x.data(), y.data(), z.data(), x.size(), u,
-                                   bias, out.data());
-}
-
 void residual_project(std::span<const double> x, std::span<const double> y,
                       std::span<const double> z, const Vec3& up,
                       const Vec3& dir, std::span<double> out) {
@@ -171,16 +139,6 @@ void residual_project(std::span<const double> x, std::span<const double> y,
               z.size() == out.size(),
           "simd::residual_project: equal lengths");
   dispatch().table->residual_project_d(x.data(), y.data(), z.data(), x.size(),
-                                       up, dir, out.data());
-}
-
-void residual_project(std::span<const float> x, std::span<const float> y,
-                      std::span<const float> z, const Vec3& up,
-                      const Vec3& dir, std::span<float> out) {
-  expects(x.size() == y.size() && y.size() == z.size() &&
-              z.size() == out.size(),
-          "simd::residual_project: equal lengths");
-  dispatch().table->residual_project_f(x.data(), y.data(), z.data(), x.size(),
                                        up, dir, out.data());
 }
 
@@ -224,14 +182,6 @@ void cascade_multi(std::span<const BiquadCoeffs> sections, double* data,
   expects(sections.size() <= detail::kMaxSections,
           "simd::cascade_multi: section count");
   dispatch().table->cascade_multi_d(sections.data(), sections.size(), data, n,
-                                    backward, state);
-}
-
-void cascade_multi(std::span<const BiquadCoeffs> sections, float* data,
-                   std::size_t n, bool backward, float* state) {
-  expects(sections.size() <= detail::kMaxSections,
-          "simd::cascade_multi: section count");
-  dispatch().table->cascade_multi_f(sections.data(), sections.size(), data, n,
                                     backward, state);
 }
 

@@ -64,16 +64,12 @@ inline constexpr std::size_t kDoubleBlock = 4;
 
 /// Three weighted channel sums against one weight vector, in double:
 /// (sum w[i]*x[i], sum w[i]*y[i], sum w[i]*z[i]) — the gravity estimate's
-/// linear functional (dsp/projection.hpp). Float channels are widened per
-/// element. All four spans have equal length.
+/// linear functional (dsp/projection.hpp). All four spans have equal
+/// length.
 [[nodiscard]] Vec3 weighted_sum3(std::span<const double> w,
                                  std::span<const double> x,
                                  std::span<const double> y,
                                  std::span<const double> z);
-[[nodiscard]] Vec3 weighted_sum3(std::span<const double> w,
-                                 std::span<const float> x,
-                                 std::span<const float> y,
-                                 std::span<const float> z);
 
 /// First and second moments of d = (x[i], y[i], z[i]) - shift in double,
 /// the principal-axis fit's one pass over the raw channels.
@@ -89,21 +85,14 @@ struct Moments3 {
 [[nodiscard]] Moments3 moments3(std::span<const double> x,
                                 std::span<const double> y,
                                 std::span<const double> z, const Vec3& shift);
-[[nodiscard]] Moments3 moments3(std::span<const float> x,
-                                std::span<const float> y,
-                                std::span<const float> z, const Vec3& shift);
 
 // --- Elementwise maps (exact expression-order replicas) ---------------------
 
 /// out[i] = ((x[i]*u.x + y[i]*u.y) + z[i]*u.z) - bias — the vertical
-/// projection (Vec3::dot order, then the gravity subtraction). The float
-/// overload narrows `u` to float once and runs every step in float.
+/// projection (Vec3::dot order, then the gravity subtraction).
 void axis_project(std::span<const double> x, std::span<const double> y,
                   std::span<const double> z, const Vec3& u, double bias,
                   std::span<double> out);
-void axis_project(std::span<const float> x, std::span<const float> y,
-                  std::span<const float> z, const Vec3& u, float bias,
-                  std::span<float> out);
 
 /// out[i] = (f - up * f.dot(up)).dot(dir) for f = (x[i], y[i], z[i]) — the
 /// anterior projection of the gravity-removed residual, in the exact
@@ -111,9 +100,6 @@ void axis_project(std::span<const float> x, std::span<const float> y,
 void residual_project(std::span<const double> x, std::span<const double> y,
                       std::span<const double> z, const Vec3& up,
                       const Vec3& dir, std::span<double> out);
-void residual_project(std::span<const float> x, std::span<const float> y,
-                      std::span<const float> z, const Vec3& up,
-                      const Vec3& dir, std::span<float> out);
 
 /// out[i] = -xs[i].
 void negate(std::span<const double> xs, std::span<double> out);
@@ -171,7 +157,5 @@ inline constexpr std::size_t kIirLanes = 4;
 /// bit-identical to one call over all n samples.
 void cascade_multi(std::span<const BiquadCoeffs> sections, double* data,
                    std::size_t n, bool backward, double* state = nullptr);
-void cascade_multi(std::span<const BiquadCoeffs> sections, float* data,
-                   std::size_t n, bool backward, float* state = nullptr);
 
 }  // namespace ptrack::dsp::simd

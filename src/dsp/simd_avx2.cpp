@@ -60,37 +60,29 @@ double sumsq_dev_avx2(const double* xs, std::size_t n, double mean) {
   return total;
 }
 
-/// Four consecutive channel samples widened to double lanes.
-inline __m256d load4(const double* p) { return _mm256_loadu_pd(p); }
-inline __m256d load4(const float* p) {
-  return _mm256_cvtps_pd(_mm_loadu_ps(p));
-}
-
-template <typename T>
-Vec3 weighted_sum3_avx2(const double* w, const T* x, const T* y, const T* z,
-                        std::size_t n) {
+Vec3 weighted_sum3_avx2(const double* w, const double* x, const double* y,
+                        const double* z, std::size_t n) {
   __m256d ax = _mm256_setzero_pd();
   __m256d ay = _mm256_setzero_pd();
   __m256d az = _mm256_setzero_pd();
   std::size_t i = 0;
   for (; i + 4 <= n; i += 4) {
     const __m256d wv = _mm256_loadu_pd(w + i);
-    ax = _mm256_add_pd(ax, _mm256_mul_pd(wv, load4(x + i)));
-    ay = _mm256_add_pd(ay, _mm256_mul_pd(wv, load4(y + i)));
-    az = _mm256_add_pd(az, _mm256_mul_pd(wv, load4(z + i)));
+    ax = _mm256_add_pd(ax, _mm256_mul_pd(wv, _mm256_loadu_pd(x + i)));
+    ay = _mm256_add_pd(ay, _mm256_mul_pd(wv, _mm256_loadu_pd(y + i)));
+    az = _mm256_add_pd(az, _mm256_mul_pd(wv, _mm256_loadu_pd(z + i)));
   }
   Vec3 total{hsum(ax), hsum(ay), hsum(az)};
   for (; i < n; ++i) {
-    total.x += w[i] * static_cast<double>(x[i]);
-    total.y += w[i] * static_cast<double>(y[i]);
-    total.z += w[i] * static_cast<double>(z[i]);
+    total.x += w[i] * x[i];
+    total.y += w[i] * y[i];
+    total.z += w[i] * z[i];
   }
   return total;
 }
 
-template <typename T>
-Moments3 moments3_avx2(const T* x, const T* y, const T* z, std::size_t n,
-                       Vec3 shift) {
+Moments3 moments3_avx2(const double* x, const double* y, const double* z,
+                       std::size_t n, Vec3 shift) {
   const __m256d sx = _mm256_set1_pd(shift.x);
   const __m256d sy = _mm256_set1_pd(shift.y);
   const __m256d sz = _mm256_set1_pd(shift.z);
@@ -105,9 +97,9 @@ Moments3 moments3_avx2(const T* x, const T* y, const T* z, std::size_t n,
   __m256d azz = _mm256_setzero_pd();
   std::size_t i = 0;
   for (; i + 4 <= n; i += 4) {
-    const __m256d dx = _mm256_sub_pd(load4(x + i), sx);
-    const __m256d dy = _mm256_sub_pd(load4(y + i), sy);
-    const __m256d dz = _mm256_sub_pd(load4(z + i), sz);
+    const __m256d dx = _mm256_sub_pd(_mm256_loadu_pd(x + i), sx);
+    const __m256d dy = _mm256_sub_pd(_mm256_loadu_pd(y + i), sy);
+    const __m256d dz = _mm256_sub_pd(_mm256_loadu_pd(z + i), sz);
     ax = _mm256_add_pd(ax, dx);
     ay = _mm256_add_pd(ay, dy);
     az = _mm256_add_pd(az, dz);
@@ -127,9 +119,7 @@ Moments3 moments3_avx2(const T* x, const T* y, const T* z, std::size_t n,
   m.yz = hsum(ayz);
   m.zz = hsum(azz);
   for (; i < n; ++i) {
-    add_moments(m, static_cast<double>(x[i]) - shift.x,
-                static_cast<double>(y[i]) - shift.y,
-                static_cast<double>(z[i]) - shift.z);
+    add_moments(m, x[i] - shift.x, y[i] - shift.y, z[i] - shift.z);
   }
   return m;
 }
@@ -150,28 +140,6 @@ void axis_project_avx2(const double* x, const double* y, const double* z,
   }
   for (; i < n; ++i) {
     out[i] = ((x[i] * u.x + y[i] * u.y) + z[i] * u.z) - bias;
-  }
-}
-
-void axis_projectf_avx2(const float* x, const float* y, const float* z,
-                        std::size_t n, Vec3 u, float bias, float* out) {
-  const float ux = static_cast<float>(u.x);
-  const float uy = static_cast<float>(u.y);
-  const float uz = static_cast<float>(u.z);
-  const __m256 uxv = _mm256_set1_ps(ux);
-  const __m256 uyv = _mm256_set1_ps(uy);
-  const __m256 uzv = _mm256_set1_ps(uz);
-  const __m256 bv = _mm256_set1_ps(bias);
-  std::size_t i = 0;
-  for (; i + 8 <= n; i += 8) {
-    const __m256 d = _mm256_add_ps(
-        _mm256_add_ps(_mm256_mul_ps(_mm256_loadu_ps(x + i), uxv),
-                      _mm256_mul_ps(_mm256_loadu_ps(y + i), uyv)),
-        _mm256_mul_ps(_mm256_loadu_ps(z + i), uzv));
-    _mm256_storeu_ps(out + i, _mm256_sub_ps(d, bv));
-  }
-  for (; i < n; ++i) {
-    out[i] = ((x[i] * ux + y[i] * uy) + z[i] * uz) - bias;
   }
 }
 
@@ -205,45 +173,6 @@ void residual_project_avx2(const double* x, const double* y, const double* z,
     const double ry = y[i] - up.y * t;
     const double rz = z[i] - up.z * t;
     out[i] = (rx * dir.x + ry * dir.y) + rz * dir.z;
-  }
-}
-
-void residual_projectf_avx2(const float* x, const float* y, const float* z,
-                            std::size_t n, Vec3 up, Vec3 dir, float* out) {
-  const float ux = static_cast<float>(up.x);
-  const float uy = static_cast<float>(up.y);
-  const float uz = static_cast<float>(up.z);
-  const float dx = static_cast<float>(dir.x);
-  const float dy = static_cast<float>(dir.y);
-  const float dz = static_cast<float>(dir.z);
-  const __m256 uxv = _mm256_set1_ps(ux);
-  const __m256 uyv = _mm256_set1_ps(uy);
-  const __m256 uzv = _mm256_set1_ps(uz);
-  const __m256 dxv = _mm256_set1_ps(dx);
-  const __m256 dyv = _mm256_set1_ps(dy);
-  const __m256 dzv = _mm256_set1_ps(dz);
-  std::size_t i = 0;
-  for (; i + 8 <= n; i += 8) {
-    const __m256 xv = _mm256_loadu_ps(x + i);
-    const __m256 yv = _mm256_loadu_ps(y + i);
-    const __m256 zv = _mm256_loadu_ps(z + i);
-    const __m256 t = _mm256_add_ps(
-        _mm256_add_ps(_mm256_mul_ps(xv, uxv), _mm256_mul_ps(yv, uyv)),
-        _mm256_mul_ps(zv, uzv));
-    const __m256 rx = _mm256_sub_ps(xv, _mm256_mul_ps(uxv, t));
-    const __m256 ry = _mm256_sub_ps(yv, _mm256_mul_ps(uyv, t));
-    const __m256 rz = _mm256_sub_ps(zv, _mm256_mul_ps(uzv, t));
-    const __m256 a = _mm256_add_ps(
-        _mm256_add_ps(_mm256_mul_ps(rx, dxv), _mm256_mul_ps(ry, dyv)),
-        _mm256_mul_ps(rz, dzv));
-    _mm256_storeu_ps(out + i, a);
-  }
-  for (; i < n; ++i) {
-    const float t = (x[i] * ux + y[i] * uy) + z[i] * uz;
-    const float rx = x[i] - ux * t;
-    const float ry = y[i] - uy * t;
-    const float rz = z[i] - uz * t;
-    out[i] = (rx * dx + ry * dy) + rz * dz;
   }
 }
 
@@ -402,65 +331,7 @@ void cascade_multi_avx2(const BiquadCoeffs* sections, std::size_t nsec,
     default: break;
   }
   // Rare deep cascades: fall back to the canonical loop (bit-identical).
-  cascade_multi_canonical<double>(sections, nsec, data, n, backward, state);
-}
-
-template <std::size_t NSec>
-void cascade_multif_avx2_n(const BiquadCoeffs* sections, float* data,
-                           std::size_t n, bool backward, float* state) {
-  struct SecV {
-    __m128 b0, b1, b2, a1, a2;
-  };
-  SecV cs[NSec];
-  __m128 s1[NSec];
-  __m128 s2[NSec];
-  for (std::size_t s = 0; s < NSec; ++s) {
-    cs[s] = {_mm_set1_ps(static_cast<float>(sections[s].b0)),
-             _mm_set1_ps(static_cast<float>(sections[s].b1)),
-             _mm_set1_ps(static_cast<float>(sections[s].b2)),
-             _mm_set1_ps(static_cast<float>(sections[s].a1)),
-             _mm_set1_ps(static_cast<float>(sections[s].a2))};
-    s1[s] = state ? _mm_loadu_ps(state + (2 * s) * kIirLanes)
-                  : _mm_setzero_ps();
-    s2[s] = state ? _mm_loadu_ps(state + (2 * s + 1) * kIirLanes)
-                  : _mm_setzero_ps();
-  }
-  for (std::size_t k = 0; k < n; ++k) {
-    float* p = data + (backward ? n - 1 - k : k) * kIirLanes;
-    __m128 x = _mm_loadu_ps(p);
-    for (std::size_t s = 0; s < NSec; ++s) {
-      const __m128 y = _mm_add_ps(_mm_mul_ps(cs[s].b0, x), s1[s]);
-      s1[s] = _mm_add_ps(
-          _mm_sub_ps(_mm_mul_ps(cs[s].b1, x), _mm_mul_ps(cs[s].a1, y)),
-          s2[s]);
-      s2[s] = _mm_sub_ps(_mm_mul_ps(cs[s].b2, x), _mm_mul_ps(cs[s].a2, y));
-      x = y;
-    }
-    _mm_storeu_ps(p, x);
-  }
-  if (state == nullptr) return;
-  for (std::size_t s = 0; s < NSec; ++s) {
-    _mm_storeu_ps(state + (2 * s) * kIirLanes, s1[s]);
-    _mm_storeu_ps(state + (2 * s + 1) * kIirLanes, s2[s]);
-  }
-}
-
-void cascade_multif_avx2(const BiquadCoeffs* sections, std::size_t nsec,
-                         float* data, std::size_t n, bool backward,
-                         float* state) {
-  switch (nsec) {
-    case 0: return;
-    case 1:
-      return cascade_multif_avx2_n<1>(sections, data, n, backward, state);
-    case 2:
-      return cascade_multif_avx2_n<2>(sections, data, n, backward, state);
-    case 3:
-      return cascade_multif_avx2_n<3>(sections, data, n, backward, state);
-    case 4:
-      return cascade_multif_avx2_n<4>(sections, data, n, backward, state);
-    default: break;
-  }
-  cascade_multi_canonical<float>(sections, nsec, data, n, backward, state);
+  cascade_multi_canonical(sections, nsec, data, n, backward, state);
 }
 
 }  // namespace
@@ -469,14 +340,10 @@ const KernelTable& avx2_table() {
   static const KernelTable t = {
       &dot_avx2,
       &sumsq_dev_avx2,
-      &weighted_sum3_avx2<double>,
-      &weighted_sum3_avx2<float>,
-      &moments3_avx2<double>,
-      &moments3_avx2<float>,
+      &weighted_sum3_avx2,
+      &moments3_avx2,
       &axis_project_avx2,
-      &axis_projectf_avx2,
       &residual_project_avx2,
-      &residual_projectf_avx2,
       &negate_avx2,
       &sub_scalar_avx2,
       &diff_div_avx2,
@@ -484,7 +351,6 @@ const KernelTable& avx2_table() {
       &min_until_greater_bwd_avx2,
       &normalize_lags_avx2,
       &cascade_multi_avx2,
-      &cascade_multif_avx2,
   };
   return t;
 }

@@ -32,20 +32,12 @@ struct KernelTable {
   double (*sumsq_dev_d)(const double*, std::size_t, double);
   Vec3 (*weighted_sum3_d)(const double*, const double*, const double*,
                           const double*, std::size_t);
-  Vec3 (*weighted_sum3_f)(const double*, const float*, const float*,
-                          const float*, std::size_t);
   Moments3 (*moments3_d)(const double*, const double*, const double*,
-                         std::size_t, Vec3);
-  Moments3 (*moments3_f)(const float*, const float*, const float*,
                          std::size_t, Vec3);
   void (*axis_project_d)(const double*, const double*, const double*,
                          std::size_t, Vec3, double, double*);
-  void (*axis_project_f)(const float*, const float*, const float*,
-                         std::size_t, Vec3, float, float*);
   void (*residual_project_d)(const double*, const double*, const double*,
                              std::size_t, Vec3, Vec3, double*);
-  void (*residual_project_f)(const float*, const float*, const float*,
-                             std::size_t, Vec3, Vec3, float*);
   void (*negate_d)(const double*, std::size_t, double*);
   void (*sub_scalar_d)(const double*, std::size_t, double, double*);
   void (*diff_div_d)(const double*, const double*, std::size_t, double,
@@ -56,8 +48,6 @@ struct KernelTable {
                            double*);
   void (*cascade_multi_d)(const BiquadCoeffs*, std::size_t, double*,
                           std::size_t, bool, double*);
-  void (*cascade_multi_f)(const BiquadCoeffs*, std::size_t, float*,
-                          std::size_t, bool, float*);
 };
 
 /// The canonical scalar table (always compiled).
@@ -109,9 +99,9 @@ inline double sumsq_dev_canonical(const double* xs, std::size_t n,
   return total;
 }
 
-template <typename T>
-Vec3 weighted_sum3_canonical(const double* w, const T* x, const T* y,
-                             const T* z, std::size_t n) {
+inline Vec3 weighted_sum3_canonical(const double* w, const double* x,
+                                    const double* y, const double* z,
+                                    std::size_t n) {
   constexpr std::size_t B = kDoubleBlock;
   double ax[B] = {};
   double ay[B] = {};
@@ -120,16 +110,16 @@ Vec3 weighted_sum3_canonical(const double* w, const T* x, const T* y,
   for (; i + B <= n; i += B) {
     for (std::size_t j = 0; j < B; ++j) {
       const double wj = w[i + j];
-      ax[j] += wj * static_cast<double>(x[i + j]);
-      ay[j] += wj * static_cast<double>(y[i + j]);
-      az[j] += wj * static_cast<double>(z[i + j]);
+      ax[j] += wj * x[i + j];
+      ay[j] += wj * y[i + j];
+      az[j] += wj * z[i + j];
     }
   }
   Vec3 total{combine_block(ax), combine_block(ay), combine_block(az)};
   for (; i < n; ++i) {
-    total.x += w[i] * static_cast<double>(x[i]);
-    total.y += w[i] * static_cast<double>(y[i]);
-    total.z += w[i] * static_cast<double>(z[i]);
+    total.x += w[i] * x[i];
+    total.y += w[i] * y[i];
+    total.z += w[i] * z[i];
   }
   return total;
 }
@@ -148,18 +138,18 @@ inline void add_moments(Moments3& m, double dx, double dy, double dz) {
   m.zz += dz * dz;
 }
 
-template <typename T>
-Moments3 moments3_canonical(const T* x, const T* y, const T* z,
-                            std::size_t n, Vec3 shift) {
+inline Moments3 moments3_canonical(const double* x, const double* y,
+                                   const double* z, std::size_t n,
+                                   Vec3 shift) {
   constexpr std::size_t B = kDoubleBlock;
   // acc[k] holds moment k's lane partials: x y z xx xy xz yy yz zz.
   double acc[9][B] = {};
   std::size_t i = 0;
   for (; i + B <= n; i += B) {
     for (std::size_t j = 0; j < B; ++j) {
-      const double dx = static_cast<double>(x[i + j]) - shift.x;
-      const double dy = static_cast<double>(y[i + j]) - shift.y;
-      const double dz = static_cast<double>(z[i + j]) - shift.z;
+      const double dx = x[i + j] - shift.x;
+      const double dy = y[i + j] - shift.y;
+      const double dz = z[i + j] - shift.z;
       acc[0][j] += dx;
       acc[1][j] += dy;
       acc[2][j] += dz;
@@ -181,39 +171,28 @@ Moments3 moments3_canonical(const T* x, const T* y, const T* z,
   m.yz = combine_block(acc[7]);
   m.zz = combine_block(acc[8]);
   for (; i < n; ++i) {
-    add_moments(m, static_cast<double>(x[i]) - shift.x,
-                static_cast<double>(y[i]) - shift.y,
-                static_cast<double>(z[i]) - shift.z);
+    add_moments(m, x[i] - shift.x, y[i] - shift.y, z[i] - shift.z);
   }
   return m;
 }
 
-template <typename T>
-void axis_project_canonical(const T* x, const T* y, const T* z, std::size_t n,
-                            Vec3 u, T bias, T* out) {
-  const T ux = static_cast<T>(u.x);
-  const T uy = static_cast<T>(u.y);
-  const T uz = static_cast<T>(u.z);
+inline void axis_project_canonical(const double* x, const double* y,
+                                   const double* z, std::size_t n, Vec3 u,
+                                   double bias, double* out) {
   for (std::size_t i = 0; i < n; ++i) {
-    out[i] = ((x[i] * ux + y[i] * uy) + z[i] * uz) - bias;
+    out[i] = ((x[i] * u.x + y[i] * u.y) + z[i] * u.z) - bias;
   }
 }
 
-template <typename T>
-void residual_project_canonical(const T* x, const T* y, const T* z,
-                                std::size_t n, Vec3 up, Vec3 dir, T* out) {
-  const T ux = static_cast<T>(up.x);
-  const T uy = static_cast<T>(up.y);
-  const T uz = static_cast<T>(up.z);
-  const T dx = static_cast<T>(dir.x);
-  const T dy = static_cast<T>(dir.y);
-  const T dz = static_cast<T>(dir.z);
+inline void residual_project_canonical(const double* x, const double* y,
+                                       const double* z, std::size_t n,
+                                       Vec3 up, Vec3 dir, double* out) {
   for (std::size_t i = 0; i < n; ++i) {
-    const T t = (x[i] * ux + y[i] * uy) + z[i] * uz;
-    const T rx = x[i] - ux * t;
-    const T ry = y[i] - uy * t;
-    const T rz = z[i] - uz * t;
-    out[i] = (rx * dx + ry * dy) + rz * dz;
+    const double t = (x[i] * up.x + y[i] * up.y) + z[i] * up.z;
+    const double rx = x[i] - up.x * t;
+    const double ry = y[i] - up.y * t;
+    const double rz = z[i] - up.z * t;
+    out[i] = (rx * dir.x + ry * dir.y) + rz * dir.z;
   }
 }
 
@@ -265,30 +244,25 @@ inline void normalize_lags_canonical(const double* raw, std::size_t n,
 /// update order, so any lane matches a single-channel BiquadCascade run.
 /// `state` (nullable, cascade_state_size(nsec) values) seeds the sections
 /// and receives their final state; null starts from zero.
-template <typename T>
-void cascade_multi_canonical(const BiquadCoeffs* sections, std::size_t nsec,
-                             T* data, std::size_t n, bool backward,
-                             T* state) {
-  struct Sec {
-    T b0, b1, b2, a1, a2;
-  };
-  Sec cs[kMaxSections];
-  T s1[kMaxSections][kIirLanes] = {};
-  T s2[kMaxSections][kIirLanes] = {};
+inline void cascade_multi_canonical(const BiquadCoeffs* sections,
+                                    std::size_t nsec, double* data,
+                                    std::size_t n, bool backward,
+                                    double* state) {
+  BiquadCoeffs cs[kMaxSections];
+  double s1[kMaxSections][kIirLanes] = {};
+  double s2[kMaxSections][kIirLanes] = {};
   for (std::size_t s = 0; s < nsec; ++s) {
-    cs[s] = {static_cast<T>(sections[s].b0), static_cast<T>(sections[s].b1),
-             static_cast<T>(sections[s].b2), static_cast<T>(sections[s].a1),
-             static_cast<T>(sections[s].a2)};
+    cs[s] = sections[s];
     if (state != nullptr) {
       std::copy_n(state + (2 * s) * kIirLanes, kIirLanes, s1[s]);
       std::copy_n(state + (2 * s + 1) * kIirLanes, kIirLanes, s2[s]);
     }
   }
   for (std::size_t k = 0; k < n; ++k) {
-    T* x = data + (backward ? n - 1 - k : k) * kIirLanes;
+    double* x = data + (backward ? n - 1 - k : k) * kIirLanes;
     for (std::size_t s = 0; s < nsec; ++s) {
       for (std::size_t j = 0; j < kIirLanes; ++j) {
-        const T y = cs[s].b0 * x[j] + s1[s][j];
+        const double y = cs[s].b0 * x[j] + s1[s][j];
         s1[s][j] = cs[s].b1 * x[j] - cs[s].a1 * y + s2[s][j];
         s2[s][j] = cs[s].b2 * x[j] - cs[s].a2 * y;
         x[j] = y;

@@ -79,28 +79,6 @@ void axis_project_neon(const double* x, const double* y, const double* z,
   }
 }
 
-void axis_projectf_neon(const float* x, const float* y, const float* z,
-                        std::size_t n, Vec3 u, float bias, float* out) {
-  const float ux = static_cast<float>(u.x);
-  const float uy = static_cast<float>(u.y);
-  const float uz = static_cast<float>(u.z);
-  const float32x4_t uxv = vdupq_n_f32(ux);
-  const float32x4_t uyv = vdupq_n_f32(uy);
-  const float32x4_t uzv = vdupq_n_f32(uz);
-  const float32x4_t bv = vdupq_n_f32(bias);
-  std::size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    const float32x4_t d = vaddq_f32(
-        vaddq_f32(vmulq_f32(vld1q_f32(x + i), uxv),
-                  vmulq_f32(vld1q_f32(y + i), uyv)),
-        vmulq_f32(vld1q_f32(z + i), uzv));
-    vst1q_f32(out + i, vsubq_f32(d, bv));
-  }
-  for (; i < n; ++i) {
-    out[i] = ((x[i] * ux + y[i] * uy) + z[i] * uz) - bias;
-  }
-}
-
 void residual_project_neon(const double* x, const double* y, const double* z,
                            std::size_t n, Vec3 up, Vec3 dir, double* out) {
   const float64x2_t uxv = vdupq_n_f64(up.x);
@@ -130,44 +108,6 @@ void residual_project_neon(const double* x, const double* y, const double* z,
     const double ry = y[i] - up.y * t;
     const double rz = z[i] - up.z * t;
     out[i] = (rx * dir.x + ry * dir.y) + rz * dir.z;
-  }
-}
-
-void residual_projectf_neon(const float* x, const float* y, const float* z,
-                            std::size_t n, Vec3 up, Vec3 dir, float* out) {
-  const float ux = static_cast<float>(up.x);
-  const float uy = static_cast<float>(up.y);
-  const float uz = static_cast<float>(up.z);
-  const float dx = static_cast<float>(dir.x);
-  const float dy = static_cast<float>(dir.y);
-  const float dz = static_cast<float>(dir.z);
-  const float32x4_t uxv = vdupq_n_f32(ux);
-  const float32x4_t uyv = vdupq_n_f32(uy);
-  const float32x4_t uzv = vdupq_n_f32(uz);
-  const float32x4_t dxv = vdupq_n_f32(dx);
-  const float32x4_t dyv = vdupq_n_f32(dy);
-  const float32x4_t dzv = vdupq_n_f32(dz);
-  std::size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    const float32x4_t xv = vld1q_f32(x + i);
-    const float32x4_t yv = vld1q_f32(y + i);
-    const float32x4_t zv = vld1q_f32(z + i);
-    const float32x4_t t = vaddq_f32(
-        vaddq_f32(vmulq_f32(xv, uxv), vmulq_f32(yv, uyv)),
-        vmulq_f32(zv, uzv));
-    const float32x4_t rx = vsubq_f32(xv, vmulq_f32(uxv, t));
-    const float32x4_t ry = vsubq_f32(yv, vmulq_f32(uyv, t));
-    const float32x4_t rz = vsubq_f32(zv, vmulq_f32(uzv, t));
-    vst1q_f32(out + i,
-              vaddq_f32(vaddq_f32(vmulq_f32(rx, dxv), vmulq_f32(ry, dyv)),
-                        vmulq_f32(rz, dzv)));
-  }
-  for (; i < n; ++i) {
-    const float t = (x[i] * ux + y[i] * uy) + z[i] * uz;
-    const float rx = x[i] - ux * t;
-    const float ry = y[i] - uy * t;
-    const float rz = z[i] - uz * t;
-    out[i] = (rx * dx + ry * dy) + rz * dz;
   }
 }
 
@@ -278,64 +218,7 @@ void cascade_multi_neon(const BiquadCoeffs* sections, std::size_t nsec,
       return cascade_multi_neon_n<4>(sections, data, n, backward, state);
     default: break;
   }
-  cascade_multi_canonical<double>(sections, nsec, data, n, backward, state);
-}
-
-template <std::size_t NSec>
-void cascade_multif_neon_n(const BiquadCoeffs* sections, float* data,
-                           std::size_t n, bool backward, float* state) {
-  struct SecV {
-    float32x4_t b0, b1, b2, a1, a2;
-  };
-  SecV cs[NSec];
-  float32x4_t s1[NSec];
-  float32x4_t s2[NSec];
-  for (std::size_t s = 0; s < NSec; ++s) {
-    cs[s] = {vdupq_n_f32(static_cast<float>(sections[s].b0)),
-             vdupq_n_f32(static_cast<float>(sections[s].b1)),
-             vdupq_n_f32(static_cast<float>(sections[s].b2)),
-             vdupq_n_f32(static_cast<float>(sections[s].a1)),
-             vdupq_n_f32(static_cast<float>(sections[s].a2))};
-    s1[s] = state ? vld1q_f32(state + (2 * s) * kIirLanes)
-                  : vdupq_n_f32(0.0F);
-    s2[s] = state ? vld1q_f32(state + (2 * s + 1) * kIirLanes)
-                  : vdupq_n_f32(0.0F);
-  }
-  for (std::size_t k = 0; k < n; ++k) {
-    float* p = data + (backward ? n - 1 - k : k) * kIirLanes;
-    float32x4_t x = vld1q_f32(p);
-    for (std::size_t s = 0; s < NSec; ++s) {
-      const float32x4_t y = vaddq_f32(vmulq_f32(cs[s].b0, x), s1[s]);
-      s1[s] = vaddq_f32(
-          vsubq_f32(vmulq_f32(cs[s].b1, x), vmulq_f32(cs[s].a1, y)), s2[s]);
-      s2[s] = vsubq_f32(vmulq_f32(cs[s].b2, x), vmulq_f32(cs[s].a2, y));
-      x = y;
-    }
-    vst1q_f32(p, x);
-  }
-  if (state == nullptr) return;
-  for (std::size_t s = 0; s < NSec; ++s) {
-    vst1q_f32(state + (2 * s) * kIirLanes, s1[s]);
-    vst1q_f32(state + (2 * s + 1) * kIirLanes, s2[s]);
-  }
-}
-
-void cascade_multif_neon(const BiquadCoeffs* sections, std::size_t nsec,
-                         float* data, std::size_t n, bool backward,
-                         float* state) {
-  switch (nsec) {
-    case 0: return;
-    case 1:
-      return cascade_multif_neon_n<1>(sections, data, n, backward, state);
-    case 2:
-      return cascade_multif_neon_n<2>(sections, data, n, backward, state);
-    case 3:
-      return cascade_multif_neon_n<3>(sections, data, n, backward, state);
-    case 4:
-      return cascade_multif_neon_n<4>(sections, data, n, backward, state);
-    default: break;
-  }
-  cascade_multi_canonical<float>(sections, nsec, data, n, backward, state);
+  cascade_multi_canonical(sections, nsec, data, n, backward, state);
 }
 
 }  // namespace
@@ -344,14 +227,10 @@ const KernelTable& neon_table() {
   static const KernelTable t = {
       &dot_neon,
       &sumsq_dev_neon,
-      &weighted_sum3_canonical<double>,
-      &weighted_sum3_canonical<float>,
-      &moments3_canonical<double>,
-      &moments3_canonical<float>,
+      &weighted_sum3_canonical,
+      &moments3_canonical,
       &axis_project_neon,
-      &axis_projectf_neon,
       &residual_project_neon,
-      &residual_projectf_neon,
       &negate_neon,
       &sub_scalar_neon,
       &diff_div_neon,
@@ -359,7 +238,6 @@ const KernelTable& neon_table() {
       &min_until_greater_bwd_canonical,
       &normalize_lags_canonical,
       &cascade_multi_neon,
-      &cascade_multif_neon,
   };
   return t;
 }

@@ -43,16 +43,6 @@ AlignedVector<double>& Workspace::real_scratch(std::size_t slot,
   return buf;
 }
 
-AlignedVector<float>& Workspace::float_scratch(std::size_t slot,
-                                               std::size_t n) {
-  expects(slot < kFloatSlots, "Workspace::float_scratch: valid slot");
-  auto& buf = float_[slot];
-  // ptrack-lint: allow(alloc) workspace scratch; steady capacity
-  buf.resize(n);
-  check_slots_disjoint(float_, slot);
-  return buf;
-}
-
 const FftPlan& Workspace::fft_plan(std::size_t nfft) {
   expects(nfft >= 1 && (nfft & (nfft - 1)) == 0,
           "Workspace::fft_plan: size is a power of two");

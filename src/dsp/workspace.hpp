@@ -21,7 +21,6 @@
 #include <array>
 #include <complex>
 #include <memory>
-#include <type_traits>
 #include <vector>
 
 #include "dsp/aligned.hpp"
@@ -33,7 +32,6 @@ class Workspace {
  public:
   static constexpr std::size_t kComplexSlots = 2;
   static constexpr std::size_t kRealSlots = 4;
-  static constexpr std::size_t kFloatSlots = 2;
 
   Workspace() = default;
   /// Copying yields a fresh, empty workspace: scratch contents are transient
@@ -53,21 +51,6 @@ class Workspace {
   /// Scratch buffer of n doubles (resized, contents unspecified).
   AlignedVector<double>& real_scratch(std::size_t slot, std::size_t n);
 
-  /// Scratch buffer of n floats (resized, contents unspecified) — backing
-  /// store for the float32 pipeline variant's kernels.
-  AlignedVector<float>& float_scratch(std::size_t slot, std::size_t n);
-
-  /// Scratch in the caller's precision: real_scratch for double,
-  /// float_scratch for float (each precision has its own slot numbering).
-  template <typename T>
-  AlignedVector<T>& scratch(std::size_t slot, std::size_t n) {
-    if constexpr (std::is_same_v<T, float>) {
-      return float_scratch(slot, n);
-    } else {
-      return real_scratch(slot, n);
-    }
-  }
-
   /// Twiddle tables for a power-of-two FFT size, built on first use and
   /// cached for the lifetime of the workspace. The returned reference stays
   /// valid until the workspace is destroyed.
@@ -76,7 +59,6 @@ class Workspace {
  private:
   std::array<AlignedVector<std::complex<double>>, kComplexSlots> complex_;
   std::array<AlignedVector<double>, kRealSlots> real_;
-  std::array<AlignedVector<float>, kFloatSlots> float_;
   /// Few distinct sizes; linear lookup. unique_ptr keeps plan addresses
   /// stable across cache growth.
   std::vector<std::unique_ptr<FftPlan>> plans_;

@@ -17,29 +17,8 @@ void SampleRing::push(const Sample& s, std::uint8_t flags) {
   gy_.push_back(s.gyro.y);
   gz_.push_back(s.gyro.z);
   flags_.push_back(flags);
-  if (f32_) {
-    axf_.push_back(static_cast<float>(s.accel.x));
-    ayf_.push_back(static_cast<float>(s.accel.y));
-    azf_.push_back(static_cast<float>(s.accel.z));
-  }
 }
 // ptrack-lint: pop-allow(alloc)
-
-void SampleRing::enable_f32() {
-  if (f32_) return;
-  f32_ = true;
-  const auto mirror = [](const std::vector<double>& src,
-                         std::vector<float>& dst) {
-    // ptrack-lint: allow(alloc) one-shot mode switch before streaming
-    dst.resize(src.size());
-    for (std::size_t i = 0; i < src.size(); ++i) {
-      dst[i] = static_cast<float>(src[i]);
-    }
-  };
-  mirror(ax_, axf_);
-  mirror(ay_, ayf_);
-  mirror(az_, azf_);
-}
 
 void SampleRing::trim_to(std::size_t new_base) {
   new_base = std::clamp(new_base, base_, end());
@@ -60,11 +39,6 @@ void SampleRing::maybe_compact() {
   erase_prefix(gy_);
   erase_prefix(gz_);
   erase_prefix(flags_);
-  if (f32_) {
-    erase_prefix(axf_);
-    erase_prefix(ayf_);
-    erase_prefix(azf_);
-  }
   head_ = 0;
   ++compactions_;
 }
@@ -110,19 +84,6 @@ std::span<const std::uint8_t> SampleRing::flags(std::size_t b,
 }
 std::span<const double> SampleRing::gz(std::size_t b, std::size_t e) const {
   return sub(gz_, span_offset(b, e), e - b);
-}
-
-std::span<const float> SampleRing::axf(std::size_t b, std::size_t e) const {
-  expects(f32_, "SampleRing: enable_f32() before axf()");
-  return {axf_.data() + span_offset(b, e), e - b};
-}
-std::span<const float> SampleRing::ayf(std::size_t b, std::size_t e) const {
-  expects(f32_, "SampleRing: enable_f32() before ayf()");
-  return {ayf_.data() + span_offset(b, e), e - b};
-}
-std::span<const float> SampleRing::azf(std::size_t b, std::size_t e) const {
-  expects(f32_, "SampleRing: enable_f32() before azf()");
-  return {azf_.data() + span_offset(b, e), e - b};
 }
 
 Sample SampleRing::sample(std::size_t abs_index) const {

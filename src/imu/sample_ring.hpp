@@ -60,21 +60,6 @@ class SampleRing {
   [[nodiscard]] std::span<const std::uint8_t> flags(std::size_t b,
                                                     std::size_t e) const;
 
-  /// Enables the float32 accel mirrors (axf/ayf/azf): parallel
-  /// `std::vector<float>` channels kept in lockstep with ax/ay/az by push
-  /// and trim. Backfills mirrors for already-retained samples. The cast
-  /// happens once at ingest, so the f32 projection path reads contiguous
-  /// float spans with no per-hop conversion pass. Gyro channels have no
-  /// mirrors — the f32 pipeline covers accel projection only.
-  void enable_f32();
-  [[nodiscard]] bool f32_enabled() const { return f32_; }
-
-  /// Float mirror spans; require enable_f32() first. Same [b, e) absolute
-  /// addressing and borrowed-until-next-push/trim lifetime as ax/ay/az.
-  [[nodiscard]] std::span<const float> axf(std::size_t b, std::size_t e) const;
-  [[nodiscard]] std::span<const float> ayf(std::size_t b, std::size_t e) const;
-  [[nodiscard]] std::span<const float> azf(std::size_t b, std::size_t e) const;
-
   /// Rebuilds one sample from the channels (t is NOT stored; the caller
   /// owns the time base — absolute index / fs).
   [[nodiscard]] Sample sample(std::size_t abs_index) const;
@@ -98,9 +83,7 @@ class SampleRing {
   void maybe_compact();
 
   std::vector<double> ax_, ay_, az_, gx_, gy_, gz_;
-  std::vector<float> axf_, ayf_, azf_;  ///< accel mirrors (enable_f32)
   std::vector<std::uint8_t> flags_;
-  bool f32_ = false;
   std::size_t base_ = 0;  ///< absolute index of the sample at head_
   std::size_t head_ = 0;  ///< dead-prefix length inside the vectors
   std::size_t compactions_ = 0;

@@ -290,7 +290,7 @@ ClientResult run_healthy_client(const Endpoint& ep, const ClientConfig& cfg,
 
   bool peer_gone = false;
   std::vector<std::uint8_t> tx;
-  append_hello(tx, Hello{cfg.session_id, cfg.fs, cfg.precision});
+  append_hello(tx, Hello{cfg.session_id, cfg.fs, 0});
 
   std::size_t sent = 0;
   const std::size_t per_frame =

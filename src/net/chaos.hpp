@@ -51,7 +51,6 @@ struct ClientResult {
 struct ClientConfig {
   std::uint64_t session_id = 1;
   double fs = 100.0;
-  std::uint8_t precision = 0;  ///< 0 = f64, 1 = f32
   std::size_t samples_per_frame = 256;
   /// false: skip the BYE and wait for a *server-initiated* drain instead
   /// (the SIGTERM-path test: the server must flush and send DRAINED).

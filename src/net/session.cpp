@@ -21,7 +21,8 @@ static_assert(4 + kEventsPerFrame * kEventWireBytes <= kMaxPayloadBytes);
 /// deliberately rounded up: shedding slightly early beats paging.
 constexpr double kTrackerRetentionS = 40.0;
 /// Ring bytes per retained sample: 7 channels of f64 (6 + flags padding)
-/// plus the f32 mirrors and quality bookkeeping, rounded up.
+/// plus quality bookkeeping, rounded well up (the headroom is kept so
+/// admission stays conservative).
 constexpr std::size_t kBytesPerRetainedSample = 80;
 
 }  // namespace
@@ -111,33 +112,24 @@ Session::IoResult Session::on_hello(const Frame& frame) {
   }
   const bool fs_ok = std::isfinite(hello.fs) && hello.fs >= cfg_.fs_min &&
                      hello.fs <= cfg_.fs_max;
-  // The f32 frontend has no attitude-filter path, so a pipeline configured
-  // with one serves double streams only.
-  const bool f32_ok =
-      cfg_.allow_f32 && !cfg_.streaming.pipeline.counter.use_attitude_filter;
-  const bool precision_ok =
-      hello.precision == 0 || (hello.precision == 1 && f32_ok);
-  if (!fs_ok || !precision_ok) {
+  // Streams are served in double only; the wire keeps the precision byte.
+  if (!fs_ok || hello.precision != 0) {
     ++counters_.frames_rejected;
     PTRACK_COUNT("ptrack.net.frames.rejected");
     return protocol_error(ErrorCode::kBadHello,
                           fs_ok ? "unsupported precision"
                                 : "sample rate out of range");
   }
-  core::StreamingConfig streaming = cfg_.streaming;
-  streaming.precision = hello.precision == 1 ? core::Precision::kFloat32
-                                             : core::Precision::kDouble;
   // Connection setup: the tracker and its rings are built once per
   // session, before any steady-state traffic.
   // ptrack-lint: allow(alloc) one-time session setup at HELLO
-  tracker_.emplace(hello.fs, streaming);
+  tracker_.emplace(hello.fs, cfg_.streaming);
   id_ = hello.session_id;
   fs_ = hello.fs;
   mem_estimate_ = session_memory_estimate(cfg_, fs_);
   state_ = State::kStreaming;
   PTRACK_LOG_DEBUG("net", "session_hello", kv("session_id", id_),
-                   kv("fs", fs_),
-                   kv("f32", hello.precision == 1));
+                   kv("fs", fs_));
   ++counters_.frames_ok;
   PTRACK_COUNT("ptrack.net.frames.ok");
   HelloAck ack;

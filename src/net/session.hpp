@@ -40,9 +40,7 @@ namespace ptrack::net {
 
 /// Per-session policy knobs (shared by every session of a server).
 struct SessionConfig {
-  /// Streaming pipeline configuration; `precision` is overridden per
-  /// session from the HELLO (and attitude-filter mode must stay off for
-  /// float32 HELLOs to be acceptable).
+  /// Streaming pipeline configuration of every session.
   core::StreamingConfig streaming{};
   double fs_min = 1.0;     ///< HELLO sample-rate plausibility window (Hz)
   double fs_max = 1024.0;
@@ -52,9 +50,6 @@ struct SessionConfig {
   std::size_t out_buf_limit = 256 * 1024;
   /// Largest single read the server issues (sizes the decoder reservation).
   std::size_t read_chunk = 16 * 1024;
-  /// Accept precision=1 HELLOs (never when `streaming` uses the attitude
-  /// filter, which has no float32 path).
-  bool allow_f32 = true;
 };
 
 /// Monotone per-session counters (server aggregates them into ptrack.net.*).

@@ -90,8 +90,10 @@ enum class ErrorCode : std::uint16_t {
 // ---------------------------------------------------------------------------
 // Payload structs
 
-/// HELLO payload: u64 session id, f64 sample rate, u8 precision
-/// (0 = double, 1 = float32 fast path), 7 reserved bytes (must be 0).
+/// HELLO payload: u64 session id, f64 sample rate, u8 precision, 7 reserved
+/// bytes (must be 0). The codec carries any precision byte; a session
+/// serves precision 0 (double) only and answers any other value with
+/// ERROR kBadHello "unsupported precision".
 struct Hello {
   std::uint64_t session_id = 0;
   double fs = 0.0;

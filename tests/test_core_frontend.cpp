@@ -1,13 +1,12 @@
 // Tests for the projection frontend options: windowed anterior estimation
-// (turning routes), the attitude-filter mode, and agreement of the float32
-// and double instantiations of project_channels_into.
+// (turning routes), the attitude-filter mode, and the streaming stage's
+// carried low-pass state.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cmath>
 #include <span>
-#include <type_traits>
 #include <vector>
 
 #include "common/angles.hpp"
@@ -114,99 +113,6 @@ TEST(Frontend, Preconditions) {
                                    synth::SynthOptions{}, rng);
   EXPECT_THROW(core::project_trace(r.trace.slice(0, 8), 5.0), InvalidArgument);
   EXPECT_THROW(core::project_trace(r.trace, 0.0), InvalidArgument);
-  // The float instantiation has no attitude-filter (per-sample up) path.
-  const std::vector<float> xf(64, 0.0F);
-  const std::vector<float> zf(64, static_cast<float>(kGravity));
-  const std::vector<Vec3> ups(64, kVertical);
-  dsp::Workspace ws;
-  core::ProjectedChannels<float> out;
-  EXPECT_THROW(core::project_channels_into<float>(xf, xf, zf, 100.0, 5.0, 0.0,
-                                                  ups, ws, nullptr, {}, out),
-               InvalidArgument);
-}
-
-namespace {
-
-/// Raw accel channels of a trace in both precisions.
-struct RawChannels {
-  std::vector<double> x, y, z;
-  std::vector<float> xf, yf, zf;
-
-  explicit RawChannels(const imu::Trace& trace)
-      : x(trace.accel_axis(0)),
-        y(trace.accel_axis(1)),
-        z(trace.accel_axis(2)),
-        xf(x.begin(), x.end()),
-        yf(y.begin(), y.end()),
-        zf(z.begin(), z.end()) {}
-
-  [[nodiscard]] std::size_t size() const { return x.size(); }
-};
-
-/// Largest |float - double| over both projected channels, relative to the
-/// double channels' peak magnitude.
-double relative_gap(const core::ProjectedChannels<double>& d,
-                    const core::ProjectedChannels<float>& f) {
-  EXPECT_EQ(d.vertical.size(), f.vertical.size());
-  EXPECT_EQ(d.anterior.size(), f.anterior.size());
-  EXPECT_EQ(d.fs, f.fs);
-  double peak = 0.0;
-  double gap = 0.0;
-  for (std::size_t i = 0; i < d.vertical.size(); ++i) {
-    peak = std::max({peak, std::abs(d.vertical[i]), std::abs(d.anterior[i])});
-    gap = std::max(
-        {gap, std::abs(d.vertical[i] - static_cast<double>(f.vertical[i])),
-         std::abs(d.anterior[i] - static_cast<double>(f.anterior[i]))});
-  }
-  return gap / peak;
-}
-
-// Float rounding through the projections and both zero-phase filters; a
-// real divergence (a flipped axis, a wrong window) is O(1).
-constexpr double kF32Tolerance = 1e-4;
-
-}  // namespace
-
-TEST(Frontend, Float32ProjectionMatchesDouble) {
-  const auto r = turning_walk(807);
-  const RawChannels raw(r.trace);
-  const double fs = r.trace.fs();
-  dsp::Workspace ws;
-  core::ProjectedChannels<double> d;
-  core::ProjectedChannels<float> f;
-
-  // Global and windowed anterior fits over the whole trace.
-  for (const double window_s : {0.0, 10.0}) {
-    core::project_channels_into<double>(raw.x, raw.y, raw.z, fs, 5.0,
-                                        window_s, {}, ws, nullptr, {}, d);
-    core::project_channels_into<float>(raw.xf, raw.yf, raw.zf, fs, 5.0,
-                                       window_s, {}, ws, nullptr, {}, f);
-    EXPECT_LT(relative_gap(d, f), kF32Tolerance) << "window " << window_s;
-  }
-
-  // Streaming-style hops: a short tail projected with its axes pinned to a
-  // longer history, and the anterior sign carried across hops by a seam.
-  core::ProjectionSeam seam_d;
-  core::ProjectionSeam seam_f;
-  const std::size_t tail = 500;
-  const std::size_t history = 2000;
-  for (std::size_t end = history; end <= raw.size(); end += 700) {
-    const std::size_t b = end - tail;
-    const std::size_t h = end - history;
-    const auto sub = [&](const auto& c, std::size_t from) {
-      return std::span(c).subspan(from, end - from);
-    };
-    core::project_channels_into<double>(
-        sub(raw.x, b), sub(raw.y, b), sub(raw.z, b), fs, 5.0, 0.0, {}, ws,
-        &seam_d, {sub(raw.x, h), sub(raw.y, h), sub(raw.z, h)}, d);
-    core::project_channels_into<float>(
-        sub(raw.xf, b), sub(raw.yf, b), sub(raw.zf, b), fs, 5.0, 0.0, {}, ws,
-        &seam_f, {sub(raw.xf, h), sub(raw.yf, h), sub(raw.zf, h)}, f);
-    EXPECT_LT(relative_gap(d, f), kF32Tolerance) << "hop ending at " << end;
-    EXPECT_GT(seam_d.prev_anterior_dir.dot(seam_f.prev_anterior_dir),
-              1.0 - 1e-6)
-        << "hop ending at " << end;
-  }
 }
 
 // ---------------------------------------------------------------------------
@@ -221,25 +127,18 @@ struct CarryCase {
   double hop_s;
   bool attitude;
   double window_s;
-  core::Precision precision;
 };
 
-/// Raw channels [b, e) of the ring in precision T.
-template <typename T>
-core::AxisHistory<T> ring_spans(const imu::SampleRing& ring, std::size_t b,
-                                std::size_t e) {
-  if constexpr (std::is_same_v<T, float>) {
-    return {ring.axf(b, e), ring.ayf(b, e), ring.azf(b, e)};
-  } else {
-    return {ring.ax(b, e), ring.ay(b, e), ring.az(b, e)};
-  }
+/// Raw channels [b, e) of the ring.
+core::AxisHistory ring_spans(const imu::SampleRing& ring, std::size_t b,
+                             std::size_t e) {
+  return {ring.ax(b, e), ring.ay(b, e), ring.az(b, e)};
 }
 
 /// Streams `trace` through a ProjectionStage in hops (a flush halfway, then
 /// more hops, then a final flush) and returns the largest finalized-sample
 /// gap to the zero-state re-projection, relative to the channels' peak.
 /// `carried_bits` reports whether any sample differed at all.
-template <typename T>
 double stage_gap_to_reprojection(const imu::Trace& trace, const CarryCase& c,
                                  bool& carried_bits) {
   const double fs = trace.fs();
@@ -248,9 +147,8 @@ double stage_gap_to_reprojection(const imu::Trace& trace, const CarryCase& c,
   cfg.anterior_window_s = c.window_s;
   dsp::Workspace ws;
   dsp::Workspace ref_ws;
-  core::ProjectionStage stage(cfg, fs, &ws, c.precision);
+  core::ProjectionStage stage(cfg, fs, &ws);
   imu::SampleRing ring;
-  if (c.precision == core::Precision::kFloat32) ring.enable_f32();
 
   const auto samples = [&](double s) {
     return static_cast<std::size_t>(s * fs);
@@ -264,7 +162,7 @@ double stage_gap_to_reprojection(const imu::Trace& trace, const CarryCase& c,
   std::vector<Vec3> ups;
   dsp::AttitudeEstimator attitude;
   core::ProjectionSeam seam;
-  core::ProjectedChannels<T> ref;
+  core::ProjectedChannels ref;
 
   double peak = 0.0;
   double gap = 0.0;
@@ -281,21 +179,21 @@ double stage_gap_to_reprojection(const imu::Trace& trace, const CarryCase& c,
       std::size_t axis_begin = end > axis_window ? end - axis_window : 0;
       axis_begin = std::max(axis_begin, ring.base());
       const bool pin = c.window_s <= 0.0 && axis_begin < begin;
-      const auto raw = ring_spans<T>(ring, begin, end);
-      core::project_channels_into<T>(
+      const auto raw = ring_spans(ring, begin, end);
+      core::project_channels_into(
           raw.ax, raw.ay, raw.az, fs, cfg.lowpass_hz, c.window_s,
           c.attitude ? std::span<const Vec3>(ups).subspan(begin, end - begin)
                      : std::span<const Vec3>{},
           ref_ws, &seam,
-          pin ? ring_spans<T>(ring, axis_begin, end) : core::AxisHistory<T>{},
+          pin ? ring_spans(ring, axis_begin, end) : core::AxisHistory{},
           ref);
     }
     stage.advance(ring, flush);
     if (!projects) return;
     EXPECT_EQ(stage.frontier(), target);
     for (std::size_t i = stable; i < target; ++i) {
-      const double rv = static_cast<double>(ref.vertical[i - begin]);
-      const double ra = static_cast<double>(ref.anterior[i - begin]);
+      const double rv = ref.vertical[i - begin];
+      const double ra = ref.anterior[i - begin];
       peak = std::max({peak, std::abs(rv), std::abs(ra)});
       const double dv = std::abs(stage.vertical()[i] - rv);
       const double da = std::abs(stage.anterior()[i] - ra);
@@ -325,28 +223,16 @@ TEST(ProjectionCarry, FinalizedChannelsMatchPerHopReprojection) {
   for (const double hop_s : {0.5, 1.0, 2.0}) {
     for (const bool attitude : {false, true}) {
       for (const double window_s : {0.0, 10.0}) {
-        for (const auto precision :
-             {core::Precision::kDouble, core::Precision::kFloat32}) {
-          if (attitude && precision == core::Precision::kFloat32) continue;
-          const CarryCase c{hop_s, attitude, window_s, precision};
-          SCOPED_TRACE(::testing::Message()
-                       << "hop " << hop_s << " attitude " << attitude
-                       << " window " << window_s << " f32 "
-                       << (precision == core::Precision::kFloat32));
-          bool carried_bits = false;
-          if (precision == core::Precision::kDouble) {
-            const double rel =
-                stage_gap_to_reprojection<double>(r.trace, c, carried_bits);
-            EXPECT_LT(rel, 1e-9);
-            // Rounding differs somewhere: the hops really filtered from the
-            // carried state rather than re-projecting their context.
-            EXPECT_TRUE(carried_bits);
-          } else {
-            const double rel =
-                stage_gap_to_reprojection<float>(r.trace, c, carried_bits);
-            EXPECT_LT(rel, kF32Tolerance);
-          }
-        }
+        const CarryCase c{hop_s, attitude, window_s};
+        SCOPED_TRACE(::testing::Message() << "hop " << hop_s << " attitude "
+                                          << attitude << " window "
+                                          << window_s);
+        bool carried_bits = false;
+        const double rel = stage_gap_to_reprojection(r.trace, c, carried_bits);
+        EXPECT_LT(rel, 1e-9);
+        // Rounding differs somewhere: the hops really filtered from the
+        // carried state rather than re-projecting their context.
+        EXPECT_TRUE(carried_bits);
       }
     }
   }

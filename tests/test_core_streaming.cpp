@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <latch>
 #include <memory>
 #include <thread>
@@ -272,10 +273,13 @@ TEST(Streaming, StatsSnapshotTracksLifetime) {
 
 // Every same-fs stream pins its projection axes with one process-wide,
 // read-only gravity weight table, created by whichever stream needs it
-// first. Streams driven concurrently from several threads (both
-// precisions, sample-interleaved) must each emit exactly the events they
-// emit when run alone. Under TSan this is also the race check on the
-// table's publication.
+// first. Streams driven concurrently from several threads, and
+// sample-interleaved on each thread so that they share its per-thread
+// projection scratch, must each emit exactly the events they emit when run
+// alone. The interleaved streams differ in up estimate (gravity table or
+// attitude filter) and hop length, so scratch state leaking from one
+// stream into the next changes some stream's events. Under TSan this is
+// also the race check on the table's publication.
 TEST(Streaming, SharedGravityTableAcrossThreads) {
   constexpr std::size_t kThreads = 4;
   constexpr std::size_t kStreamsPerThread = 3;
@@ -288,8 +292,8 @@ TEST(Streaming, SharedGravityTableAcrossThreads) {
   }
   const auto config = [](std::size_t stream) {
     core::StreamingConfig cfg = config_for_user();
-    cfg.precision = stream % 2 == 0 ? core::Precision::kDouble
-                                    : core::Precision::kFloat32;
+    cfg.pipeline.counter.use_attitude_filter = stream % 2 == 1;
+    cfg.hop_s = std::array{0.5, 1.0, 2.0}[stream % 3];
     return cfg;
   };
 

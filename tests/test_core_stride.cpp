@@ -16,7 +16,7 @@ namespace {
 struct StrideFixture {
   synth::UserProfile user;
   synth::SynthResult result;
-  core::ProjectedTrace projected;
+  core::ProjectedChannels projected;
   core::TrackResult counted;
 };
 

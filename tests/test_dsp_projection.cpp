@@ -79,29 +79,6 @@ Channels wrist_forces(std::size_t n, double fs, std::uint64_t seed) {
   return out;
 }
 
-/// The channels rounded to float, and those floats widened back.
-struct FloatChannels {
-  std::vector<float> x;
-  std::vector<float> y;
-  std::vector<float> z;
-  Channels widened;
-};
-
-FloatChannels to_float(const Channels& c) {
-  FloatChannels out;
-  const auto narrow = [](const std::vector<double>& in, std::vector<float>& f,
-                         std::vector<double>& w) {
-    for (double v : in) {
-      f.push_back(static_cast<float>(v));
-      w.push_back(static_cast<double>(f.back()));
-    }
-  };
-  narrow(c.x, out.x, out.widened.x);
-  narrow(c.y, out.y, out.widened.y);
-  narrow(c.z, out.z, out.widened.z);
-  return out;
-}
-
 /// Angle between two directions, accurate near zero (acos is not).
 double angle_between(const Vec3& a, const Vec3& b) {
   return std::atan2(a.cross(b).norm(), a.dot(b));
@@ -160,7 +137,7 @@ Vec3 residual_covariance_direction(const Channels& c, const Vec3& up) {
 
 Vec3 estimate_up(const Channels& c, double fs) {
   dsp::Workspace ws;
-  return dsp::estimate_up<double>(c.x, c.y, c.z, fs, 0.3, ws);
+  return dsp::estimate_up(c.x, c.y, c.z, fs, 0.3, ws);
 }
 
 dsp::ProjectedSignal project(const Channels& c, double fs) {
@@ -191,26 +168,19 @@ TEST(EstimateUp, RequiresSamples) {
 
 TEST(EstimateUp, MatchesFilteredMeanReference) {
   // The weighted-sum estimate against its definition, across pad-clamped
-  // (n <= 64), odd, block-tail and steady-window lengths. Float channels
-  // are accumulated in double, so they match the reference run on the
-  // widened floats to the same bound.
+  // (n <= 64), odd, block-tail and steady-window lengths.
   dsp::Workspace ws;
   std::uint64_t seed = 41;
   for (double fs : {50.0, 100.0, 200.0}) {
     for (std::size_t n : {4, 5, 16, 64, 65, 129, 650, 2000, 4500}) {
       SCOPED_TRACE(testing::Message() << "fs " << fs << " n " << n);
       const Channels c = wrist_forces(n, fs, ++seed);
-      const Vec3 up = dsp::estimate_up<double>(c.x, c.y, c.z, fs, 0.3, ws);
+      const Vec3 up = dsp::estimate_up(c.x, c.y, c.z, fs, 0.3, ws);
       EXPECT_LT(angle_between(up, filtered_mean_up(c, fs)), 1e-12);
-
-      const FloatChannels f = to_float(c);
-      const Vec3 upf = dsp::estimate_up<float>(f.x, f.y, f.z, fs, 0.3, ws);
-      EXPECT_LT(angle_between(upf, filtered_mean_up(f.widened, fs)), 1e-12);
 
       // A precomputed table gives the same estimate, bit for bit.
       const dsp::GravityWeights table(n, fs, 0.3);
-      const Vec3 up_table =
-          dsp::estimate_up<double>(c.x, c.y, c.z, table.weights());
+      const Vec3 up_table = dsp::estimate_up(c.x, c.y, c.z, table.weights());
       EXPECT_EQ(up_table.x, up.x);
       EXPECT_EQ(up_table.y, up.y);
       EXPECT_EQ(up_table.z, up.z);
@@ -275,21 +245,14 @@ TEST(EstimateUp, SharedRegistryBoundsUnheldBytes) {
 
 TEST(PrincipalHorizontal, MomentsMatchResidualCovariance) {
   dsp::Workspace ws;
-  // General position: a tilted walking wrist, both precisions.
+  // General position: a tilted walking wrist.
   for (std::size_t n : {16, 129, 2000}) {
     SCOPED_TRACE(testing::Message() << "n " << n);
     const Channels c = wrist_forces(n, 100.0, 900 + n);
     const Vec3 up = estimate_up(c, 100.0);
-    const Vec3 dir =
-        dsp::principal_horizontal_direction<double>(c.x, c.y, c.z, up);
+    const Vec3 dir = dsp::principal_horizontal_direction(c.x, c.y, c.z, up);
     EXPECT_LT(angle_between(dir, residual_covariance_direction(c, up)), 1e-9);
     EXPECT_NEAR(dir.dot(up), 0.0, 1e-12);
-
-    const FloatChannels f = to_float(c);
-    const Vec3 dirf =
-        dsp::principal_horizontal_direction<float>(f.x, f.y, f.z, up);
-    EXPECT_LT(angle_between(dirf, residual_covariance_direction(f.widened, up)),
-              1e-9);
   }
 
   // Degenerate branches, |s12| <= 1e-12. With up exactly vertical the
@@ -307,12 +270,12 @@ TEST(PrincipalHorizontal, MomentsMatchResidualCovariance) {
     swing_x.x[i] = v;
   }
   // s11 >= s22: the swing is along e1.
-  const Vec3 dir_y = dsp::principal_horizontal_direction<double>(
+  const Vec3 dir_y = dsp::principal_horizontal_direction(
       swing_y.x, swing_y.y, swing_y.z, kVertical);
   EXPECT_EQ(dir_y, (Vec3{0.0, 1.0, 0.0}));
   EXPECT_EQ(dir_y, residual_covariance_direction(swing_y, kVertical));
   // s11 < s22: the swing is along e2.
-  const Vec3 dir_x = dsp::principal_horizontal_direction<double>(
+  const Vec3 dir_x = dsp::principal_horizontal_direction(
       swing_x.x, swing_x.y, swing_x.z, kVertical);
   EXPECT_EQ(dir_x, (Vec3{-1.0, 0.0, 0.0}));
   EXPECT_EQ(dir_x, residual_covariance_direction(swing_x, kVertical));
@@ -323,7 +286,7 @@ TEST(PrincipalHorizontal, MomentsMatchResidualCovariance) {
   // pick arbitrarily, while the moments about the first sample are exactly
   // zero and the estimator still answers e1, a unit horizontal direction.
   const Channels upright = resting(n);
-  const Vec3 dir_rest = dsp::principal_horizontal_direction<double>(
+  const Vec3 dir_rest = dsp::principal_horizontal_direction(
       upright.x, upright.y, upright.z, kVertical);
   EXPECT_EQ(dir_rest, (Vec3{0.0, 1.0, 0.0}));
   EXPECT_EQ(dir_rest, residual_covariance_direction(upright, kVertical));
@@ -334,7 +297,7 @@ TEST(PrincipalHorizontal, MomentsMatchResidualCovariance) {
                         std::vector<double>(n, tilted_f.y),
                         std::vector<double>(n, tilted_f.z)};
   const Vec3 tilted_up = estimate_up(tilted, 100.0);
-  const Vec3 tilted_dir = dsp::principal_horizontal_direction<double>(
+  const Vec3 tilted_dir = dsp::principal_horizontal_direction(
       tilted.x, tilted.y, tilted.z, tilted_up);
   const Vec3 ref = std::abs(tilted_up.z) < 0.9 ? kVertical : kAnterior;
   const Vec3 e1 = tilted_up.cross(ref).normalized();
@@ -347,7 +310,7 @@ TEST(PrincipalHorizontal, FindsOscillationAxis) {
   const auto forces =
       make_forces(100.0, 4.0, 1.0, 2.0, 4.0, 1.0, Mat3::identity());
   const Vec3 up = estimate_up(forces, 100.0);
-  const Vec3 fwd = dsp::principal_horizontal_direction<double>(
+  const Vec3 fwd = dsp::principal_horizontal_direction(
       forces.x, forces.y, forces.z, up);
   // Horizontal oscillation is along world-x; sign is arbitrary.
   EXPECT_NEAR(std::abs(fwd.x), 1.0, 0.02);

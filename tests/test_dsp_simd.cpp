@@ -38,7 +38,7 @@ class IsaGuard {
   IsaGuard& operator=(const IsaGuard&) = delete;
 };
 
-/// Lengths hitting every tail case of the 4-wide and 8-wide blocks, plus
+/// Lengths hitting every tail case of the 4-wide blocks, plus
 /// empty, sub-block and large inputs.
 const std::array<std::size_t, 15> kLengths = {0,  1,  2,  3,   5,
                                               7,  8,  9,  15,  16,
@@ -47,12 +47,11 @@ const std::array<std::size_t, 15> kLengths = {0,  1,  2,  3,   5,
 /// Offsets exercising unaligned span starts (ring views land anywhere).
 const std::array<std::size_t, 3> kOffsets = {0, 1, 3};
 
-template <typename T>
-std::vector<T> rand_vec(std::size_t n, std::uint32_t seed) {
+std::vector<double> rand_vec(std::size_t n, std::uint32_t seed) {
   std::mt19937 rng(seed);
   std::uniform_real_distribution<double> dist(-3.0, 3.0);
-  std::vector<T> out(n);
-  for (auto& v : out) v = static_cast<T>(dist(rng));
+  std::vector<double> out(n);
+  for (auto& v : out) v = dist(rng);
   return out;
 }
 
@@ -67,8 +66,8 @@ auto both_isas(Fn&& fn) {
   return std::pair{scalar, vector};
 }
 
-template <typename T>
-void expect_bits_equal(const std::vector<T>& a, const std::vector<T>& b) {
+void expect_bits_equal(const std::vector<double>& a,
+                       const std::vector<double>& b) {
   ASSERT_EQ(a.size(), b.size());
   for (std::size_t i = 0; i < a.size(); ++i) {
     EXPECT_EQ(a[i], b[i]) << "index " << i;
@@ -114,9 +113,7 @@ TEST(SimdDispatch, IsaNamesAreStable) {
 TEST(SimdDispatch, WorkspaceScratchIsCacheLineAligned) {
   dsp::Workspace ws;
   auto& d = ws.real_scratch(0, 333);
-  auto& f = ws.float_scratch(0, 333);
   EXPECT_EQ(reinterpret_cast<std::uintptr_t>(d.data()) % 64, 0u);
-  EXPECT_EQ(reinterpret_cast<std::uintptr_t>(f.data()) % 64, 0u);
 }
 
 // ---------------------------------------------------------------------------
@@ -126,8 +123,8 @@ TEST(SimdKernels, ReductionsBitExact) {
   IsaGuard guard(simd::detected());
   for (std::size_t n : kLengths) {
     for (std::size_t off : kOffsets) {
-      const auto xs = rand_vec<double>(n + off, 11);
-      const auto ys = rand_vec<double>(n + off, 12);
+      const auto xs = rand_vec(n + off, 11);
+      const auto ys = rand_vec(n + off, 12);
       const std::span<const double> x{xs.data() + off, n};
       const std::span<const double> y{ys.data() + off, n};
       const auto [d0, d1] = both_isas([&] { return simd::dot(x, y); });
@@ -137,8 +134,8 @@ TEST(SimdKernels, ReductionsBitExact) {
       EXPECT_EQ(q0, q1) << "sumsq_dev n=" << n << " off=" << off;
 
       // The projection axis fits: weighted channel sums and raw-channel
-      // moments, over double and widened float channels.
-      const auto zs = rand_vec<double>(n + off, 13);
+      // moments.
+      const auto zs = rand_vec(n + off, 13);
       const std::span<const double> z{zs.data() + off, n};
       const auto [w0, w1] =
           both_isas([&] { return simd::weighted_sum3(x, y, z, x); });
@@ -147,19 +144,6 @@ TEST(SimdKernels, ReductionsBitExact) {
       const auto [m0, m1] =
           both_isas([&] { return simd::moments3(x, y, z, shift); });
       expect_moments_equal(m0, m1);
-
-      const auto xf = rand_vec<float>(n + off, 14);
-      const auto yf = rand_vec<float>(n + off, 15);
-      const auto zf = rand_vec<float>(n + off, 16);
-      const std::span<const float> a{xf.data() + off, n};
-      const std::span<const float> b{yf.data() + off, n};
-      const std::span<const float> c{zf.data() + off, n};
-      const auto [v0, v1] =
-          both_isas([&] { return simd::weighted_sum3(x, a, b, c); });
-      EXPECT_EQ(v0, v1) << "weighted_sum3 f32 n=" << n << " off=" << off;
-      const auto [g0, g1] =
-          both_isas([&] { return simd::moments3(a, b, c, shift); });
-      expect_moments_equal(g0, g1);
     }
   }
 }
@@ -171,7 +155,7 @@ TEST(SimdKernels, EmptyReductionsAreZero) {
   EXPECT_EQ(simd::weighted_sum3({}, std::span<const double>{}, {}, {}),
             Vec3{});
   const simd::Moments3 m =
-      simd::moments3(std::span<const float>{}, {}, {}, Vec3{1.0, 2.0, 3.0});
+      simd::moments3(std::span<const double>{}, {}, {}, Vec3{1.0, 2.0, 3.0});
   EXPECT_EQ(m.sum, Vec3{});
   EXPECT_EQ(m.xx + m.xy + m.xz + m.yy + m.yz + m.zz, 0.0);
 }
@@ -185,9 +169,9 @@ TEST(SimdKernels, ProjectionsBitExact) {
   const Vec3 dir = Vec3{0.9, 0.1, -0.42}.normalized();
   for (std::size_t n : kLengths) {
     for (std::size_t off : kOffsets) {
-      const auto xs = rand_vec<double>(n + off, 21);
-      const auto ys = rand_vec<double>(n + off, 22);
-      const auto zs = rand_vec<double>(n + off, 23);
+      const auto xs = rand_vec(n + off, 21);
+      const auto ys = rand_vec(n + off, 22);
+      const auto zs = rand_vec(n + off, 23);
       const std::span<const double> x{xs.data() + off, n};
       const std::span<const double> y{ys.data() + off, n};
       const std::span<const double> z{zs.data() + off, n};
@@ -205,27 +189,6 @@ TEST(SimdKernels, ProjectionsBitExact) {
         return out;
       });
       expect_bits_equal(r0, r1);
-
-      const auto xf = rand_vec<float>(n + off, 24);
-      const auto yf = rand_vec<float>(n + off, 25);
-      const auto zf = rand_vec<float>(n + off, 26);
-      const std::span<const float> fx{xf.data() + off, n};
-      const std::span<const float> fy{yf.data() + off, n};
-      const std::span<const float> fz{zf.data() + off, n};
-
-      const auto [b0, b1] = both_isas([&] {
-        std::vector<float> out(n);
-        simd::axis_project(fx, fy, fz, up, 9.81F, out);
-        return out;
-      });
-      expect_bits_equal(b0, b1);
-
-      const auto [c0, c1] = both_isas([&] {
-        std::vector<float> out(n);
-        simd::residual_project(fx, fy, fz, up, dir, out);
-        return out;
-      });
-      expect_bits_equal(c0, c1);
     }
   }
 }
@@ -234,8 +197,8 @@ TEST(SimdKernels, ElementwiseMapsBitExact) {
   IsaGuard guard(simd::detected());
   for (std::size_t n : kLengths) {
     for (std::size_t off : kOffsets) {
-      const auto xs = rand_vec<double>(n + off, 31);
-      const auto ys = rand_vec<double>(n + off, 32);
+      const auto xs = rand_vec(n + off, 31);
+      const auto ys = rand_vec(n + off, 32);
       const std::span<const double> x{xs.data() + off, n};
       const std::span<const double> y{ys.data() + off, n};
 
@@ -269,7 +232,7 @@ TEST(SimdKernels, ElementwiseMapsBitExact) {
 TEST(SimdKernels, ProminenceScansBitExact) {
   IsaGuard guard(simd::detected());
   for (std::size_t n : kLengths) {
-    const auto xs = rand_vec<double>(n, 41);
+    const auto xs = rand_vec(n, 41);
     // Thresholds below, inside and above the data range: no breaker at all,
     // breakers at arbitrary block positions, immediate breaker.
     for (double h : {-10.0, -1.0, 0.0, 1.0, 10.0}) {
@@ -301,7 +264,7 @@ TEST(SimdKernels, NormalizeLagsBitExact) {
   IsaGuard guard(simd::detected());
   for (std::size_t n : {std::size_t{1}, std::size_t{5}, std::size_t{64},
                         std::size_t{1001}}) {
-    const auto raw = rand_vec<double>(n, 51);
+    const auto raw = rand_vec(n, 51);
     const auto [a, b] = both_isas([&] {
       std::vector<double> out(n);
       simd::normalize_lags(raw, n, 0.37, out);
@@ -327,22 +290,13 @@ TEST(SimdKernels, CascadeMultiBitExactAcrossIsas) {
   for (std::size_t n : {std::size_t{0}, std::size_t{1}, std::size_t{7},
                         std::size_t{333}, std::size_t{2000}}) {
     for (bool backward : {false, true}) {
-      const auto seed_data =
-          rand_vec<double>(n * simd::kIirLanes, 61);
+      const auto seed_data = rand_vec(n * simd::kIirLanes, 61);
       const auto [a, b] = both_isas([&] {
         std::vector<double> data = seed_data;
         simd::cascade_multi(sections, data.data(), n, backward);
         return data;
       });
       expect_bits_equal(a, b);
-
-      const auto seed_dataf = rand_vec<float>(n * simd::kIirLanes, 62);
-      const auto [c, d] = both_isas([&] {
-        std::vector<float> data = seed_dataf;
-        simd::cascade_multi(sections, data.data(), n, backward);
-        return data;
-      });
-      expect_bits_equal(c, d);
     }
   }
 }
@@ -357,7 +311,7 @@ TEST(SimdKernels, CascadeMultiLaneMatchesSingleChannelBiquad) {
   const std::size_t n = 257;
   std::vector<std::vector<double>> chans;
   for (std::size_t c = 0; c < simd::kIirLanes; ++c) {
-    chans.push_back(rand_vec<double>(n, static_cast<std::uint32_t>(70 + c)));
+    chans.push_back(rand_vec(n, static_cast<std::uint32_t>(70 + c)));
   }
   std::vector<double> data(n * simd::kIirLanes);
   for (std::size_t i = 0; i < n; ++i) {
@@ -382,24 +336,23 @@ namespace {
 /// A run of n rows in one call equals the same run split at k with the
 /// state carried between the calls, bit for bit, and both report the same
 /// final state.
-template <typename T>
 void expect_split_run_bit_exact(std::span<const dsp::BiquadCoeffs> sections,
                                 std::size_t n, std::size_t k, bool backward) {
-  const auto seed_data = rand_vec<T>(n * simd::kIirLanes, 63);
+  const auto seed_data = rand_vec(n * simd::kIirLanes, 63);
   const std::size_t state_size = simd::cascade_state_size(sections.size());
-  std::vector<T> whole = seed_data;
-  std::vector<T> whole_state(state_size, T{0});
+  std::vector<double> whole = seed_data;
+  std::vector<double> whole_state(state_size, 0.0);
   simd::cascade_multi(sections, whole.data(), n, backward, whole_state.data());
   // A zero state in is a null state.
-  std::vector<T> stateless = seed_data;
+  std::vector<double> stateless = seed_data;
   simd::cascade_multi(sections, stateless.data(), n, backward);
   expect_bits_equal(whole, stateless);
 
-  std::vector<T> split = seed_data;
-  std::vector<T> state(state_size, T{0});
+  std::vector<double> split = seed_data;
+  std::vector<double> state(state_size, 0.0);
   // Rows [0, k) and [k, n); a backward run visits the second block first.
-  T* lo = split.data();
-  T* hi = split.data() + k * simd::kIirLanes;
+  double* lo = split.data();
+  double* hi = split.data() + k * simd::kIirLanes;
   if (backward) {
     simd::cascade_multi(sections, hi, n - k, backward, state.data());
     simd::cascade_multi(sections, lo, k, backward, state.data());
@@ -431,8 +384,7 @@ TEST(SimdKernels, CascadeMultiCarriedStateSplitsBitExact) {
                          << "order " << order << " isa "
                          << simd::isa_name(isa) << " n " << n << " k " << k
                          << " backward " << backward);
-            expect_split_run_bit_exact<double>(sections, n, k, backward);
-            expect_split_run_bit_exact<float>(sections, n, k, backward);
+            expect_split_run_bit_exact(sections, n, k, backward);
           }
         }
       }
@@ -442,7 +394,7 @@ TEST(SimdKernels, CascadeMultiCarriedStateSplitsBitExact) {
   const auto cascade = dsp::butterworth_lowpass(4, 5.0, 100.0);
   std::vector<dsp::BiquadCoeffs> sections;
   for (const auto& s : cascade.sections()) sections.push_back(s.coeffs());
-  const auto seed_data = rand_vec<double>(300 * simd::kIirLanes, 64);
+  const auto seed_data = rand_vec(300 * simd::kIirLanes, 64);
   const auto [a, b] = both_isas([&] {
     std::vector<double> data = seed_data;
     std::vector<double> state(simd::cascade_state_size(sections.size()), 0.5);
@@ -457,46 +409,45 @@ namespace {
 
 /// filtfilt_multi_carried_into from the forward state a zero-state
 /// filtfilt_multi_into reaches at sample k equals that call from k on.
-template <typename T>
 void expect_carried_filtfilt_matches_full(std::size_t n, std::size_t k) {
   constexpr std::size_t kL = simd::kIirLanes;
   const auto cascade = dsp::butterworth_lowpass(4, 5.0, 100.0);
-  const std::vector<T> a = rand_vec<T>(n, 91);
-  const std::vector<T> b = rand_vec<T>(n, 92);
+  const std::vector<double> a = rand_vec(n, 91);
+  const std::vector<double> b = rand_vec(n, 92);
   dsp::Workspace ws;
 
-  std::vector<T> full_a(n);
-  std::vector<T> full_b(n);
-  const std::array<std::span<const T>, 2> xs{std::span<const T>(a),
-                                             std::span<const T>(b)};
-  const std::array<std::span<T>, 2> full{std::span<T>(full_a),
-                                         std::span<T>(full_b)};
+  std::vector<double> full_a(n);
+  std::vector<double> full_b(n);
+  const std::array<std::span<const double>, 2> xs{std::span<const double>(a),
+                                             std::span<const double>(b)};
+  const std::array<std::span<double>, 2> full{std::span<double>(full_a),
+                                         std::span<double>(full_b)};
   dsp::filtfilt_multi_into(cascade, xs, 64, ws, full);
 
   // The forward state at k: the odd left pad, then samples [0, k).
   const std::size_t pad = std::min<std::size_t>(64, n - 1);
-  std::vector<T> rows((pad + k) * kL, T{0});
+  std::vector<double> rows((pad + k) * kL, 0.0);
   for (std::size_t c = 0; c < 2; ++c) {
-    const std::vector<T>& x = c == 0 ? a : b;
+    const std::vector<double>& x = c == 0 ? a : b;
     for (std::size_t i = 0; i < pad; ++i) {
-      rows[i * kL + c] = static_cast<T>(2) * x[0] - x[pad - i];
+      rows[i * kL + c] = 2.0 * x[0] - x[pad - i];
     }
     for (std::size_t i = 0; i < k; ++i) rows[(pad + i) * kL + c] = x[i];
   }
   std::vector<dsp::BiquadCoeffs> sections;
   for (const auto& s : cascade.sections()) sections.push_back(s.coeffs());
-  std::vector<T> state(simd::cascade_state_size(sections.size()), T{0});
+  std::vector<double> state(simd::cascade_state_size(sections.size()), 0.0);
   simd::cascade_multi(sections, rows.data(), pad + k, false, state.data());
 
-  std::vector<T> tail_a(n - k);
-  std::vector<T> tail_b(n - k);
-  const std::array<std::span<const T>, 2> tails{
-      std::span<const T>(a).subspan(k), std::span<const T>(b).subspan(k)};
-  const std::array<std::span<T>, 2> outs{std::span<T>(tail_a),
-                                         std::span<T>(tail_b)};
+  std::vector<double> tail_a(n - k);
+  std::vector<double> tail_b(n - k);
+  const std::array<std::span<const double>, 2> tails{
+      std::span<const double>(a).subspan(k), std::span<const double>(b).subspan(k)};
+  const std::array<std::span<double>, 2> outs{std::span<double>(tail_a),
+                                         std::span<double>(tail_b)};
   dsp::filtfilt_multi_carried_into(cascade, tails, state, 64, ws, outs);
-  expect_bits_equal(tail_a, std::vector<T>(full_a.begin() + k, full_a.end()));
-  expect_bits_equal(tail_b, std::vector<T>(full_b.begin() + k, full_b.end()));
+  expect_bits_equal(tail_a, std::vector<double>(full_a.begin() + k, full_a.end()));
+  expect_bits_equal(tail_b, std::vector<double>(full_b.begin() + k, full_b.end()));
 }
 
 }  // namespace
@@ -510,8 +461,7 @@ TEST(SimdComposite, CarriedFiltfiltMatchesFullRun) {
                                   std::size_t{65}, n - 65}) {
         SCOPED_TRACE(::testing::Message() << simd::isa_name(isa) << " n "
                                           << n << " k " << k);
-        expect_carried_filtfilt_matches_full<double>(n, k);
-        expect_carried_filtfilt_matches_full<float>(n, k);
+        expect_carried_filtfilt_matches_full(n, k);
       }
     }
   }
@@ -529,8 +479,8 @@ TEST(SimdComposite, FiltfiltMultiMatchesSingleChannel) {
   dsp::Workspace ws_multi;
   dsp::Workspace ws_single;
   for (std::size_t n : {std::size_t{16}, std::size_t{129}, std::size_t{750}}) {
-    const auto a = rand_vec<double>(n, 81);
-    const auto b = rand_vec<double>(n, 82);
+    const auto a = rand_vec(n, 81);
+    const auto b = rand_vec(n, 82);
     std::vector<double> out_a(n);
     std::vector<double> out_b(n);
     const std::array<std::span<const double>, 2> xs{

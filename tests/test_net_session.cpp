@@ -151,34 +151,34 @@ TEST(NetSession, HelloValidation) {
               Session::IoResult::kClose);
     EXPECT_EQ(expect_single_error(session).code, ErrorCode::kBadHello);
   }
-  {  // f32 disabled by policy
-    SessionConfig cfg;
-    cfg.allow_f32 = false;
-    Session session{cfg};
+  {  // float32 (precision 1): streams are served in double only
+    Session session{SessionConfig{}};
     EXPECT_EQ(feed(session, hello_bytes(1, 100.0, 1)),
               Session::IoResult::kClose);
-    EXPECT_EQ(expect_single_error(session).code, ErrorCode::kBadHello);
+    const WireError err = expect_single_error(session);
+    EXPECT_EQ(err.code, ErrorCode::kBadHello);
+    EXPECT_EQ(err.detail, "unsupported precision");
+    EXPECT_EQ(session.counters().frames_rejected, 1u);
   }
 }
 
 TEST(NetSession, Float32HelloRejectedUnderAttitudeFilter) {
-  // The f32 frontend has no attitude-filter path: a server configured with
-  // one answers a precision=1 HELLO with a typed ERROR, not a dropped socket.
+  // A server configured with the attitude filter serves double streams and
+  // answers a precision=1 HELLO with the same typed ERROR as without it.
   SessionConfig cfg;
   cfg.streaming.pipeline.counter.use_attitude_filter = true;
+  {
+    Session session{cfg};
+    EXPECT_EQ(feed(session, hello_bytes(2, 100.0, 0)),
+              Session::IoResult::kOk);
+    EXPECT_TRUE(session.hello_done());
+  }
   {
     Session session{cfg};
     EXPECT_EQ(feed(session, hello_bytes(1, 100.0, 1)),
               Session::IoResult::kClose);
     EXPECT_FALSE(session.hello_done());
-    EXPECT_EQ(expect_single_error(session).code, ErrorCode::kBadHello);
-    EXPECT_EQ(session.counters().frames_rejected, 1u);
-  }
-  {  // double streams are still served
-    Session session{cfg};
-    EXPECT_EQ(feed(session, hello_bytes(2, 100.0, 0)),
-              Session::IoResult::kOk);
-    EXPECT_TRUE(session.hello_done());
+    EXPECT_EQ(expect_single_error(session).detail, "unsupported precision");
   }
 }
 

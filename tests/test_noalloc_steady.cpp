@@ -2,8 +2,8 @@
 // tracker has flushed once (warm-up) and its buffers, rings and per-thread
 // scratch have reached steady capacity, an incremental hop must not touch
 // the heap at all. This sweep drives every equivalence scenario — walking,
-// stepping, mixed gait, interference and a fault-injected stream — in both
-// double and float32 precision through >= 100 consecutive measured hops and
+// stepping, mixed gait, interference and a fault-injected stream — through
+// >= 100 consecutive measured hops and
 // asserts the thread's allocation counter does not move. Enforcement mode
 // is armed as well (when checks are compiled in), so a regression throws at
 // the offending allocation site instead of only failing the final count.
@@ -75,13 +75,11 @@ std::uint64_t run_hops(core::StreamingTracker& stream, const imu::Trace& trace,
 }
 
 void expect_steady_hops_allocation_free(const NamedTrace& s,
-                                        core::Precision precision,
                                         double anterior_window_s = 0.0) {
   synth::UserProfile user;
   core::StreamingConfig cfg;
   cfg.pipeline.stride.profile = {user.arm_length, user.leg_length, 2.0};
   cfg.pipeline.counter.anterior_window_s = anterior_window_s;
-  cfg.precision = precision;
 
   core::StreamingTracker stream(s.trace.fs(), cfg);
   const auto hop_samples = static_cast<std::size_t>(cfg.hop_s * s.trace.fs());
@@ -124,14 +122,7 @@ void expect_steady_hops_allocation_free(const NamedTrace& s,
 TEST(NoAllocSteadyState, DoublePrecisionAcrossScenarios) {
   for (const NamedTrace& s : scenarios()) {
     SCOPED_TRACE(s.name);
-    expect_steady_hops_allocation_free(s, core::Precision::kDouble);
-  }
-}
-
-TEST(NoAllocSteadyState, Float32PrecisionAcrossScenarios) {
-  for (const NamedTrace& s : scenarios()) {
-    SCOPED_TRACE(s.name);
-    expect_steady_hops_allocation_free(s, core::Precision::kFloat32);
+    expect_steady_hops_allocation_free(s);
   }
 }
 
@@ -142,7 +133,6 @@ TEST(NoAllocSteadyState, Float32PrecisionAcrossScenarios) {
 TEST(NoAllocSteadyState, WindowedAnteriorAcrossScenarios) {
   for (const NamedTrace& s : scenarios()) {
     SCOPED_TRACE(s.name);
-    expect_steady_hops_allocation_free(s, core::Precision::kDouble, 10.0);
-    expect_steady_hops_allocation_free(s, core::Precision::kFloat32, 10.0);
+    expect_steady_hops_allocation_free(s, 10.0);
   }
 }
