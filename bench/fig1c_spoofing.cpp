@@ -1,6 +1,9 @@
 // Fig. 1(c): a motorized spoofing rig (unfitbits-style) accumulates ~48-49
 // false steps in only 40 s on every existing counter — wearable and phone
 // alike. PTrack (previewed here, formally in Fig. 7(b)) rejects it.
+//
+// Exits non-zero when PTrack counts any spoofed step (the paper's floor is
+// 0), so the run doubles as a regression gate.
 
 #include <iostream>
 
@@ -49,5 +52,9 @@ int main() {
   table.print(std::cout);
   std::cout << "the rig alternates at 2 Hz; a vulnerable counter ticks ~"
             << 2 * 40 * 0.6 << "+ times.\n";
+  if (ptrack > 0.0) {
+    std::cerr << "fig1c_spoofing: PTrack counted spoofed steps (floor 0)\n";
+    return 1;
+  }
   return 0;
 }

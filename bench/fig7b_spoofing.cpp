@@ -1,6 +1,9 @@
 // Fig. 7(b): vulnerability to the spoofing rig over 60 s. Paper:
 // GFit/Mtage/SCAR tick 79/78/61 times; PTrack ticks 0, making its count
 // trustworthy for insurance/finance-grade uses.
+//
+// Exits non-zero when PTrack counts any spoofed step (the paper's floor is
+// 0), so the run doubles as a regression gate.
 
 #include <iostream>
 
@@ -57,5 +60,9 @@ int main() {
                "(rigid single-DOF), so PTrack's offset test rejects every\n"
                "cycle; its clean periodicity still passes C > 0, but the\n"
                "quarter-period phase gate fails (lag = 0).\n";
+  if (ptrack > 0.0) {
+    std::cerr << "fig7b_spoofing: PTrack counted spoofed steps (floor 0)\n";
+    return 1;
+  }
   return 0;
 }

@@ -17,64 +17,22 @@ namespace ptrack::core {
 
 namespace {
 
-/// Per-sample up-direction field: either one constant direction (batch
-/// gravity estimate) or a per-sample track (attitude filter). Avoids
-/// materializing a vector of identical copies for the constant case.
-class UpField {
- public:
-  explicit UpField(const Vec3& constant) : constant_(constant) {}
-  explicit UpField(std::span<const Vec3> per_sample)
-      : per_sample_(per_sample) {}
-
-  const Vec3& operator[](std::size_t i) const {
-    return per_sample_.empty() ? constant_ : per_sample_[i];
-  }
-
-  /// Normalized mean direction over [begin, end) — the representative up
-  /// for a projection window (per-sample ups vary slowly).
-  [[nodiscard]] Vec3 window_mean(std::size_t begin, std::size_t end) const {
-    Vec3 up{};
-    for (std::size_t i = begin; i < end; ++i) up += (*this)[i];
-    return up.normalized();
-  }
-
-  /// True when every sample sees the same up (the batch gravity estimate) —
-  /// the precondition for the SIMD whole-span projection fast paths.
-  [[nodiscard]] bool is_constant() const { return per_sample_.empty(); }
-  [[nodiscard]] const Vec3& constant() const { return constant_; }
-
- private:
-  Vec3 constant_{};
-  std::span<const Vec3> per_sample_{};
-};
-
-/// The i-th specific-force vector of three channel spans.
-Vec3 force(std::span<const double> x, std::span<const double> y,
-           std::span<const double> z, std::size_t i) {
-  return {x[i], y[i], z[i]};
+/// The renormalized sum of `count` copies of `up`: the representative up
+/// an anterior window is fit against. The sum rounds differently from `up`
+/// itself, and the batch channels are defined with that rounding.
+Vec3 window_up(const Vec3& up, std::size_t count) {
+  Vec3 sum{};
+  for (std::size_t i = 0; i < count; ++i) sum += up;
+  return sum.normalized();
 }
 
-/// Row i of the raw filter lanes (see LowpassCarry): (f, 1) without a
-/// per-sample up track, (f.u_i - g, f - u_i (f.u_i)) with one — the
-/// vertical sample and the anterior residual in the exact arithmetic of
-/// project_channels_into's per-sample path.
+/// Row i of the raw filter lanes (see LowpassCarry): (f, 1).
 void raw_lane_row(std::span<const double> ax, std::span<const double> ay,
-                  std::span<const double> az, std::span<const Vec3> ups,
-                  std::size_t i, double* row) {
-  const Vec3 f = force(ax, ay, az, i);
-  if (ups.empty()) {
-    row[0] = f.x;
-    row[1] = f.y;
-    row[2] = f.z;
-    row[3] = 1.0;
-    return;
-  }
-  const Vec3& up = ups[i];
-  const Vec3 residual = f - up * f.dot(up);
-  row[0] = f.dot(up) - kGravity;
-  row[1] = residual.x;
-  row[2] = residual.y;
-  row[3] = residual.z;
+                  std::span<const double> az, std::size_t i, double* row) {
+  row[0] = ax[i];
+  row[1] = ay[i];
+  row[2] = az[i];
+  row[3] = 1.0;
 }
 
 }  // namespace
@@ -93,13 +51,11 @@ LowpassCarry::LowpassCarry(double lowpass_hz, double fs) {
 }
 
 void LowpassCarry::seed(std::span<const double> ax, std::span<const double> ay,
-                        std::span<const double> az, std::span<const Vec3> ups,
-                        std::size_t count, std::size_t at,
-                        dsp::Workspace& ws) {
+                        std::span<const double> az, std::size_t count,
+                        std::size_t at, dsp::Workspace& ws) {
   constexpr std::size_t kL = dsp::simd::kIirLanes;
   const std::size_t n = ax.size();
-  expects(n >= 2 && ay.size() == n && az.size() == n &&
-              (ups.empty() || ups.size() == n) && count <= n,
+  expects(n >= 2 && ay.size() == n && az.size() == n && count <= n,
           "LowpassCarry::seed: equal spans covering the seeded samples");
   // The same odd reflection a carry-less filtfilt applies to the projected
   // channels: reflecting the lanes and then combining them is reflecting
@@ -107,14 +63,14 @@ void LowpassCarry::seed(std::span<const double> ax, std::span<const double> ay,
   const std::size_t pad = std::min(kLowpassPad, n - 1);
   double* rows = ws.real_scratch(0, (pad + count) * kL).data();
   std::array<double, kL> first{};
-  raw_lane_row(ax, ay, az, ups, 0, first.data());
+  raw_lane_row(ax, ay, az, 0, first.data());
   for (std::size_t i = 0; i < pad; ++i) {
     double* row = rows + i * kL;
-    raw_lane_row(ax, ay, az, ups, pad - i, row);
+    raw_lane_row(ax, ay, az, pad - i, row);
     for (std::size_t c = 0; c < kL; ++c) row[c] = 2.0 * first[c] - row[c];
   }
   for (std::size_t i = 0; i < count; ++i) {
-    raw_lane_row(ax, ay, az, ups, i, rows + (pad + i) * kL);
+    raw_lane_row(ax, ay, az, i, rows + (pad + i) * kL);
   }
   state_.fill(0.0);
   run(rows, pad + count);
@@ -123,17 +79,15 @@ void LowpassCarry::seed(std::span<const double> ax, std::span<const double> ay,
 
 void LowpassCarry::advance(std::span<const double> ax,
                            std::span<const double> ay,
-                           std::span<const double> az,
-                           std::span<const Vec3> ups, dsp::Workspace& ws) {
+                           std::span<const double> az, dsp::Workspace& ws) {
   constexpr std::size_t kL = dsp::simd::kIirLanes;
   const std::size_t n = ax.size();
-  expects(ay.size() == n && az.size() == n &&
-              (ups.empty() || ups.size() == n),
+  expects(ay.size() == n && az.size() == n,
           "LowpassCarry::advance: equal spans");
   PTRACK_CHECK_MSG(valid_, "LowpassCarry::advance: a seeded state");
   double* rows = ws.real_scratch(0, n * kL).data();
   for (std::size_t i = 0; i < n; ++i) {
-    raw_lane_row(ax, ay, az, ups, i, rows + i * kL);
+    raw_lane_row(ax, ay, az, i, rows + i * kL);
   }
   run(rows, n);
   at_ += n;
@@ -151,16 +105,13 @@ void project_channels_into(std::span<const double> ax,
                            std::span<const double> ay,
                            std::span<const double> az, double fs,
                            double lowpass_hz, double anterior_window_s,
-                           std::span<const Vec3> ups, dsp::Workspace& ws,
-                           ProjectionSeam* seam, const AxisHistory& axes,
-                           ProjectedChannels& out,
+                           dsp::Workspace& ws, ProjectionSeam* seam,
+                           const AxisHistory& axes, ProjectedChannels& out,
                            const FilterCarry& carry) {
   const std::size_t n = ax.size();
   expects(n >= 16, "project_channels: >= 16 samples");
   expects(n == ay.size() && ay.size() == az.size(),
           "project_channels: equal channel lengths");
-  expects(ups.empty() || ups.size() == n,
-          "project_channels: ups empty or one per sample");
   expects(axes.empty() ||
               (axes.ax.size() == axes.ay.size() &&
                axes.ay.size() == axes.az.size() && axes.ax.size() >= 16),
@@ -178,21 +129,17 @@ void project_channels_into(std::span<const double> ax,
   const std::size_t m = n - lead;  // projected and filtered samples
 
   // Axes pinned to the wider history when one is given (up from its
-  // gravity estimate unless a per-sample track is supplied, anterior
-  // principal direction from its horizontal residual); otherwise both come
-  // from the spans themselves, lead included.
+  // gravity estimate, anterior principal direction from its horizontal
+  // residual); otherwise both come from the spans themselves, lead
+  // included.
   const AxisHistory hist = axes.empty() ? AxisHistory{ax, ay, az} : axes;
-  const UpField up_field =
-      !ups.empty() ? UpField(ups)
-      : hist.up_weights.empty()
-          ? UpField(dsp::estimate_up(hist.ax, hist.ay, hist.az, fs,
-                                     dsp::kGravityCutoffHz, ws))
-          : UpField(dsp::estimate_up(hist.ax, hist.ay, hist.az,
-                                     hist.up_weights));
+  const Vec3 up =
+      hist.up_weights.empty()
+          ? dsp::estimate_up(hist.ax, hist.ay, hist.az, fs,
+                             dsp::kGravityCutoffHz, ws)
+          : dsp::estimate_up(hist.ax, hist.ay, hist.az, hist.up_weights);
   Vec3 pinned_dir{};
   if (!axes.empty()) {
-    const Vec3 up =
-        ups.empty() ? up_field.constant() : up_field.window_mean(0, n);
     pinned_dir =
         dsp::principal_horizontal_direction(axes.ax, axes.ay, axes.az, up);
   }
@@ -206,16 +153,8 @@ void project_channels_into(std::span<const double> ax,
   anterior.resize(m);
   // Specific force f = a_lin - g_vec with g_vec = -g*up, so the linear
   // vertical acceleration is f.up - g.
-  if (up_field.is_constant()) {
-    dsp::simd::axis_project(ax.subspan(lead), ay.subspan(lead),
-                            az.subspan(lead), up_field.constant(), kGravity,
-                            vertical);
-  } else {
-    for (std::size_t i = lead; i < n; ++i) {
-      const Vec3 f = force(ax, ay, az, i);
-      vertical[i - lead] = f.dot(ups[i]) - kGravity;
-    }
-  }
+  dsp::simd::axis_project(ax.subspan(lead), ay.subspan(lead),
+                          az.subspan(lead), up, kGravity, vertical);
 
   // Anterior projection of the gravity-removed residual, with one principal
   // direction for the whole span or re-fit per window. Every window is fit
@@ -227,14 +166,9 @@ void project_channels_into(std::span<const double> ax,
   const auto project_range = [&](std::size_t begin, std::size_t end) {
     Vec3 dir = pinned_dir;
     if (axes.empty()) {
-      // The window's representative up for the fit: the renormalized mean
-      // of the up field over the window, even when the field is the
-      // constant gravity estimate (a sum of `count` copies rounds
-      // differently from the estimate itself, and the batch channels are
-      // defined with that rounding).
       dir = dsp::principal_horizontal_direction(
           ax.subspan(begin, end - begin), ay.subspan(begin, end - begin),
-          az.subspan(begin, end - begin), up_field.window_mean(begin, end));
+          az.subspan(begin, end - begin), window_up(up, end - begin));
     }
     // Sign continuity: PCA is sign-ambiguous; align with the previous
     // window so the channel doesn't flip mid-trace (or mid-stream).
@@ -249,16 +183,7 @@ void project_channels_into(std::span<const double> ax,
     const std::span<const double> z = az.subspan(begin, count);
     const std::span<double> dst =
         std::span<double>(anterior).subspan(begin - lead, count);
-    if (up_field.is_constant()) {
-      dsp::simd::residual_project(x, y, z, up_field.constant(), dir, dst);
-      return;
-    }
-    for (std::size_t i = 0; i < count; ++i) {
-      const Vec3 f = force(x, y, z, i);
-      const Vec3& up = ups[begin + i];
-      const Vec3 residual = f - up * f.dot(up);
-      dst[i] = residual.dot(dir);
-    }
+    dsp::simd::residual_project(x, y, z, up, dir, dst);
   };
 
   if (!axes.empty() || anterior_window_s <= 0.0) {
@@ -290,17 +215,10 @@ void project_channels_into(std::span<const double> ax,
   }
   // Each channel's state is its lane combination of the raw-lane state
   // (see LowpassCarry), under this call's axes.
-  std::array<double, dsp::simd::kIirLanes> cv{};
-  std::array<double, dsp::simd::kIirLanes> ca{};
-  if (up_field.is_constant()) {
-    const Vec3& u = up_field.constant();
-    const Vec3 d = lead_dir - u * u.dot(lead_dir);
-    cv = {u.x, u.y, u.z, -kGravity};
-    ca = {d.x, d.y, d.z, 0.0};
-  } else {
-    cv = {1.0, 0.0, 0.0, 0.0};
-    ca = {0.0, lead_dir.x, lead_dir.y, lead_dir.z};
-  }
+  const Vec3 d = lead_dir - up * up.dot(lead_dir);
+  const std::array<double, dsp::simd::kIirLanes> cv{up.x, up.y, up.z,
+                                                    -kGravity};
+  const std::array<double, dsp::simd::kIirLanes> ca{d.x, d.y, d.z, 0.0};
   constexpr std::size_t kL = dsp::simd::kIirLanes;
   std::array<double, dsp::simd::cascade_state_size(
                          dsp::BiquadCascade::kMaxSections)>
@@ -332,8 +250,7 @@ ProjectedChannels project_trace(const imu::Trace& trace, double lowpass_hz,
   ProjectedChannels out;
   project_channels_into(trace.accel_axis(0), trace.accel_axis(1),
                         trace.accel_axis(2), trace.fs(), lowpass_hz,
-                        anterior_window_s, {}, ws ? *ws : local, nullptr, {},
-                        out);
+                        anterior_window_s, ws ? *ws : local, nullptr, {}, out);
   return out;
 }
 

@@ -9,6 +9,11 @@
 // ProjectionStage (core/stages.hpp) calls project_channels_into directly on
 // ring views.
 //
+// Each call has one up axis, the gravity estimate of its axis history, so
+// the channels must be in a platform frame whose vertical does not turn
+// with the wrist. A device-frame recording is rotated into one first, with
+// the watch's gravity or rotation-vector sensor.
+//
 // The gravity estimate is a fixed linear functional of the axis history
 // (dsp/projection.hpp derives it): its weights depend only on the history
 // length, fs and the 0.3 Hz cutoff. A steady streaming hop always pins the
@@ -120,18 +125,14 @@ struct FilterCarry {
   [[nodiscard]] bool empty() const { return raw_state.empty(); }
 };
 
-/// Forward state of the output low-pass over four raw input lanes, carried
-/// across the hops of one stream. Every projected sample is a fixed linear
-/// combination of its lanes under the call's axes:
-///   - no per-sample up track: lanes (f_x, f_y, f_z, 1), vertical =
-///     (u, -g), anterior = (d - (u.d) u, 0);
-///   - per-sample up track u_i: lanes (v_i, r_x, r_y, r_z) with v_i =
-///     f.u_i - g and r_i = f - u_i (f.u_i), vertical = (1, 0),
-///     anterior = (0, d);
-/// and biquad state is linear in its input history, so converting this
-/// state with the current axes gives the state a zero-state filter over
-/// that whole history, projected with those axes, would hold — the same
-/// history re-projected every hop, without re-filtering it.
+/// Forward state of the output low-pass over four raw input lanes
+/// (f_x, f_y, f_z, 1), carried across the hops of one stream. Every
+/// projected sample is a fixed linear combination of its lanes under the
+/// call's axes (vertical = (u, -g), anterior = (d - (u.d) u, 0)), and
+/// biquad state is linear in its input history, so converting this state
+/// with the current axes gives the state a zero-state filter over that
+/// whole history, projected with those axes, would hold — the same history
+/// re-projected every hop, without re-filtering it.
 class LowpassCarry {
  public:
   LowpassCarry(double lowpass_hz, double fs);
@@ -146,20 +147,18 @@ class LowpassCarry {
   }
 
   /// Re-seeds from zero state: the forward pass a carry-less projection
-  /// call over `ax/ay/az` (and per-sample `ups`, empty or one per sample)
-  /// runs, reflected left pad included, stopped before sample `count`. The
-  /// state then sits before absolute sample `at`. Clobbers `ws` real
-  /// slot 0 (as does advance).
+  /// call over `ax/ay/az` runs, reflected left pad included, stopped before
+  /// sample `count`. The state then sits before absolute sample `at`.
+  /// Clobbers `ws` real slot 0 (as does advance).
   void seed(std::span<const double> ax, std::span<const double> ay,
-            std::span<const double> az, std::span<const Vec3> ups,
-            std::size_t count, std::size_t at, dsp::Workspace& ws);
+            std::span<const double> az, std::size_t count, std::size_t at,
+            dsp::Workspace& ws);
 
   /// Advances the state over the samples of the spans, which must start at
   /// the state's position; it then sits after them. A non-finite result
   /// invalidates the carry (the next hop re-seeds).
   void advance(std::span<const double> ax, std::span<const double> ay,
-               std::span<const double> az, std::span<const Vec3> ups,
-               dsp::Workspace& ws);
+               std::span<const double> az, dsp::Workspace& ws);
 
  private:
   // Runs the cascade over `count` interleaved lane rows (clobbered) from
@@ -184,12 +183,10 @@ class LowpassCarry {
 /// ProjectedChannels across hops stops allocating once the channel
 /// capacity has warmed up.
 ///
-/// `ups` (optional) supplies a per-sample up track
-/// (attitude-filter path); it must be empty or exactly ax.size() long.
-/// When empty, the up direction is the batch gravity estimate over the
-/// axis spans: dsp::estimate_up, a weighted sum with the gravity weights
-/// (taken from `axes.up_weights` when given, otherwise computed into `ws`
-/// real scratch slot 0).
+/// The up direction is the batch gravity estimate over the axis spans:
+/// dsp::estimate_up, a weighted sum with the gravity weights (taken from
+/// `axes.up_weights` when given, otherwise computed into `ws` real scratch
+/// slot 0).
 ///
 /// `ws` provides the filter scratch and the gravity weights (real slot 0).
 ///
@@ -198,8 +195,7 @@ class LowpassCarry {
 ///
 /// `axes` (optional) supplies wider history spans for axis estimation;
 /// see AxisHistory. It pins one anterior direction for the whole call, so
-/// `anterior_window_s` has no effect with it. With per-sample `ups` the up
-/// track is used as given and `axes` only pins the anterior direction.
+/// `anterior_window_s` has no effect with it.
 ///
 /// `carry` (optional) continues the output low-pass of a stream; see
 /// FilterCarry. Windowed anterior mode converts it with the direction of
@@ -209,9 +205,8 @@ void project_channels_into(std::span<const double> ax,
                            std::span<const double> ay,
                            std::span<const double> az, double fs,
                            double lowpass_hz, double anterior_window_s,
-                           std::span<const Vec3> ups, dsp::Workspace& ws,
-                           ProjectionSeam* seam, const AxisHistory& axes,
-                           ProjectedChannels& out,
+                           dsp::Workspace& ws, ProjectionSeam* seam,
+                           const AxisHistory& axes, ProjectedChannels& out,
                            const FilterCarry& carry = {});
 
 }  // namespace ptrack::core

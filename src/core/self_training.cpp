@@ -24,11 +24,10 @@ CycleBank classify_cycles(const imu::Trace& trace,
   CycleBank bank;
   bank.projected = project_trace(trace, cfg.counter.lowpass_hz);
   // Classify on the same projection the bank keeps: one whole-trace
-  // anterior fit, batch gravity estimate.
+  // anterior fit.
   PTrackConfig pcfg;
   pcfg.counter = cfg.counter;
   pcfg.counter.anterior_window_s = 0.0;
-  pcfg.counter.use_attitude_filter = false;
   const TrackResult result = PTrack(pcfg).process_repaired(trace);
   for (const CycleRecord& c : result.cycles) {
     if (c.type == GaitType::Walking) bank.walking.push_back(c);

@@ -47,17 +47,6 @@ void ProjectionStage::advance(const imu::SampleRing& ring, bool flush) {
   PTRACK_CHECK_MSG(vert_.end() <= ring.end(),
                    "ProjectionStage: projected frontier within the ring");
   const std::size_t end = ring.end();
-
-  // Attitude mode: the complementary filter is causal, so the up track is
-  // fed to the raw frontier regardless of the projection margin.
-  if (cfg_.use_attitude_filter) {
-    const double dt = 1.0 / fs_;
-    for (std::size_t i = ups_.end(); i < end; ++i) {
-      const imu::Sample s = ring.sample(i);
-      ups_.push(attitude_.update(s.gyro, s.accel, dt));
-    }
-  }
-
   const std::size_t stable = vert_.end();
   const std::size_t target = flush ? end : (end > margin_ ? end - margin_ : 0);
   if (target > stable) {
@@ -90,7 +79,6 @@ void ProjectionStage::advance(const imu::SampleRing& ring, bool flush) {
       advance_carry(ring, region, flush);
     }
   }
-  if (cfg_.use_attitude_filter) ups_.trim_to(min_required());
 }
 
 void ProjectionStage::project_region(const imu::SampleRing& ring,
@@ -105,7 +93,7 @@ void ProjectionStage::project_region(const imu::SampleRing& ring,
   // registry: the steady 20 s window from the table this stage holds,
   // warm-up lengths from a table held for this call only.
   std::shared_ptr<const dsp::GravityWeights> warmup_weights;
-  if (r.pin_axes && !cfg_.use_attitude_filter) {
+  if (r.pin_axes) {
     const std::size_t len = r.end - r.axis_begin;
     if (len == axis_window_) {
       if (!up_weights_) {
@@ -120,10 +108,7 @@ void ProjectionStage::project_region(const imu::SampleRing& ring,
     }
   }
   project_channels_into(raw.ax, raw.ay, raw.az, fs_, cfg_.lowpass_hz,
-                        cfg_.anterior_window_s,
-                        cfg_.use_attitude_filter ? ups_.span(r.begin, r.end)
-                                                 : std::span<const Vec3>{},
-                        *ws_, &seam_, axes, proj_,
+                        cfg_.anterior_window_s, *ws_, &seam_, axes, proj_,
                         r.carried ? carry_.carry(r.stable - r.begin)
                                   : FilterCarry{});
   // proj_ holds samples [stable, end) with a carried state, else
@@ -140,21 +125,16 @@ void ProjectionStage::advance_carry(const imu::SampleRing& ring,
   PTRACK_CHECK_MSG(r.begin <= r.stable && r.stable < r.target &&
                        r.target <= r.end,
                    "ProjectionStage: carried range inside the region");
-  const auto ups = [&](std::size_t b, std::size_t e) {
-    return cfg_.use_attitude_filter ? ups_.span(b, e)
-                                    : std::span<const Vec3>{};
-  };
   if (carry_.valid_at(r.stable)) {
     carry_.advance(ring.ax(r.stable, r.target), ring.ay(r.stable, r.target),
-                   ring.az(r.stable, r.target), ups(r.stable, r.target),
-                   *ws_);
+                   ring.az(r.stable, r.target), *ws_);
   } else if (!flush) {
     // Re-seed with the zero-state warm-up this hop's re-projection ran. A
     // flush does not seed: a batch run ends there, and a stream that goes
     // on re-seeds on its next hop.
     carry_.seed(ring.ax(r.begin, r.end), ring.ay(r.begin, r.end),
-                ring.az(r.begin, r.end), ups(r.begin, r.end),
-                r.target - r.begin, r.target, *ws_);
+                ring.az(r.begin, r.end), r.target - r.begin, r.target,
+                *ws_);
   }
 }
 

@@ -59,7 +59,6 @@
 #include "core/segmentation.hpp"
 #include "core/stride_estimator.hpp"
 #include "core/types.hpp"
-#include "dsp/attitude.hpp"
 #include "dsp/projection.hpp"
 #include "dsp/workspace.hpp"
 #include "imu/sample_ring.hpp"
@@ -95,7 +94,8 @@ struct StageStats {
   std::size_t advances = 0; ///< pipeline hops driven
 };
 
-/// Projects the raw stream into band-limited vertical/anterior channels,
+/// Projects the raw stream's accel channels into band-limited
+/// vertical/anterior channels, with the gravity estimate as the up axis,
 /// finalizing samples `kProjectionMarginS` behind the raw frontier. The
 /// finalized channels accumulate in absolute-indexed rings aligned with the
 /// raw ring's index space. The output low-pass's forward state is carried
@@ -170,10 +170,6 @@ class ProjectionStage {
   // place, so re-projection stops allocating once the region capacity has
   // warmed up.
   ProjectedChannels proj_{};
-
-  // Attitude-filter mode: per-sample up track, fed causally.
-  Ring<Vec3> ups_;
-  dsp::AttitudeEstimator attitude_{};
 };
 
 /// Finds step peaks over the finalized projected vertical channel and pairs

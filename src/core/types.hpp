@@ -71,19 +71,12 @@ struct StepCounterConfig {
   /// Forward-axis estimation window (s): 0 = one global fit; > 0 refits
   /// per window (keeps the anterior channel faithful on turning routes).
   double anterior_window_s = 0.0;
-  /// Track the up direction with the gyro/accel complementary filter
-  /// instead of the batch gravity low-pass (for raw device-frame traces).
-  bool use_attitude_filter = false;
   double delta = 0.0325;         ///< offset threshold (paper SIII-B1)
   std::size_t streak = 3;        ///< consecutive confirmations for stepping
   double phase_tolerance = 0.35; ///< relative error allowed vs quarter period
   double min_step_interval_s = 0.35;  ///< segmentation peak spacing
   double max_step_interval_s = 1.20;  ///< reject slower candidates
   double min_cycle_prominence = 0.5;  ///< m/s^2, segmentation peaks
-  /// Adaptive part of the segmentation prominence: fraction of the vertical
-  /// channel's standard deviation. Suppresses arm-harmonic ghost peaks for
-  /// vigorous swingers while leaving weak-signal activities untouched.
-  double adaptive_prominence = 0.35;
   bool use_weighting = true;     ///< w(nv) term of Eq. (1) (ablation)
   bool use_phase_gate = true;    ///< phase-difference test (ablation)
 
@@ -131,7 +124,6 @@ struct StrideProfile {
 /// Stride-estimator configuration.
 struct StrideConfig {
   StrideProfile profile{};
-  double velocity_smooth_hz = 4.0;  ///< smoothing of the arm velocity signal
   /// Median filter over the per-step stride sequence (odd window; <= 1
   /// disables). A walker's stride changes slowly, so a short median knocks
   /// out per-cycle geometry outliers. (ablation)

@@ -6,6 +6,9 @@
 // principal axis of the horizontal residual acceleration, recovered by a
 // least-squares fit — when a user walks, the arm's back-and-forth swing
 // makes the anterior axis the direction of largest horizontal variance.
+// One up vector serves a whole fit window, so the channels are expected in
+// a platform frame (a device-frame recording is first rotated with the
+// platform's gravity or rotation-vector sensor).
 //
 // The two axis estimators are the only copies of that arithmetic in the
 // tree. They run on structure-of-arrays channel spans, and

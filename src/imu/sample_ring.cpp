@@ -13,9 +13,6 @@ void SampleRing::push(const Sample& s, std::uint8_t flags) {
   ax_.push_back(s.accel.x);
   ay_.push_back(s.accel.y);
   az_.push_back(s.accel.z);
-  gx_.push_back(s.gyro.x);
-  gy_.push_back(s.gyro.y);
-  gz_.push_back(s.gyro.z);
   flags_.push_back(flags);
 }
 // ptrack-lint: pop-allow(alloc)
@@ -35,18 +32,9 @@ void SampleRing::maybe_compact() {
   erase_prefix(ax_);
   erase_prefix(ay_);
   erase_prefix(az_);
-  erase_prefix(gx_);
-  erase_prefix(gy_);
-  erase_prefix(gz_);
   erase_prefix(flags_);
   head_ = 0;
   ++compactions_;
-}
-
-std::size_t SampleRing::offset(std::size_t abs_index) const {
-  PTRACK_CHECK_MSG(abs_index >= base_ && abs_index <= end(),
-                   "SampleRing: absolute index inside the retained range");
-  return head_ + (abs_index - base_);
 }
 
 namespace {
@@ -72,27 +60,9 @@ std::span<const double> SampleRing::ay(std::size_t b, std::size_t e) const {
 std::span<const double> SampleRing::az(std::size_t b, std::size_t e) const {
   return sub(az_, span_offset(b, e), e - b);
 }
-std::span<const double> SampleRing::gx(std::size_t b, std::size_t e) const {
-  return sub(gx_, span_offset(b, e), e - b);
-}
-std::span<const double> SampleRing::gy(std::size_t b, std::size_t e) const {
-  return sub(gy_, span_offset(b, e), e - b);
-}
 std::span<const std::uint8_t> SampleRing::flags(std::size_t b,
                                                 std::size_t e) const {
   return {flags_.data() + span_offset(b, e), e - b};
-}
-std::span<const double> SampleRing::gz(std::size_t b, std::size_t e) const {
-  return sub(gz_, span_offset(b, e), e - b);
-}
-
-Sample SampleRing::sample(std::size_t abs_index) const {
-  const std::size_t o = offset(abs_index);
-  PTRACK_CHECK_MSG(abs_index < end(), "SampleRing: sample index in range");
-  Sample s;
-  s.accel = {ax_[o], ay_[o], az_[o]};
-  s.gyro = {gx_[o], gy_[o], gz_[o]};
-  return s;
 }
 
 std::size_t SampleRing::count_flagged(std::size_t b, std::size_t e,

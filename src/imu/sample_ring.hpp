@@ -1,9 +1,11 @@
 // Contiguous structure-of-arrays ring buffer over an IMU stream: the
 // zero-copy backbone of the incremental pipeline.
 //
-// Samples live in six parallel `std::vector<double>` channels (ax..gz)
-// plus one quality-flag byte per sample, addressed by an *absolute* sample
-// index that never resets over the stream's lifetime. Consumers ask for
+// Samples live in three parallel `std::vector<double>` accelerometer
+// channels (ax, ay, az) plus one quality-flag byte per sample, addressed by
+// an *absolute* sample index that never resets over the stream's lifetime.
+// The gyroscope rates are not kept: the quality layer sees them before the
+// ring, and nothing downstream of it reads them. Consumers ask for
 // `std::span` views over [begin, end) absolute ranges and hand them
 // straight to the dsp kernels — no per-hop materialization of
 // `imu::Sample` vectors, no AoS->SoA shuffling in the hot path.
@@ -31,7 +33,8 @@ namespace ptrack::imu {
 
 class SampleRing {
  public:
-  /// Appends one sample with its quality flags (SampleFlag bits).
+  /// Appends one sample's accelerometer channels with its quality flags
+  /// (SampleFlag bits).
   void push(const Sample& s, std::uint8_t flags);
 
   /// Absolute index of the oldest retained sample.
@@ -54,15 +57,8 @@ class SampleRing {
   [[nodiscard]] std::span<const double> ax(std::size_t b, std::size_t e) const;
   [[nodiscard]] std::span<const double> ay(std::size_t b, std::size_t e) const;
   [[nodiscard]] std::span<const double> az(std::size_t b, std::size_t e) const;
-  [[nodiscard]] std::span<const double> gx(std::size_t b, std::size_t e) const;
-  [[nodiscard]] std::span<const double> gy(std::size_t b, std::size_t e) const;
-  [[nodiscard]] std::span<const double> gz(std::size_t b, std::size_t e) const;
   [[nodiscard]] std::span<const std::uint8_t> flags(std::size_t b,
                                                     std::size_t e) const;
-
-  /// Rebuilds one sample from the channels (t is NOT stored; the caller
-  /// owns the time base — absolute index / fs).
-  [[nodiscard]] Sample sample(std::size_t abs_index) const;
 
   /// Samples in [begin, end) whose flags intersect `mask`.
   [[nodiscard]] std::size_t count_flagged(std::size_t b, std::size_t e,
@@ -76,13 +72,12 @@ class SampleRing {
   [[nodiscard]] std::size_t compactions() const { return compactions_; }
 
  private:
-  [[nodiscard]] std::size_t offset(std::size_t abs_index) const;
   /// Validates [b, e) against the retained range; returns b's storage
   /// offset.
   [[nodiscard]] std::size_t span_offset(std::size_t b, std::size_t e) const;
   void maybe_compact();
 
-  std::vector<double> ax_, ay_, az_, gx_, gy_, gz_;
+  std::vector<double> ax_, ay_, az_;
   std::vector<std::uint8_t> flags_;
   std::size_t base_ = 0;  ///< absolute index of the sample at head_
   std::size_t head_ = 0;  ///< dead-prefix length inside the vectors

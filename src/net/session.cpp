@@ -20,9 +20,10 @@ static_assert(4 + kEventsPerFrame * kEventWireBytes <= kMaxPayloadBytes);
 /// axis history + finalization margins), used for admission accounting —
 /// deliberately rounded up: shedding slightly early beats paging.
 constexpr double kTrackerRetentionS = 40.0;
-/// Ring bytes per retained sample: 7 channels of f64 (6 + flags padding)
-/// plus quality bookkeeping, rounded well up (the headroom is kept so
-/// admission stays conservative).
+/// Ring bytes per retained sample: 3 accel channels of f64 and a flag byte
+/// (25 bytes) plus quality bookkeeping, rounded well up. The figure was
+/// sized when the ring also kept the gyro channels; the headroom is kept
+/// so admission stays conservative.
 constexpr std::size_t kBytesPerRetainedSample = 80;
 
 }  // namespace

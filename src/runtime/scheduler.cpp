@@ -34,6 +34,16 @@ inline void cpu_relax() {
 /// can introduce.
 constexpr std::size_t kStealMax = 16;
 
+/// Per-worker per-lane ring capacity (a power of two). Overflow goes to
+/// the mutex-protected spill queue — counted, never dropped.
+constexpr std::size_t kQueueCapacity = 2048;
+static_assert(kQueueCapacity >= 2, "a worker ring holds at least 2 tasks");
+
+/// Idle iterations a worker spins watching the pending counters before
+/// parking on its condvar. Covers sub-millisecond submit gaps without
+/// paying a futex round trip per hop.
+constexpr std::uint32_t kSpinIterations = 4000;
+
 }  // namespace
 
 struct Scheduler::ParallelJob {
@@ -52,13 +62,12 @@ struct Scheduler::ParallelJob {
   std::exception_ptr error;  ///< first in completion order; guarded by mu
 };
 
-Scheduler::Scheduler(SchedulerOptions opts) : opts_(opts) {
-  expects(opts.queue_capacity >= 2, "Scheduler: queue_capacity >= 2");
+Scheduler::Scheduler(SchedulerOptions opts) {
   expects(opts.workers <= 4096, "Scheduler: implausible worker count");
   n_workers_ = opts.workers;
   workers_.reserve(n_workers_);
   for (std::size_t w = 0; w < n_workers_; ++w) {
-    workers_.push_back(std::make_unique<Worker>(opts.queue_capacity));
+    workers_.push_back(std::make_unique<Worker>(kQueueCapacity));
   }
   if (obs::enabled()) {
     obs::Registry::instance()
@@ -312,7 +321,7 @@ void Scheduler::worker_loop(std::size_t w) {
     // rescanning every ring; covers sub-millisecond submit gaps without a
     // futex round trip.
     bool hot = false;
-    for (std::uint32_t i = 0; i < opts_.spin_iterations; ++i) {
+    for (std::uint32_t i = 0; i < kSpinIterations; ++i) {
       if (pending_[0].load(std::memory_order_relaxed) != 0 ||
           pending_[1].load(std::memory_order_relaxed) != 0 ||
           stop_.load(std::memory_order_relaxed)) {

@@ -57,14 +57,6 @@ struct SchedulerOptions {
   /// the submitting thread and parallel_for() degenerates to a serial
   /// loop (the single-core / baseline-bench configuration).
   std::size_t workers = 0;
-  /// Per-worker per-lane ring capacity (rounded up to a power of two).
-  /// Overflow goes to the mutex-protected spill queue — counted, never
-  /// dropped.
-  std::size_t queue_capacity = 2048;
-  /// Idle iterations a worker spins watching the pending counters before
-  /// parking on its condvar. Covers sub-millisecond submit gaps without
-  /// paying a futex round trip per hop.
-  std::uint32_t spin_iterations = 4000;
 };
 
 /// Monotone scheduler event counts, readable at any time (relaxed; exact
@@ -144,7 +136,6 @@ class Scheduler {
   void update_depth_gauges();
   void worker_loop(std::size_t w);
 
-  SchedulerOptions opts_;
   std::size_t n_workers_ = 0;
   std::vector<std::unique_ptr<Worker>> workers_;
   std::atomic<std::size_t> rr_{0};  ///< round-robin cursor (no affinity)

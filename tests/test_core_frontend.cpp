@@ -1,12 +1,10 @@
 // Tests for the projection frontend options: windowed anterior estimation
-// (turning routes), the attitude-filter mode, and the streaming stage's
-// carried low-pass state.
+// (turning routes) and the streaming stage's carried low-pass state.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cmath>
-#include <span>
 #include <vector>
 
 #include "common/angles.hpp"
@@ -14,7 +12,6 @@
 #include "core/frontend.hpp"
 #include "core/ptrack.hpp"
 #include "core/stages.hpp"
-#include "dsp/attitude.hpp"
 #include "imu/sample_ring.hpp"
 #include "dsp/workspace.hpp"
 #include "synth/synthesizer.hpp"
@@ -89,23 +86,6 @@ TEST(Frontend, CountingOnTurningRouteWithWindowedAnterior) {
   EXPECT_NEAR(static_cast<double>(res.steps), truth, 0.12 * truth);
 }
 
-TEST(Frontend, AttitudeModeMatchesBatchOnPlatformCorrectedTrace) {
-  // On a platform-corrected trace (constant frame) the attitude filter
-  // converges to the same fixed up vector, so counting must agree.
-  Rng rng(805);
-  synth::UserProfile user;
-  const auto r = synth::synthesize(synth::Scenario::pure_walking(60.0), user,
-                                   synth::SynthOptions{}, rng);
-  core::PTrackConfig batch_cfg;
-  core::PTrackConfig attitude_cfg;
-  attitude_cfg.counter.use_attitude_filter = true;
-  core::PTrack batch(batch_cfg);
-  core::PTrack attitude(attitude_cfg);
-  const double b = static_cast<double>(batch.process(r.trace).steps);
-  const double a = static_cast<double>(attitude.process(r.trace).steps);
-  EXPECT_NEAR(a, b, 0.08 * b + 2.0);
-}
-
 TEST(Frontend, Preconditions) {
   Rng rng(806);
   synth::UserProfile user;
@@ -125,7 +105,6 @@ namespace {
 
 struct CarryCase {
   double hop_s;
-  bool attitude;
   double window_s;
 };
 
@@ -143,7 +122,6 @@ double stage_gap_to_reprojection(const imu::Trace& trace, const CarryCase& c,
                                  bool& carried_bits) {
   const double fs = trace.fs();
   core::StepCounterConfig cfg;
-  cfg.use_attitude_filter = c.attitude;
   cfg.anterior_window_s = c.window_s;
   dsp::Workspace ws;
   dsp::Workspace ref_ws;
@@ -158,9 +136,6 @@ double stage_gap_to_reprojection(const imu::Trace& trace, const CarryCase& c,
   const std::size_t axis_window = samples(core::kProjectionAxisWindowS);
   const std::size_t hop = samples(c.hop_s);
 
-  // The stage's causal up track, replayed from the first sample.
-  std::vector<Vec3> ups;
-  dsp::AttitudeEstimator attitude;
   core::ProjectionSeam seam;
   core::ProjectedChannels ref;
 
@@ -181,11 +156,8 @@ double stage_gap_to_reprojection(const imu::Trace& trace, const CarryCase& c,
       const bool pin = c.window_s <= 0.0 && axis_begin < begin;
       const auto raw = ring_spans(ring, begin, end);
       core::project_channels_into(
-          raw.ax, raw.ay, raw.az, fs, cfg.lowpass_hz, c.window_s,
-          c.attitude ? std::span<const Vec3>(ups).subspan(begin, end - begin)
-                     : std::span<const Vec3>{},
-          ref_ws, &seam,
-          pin ? ring_spans(ring, axis_begin, end) : core::AxisHistory{},
+          raw.ax, raw.ay, raw.az, fs, cfg.lowpass_hz, c.window_s, ref_ws,
+          &seam, pin ? ring_spans(ring, axis_begin, end) : core::AxisHistory{},
           ref);
     }
     stage.advance(ring, flush);
@@ -205,9 +177,7 @@ double stage_gap_to_reprojection(const imu::Trace& trace, const CarryCase& c,
 
   const std::size_t half = trace.size() / 2;
   for (std::size_t i = 0; i < trace.size(); ++i) {
-    const imu::Sample& s = trace[i];
-    ring.push(s, 0);
-    ups.push_back(attitude.update(s.gyro, s.accel, 1.0 / fs));
+    ring.push(trace[i], 0);
     if ((i + 1) % hop == 0) run_hop(false);
     if (i == half) run_hop(true);  // a mid-stream drain, then more pushes
   }
@@ -221,19 +191,16 @@ double stage_gap_to_reprojection(const imu::Trace& trace, const CarryCase& c,
 TEST(ProjectionCarry, FinalizedChannelsMatchPerHopReprojection) {
   const auto r = turning_walk(811);
   for (const double hop_s : {0.5, 1.0, 2.0}) {
-    for (const bool attitude : {false, true}) {
-      for (const double window_s : {0.0, 10.0}) {
-        const CarryCase c{hop_s, attitude, window_s};
-        SCOPED_TRACE(::testing::Message() << "hop " << hop_s << " attitude "
-                                          << attitude << " window "
-                                          << window_s);
-        bool carried_bits = false;
-        const double rel = stage_gap_to_reprojection(r.trace, c, carried_bits);
-        EXPECT_LT(rel, 1e-9);
-        // Rounding differs somewhere: the hops really filtered from the
-        // carried state rather than re-projecting their context.
-        EXPECT_TRUE(carried_bits);
-      }
+    for (const double window_s : {0.0, 10.0}) {
+      const CarryCase c{hop_s, window_s};
+      SCOPED_TRACE(::testing::Message() << "hop " << hop_s << " window "
+                                        << window_s);
+      bool carried_bits = false;
+      const double rel = stage_gap_to_reprojection(r.trace, c, carried_bits);
+      EXPECT_LT(rel, 1e-9);
+      // Rounding differs somewhere: the hops really filtered from the
+      // carried state rather than re-projecting their context.
+      EXPECT_TRUE(carried_bits);
     }
   }
 }

@@ -23,7 +23,6 @@ imu::Sample sample_at(std::size_t i) {
   const auto v = static_cast<double>(i);
   s.t = v / 100.0;
   s.accel = {v, v + 0.25, v + 0.5};
-  s.gyro = {-v, -v - 0.25, -v - 0.5};
   return s;
 }
 
@@ -31,7 +30,9 @@ imu::Sample sample_at(std::size_t i) {
 
 TEST(SampleRing, AbsoluteIndexingSurvivesTrimming) {
   imu::SampleRing ring;
-  for (std::size_t i = 0; i < 100; ++i) ring.push(sample_at(i), 0);
+  for (std::size_t i = 0; i < 100; ++i) {
+    ring.push(sample_at(i), static_cast<std::uint8_t>(i % 7));
+  }
   EXPECT_EQ(ring.base(), 0u);
   EXPECT_EQ(ring.end(), 100u);
   EXPECT_EQ(ring.size(), 100u);
@@ -47,9 +48,13 @@ TEST(SampleRing, AbsoluteIndexingSurvivesTrimming) {
   for (std::size_t i = 0; i < az.size(); ++i) {
     EXPECT_DOUBLE_EQ(az[i], static_cast<double>(40 + i) + 0.5);
   }
-  const imu::Sample s = ring.sample(77);
-  EXPECT_DOUBLE_EQ(s.accel.x, 77.0);
-  EXPECT_DOUBLE_EQ(s.gyro.z, -77.5);
+  EXPECT_DOUBLE_EQ(ring.ax(77, 78)[0], 77.0);
+  EXPECT_DOUBLE_EQ(ring.ay(77, 78)[0], 77.25);
+  EXPECT_EQ(ring.flags(77, 78)[0], 77 % 7);
+  const auto flags = ring.flags(40, 100);
+  for (std::size_t i = 0; i < flags.size(); ++i) {
+    EXPECT_EQ(flags[i], static_cast<std::uint8_t>((40 + i) % 7));
+  }
 }
 
 TEST(SampleRing, TrimClampsAndNeverUntrims) {

@@ -162,26 +162,6 @@ TEST(NetSession, HelloValidation) {
   }
 }
 
-TEST(NetSession, Float32HelloRejectedUnderAttitudeFilter) {
-  // A server configured with the attitude filter serves double streams and
-  // answers a precision=1 HELLO with the same typed ERROR as without it.
-  SessionConfig cfg;
-  cfg.streaming.pipeline.counter.use_attitude_filter = true;
-  {
-    Session session{cfg};
-    EXPECT_EQ(feed(session, hello_bytes(2, 100.0, 0)),
-              Session::IoResult::kOk);
-    EXPECT_TRUE(session.hello_done());
-  }
-  {
-    Session session{cfg};
-    EXPECT_EQ(feed(session, hello_bytes(1, 100.0, 1)),
-              Session::IoResult::kClose);
-    EXPECT_FALSE(session.hello_done());
-    EXPECT_EQ(expect_single_error(session).detail, "unsupported precision");
-  }
-}
-
 TEST(NetSession, MalformedFrameClosesWithError) {
   Session session{SessionConfig{}};
   std::vector<std::uint8_t> bytes = hello_bytes(5, 100.0);
