@@ -22,14 +22,6 @@ double variance(std::span<const double> xs) {
   return acc / static_cast<double>(xs.size());
 }
 
-double sample_variance(std::span<const double> xs) {
-  expects(xs.size() >= 2, "sample_variance: at least two elements");
-  const double m = mean(xs);
-  double acc = 0.0;
-  for (double x : xs) acc += (x - m) * (x - m);
-  return acc / static_cast<double>(xs.size() - 1);
-}
-
 double stddev(std::span<const double> xs) { return std::sqrt(variance(xs)); }
 
 double rms(std::span<const double> xs) {
@@ -81,13 +73,6 @@ double pearson(std::span<const double> a, std::span<const double> b) {
   }
   if (saa == 0.0 || sbb == 0.0) return 0.0;
   return sab / std::sqrt(saa * sbb);
-}
-
-double mean_abs(std::span<const double> xs) {
-  expects(!xs.empty(), "mean_abs: non-empty input");
-  double acc = 0.0;
-  for (double x : xs) acc += std::abs(x);
-  return acc / static_cast<double>(xs.size());
 }
 
 double sum(std::span<const double> xs) {

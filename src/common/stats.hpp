@@ -17,9 +17,6 @@ double mean(std::span<const double> xs);
 /// Population variance (divides by N). Requires a non-empty input.
 double variance(std::span<const double> xs);
 
-/// Sample variance (divides by N-1). Requires at least two elements.
-double sample_variance(std::span<const double> xs);
-
 /// Population standard deviation. Requires a non-empty input.
 double stddev(std::span<const double> xs);
 
@@ -41,9 +38,6 @@ double percentile(std::span<const double> xs, double p);
 /// Pearson correlation coefficient of two equally sized sequences with at
 /// least two elements. Returns 0 when either sequence is constant.
 double pearson(std::span<const double> a, std::span<const double> b);
-
-/// Mean absolute value.
-double mean_abs(std::span<const double> xs);
 
 /// Sum of all elements (0 for empty input).
 double sum(std::span<const double> xs);

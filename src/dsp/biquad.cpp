@@ -33,40 +33,6 @@ BiquadCoeffs lowpass(double cutoff_hz, double fs, double q) {
   return c;
 }
 
-BiquadCoeffs highpass(double cutoff_hz, double fs, double q) {
-  check_band(cutoff_hz, fs);
-  expects(q > 0.0, "highpass: q > 0");
-  const double w0 = kTwoPi * cutoff_hz / fs;
-  const double cw = std::cos(w0);
-  const double sw = std::sin(w0);
-  const double alpha = sw / (2.0 * q);
-  const double a0 = 1.0 + alpha;
-  BiquadCoeffs c;
-  c.b0 = (1.0 + cw) / 2.0 / a0;
-  c.b1 = -(1.0 + cw) / a0;
-  c.b2 = c.b0;
-  c.a1 = -2.0 * cw / a0;
-  c.a2 = (1.0 - alpha) / a0;
-  return c;
-}
-
-BiquadCoeffs bandpass(double center_hz, double fs, double q) {
-  check_band(center_hz, fs);
-  expects(q > 0.0, "bandpass: q > 0");
-  const double w0 = kTwoPi * center_hz / fs;
-  const double cw = std::cos(w0);
-  const double sw = std::sin(w0);
-  const double alpha = sw / (2.0 * q);
-  const double a0 = 1.0 + alpha;
-  BiquadCoeffs c;
-  c.b0 = alpha / a0;
-  c.b1 = 0.0;
-  c.b2 = -alpha / a0;
-  c.a1 = -2.0 * cw / a0;
-  c.a2 = (1.0 - alpha) / a0;
-  return c;
-}
-
 std::vector<double> Biquad::process(std::span<const double> xs) {
   std::vector<double> out;
   // ptrack-lint: push-allow(alloc) batch-only wrapper; streaming uses

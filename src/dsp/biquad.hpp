@@ -27,12 +27,6 @@ struct BiquadCoeffs {
 /// RBJ low-pass design. cutoff_hz in (0, fs/2), q > 0 (0.7071 = Butterworth).
 BiquadCoeffs lowpass(double cutoff_hz, double fs, double q = 0.70710678);
 
-/// RBJ high-pass design. Same parameter constraints as lowpass().
-BiquadCoeffs highpass(double cutoff_hz, double fs, double q = 0.70710678);
-
-/// RBJ band-pass (constant 0 dB peak gain).
-BiquadCoeffs bandpass(double center_hz, double fs, double q);
-
 /// One stateful biquad section.
 class Biquad {
  public:

@@ -40,17 +40,6 @@ BiquadCoeffs first_order_lowpass(double cutoff_hz, double fs) {
   return c;
 }
 
-BiquadCoeffs first_order_highpass(double cutoff_hz, double fs) {
-  const double k = std::tan(kPi * cutoff_hz / fs);
-  BiquadCoeffs c;
-  c.b0 = 1.0 / (k + 1.0);
-  c.b1 = -c.b0;
-  c.b2 = 0.0;
-  c.a1 = (k - 1.0) / (k + 1.0);
-  c.a2 = 0.0;
-  return c;
-}
-
 void check_design(int order, double cutoff_hz, double fs) {
   expects(order >= 1 && order <= 12, "butterworth: order in [1,12]");
   expects(fs > 0.0, "butterworth: fs > 0");
@@ -66,15 +55,6 @@ BiquadCascade butterworth_lowpass(int order, double cutoff_hz, double fs) {
   for (int k = 0; k < order / 2; ++k)
     sections.push(lowpass(cutoff_hz, fs, butterworth_q(k, order)));
   if (order % 2 == 1) sections.push(first_order_lowpass(cutoff_hz, fs));
-  return BiquadCascade(sections.span());
-}
-
-BiquadCascade butterworth_highpass(int order, double cutoff_hz, double fs) {
-  check_design(order, cutoff_hz, fs);
-  SectionSet sections;
-  for (int k = 0; k < order / 2; ++k)
-    sections.push(highpass(cutoff_hz, fs, butterworth_q(k, order)));
-  if (order % 2 == 1) sections.push(first_order_highpass(cutoff_hz, fs));
   return BiquadCascade(sections.span());
 }
 

@@ -13,7 +13,4 @@ namespace ptrack::dsp {
 /// Designs an order-n Butterworth low-pass as a cascade. n in [1, 12].
 BiquadCascade butterworth_lowpass(int order, double cutoff_hz, double fs);
 
-/// Designs an order-n Butterworth high-pass as a cascade. n in [1, 12].
-BiquadCascade butterworth_highpass(int order, double cutoff_hz, double fs);
-
 }  // namespace ptrack::dsp

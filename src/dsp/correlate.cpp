@@ -2,35 +2,15 @@
 
 #include <algorithm>
 #include <cmath>
-#include <complex>
 
 #include "common/error.hpp"
 #include "common/stats.hpp"
-#include "dsp/fft.hpp"
-#include "obs/metrics.hpp"
 #include "dsp/peaks.hpp"
 #include "dsp/simd.hpp"
-#include "dsp/workspace.hpp"
 
 namespace ptrack::dsp {
 
 namespace {
-
-/// Naive multiply-add count above which the O(n log n) FFT kernel wins over
-/// the direct lag loop (measured crossover is lower; the margin keeps small
-/// per-cycle gait tests on the allocation-free naive path).
-constexpr std::size_t kFftWorkCutoff = 1 << 15;
-
-bool fft_pays_off(std::size_t n, std::size_t lags) {
-  return lags >= 8 && n * lags >= kFftWorkCutoff;
-}
-
-/// Dispatch helpers share one workspace per thread so the no-workspace entry
-/// points are also allocation-free in steady state.
-Workspace& thread_workspace() {
-  thread_local Workspace ws;
-  return ws;
-}
 
 /// Unbiased normalization of the raw lag sums: the lag-l sum covers n-l
 /// terms, the variance n, so rescale — a perfectly periodic signal then
@@ -42,7 +22,7 @@ double normalize_lag(double raw, std::size_t n, std::size_t lag, double den) {
   return std::clamp(raw * scale / den, -1.0, 1.0);
 }
 
-/// Demeaned copy of xs in a per-thread buffer: the naive correlators used to
+/// Demeaned copy of xs in a per-thread buffer: the lag loops used to
 /// recompute xs[i] - m inside every lag's inner loop; subtracting once turns
 /// each lag into a plain dot product over the deviations.
 std::span<const double> demeaned(std::span<const double> xs, double m) {
@@ -67,8 +47,8 @@ double autocorr_at(std::span<const double> xs, std::size_t lag) {
   return normalize_lag(num, n, lag, den);
 }
 
-std::vector<double> autocorr_naive(std::span<const double> xs,
-                                   std::size_t max_lag) {
+std::vector<double> autocorr(std::span<const double> xs,
+                             std::size_t max_lag) {
   expects(max_lag < xs.size(), "autocorr: max_lag < size");
   const std::size_t n = xs.size();
   const double m = stats::mean(xs);
@@ -83,175 +63,14 @@ std::vector<double> autocorr_naive(std::span<const double> xs,
   return out;
 }
 
-std::vector<double> autocorr_fft(std::span<const double> xs,
-                                 std::size_t max_lag, Workspace& ws) {
-  expects(max_lag < xs.size(), "autocorr: max_lag < size");
-  const std::size_t n = xs.size();
-  const double m = stats::mean(xs);
-
-  // Linear (not circular) correlation up to max_lag needs nfft >= n + max_lag.
-  const std::size_t nfft = std::max<std::size_t>(next_pow2(n + max_lag + 1), 2);
-  auto& padded = ws.real_scratch(1, nfft);
-  const double den = simd::sumsq_dev(xs, m);
-  simd::sub_scalar(xs, m, {padded.data(), n});
-  std::fill(padded.begin() + static_cast<std::ptrdiff_t>(n), padded.end(), 0.0);
-
-  std::vector<double> out(max_lag + 1, 0.0);
-  if (den == 0.0) return out;
-
-  // Wiener-Khinchin on the real half-spectrum: the power spectrum of a real
-  // signal is real and hermitian, so both transforms run at half size.
-  const FftPlan& plan = ws.fft_plan(nfft);
-  auto& spec = ws.complex_scratch(0, nfft / 2 + 1);
-  rfft(padded, plan, spec);
-  for (auto& c : spec) c = {std::norm(c), 0.0};
-  irfft(spec, plan, padded);
-
-  simd::normalize_lags({padded.data(), max_lag + 1}, n, den, out);
-  return out;
-}
-
-std::vector<double> autocorr(std::span<const double> xs, std::size_t max_lag,
-                             Workspace& ws) {
-  if (fft_pays_off(xs.size(), max_lag)) {
-    PTRACK_COUNT("ptrack.dsp.autocorr.fft");
-    return autocorr_fft(xs, max_lag, ws);
-  }
-  PTRACK_COUNT("ptrack.dsp.autocorr.naive");
-  return autocorr_naive(xs, max_lag);
-}
-
-std::vector<double> autocorr(std::span<const double> xs, std::size_t max_lag) {
-  return autocorr(xs, max_lag, thread_workspace());
-}
-
-std::vector<double> xcorr_naive(std::span<const double> a,
-                                std::span<const double> b,
-                                std::size_t max_lag) {
-  expects(a.size() == b.size(), "xcorr: equal sizes");
-  expects(!a.empty(), "xcorr: non-empty");
-  expects(max_lag < a.size(), "xcorr: max_lag < size");
-  const std::size_t n = a.size();
-  const double ma = stats::mean(a);
-  const double mb = stats::mean(b);
-  const double da = simd::sumsq_dev(a, ma);
-  const double db = simd::sumsq_dev(b, mb);
-  const double norm = std::sqrt(da * db);
-  std::vector<double> out(2 * max_lag + 1, 0.0);
-  if (norm == 0.0) return out;
-  // Two per-thread deviation buffers (demeaned() reuses one, so the second
-  // signal gets its own).
-  thread_local std::vector<double> bdevs;
-  // ptrack-lint: allow(alloc) per-thread scratch; steady capacity
-  bdevs.resize(n);
-  simd::sub_scalar(b, mb, bdevs);
-  const auto adevs = demeaned(a, ma);
-  for (std::size_t li = 0; li < out.size(); ++li) {
-    const int lag = static_cast<int>(li) - static_cast<int>(max_lag);
-    // The overlap of a[i] with b[i + lag] is a contiguous dot product of
-    // the deviation buffers, offset by |lag| on one side.
-    const std::size_t off = static_cast<std::size_t>(lag >= 0 ? lag : -lag);
-    const std::size_t count = n - off;
-    const double acc =
-        lag >= 0 ? simd::dot(adevs.first(count),
-                             std::span<const double>(bdevs).subspan(off))
-                 : simd::dot(adevs.subspan(off),
-                             std::span<const double>(bdevs).first(count));
-    out[li] = acc / norm;
-  }
-  return out;
-}
-
-std::vector<double> xcorr_fft(std::span<const double> a,
-                              std::span<const double> b, std::size_t max_lag,
-                              Workspace& ws) {
-  expects(a.size() == b.size(), "xcorr: equal sizes");
-  expects(!a.empty(), "xcorr: non-empty");
-  expects(max_lag < a.size(), "xcorr: max_lag < size");
-  const std::size_t n = a.size();
-  const double ma = stats::mean(a);
-  const double mb = stats::mean(b);
-
-  const std::size_t nfft = std::max<std::size_t>(next_pow2(n + max_lag + 1), 2);
-  // Two-for-one: both demeaned real signals ride one complex transform.
-  auto& packed = ws.complex_scratch(0, nfft);
-  double da = 0.0;
-  double db = 0.0;
-  for (std::size_t i = 0; i < n; ++i) {
-    const double xa = a[i] - ma;
-    const double xb = b[i] - mb;
-    da += xa * xa;
-    db += xb * xb;
-    packed[i] = {xa, xb};
-  }
-  std::fill(packed.begin() + static_cast<std::ptrdiff_t>(n), packed.end(),
-            std::complex<double>{0.0, 0.0});
-
-  const double norm = std::sqrt(da * db);
-  std::vector<double> out(2 * max_lag + 1, 0.0);
-  if (norm == 0.0) return out;
-
-  const FftPlan& plan = ws.fft_plan(nfft);
-  fft(packed, plan);
-
-  // Unpack A[k], B[k] from the packed spectrum and form the cross spectrum
-  // conj(A[k]) * B[k]; its inverse transform is r[k] = sum_i a[i] b[i+k]
-  // (negative lags wrap to the top of the buffer). The correlation sequence
-  // is real, so the cross spectrum is hermitian: only the half-spectrum is
-  // materialized and the inverse runs at half size through irfft.
-  auto& cross = ws.complex_scratch(1, nfft / 2 + 1);
-  for (std::size_t k = 0; k <= nfft / 2; ++k) {
-    const std::complex<double> pk = packed[k];
-    const std::complex<double> pc =
-        std::conj(packed[k == 0 ? 0 : nfft - k]);
-    const std::complex<double> ak = 0.5 * (pk + pc);
-    const std::complex<double> bk =
-        std::complex<double>(0.0, -0.5) * (pk - pc);
-    cross[k] = std::conj(ak) * bk;
-  }
-  auto& r = ws.real_scratch(1, nfft);
-  irfft(cross, plan, r);
-
-  for (std::size_t li = 0; li < out.size(); ++li) {
-    const int lag = static_cast<int>(li) - static_cast<int>(max_lag);
-    const std::size_t idx =
-        lag >= 0 ? static_cast<std::size_t>(lag)
-                 : nfft - static_cast<std::size_t>(-lag);
-    out[li] = r[idx] / norm;
-  }
-  return out;
-}
-
-std::vector<double> xcorr(std::span<const double> a, std::span<const double> b,
-                          std::size_t max_lag, Workspace& ws) {
-  if (fft_pays_off(a.size(), 2 * max_lag + 1)) {
-    PTRACK_COUNT("ptrack.dsp.xcorr.fft");
-    return xcorr_fft(a, b, max_lag, ws);
-  }
-  PTRACK_COUNT("ptrack.dsp.xcorr.naive");
-  return xcorr_naive(a, b, max_lag);
-}
-
-std::vector<double> xcorr(std::span<const double> a, std::span<const double> b,
-                          std::size_t max_lag) {
-  return xcorr(a, b, max_lag, thread_workspace());
-}
-
 int best_lag(std::span<const double> a, std::span<const double> b,
              std::size_t max_lag) {
-  if (fft_pays_off(a.size(), 2 * max_lag + 1)) {
-    const auto c = xcorr(a, b, max_lag);
-    const auto it = std::max_element(c.begin(), c.end());
-    return static_cast<int>(it - c.begin()) - static_cast<int>(max_lag);
-  }
-  // Small-input path (every per-cycle gait call lands here): the same lag
-  // loop as xcorr_naive with a running first-max-wins maximum instead of a
-  // materialized correlation vector, so the arg max comes out bit-identical
-  // to max_element over xcorr_naive's output without allocating it.
-  expects(a.size() == b.size(), "xcorr: equal sizes");
-  expects(!a.empty(), "xcorr: non-empty");
-  expects(max_lag < a.size(), "xcorr: max_lag < size");
-  PTRACK_COUNT("ptrack.dsp.xcorr.naive");
+  // A running first-max-wins maximum over the lag loop instead of a
+  // materialized correlation vector: every per-cycle gait call is
+  // allocation-free once the per-thread deviation buffers have grown.
+  expects(a.size() == b.size(), "best_lag: equal sizes");
+  expects(!a.empty(), "best_lag: non-empty");
+  expects(max_lag < a.size(), "best_lag: max_lag < size");
   const std::size_t n = a.size();
   const double ma = stats::mean(a);
   const double mb = stats::mean(b);
@@ -285,11 +104,11 @@ int best_lag(std::span<const double> a, std::span<const double> b,
 }
 
 std::size_t dominant_period(std::span<const double> xs, std::size_t min_lag,
-                            std::size_t max_lag, Workspace& ws) {
+                            std::size_t max_lag) {
   if (xs.size() < 4 || min_lag >= xs.size()) return 0;
   max_lag = std::min(max_lag, xs.size() - 1);
   if (min_lag > max_lag) return 0;
-  const auto ac = autocorr(xs, max_lag, ws);
+  const auto ac = autocorr(xs, max_lag);
   const auto peaks = find_peaks(ac);
   std::size_t best = 0;
   double best_val = 0.0;
@@ -301,11 +120,6 @@ std::size_t dominant_period(std::span<const double> xs, std::size_t min_lag,
     }
   }
   return best;
-}
-
-std::size_t dominant_period(std::span<const double> xs, std::size_t min_lag,
-                            std::size_t max_lag) {
-  return dominant_period(xs, min_lag, max_lag, thread_workspace());
 }
 
 }  // namespace ptrack::dsp

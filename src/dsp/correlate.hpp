@@ -6,15 +6,12 @@
 // and a cross-correlation lag to verify the fixed quarter-period phase
 // difference between vertical and anterior body accelerations (Kim et al.).
 //
-// Two kernel families compute the same quantities:
-//  * `*_naive` — direct O(n * lags) lag loops; the reference oracle.
-//  * `*_fft`   — Wiener-Khinchin: zero-pad to next_pow2(n + max_lag + 1),
-//    forward FFT, multiply by the conjugate spectrum, inverse FFT,
-//    normalize. O(n log n) regardless of the lag count.
-// The un-suffixed entry points dispatch on problem size: small cycles (the
-// per-cycle gait tests) stay on the cache-friendly naive loops, long traces
-// (dominant-period search, SCAR features, batch analytics) go through the
-// FFT. Both paths agree to ~1e-9 (validated by tests/test_dsp_correlate_fft).
+// Every kernel is a direct lag loop over one demeaned copy of the input
+// (mean and variance hoisted out of the loop, each lag a simd::dot). The
+// inputs are single gait cycles (~110 samples at 100 Hz, at most 240) and
+// SCAR's 2 s windows, where an O(n * lags) loop does at most ~30k
+// multiply-adds — there is no FFT path because no caller reaches the sizes
+// where one would pay off (DESIGN.md §7).
 
 #pragma once
 
@@ -24,8 +21,6 @@
 
 namespace ptrack::dsp {
 
-class Workspace;
-
 /// Normalized autocorrelation at a single lag (mean removed, normalized by
 /// variance; result in [-1, 1]). Requires lag < xs.size() and a non-constant
 /// signal (returns 0 for constant input).
@@ -33,48 +28,13 @@ double autocorr_at(std::span<const double> xs, std::size_t lag);
 
 /// Normalized autocorrelation for all lags in [0, max_lag] (unbiased
 /// normalization, clamped to [-1, 1]; all zeros for a constant signal).
-/// Dispatches between the naive and FFT kernels on problem size.
+/// Requires max_lag < xs.size().
 std::vector<double> autocorr(std::span<const double> xs, std::size_t max_lag);
 
-/// As above, with caller-provided scratch (allocation-free steady state
-/// apart from the returned vector). Uses workspace complex slot 0.
-std::vector<double> autocorr(std::span<const double> xs, std::size_t max_lag,
-                             Workspace& ws);
-
-/// Direct O(n * max_lag) reference kernel (mean and variance hoisted out of
-/// the lag loop). Exposed as the oracle for tests and benchmarks.
-std::vector<double> autocorr_naive(std::span<const double> xs,
-                                   std::size_t max_lag);
-
-/// Wiener-Khinchin kernel, always FFT regardless of size. Exposed for tests
-/// and benchmarks. Uses workspace complex slot 0.
-std::vector<double> autocorr_fft(std::span<const double> xs,
-                                 std::size_t max_lag, Workspace& ws);
-
-/// Normalized cross-correlation of a and b (equal sizes) at integer lag k in
-/// [-max_lag, max_lag]; positive k means b is delayed relative to a.
-/// Output index i corresponds to lag (i - max_lag). Dispatches between the
-/// naive and FFT kernels on problem size.
-std::vector<double> xcorr(std::span<const double> a, std::span<const double> b,
-                          std::size_t max_lag);
-
-/// As above, with caller-provided scratch. Uses workspace complex slots 0-1.
-std::vector<double> xcorr(std::span<const double> a, std::span<const double> b,
-                          std::size_t max_lag, Workspace& ws);
-
-/// Direct O(n * max_lag) reference kernel (oracle for tests/benchmarks).
-std::vector<double> xcorr_naive(std::span<const double> a,
-                                std::span<const double> b,
-                                std::size_t max_lag);
-
-/// FFT kernel: both real signals packed into one complex forward transform
-/// (two-for-one), cross-spectrum, one inverse transform. Uses workspace
-/// complex slots 0-1.
-std::vector<double> xcorr_fft(std::span<const double> a,
-                              std::span<const double> b, std::size_t max_lag,
-                              Workspace& ws);
-
-/// The lag in [-max_lag, max_lag] that maximizes xcorr(a, b).
+/// The lag k in [-max_lag, max_lag] that maximizes the normalized
+/// cross-correlation of a and b (equal sizes, max_lag < size); positive k
+/// means b is delayed relative to a. Ties go to the smallest lag, so an
+/// all-zero correlation returns -max_lag. Allocation-free in steady state.
 int best_lag(std::span<const double> a, std::span<const double> b,
              std::size_t max_lag);
 
@@ -82,9 +42,5 @@ int best_lag(std::span<const double> a, std::span<const double> b,
 /// peak in [min_lag, max_lag]; returns 0 when no peak exists.
 std::size_t dominant_period(std::span<const double> xs, std::size_t min_lag,
                             std::size_t max_lag);
-
-/// As above, with caller-provided scratch for the autocorrelation.
-std::size_t dominant_period(std::span<const double> xs, std::size_t min_lag,
-                            std::size_t max_lag, Workspace& ws);
 
 }  // namespace ptrack::dsp

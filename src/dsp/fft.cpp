@@ -23,29 +23,6 @@ void bit_reverse_permute(std::span<std::complex<double>> data) {
 
 }  // namespace
 
-FftPlan make_fft_plan(std::size_t n) {
-  expects(n >= 1 && (n & (n - 1)) == 0, "make_fft_plan: size is a power of two");
-  FftPlan plan;
-  plan.n = n;
-  if (n == 1) return plan;
-  // ptrack-lint: allow(alloc) plan construction (setup; cached by Workspace)
-  plan.twiddles.resize(n - 1);
-  for (std::size_t len = 2; len <= n; len <<= 1) {
-    const double ang = -kTwoPi / static_cast<double>(len);
-    std::complex<double>* tw = plan.twiddles.data() + (len / 2 - 1);
-    for (std::size_t k = 0; k < len / 2; ++k) {
-      const double a = ang * static_cast<double>(k);
-      tw[k] = {std::cos(a), std::sin(a)};
-    }
-  }
-  // The per-stage tables are packed back to back: sum over stages of len/2
-  // twiddles is exactly n - 1, and every kernel indexes relative to that
-  // layout (tw = data + len/2 - 1).
-  PTRACK_CHECK_MSG(plan.twiddles.size() == plan.n - 1,
-                   "make_fft_plan: packed twiddle table covers all stages");
-  return plan;
-}
-
 void fft(std::span<std::complex<double>> data, bool inverse) {
   const std::size_t n = data.size();
   expects(n >= 1 && (n & (n - 1)) == 0, "fft: size is a power of two");
@@ -71,153 +48,6 @@ void fft(std::span<std::complex<double>> data, bool inverse) {
   if (inverse) {
     for (auto& x : data) x /= static_cast<double>(n);
   }
-}
-
-void fft(std::span<std::complex<double>> data, const FftPlan& plan,
-         bool inverse) {
-  const std::size_t n = data.size();
-  expects(n >= 1 && (n & (n - 1)) == 0, "fft: size is a power of two");
-  expects(plan.n >= n, "fft: plan covers the data size");
-  if (n == 1) return;
-
-  bit_reverse_permute(data);
-
-  // Butterflies in explicit real arithmetic: std::complex operator* lowers
-  // to a libcall with inf/nan handling on common compilers, which dominates
-  // the transform; the inline formula is bit-identical on finite inputs.
-  const double sign = inverse ? -1.0 : 1.0;  // conjugates the stored twiddles
-  // Stage len = 2 has unit twiddles: pure add/sub.
-  for (std::size_t i = 0; i < n; i += 2) {
-    const std::complex<double> u = data[i];
-    const std::complex<double> v = data[i + 1];
-    data[i] = u + v;
-    data[i + 1] = u - v;
-  }
-  for (std::size_t len = 4; len <= n; len <<= 1) {
-    const std::complex<double>* tw = plan.twiddles.data() + (len / 2 - 1);
-    const std::size_t half = len / 2;
-    for (std::size_t i = 0; i < n; i += len) {
-      std::complex<double>* a = data.data() + i;
-      std::complex<double>* b = a + half;
-      for (std::size_t k = 0; k < half; ++k) {
-        const double wr = tw[k].real();
-        const double wi = sign * tw[k].imag();
-        const double br = b[k].real();
-        const double bi = b[k].imag();
-        const double vr = br * wr - bi * wi;
-        const double vi = br * wi + bi * wr;
-        const double ur = a[k].real();
-        const double ui = a[k].imag();
-        a[k] = {ur + vr, ui + vi};
-        b[k] = {ur - vr, ui - vi};
-      }
-    }
-  }
-
-  if (inverse) {
-    // n is a power of two, so 1/n is exact and the multiply is bit-identical
-    // to the division.
-    const double inv_n = 1.0 / static_cast<double>(n);
-    for (auto& x : data) x = {x.real() * inv_n, x.imag() * inv_n};
-  }
-}
-
-void rfft(std::span<const double> xs, const FftPlan& plan,
-          std::span<std::complex<double>> spectrum) {
-  const std::size_t n = xs.size();
-  expects(n >= 2 && (n & (n - 1)) == 0, "rfft: size is a power of two >= 2");
-  expects(spectrum.size() == n / 2 + 1, "rfft: spectrum size is n/2 + 1");
-  expects(plan.n >= n, "rfft: plan covers the transform size");
-  const std::size_t m = n / 2;
-
-  // Pack even samples as real parts, odd samples as imaginary parts, and
-  // transform once at half size.
-  std::complex<double>* z = spectrum.data();
-  for (std::size_t j = 0; j < m; ++j) z[j] = {xs[2 * j], xs[2 * j + 1]};
-  fft(std::span<std::complex<double>>(z, m), plan);
-
-  // Untangle the spectra of the even and odd subsequences and recombine:
-  // X[k] = E[k] + W^k O[k] with W = exp(-2*pi*i/n). The pair (k, m-k) is
-  // processed together so the unpack runs in place. W^k is the stage-n
-  // twiddle table of the plan.
-  const std::complex<double>* wn = plan.twiddles.data() + (n / 2 - 1);
-  const double re0 = z[0].real();
-  const double im0 = z[0].imag();
-  spectrum[m] = {re0 - im0, 0.0};
-  z[0] = {re0 + im0, 0.0};
-  for (std::size_t k = 1; k <= m / 2; ++k) {
-    // E[k] = (z[k] + conj(z[m-k])) / 2, O[k] = -i (z[k] - conj(z[m-k])) / 2,
-    // in explicit real arithmetic (see the butterfly note above).
-    const double zkr = z[k].real();
-    const double zki = z[k].imag();
-    const double zmr = z[m - k].real();
-    const double zmi = z[m - k].imag();
-    const double xer = 0.5 * (zkr + zmr);
-    const double xei = 0.5 * (zki - zmi);
-    const double xor_ = 0.5 * (zki + zmi);
-    const double xoi = -0.5 * (zkr - zmr);
-    const double wr = wn[k].real();
-    const double wi = wn[k].imag();
-    const double wxr = wr * xor_ - wi * xoi;
-    const double wxi = wr * xoi + wi * xor_;
-    z[k] = {xer + wxr, xei + wxi};
-    if (k != m - k) {
-      // X[m-k] = conj(E[k]) + W^{m-k} conj(O[k]); W^{m-k} = -conj(W^k), so
-      // the second output reuses the same product: conj(W^k O[k]).
-      z[m - k] = {xer - wxr, -xei + wxi};
-    }
-  }
-}
-
-void irfft(std::span<std::complex<double>> spectrum, const FftPlan& plan,
-           std::span<double> out) {
-  const std::size_t n = out.size();
-  expects(n >= 2 && (n & (n - 1)) == 0, "irfft: size is a power of two >= 2");
-  expects(spectrum.size() == n / 2 + 1, "irfft: spectrum size is n/2 + 1");
-  expects(plan.n >= n, "irfft: plan covers the transform size");
-  const std::size_t m = n / 2;
-
-  // Exact inverse of the rfft unpack: recover E[k] and O[k] from the pair
-  // (X[k], X[m-k]) and re-pack Z[k] = E[k] + i O[k], in place.
-  std::complex<double>* z = spectrum.data();
-  const std::complex<double>* wn = plan.twiddles.data() + (n / 2 - 1);
-  const std::complex<double> x0 = z[0];
-  const std::complex<double> xm = std::conj(spectrum[m]);
-  const std::complex<double> e0 = 0.5 * (x0 + xm);
-  const std::complex<double> o0 = 0.5 * (x0 - xm);
-  z[0] = e0 + std::complex<double>(0.0, 1.0) * o0;
-  for (std::size_t k = 1; k <= m / 2; ++k) {
-    // E[k] = (X[k] + conj(X[m-k])) / 2, W^k O[k] = (X[k] - conj(X[m-k])) / 2,
-    // O[k] = conj(W^k) (W^k O[k]); then Z[k] = E[k] + i O[k].
-    const double xkr = z[k].real();
-    const double xki = z[k].imag();
-    const double xmr = z[m - k].real();
-    const double xmi = z[m - k].imag();
-    const double xer = 0.5 * (xkr + xmr);
-    const double xei = 0.5 * (xki - xmi);
-    const double wxr = 0.5 * (xkr - xmr);
-    const double wxi = 0.5 * (xki + xmi);
-    const double wr = wn[k].real();
-    const double wi = wn[k].imag();
-    const double xor_ = wr * wxr + wi * wxi;
-    const double xoi = wr * wxi - wi * wxr;
-    z[k] = {xer - xoi, xei + xor_};
-    if (k != m - k) {
-      z[m - k] = {xer + xoi, -xei + xor_};
-    }
-  }
-
-  // The half-size inverse (with its 1/m scale) composed with the packing
-  // above yields exactly the 1/n-normalized inverse DFT.
-  fft(std::span<std::complex<double>>(z, m), plan, /*inverse=*/true);
-  for (std::size_t j = 0; j < m; ++j) {
-    out[2 * j] = z[j].real();
-    out[2 * j + 1] = z[j].imag();
-  }
-}
-
-void fft(std::vector<std::complex<double>>& data, bool inverse) {
-  fft(std::span<std::complex<double>>(data), inverse);
 }
 
 std::size_t next_pow2(std::size_t n) {
@@ -260,13 +90,6 @@ double dominant_frequency(std::span<const double> xs, double fs) {
   if (best == 0) return 0.0;
   const std::size_t nfft = (mag.size() - 1) * 2;
   return static_cast<double>(best) * fs / static_cast<double>(nfft);
-}
-
-double spectral_energy(std::span<const double> xs) {
-  const auto mag = magnitude_spectrum(xs);
-  double acc = 0.0;
-  for (std::size_t k = 1; k < mag.size(); ++k) acc += mag[k] * mag[k];
-  return acc;
 }
 
 double spectral_entropy(std::span<const double> xs) {

@@ -1,61 +1,22 @@
 // Radix-2 FFT and spectral helpers.
 //
 // Used by the SCAR baseline's frequency-domain features (dominant frequency,
-// spectral energy/entropy), by the FFT-accelerated correlation kernels
-// (dsp/correlate.hpp) and by tests validating the synthesizer's spectral
-// content.
+// spectral entropy). Correlation runs as direct lag loops
+// (dsp/correlate.hpp), so the one transform is a plain in-place complex FFT
+// with per-stage twiddles.
 
 #pragma once
 
 #include <complex>
+#include <cstddef>
 #include <span>
 #include <vector>
 
 namespace ptrack::dsp {
 
-/// Precomputed twiddle factors for one transform size. Building a plan costs
-/// O(n) trigonometric evaluations; every transform that reuses it then runs
-/// off pure table lookups. Plans are immutable after construction and safe to
-/// share across threads; dsp::Workspace caches them per size.
-struct FftPlan {
-  std::size_t n = 0;  ///< transform size (power of two)
-  /// Stage-packed forward twiddles: stage `len` (2, 4, ..., n) stores
-  /// exp(-2*pi*i*k/len) for k in [0, len/2) starting at offset len/2 - 1.
-  /// Inverse transforms conjugate at use. Total size n - 1.
-  std::vector<std::complex<double>> twiddles;
-};
-
-/// Builds the twiddle tables for a power-of-two transform size (n >= 1).
-FftPlan make_fft_plan(std::size_t n);
-
 /// In-place iterative radix-2 Cooley-Tukey FFT. Size must be a power of two
 /// (>= 1). Set `inverse` for the inverse transform (includes the 1/N scale).
 void fft(std::span<std::complex<double>> data, bool inverse = false);
-
-/// Plan-based variant: same transform, twiddles read from `plan`. The plan
-/// may be larger than the data (plan.n >= data.size()): stage tables depend
-/// only on the stage length, so one plan serves every power-of-two size up
-/// to its own. Preferred on hot paths that transform many buffers of the
-/// same size.
-void fft(std::span<std::complex<double>> data, const FftPlan& plan,
-         bool inverse = false);
-
-/// Forward FFT of a real signal via one complex FFT of half size (the
-/// even/odd packing trick). `xs.size()` = n must be a power of two >= 2 and
-/// `plan.n >= n`; writes the non-redundant half-spectrum X[0..n/2] into
-/// `spectrum` (size n/2 + 1). Roughly 2x faster than a complex FFT of the
-/// zero-imaginary signal.
-void rfft(std::span<const double> xs, const FftPlan& plan,
-          std::span<std::complex<double>> spectrum);
-
-/// Inverse of rfft: consumes (destroys) the half-spectrum of a real signal
-/// (`spectrum`, size n/2 + 1 where n = out.size()) and writes the n real
-/// samples to `out`, including the 1/n inverse-DFT scale. `plan.n >= n`.
-void irfft(std::span<std::complex<double>> spectrum, const FftPlan& plan,
-           std::span<double> out);
-
-/// Vector convenience overload (historic interface).
-void fft(std::vector<std::complex<double>>& data, bool inverse = false);
 
 /// Next power of two >= n (n >= 1).
 std::size_t next_pow2(std::size_t n);
@@ -69,9 +30,6 @@ std::vector<double> magnitude_spectrum(std::span<const double> xs);
 /// Frequency (Hz) of the largest non-DC bin of the magnitude spectrum.
 /// Returns 0 for inputs shorter than 4 samples or an all-zero spectrum.
 double dominant_frequency(std::span<const double> xs, double fs);
-
-/// Total spectral energy excluding DC (sum of squared one-sided magnitudes).
-double spectral_energy(std::span<const double> xs);
 
 /// Normalized spectral entropy in [0, 1] (0 = single tone, 1 = flat).
 double spectral_entropy(std::span<const double> xs);

@@ -5,7 +5,6 @@
 
 #include "common/error.hpp"
 #include "common/stats.hpp"
-#include "dsp/peaks.hpp"
 
 namespace ptrack::dsp {
 
@@ -23,12 +22,6 @@ Kinematics integrate_twice(std::span<const double> accel, double dt) {
   k.velocity = cumtrapz(accel, dt);
   k.position = cumtrapz(k.velocity, dt);
   return k;
-}
-
-Kinematics integrate_twice_mean_removal(std::span<const double> accel,
-                                        double dt) {
-  const std::vector<double> corrected = stats::demeaned(accel);
-  return integrate_twice(corrected, dt);
 }
 
 namespace {
@@ -79,24 +72,6 @@ double peak_to_peak_displacement(std::span<const double> accel, double dt) {
     mx = std::max(mx, p);
   });
   return mx - mn;
-}
-
-std::vector<std::pair<std::size_t, std::size_t>> zero_velocity_segments(
-    std::span<const double> velocity, std::size_t min_len) {
-  std::vector<std::pair<std::size_t, std::size_t>> out;
-  if (velocity.empty()) return out;
-  const auto crossings = zero_crossings(velocity);
-  std::size_t begin = 0;
-  for (std::size_t c : crossings) {
-    if (c - begin >= std::max<std::size_t>(min_len, 2)) {
-      // ptrack-lint: allow(alloc) batch-only ZUPT segmenter
-      out.emplace_back(begin, c);
-      begin = c;
-    }
-  }
-  // ptrack-lint: allow(alloc) batch-only ZUPT segmenter
-  if (velocity.size() - begin >= 2) out.emplace_back(begin, velocity.size());
-  return out;
 }
 
 }  // namespace ptrack::dsp

@@ -29,23 +29,11 @@ struct Kinematics {
 /// "Integral" baseline that shows why naive integration fails.
 Kinematics integrate_twice(std::span<const double> accel, double dt);
 
-/// Mean-removal double integration: valid on segments whose true velocity is
-/// zero at both ends. Subtracts the segment-mean acceleration, then
-/// integrates twice.
-Kinematics integrate_twice_mean_removal(std::span<const double> accel,
-                                        double dt);
-
 /// Net displacement of a zero-velocity-bounded segment (mean-removal).
 double net_displacement(std::span<const double> accel, double dt);
 
 /// Peak-to-peak positional excursion of a zero-velocity-bounded segment
 /// (mean-removal); this is how PTrack measures vertical bounce amplitudes.
 double peak_to_peak_displacement(std::span<const double> accel, double dt);
-
-/// Splits [0, n) at the interior zero crossings of `velocity`, yielding
-/// consecutive [begin, end) index pairs whose boundaries are (approximately)
-/// zero-velocity instants. Segments shorter than min_len are merged forward.
-std::vector<std::pair<std::size_t, std::size_t>> zero_velocity_segments(
-    std::span<const double> velocity, std::size_t min_len = 4);
 
 }  // namespace ptrack::dsp

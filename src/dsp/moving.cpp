@@ -72,18 +72,4 @@ std::vector<double> moving_median(std::span<const double> xs, std::size_t w) {
   return out;
 }
 
-std::vector<double> ema(std::span<const double> xs, double alpha) {
-  expects(alpha > 0.0 && alpha <= 1.0, "ema: alpha in (0,1]");
-  std::vector<double> out;
-  // ptrack-lint: allow(alloc) batch-only helper; not on the streaming path
-  out.reserve(xs.size());
-  double y = xs.empty() ? 0.0 : xs.front();
-  for (double x : xs) {
-    y = alpha * x + (1.0 - alpha) * y;
-    // ptrack-lint: allow(alloc) appends within the reservation above
-    out.push_back(y);
-  }
-  return out;
-}
-
 }  // namespace ptrack::dsp

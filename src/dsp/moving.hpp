@@ -15,7 +15,4 @@ std::vector<double> moving_average(std::span<const double> xs, std::size_t w);
 /// impulsive sensor glitches.
 std::vector<double> moving_median(std::span<const double> xs, std::size_t w);
 
-/// Exponential moving average with smoothing factor alpha in (0, 1].
-std::vector<double> ema(std::span<const double> xs, double alpha);
-
 }  // namespace ptrack::dsp

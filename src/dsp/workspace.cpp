@@ -2,7 +2,6 @@
 
 #include "common/check.hpp"
 #include "common/error.hpp"
-#include "obs/metrics.hpp"
 
 namespace ptrack::dsp {
 
@@ -23,16 +22,6 @@ void check_slots_disjoint(const Buffers& buffers, std::size_t slot) {
 
 }  // namespace
 
-AlignedVector<std::complex<double>>& Workspace::complex_scratch(
-    std::size_t slot, std::size_t n) {
-  expects(slot < kComplexSlots, "Workspace::complex_scratch: valid slot");
-  auto& buf = complex_[slot];
-  // ptrack-lint: allow(alloc) workspace scratch; steady capacity
-  buf.resize(n);
-  check_slots_disjoint(complex_, slot);
-  return buf;
-}
-
 AlignedVector<double>& Workspace::real_scratch(std::size_t slot,
                                                std::size_t n) {
   expects(slot < kRealSlots, "Workspace::real_scratch: valid slot");
@@ -41,24 +30,6 @@ AlignedVector<double>& Workspace::real_scratch(std::size_t slot,
   buf.resize(n);
   check_slots_disjoint(real_, slot);
   return buf;
-}
-
-const FftPlan& Workspace::fft_plan(std::size_t nfft) {
-  expects(nfft >= 1 && (nfft & (nfft - 1)) == 0,
-          "Workspace::fft_plan: size is a power of two");
-  for (const auto& p : plans_) {
-    if (p->n == nfft) {
-      PTRACK_COUNT("ptrack.dsp.fft_plan.hits");
-      return *p;
-    }
-  }
-  PTRACK_COUNT("ptrack.dsp.fft_plan.misses");
-  // ptrack-lint: allow(alloc) first-use plan construction; cached forever
-  plans_.push_back(std::make_unique<FftPlan>(make_fft_plan(nfft)));
-  // Plans are cached by exact size and never evicted: one entry per size.
-  PTRACK_CHECK_MSG(plans_.back()->n == nfft,
-                   "Workspace::fft_plan: cache entry matches requested size");
-  return *plans_.back();
 }
 
 }  // namespace ptrack::dsp

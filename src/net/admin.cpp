@@ -282,7 +282,7 @@ void Server::build_admin_response(AdminConn& conn,
 
 void Server::enforce_admin_deadlines(Clock::time_point now) {
   for (const auto& [fd, conn] : admin_conns_) {
-    if (admin_seconds_between(conn.since, now) > cfg_.admin_timeout_s) {
+    if (admin_seconds_between(conn.since, now) > kAdminTimeoutS) {
       admin_to_close_.push_back(fd);
     }
   }

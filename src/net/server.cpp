@@ -53,7 +53,7 @@ Server::Server(ServerConfig cfg) : cfg_(std::move(cfg)) {
     const int flags = fcntl(fd, F_GETFL, 0);
     fcntl(fd, F_SETFL, flags | O_NONBLOCK);
   }
-  read_buf_.resize(cfg_.session.read_chunk);
+  read_buf_.resize(kReadChunkBytes);
 }
 
 Server::~Server() {

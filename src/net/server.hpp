@@ -84,8 +84,6 @@ struct ServerConfig {
   /// Separate from max_sessions so scrapers can never crowd out ingest
   /// and vice versa. Excess admin connections get an immediate 503.
   std::size_t admin_max_sessions = 8;
-  /// An admin connection must complete request + response within this.
-  double admin_timeout_s = 5.0;
 };
 
 /// Snapshot of the server's lifetime counters (thread-safe to take while
@@ -171,6 +169,9 @@ class Server {
           last_frame_activity(now), stall_since(now), linger_deadline(now) {}
   };
 
+  /// An admin connection must complete request + response within this (s).
+  static constexpr double kAdminTimeoutS = 5.0;
+
   /// One admin-plane connection: parse one GET, queue one response,
   /// flush, close. Defined alongside the route logic in net/admin.cpp.
   struct AdminConn {
@@ -178,7 +179,7 @@ class Server {
     HttpRequestParser parser;
     std::string out;            ///< complete response once responded
     std::size_t out_pos = 0;
-    Clock::time_point since;    ///< accept time (admin_timeout_s clock)
+    Clock::time_point since;    ///< accept time (kAdminTimeoutS clock)
     bool responded = false;
 
     AdminConn(Socket s, Clock::time_point now)

@@ -34,13 +34,13 @@ std::size_t session_memory_estimate(const SessionConfig& cfg, double fs) {
       rate * kTrackerRetentionS * static_cast<double>(
                                       kBytesPerRetainedSample));
   const std::size_t decoder_bytes =
-      kHeaderBytes + kMaxPayloadBytes + cfg.read_chunk;
+      kHeaderBytes + kMaxPayloadBytes + kReadChunkBytes;
   return decoder_bytes + cfg.out_buf_limit + ring_bytes;
 }
 
 Session::Session(const SessionConfig& cfg)
     : cfg_(cfg),
-      decoder_(kMaxPayloadBytes, cfg.read_chunk),
+      decoder_(kMaxPayloadBytes, kReadChunkBytes),
       // Pre-HELLO estimate (no tracker yet): what admission charges until
       // the HELLO announces the real sample rate.
       mem_estimate_(session_memory_estimate(cfg, 0.0) -
@@ -111,8 +111,8 @@ Session::IoResult Session::on_hello(const Frame& frame) {
     PTRACK_COUNT("ptrack.net.frames.rejected");
     return protocol_error(ErrorCode::kProtocol, "HELLO on an open session");
   }
-  const bool fs_ok = std::isfinite(hello.fs) && hello.fs >= cfg_.fs_min &&
-                     hello.fs <= cfg_.fs_max;
+  const bool fs_ok = std::isfinite(hello.fs) && hello.fs >= kMinHelloFs &&
+                     hello.fs <= kMaxHelloFs;
   // Streams are served in double only; the wire keeps the precision byte.
   if (!fs_ok || hello.precision != 0) {
     ++counters_.frames_rejected;

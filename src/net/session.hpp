@@ -38,18 +38,23 @@
 
 namespace ptrack::net {
 
+/// HELLO sample-rate plausibility window (Hz); rates outside it get
+/// ERROR kBadHello "sample rate out of range".
+inline constexpr double kMinHelloFs = 1.0;
+inline constexpr double kMaxHelloFs = 1024.0;
+
+/// Largest single read the server issues on an ingest connection; sizes
+/// each session's decoder reservation.
+inline constexpr std::size_t kReadChunkBytes = 16 * 1024;
+
 /// Per-session policy knobs (shared by every session of a server).
 struct SessionConfig {
   /// Streaming pipeline configuration of every session.
   core::StreamingConfig streaming{};
-  double fs_min = 1.0;     ///< HELLO sample-rate plausibility window (Hz)
-  double fs_max = 1024.0;
   std::size_t max_samples_per_frame = kMaxSamplesPerFrame;
   /// Queued output bytes beyond which the server declares the client a
   /// slow consumer and disconnects it.
   std::size_t out_buf_limit = 256 * 1024;
-  /// Largest single read the server issues (sizes the decoder reservation).
-  std::size_t read_chunk = 16 * 1024;
 };
 
 /// Monotone per-session counters (server aggregates them into ptrack.net.*).

@@ -88,10 +88,11 @@ TEST(ContractsInLibraries, WeightedOffsetStaysNormalized) {
   EXPECT_LE(offset, 1.0);
 }
 
-TEST(ContractsInLibraries, WorkspaceRejectsNonPowerOfTwoPlan) {
+TEST(ContractsInLibraries, WorkspaceRejectsOutOfRangeSlot) {
   dsp::Workspace ws;
-  EXPECT_THROW((void)ws.fft_plan(12), InvalidArgument);
-  EXPECT_NO_THROW((void)ws.fft_plan(16));
+  EXPECT_THROW((void)ws.real_scratch(dsp::Workspace::kRealSlots, 8),
+               InvalidArgument);
+  EXPECT_NO_THROW((void)ws.real_scratch(dsp::Workspace::kRealSlots - 1, 8));
 }
 
 }  // namespace

@@ -51,30 +51,6 @@ TEST(Biquad, LowpassAttenuatesHighFrequency) {
   EXPECT_LT(steady_state_amplitude(ys), 0.05);
 }
 
-TEST(Biquad, HighpassBlocksDc) {
-  dsp::Biquad f(dsp::highpass(3.0, 100.0));
-  double y = 1.0;
-  for (int i = 0; i < 1000; ++i) y = f.step(1.0);
-  EXPECT_NEAR(y, 0.0, 1e-6);
-}
-
-TEST(Biquad, HighpassPassesHighFrequency) {
-  dsp::Biquad f(dsp::highpass(1.0, 100.0));
-  const auto ys = f.process(sine(20.0, 100.0, 4.0));
-  EXPECT_NEAR(steady_state_amplitude(ys), 1.0, 0.05);
-}
-
-TEST(Biquad, BandpassPeaksAtCenter) {
-  dsp::Biquad center(dsp::bandpass(5.0, 100.0, 2.0));
-  dsp::Biquad off(dsp::bandpass(5.0, 100.0, 2.0));
-  const double at_center =
-      steady_state_amplitude(center.process(sine(5.0, 100.0, 6.0)));
-  const double off_center =
-      steady_state_amplitude(off.process(sine(15.0, 100.0, 6.0)));
-  EXPECT_NEAR(at_center, 1.0, 0.08);
-  EXPECT_LT(off_center, 0.5);
-}
-
 TEST(Biquad, ResetClearsState) {
   dsp::Biquad f(dsp::lowpass(3.0, 100.0));
   for (int i = 0; i < 100; ++i) f.step(5.0);
@@ -113,13 +89,6 @@ TEST(Butterworth, OddOrderWorks) {
   double y = 0.0;
   for (int i = 0; i < 800; ++i) y = f.step(1.0);
   EXPECT_NEAR(y, 1.0, 1e-4);
-}
-
-TEST(Butterworth, HighpassOddOrder) {
-  auto f = dsp::butterworth_highpass(3, 3.0, 100.0);
-  double y = 1.0;
-  for (int i = 0; i < 2000; ++i) y = f.step(1.0);
-  EXPECT_NEAR(y, 0.0, 1e-4);
 }
 
 TEST(Butterworth, InvalidOrderThrows) {
@@ -192,16 +161,4 @@ TEST(MovingMedian, RemovesImpulse) {
 TEST(MovingMedian, WindowOneIsIdentity) {
   const std::vector<double> xs{3, 1, 4, 1, 5};
   EXPECT_EQ(dsp::moving_median(xs, 1), xs);
-}
-
-TEST(Ema, ConvergesToConstant) {
-  std::vector<double> xs(200, 2.0);
-  const auto ys = dsp::ema(xs, 0.1);
-  EXPECT_NEAR(ys.back(), 2.0, 1e-6);
-}
-
-TEST(Ema, InvalidAlphaThrows) {
-  const std::vector<double> xs{1.0};
-  EXPECT_THROW(dsp::ema(xs, 0.0), InvalidArgument);
-  EXPECT_THROW(dsp::ema(xs, 1.5), InvalidArgument);
 }

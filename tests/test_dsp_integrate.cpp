@@ -78,26 +78,6 @@ TEST(MeanRemoval, TinySegmentsReturnZero) {
   EXPECT_DOUBLE_EQ(dsp::peak_to_peak_displacement(one, 0.01), 0.0);
 }
 
-TEST(ZeroVelocitySegments, SplitsAtCrossings) {
-  // Velocity: two full sine periods -> interior crossings split it.
-  std::vector<double> vel;
-  for (int i = 0; i < 200; ++i) {
-    vel.push_back(std::sin(kTwoPi * static_cast<double>(i) / 100.0));
-  }
-  const auto segs = dsp::zero_velocity_segments(vel, 4);
-  ASSERT_GE(segs.size(), 3u);
-  // Segments tile the range.
-  EXPECT_EQ(segs.front().first, 0u);
-  EXPECT_EQ(segs.back().second, vel.size());
-  for (std::size_t i = 1; i < segs.size(); ++i) {
-    EXPECT_EQ(segs[i].first, segs[i - 1].second);
-  }
-}
-
-TEST(ZeroVelocitySegments, EmptyInput) {
-  EXPECT_TRUE(dsp::zero_velocity_segments(std::vector<double>{}).empty());
-}
-
 TEST(Resample, DownUpRoundTripPreservesShape) {
   std::vector<double> xs;
   for (int i = 0; i < 400; ++i) {

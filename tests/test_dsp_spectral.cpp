@@ -6,6 +6,7 @@
 
 #include "common/angles.hpp"
 #include "common/error.hpp"
+#include "common/rng.hpp"
 #include "dsp/correlate.hpp"
 #include "dsp/fft.hpp"
 
@@ -93,13 +94,6 @@ TEST(SpectralEntropy, ToneLowNoiseHigh) {
   EXPECT_GT(dsp::spectral_entropy(noise), 0.7);
 }
 
-TEST(SpectralEnergy, ScalesWithAmplitude) {
-  const auto one = sine(4.0, 100.0, 4.0);
-  std::vector<double> two(one.size());
-  for (std::size_t i = 0; i < one.size(); ++i) two[i] = 2.0 * one[i];
-  EXPECT_NEAR(dsp::spectral_energy(two) / dsp::spectral_energy(one), 4.0, 0.1);
-}
-
 TEST(Autocorr, PeriodicSignalAtFullLag) {
   const auto xs = sine(2.0, 100.0, 4.0);  // period 50 samples
   EXPECT_NEAR(dsp::autocorr_at(xs, 50), 1.0, 0.05);
@@ -117,6 +111,36 @@ TEST(Autocorr, LagBoundsChecked) {
   EXPECT_THROW(dsp::autocorr_at(xs, 10), InvalidArgument);
 }
 
+// The AutocorrFft, XcorrFft and DominantPeriod.FftAndNaivePickTheSamePeriod
+// cases keep the names of the former FFT-kernel checks; they now run the
+// direct lag loops, the only correlation kernels, on the same inputs.
+
+TEST(AutocorrFft, ConstantSignalIsAllZeros) {
+  const std::vector<double> xs(300, 7.5);
+  const auto ac = dsp::autocorr(xs, 150);
+  ASSERT_EQ(ac.size(), 151u);
+  for (double v : ac) EXPECT_DOUBLE_EQ(v, 0.0);
+}
+
+TEST(AutocorrFft, PeriodicSignalScoresOneAtPeriod) {
+  // The full lag sweep up to n/2: the unbiased normalization keeps a
+  // periodic signal at ~1 on every multiple of its period, however little
+  // of the signal overlaps.
+  const auto xs = sine(2.0, 100.0, 8.0);  // 800 samples, period 50
+  const auto ac = dsp::autocorr(xs, xs.size() / 2);
+  ASSERT_EQ(ac.size(), xs.size() / 2 + 1);
+  EXPECT_NEAR(ac[0], 1.0, 1e-12);
+  EXPECT_NEAR(ac[25], -1.0, 0.05);
+  EXPECT_NEAR(ac[50], 1.0, 0.05);
+  EXPECT_NEAR(ac[400], 1.0, 0.05);
+}
+
+TEST(AutocorrFft, BoundsChecked) {
+  const std::vector<double> xs(16, 1.0);
+  EXPECT_THROW(dsp::autocorr(xs, 16), InvalidArgument);
+  EXPECT_NO_THROW(dsp::autocorr(xs, 15));
+}
+
 TEST(Xcorr, FindsKnownLag) {
   const double fs = 100.0;
   const auto a = sine(2.0, fs, 4.0);
@@ -125,14 +149,71 @@ TEST(Xcorr, FindsKnownLag) {
   EXPECT_NEAR(static_cast<double>(lag), 12.5, 1.6);
 }
 
+TEST(Xcorr, QuarterPeriodLagOnA400HzCycle) {
+  // One gait cycle at 400 Hz (1.1 s, n = 440): vertical and anterior both
+  // oscillate at the step period n/2, the anterior a quarter of it (n/8 =
+  // 55 samples) behind — the pattern the gait-ID phase gate looks for,
+  // searched over n/4 lags either side as GaitIdentifier does: 440 x 221
+  // multiply-adds, ~16x a typical 100 Hz cycle (110 x 55).
+  const std::size_t n = 440;
+  std::vector<double> vertical(n);
+  std::vector<double> anterior(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    const double phase = kTwoPi * 2.0 * static_cast<double>(i) /
+                         static_cast<double>(n);
+    vertical[i] = std::cos(phase);
+    anterior[i] = std::sin(phase);
+  }
+  const int lag = dsp::best_lag(vertical, anterior, n / 4);
+  EXPECT_NEAR(static_cast<double>(lag), 55.0, 5.5);  // 10 % of the quarter
+  EXPECT_NEAR(static_cast<double>(dsp::best_lag(anterior, vertical, n / 4)),
+              -55.0, 5.5);
+}
+
 TEST(Xcorr, ZeroLagForIdenticalSignals) {
   const auto a = sine(3.0, 100.0, 3.0);
   EXPECT_EQ(dsp::best_lag(a, a, 20), 0);
 }
 
+TEST(XcorrFft, FindsKnownLagOnLongSignals) {
+  // 4000 samples, 100 lags either side.
+  std::vector<double> a(4000);
+  std::vector<double> b(4000);
+  const double period = 200.0;
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    a[i] = std::sin(kTwoPi * static_cast<double>(i) / period);
+    b[i] = std::sin(kTwoPi * (static_cast<double>(i) - 50.0) / period);
+  }
+  EXPECT_NEAR(dsp::best_lag(a, b, 100), 50, 1);
+}
+
+TEST(XcorrFft, ZeroSignalYieldsZeros) {
+  // A constant is all zero after demeaning, so every lag correlates to
+  // exactly zero and the first lag searched wins.
+  const std::vector<double> a(200, 3.0);
+  std::vector<double> b(200);
+  for (std::size_t i = 0; i < b.size(); ++i) {
+    b[i] = std::sin(0.1 * static_cast<double>(i));
+  }
+  EXPECT_EQ(dsp::best_lag(a, b, 100), -100);
+  EXPECT_EQ(dsp::best_lag(a, a, 100), -100);
+}
+
 TEST(DominantPeriod, FindsSinePeriod) {
   const auto xs = sine(2.0, 100.0, 6.0);  // 50-sample period
   EXPECT_EQ(dsp::dominant_period(xs, 10, 200), 50u);
+}
+
+TEST(DominantPeriod, FftAndNaivePickTheSamePeriod) {
+  // A noisy 110-sample period over 4096 samples; the window [50, 160]
+  // excludes its harmonics, so the true period must win.
+  Rng rng(0xbead);
+  std::vector<double> xs(4096);
+  for (std::size_t i = 0; i < xs.size(); ++i) {
+    xs[i] = std::sin(kTwoPi * static_cast<double>(i) / 110.0) +
+            rng.normal(0.0, 0.2);
+  }
+  EXPECT_EQ(dsp::dominant_period(xs, 50, 160), 110u);
 }
 
 TEST(DominantPeriod, ZeroWhenNoPeak) {
