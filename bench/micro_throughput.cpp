@@ -23,7 +23,9 @@
 
 #include "bench_util.hpp"
 #include "common/json.hpp"
+#include "core/frontend.hpp"
 #include "core/ptrack.hpp"
+#include "core/stages.hpp"
 #include "obs/metrics.hpp"
 #include "dsp/butterworth.hpp"
 #include "dsp/correlate.hpp"
@@ -33,6 +35,8 @@
 #include "dsp/projection.hpp"
 #include "dsp/simd.hpp"
 #include "dsp/workspace.hpp"
+#include "imu/faults.hpp"
+#include "imu/quality.hpp"
 #include "models/gfit.hpp"
 #include "runtime/batch_runner.hpp"
 #include "synth/synthesizer.hpp"
@@ -278,6 +282,72 @@ BENCHMARK(BM_PipelineBatch)
     ->Arg(4)
     ->Arg(8)
     ->UseRealTime();
+
+// One steady 1 s streaming hop of the segmentation stage at 100 Hz: the
+// recorded walking minute's projected vertical channel is fed in 100-sample
+// hops (repeated end to end, so the stream never ends) with the channel
+// trimmed to what the stage retains, as StagePipeline does. The peak scan
+// carries its raw maxima and walks across hops, so a hop scans only its new
+// samples instead of the ~780-sample lookback region. Items = samples.
+void BM_SegmentationSteadyHop(benchmark::State& state) {
+  const core::StepCounterConfig cfg;
+  const std::vector<double> vertical =
+      core::project_trace(walking_minute().trace, cfg.lowpass_hz).vertical;
+  const double fs = walking_minute().trace.fs();
+  const std::size_t hop = 100;
+  core::SegmentationStage stage(cfg, fs);
+  Ring<double> ring;
+  std::vector<core::CycleCandidate> out;
+  out.reserve(64);
+  std::size_t next = 0;
+  const auto advance = [&] {
+    for (std::size_t k = 0; k < hop; ++k) {
+      ring.push(vertical[next]);
+      next = next + 1 == vertical.size() ? 0 : next + 1;
+    }
+    out.clear();
+    stage.advance(ring, false, out);
+    ring.trim_to(std::min(stage.min_required(), ring.end()));
+  };
+  for (int warm = 0; warm < 20; ++warm) advance();  // fill the lookback
+  for (auto _ : state) {
+    advance();
+    benchmark::DoNotOptimize(out.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
+                          static_cast<int64_t>(hop));
+}
+BENCHMARK(BM_SegmentationSteadyHop);
+
+// The online quality stage's per-sample path, as the streaming tracker
+// drives it: one push per sample into a reused output buffer. faulted:0 is
+// the clean walking minute (every sample takes the clean fast path);
+// faulted:1 the same minute with dropouts, clipping and spikes injected.
+// Items = samples.
+void BM_IncrementalQuality(benchmark::State& state) {
+  imu::Trace trace = walking_minute().trace;
+  if (state.range(0) != 0) {
+    Rng rng(bench::kBenchSeed ^ 0x9a);
+    trace = imu::inject_dropouts(trace, 4.0, 10, 60, rng);
+    trace = imu::clip_acceleration(trace, 25.0);
+    trace = imu::inject_spikes(trace, 6.0, 8.0, rng);
+  }
+  std::vector<imu::RepairedSample> out;
+  out.reserve(64);
+  for (auto _ : state) {
+    imu::IncrementalQuality quality(trace.fs());
+    for (const imu::Sample& s : trace.samples()) {
+      out.clear();
+      quality.push(s, out);
+      benchmark::DoNotOptimize(out.data());
+    }
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
+                          static_cast<int64_t>(trace.size()));
+}
+BENCHMARK(BM_IncrementalQuality)->ArgName("faulted")->Arg(0)->Arg(1);
 
 void BM_SynthesizeMinute(benchmark::State& state) {
   const auto user = bench::make_users(1).front();

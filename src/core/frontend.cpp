@@ -61,7 +61,7 @@ void LowpassCarry::seed(std::span<const double> ax, std::span<const double> ay,
   // channels: reflecting the lanes and then combining them is reflecting
   // the combination (the constant lane reflects to itself).
   const std::size_t pad = std::min(kLowpassPad, n - 1);
-  double* rows = ws.real_scratch(0, (pad + count) * kL).data();
+  double* rows = ws.real_scratch((pad + count) * kL).data();
   std::array<double, kL> first{};
   raw_lane_row(ax, ay, az, 0, first.data());
   for (std::size_t i = 0; i < pad; ++i) {
@@ -85,7 +85,7 @@ void LowpassCarry::advance(std::span<const double> ax,
   expects(ay.size() == n && az.size() == n,
           "LowpassCarry::advance: equal spans");
   PTRACK_CHECK_MSG(valid_, "LowpassCarry::advance: a seeded state");
-  double* rows = ws.real_scratch(0, n * kL).data();
+  double* rows = ws.real_scratch(n * kL).data();
   for (std::size_t i = 0; i < n; ++i) {
     raw_lane_row(ax, ay, az, i, rows + i * kL);
   }
@@ -116,7 +116,8 @@ void project_channels_into(std::span<const double> ax,
               (axes.ax.size() == axes.ay.size() &&
                axes.ay.size() == axes.az.size() && axes.ax.size() >= 16),
           "project_channels: axis spans equal-length and >= 16 samples");
-  expects(axes.up_weights.empty() || axes.up_weights.size() == axes.ax.size(),
+  expects(axes.up_weights.empty() ||
+              axes.up_weights.size() == (axes.empty() ? n : axes.ax.size()),
           "project_channels: gravity weights match the axis history");
   expects(fs > 0.0, "project_channels: fs > 0");
   expects(lowpass_hz > 0.0, "project_channels: lowpass_hz > 0");
@@ -132,7 +133,8 @@ void project_channels_into(std::span<const double> ax,
   // gravity estimate, anterior principal direction from its horizontal
   // residual); otherwise both come from the spans themselves, lead
   // included.
-  const AxisHistory hist = axes.empty() ? AxisHistory{ax, ay, az} : axes;
+  const AxisHistory hist =
+      axes.empty() ? AxisHistory{ax, ay, az, axes.up_weights} : axes;
   const Vec3 up =
       hist.up_weights.empty()
           ? dsp::estimate_up(hist.ax, hist.ay, hist.az, fs,

@@ -21,11 +21,12 @@
 // dsp::GravityWeights table for it, shared process-wide by every stage of
 // the same fs (dsp::shared_gravity_weights) and held for the stage's
 // lifetime; such a hop passes the table in AxisHistory::up_weights and does
-// no filtering, lookup or allocation for the up axis. Every other length
-// (the batch flush, unpinned stream-start and windowed-anterior regions)
-// computes its weights into workspace scratch, at the cost of one scalar
-// filter pass each way over the history; ProjectionStage takes the
-// shorter pinned lengths of warm-up hops from the shared registry too.
+// no filtering, lookup or allocation for the up axis. ProjectionStage
+// takes the shorter lengths of warm-up hops (pinned, and the unpinned
+// stream-start regions) from the shared registry too: they repeat across
+// streams. The batch flush and windowed-anterior regions compute their
+// weights into workspace scratch, at the cost of one scalar filter pass
+// each way over the history.
 //
 // A streaming caller may also carry the output low-pass's forward state
 // across calls (FilterCarry, LowpassCarry): the call then still fits its
@@ -92,8 +93,10 @@ struct ProjectionSeam {
 ///
 /// `up_weights` (optional) are the gravity estimate's weights for exactly
 /// this history length at the call's fs and dsp::kGravityCutoffHz — a
-/// precomputed dsp::GravityWeights table. Empty means the call computes
-/// them into workspace scratch; either way the up vector is the same.
+/// precomputed dsp::GravityWeights table. With empty spans they are the
+/// weights for the projected span itself, which the axes are then fit
+/// over. Empty means the call computes them into workspace scratch; either
+/// way the up vector is the same.
 struct AxisHistory {
   std::span<const double> ax;
   std::span<const double> ay;
@@ -149,7 +152,7 @@ class LowpassCarry {
   /// Re-seeds from zero state: the forward pass a carry-less projection
   /// call over `ax/ay/az` runs, reflected left pad included, stopped before
   /// sample `count`. The state then sits before absolute sample `at`.
-  /// Clobbers `ws` real slot 0 (as does advance).
+  /// Clobbers `ws` real scratch (as does advance).
   void seed(std::span<const double> ax, std::span<const double> ay,
             std::span<const double> az, std::size_t count, std::size_t at,
             dsp::Workspace& ws);
@@ -185,10 +188,10 @@ class LowpassCarry {
 ///
 /// The up direction is the batch gravity estimate over the axis spans:
 /// dsp::estimate_up, a weighted sum with the gravity weights (taken from
-/// `axes.up_weights` when given, otherwise computed into `ws` real scratch
-/// slot 0).
+/// `axes.up_weights` when given, otherwise computed into `ws` real
+/// scratch).
 ///
-/// `ws` provides the filter scratch and the gravity weights (real slot 0).
+/// `ws` provides the filter scratch and the gravity weights (real scratch).
 ///
 /// `seam` (optional) carries the anterior sign across calls; null or
 /// zero-initialized reproduces batch behaviour.

@@ -74,7 +74,7 @@ void ProjectionStage::advance(const imu::SampleRing& ring, bool flush) {
       const bool carried =
           carry_.valid_at(stable) && end - stable > kLowpassPad;
       const Region region{begin,  end,    axis_begin, pin_axes,
-                          stable, target, carried};
+                          stable, target, carried,    flush};
       project_region(ring, region);
       advance_carry(ring, region, flush);
     }
@@ -91,7 +91,11 @@ void ProjectionStage::project_region(const imu::SampleRing& ring,
       r.pin_axes ? accel_spans(ring, r.axis_begin, r.end) : AxisHistory{};
   // Every pinned history length takes its gravity weights from the shared
   // registry: the steady 20 s window from the table this stage holds,
-  // warm-up lengths from a table held for this call only.
+  // warm-up lengths from a table held for this call only. So does a
+  // stream-start hop, whose axes are fit over the region itself: its
+  // lengths repeat across streams like the pinned warm-up ladder's. A
+  // flush (a whole batch trace, of a length no other call repeats) and the
+  // windowed anterior mode compute them into workspace scratch.
   std::shared_ptr<const dsp::GravityWeights> warmup_weights;
   if (r.pin_axes) {
     const std::size_t len = r.end - r.axis_begin;
@@ -106,6 +110,10 @@ void ProjectionStage::project_region(const imu::SampleRing& ring,
           dsp::shared_gravity_weights(len, fs_, dsp::kGravityCutoffHz);
       axes.up_weights = warmup_weights->weights();
     }
+  } else if (!r.flush && cfg_.anterior_window_s <= 0.0) {
+    warmup_weights = dsp::shared_gravity_weights(r.end - r.begin, fs_,
+                                                 dsp::kGravityCutoffHz);
+    axes.up_weights = warmup_weights->weights();
   }
   project_channels_into(raw.ax, raw.ay, raw.az, fs_, cfg_.lowpass_hz,
                         cfg_.anterior_window_s, *ws_, &seam_, axes, proj_,
@@ -174,6 +182,9 @@ SegmentationStage::SegmentationStage(const StepCounterConfig& cfg, double fs)
   // with headroom so steady-state hops never reallocate (DESIGN.md §15) —
   // without it the list oscillates right at a power-of-two capacity edge.
   peaks_.reserve(256);
+  // A steady window holds ~16 raw maxima of a walking channel; 32 leaves
+  // headroom for noisier ones.
+  peak_scan_.reserve(32);
 }
 
 void SegmentationStage::advance(const Ring<double>& vertical, bool flush,
@@ -191,7 +202,8 @@ void SegmentationStage::advance(const Ring<double>& vertical, bool flush,
     opt.min_distance = std::max<std::size_t>(
         1, static_cast<std::size_t>(cfg_.min_step_interval_s * fs_));
     opt.min_prominence = cfg_.min_cycle_prominence;
-    dsp::find_peaks_into(vertical.span(scan_begin, end), opt, scan_scratch_);
+    peak_scan_.scan(vertical.span(scan_begin, end), scan_begin, opt,
+                    scan_scratch_);
     for (const std::size_t r : scan_scratch_) {
       const std::size_t p = scan_begin + r;
       // Peaks at or before the last finalized one were decided in an

@@ -37,10 +37,14 @@
 //     reflect pad and the backward pass's settling); a hop without a
 //     carried state re-projects a `kProjectionCtxS` context region from
 //     zero state instead and seeds one;
-//   - SegmentationStage re-scans from `kSegmentationLookbackS` before the
-//     last finalized peak and accepts new peaks only
-//     `kSegmentationMarginS` behind the projected frontier (covers the
-//     min-distance suppression window and prominence walks);
+//   - SegmentationStage finds peaks over the region from
+//     `kSegmentationLookbackS` before its acceptance frontier, accepting
+//     new ones only `kSegmentationMarginS` behind the projected frontier
+//     (covers the min-distance suppression window and prominence walks);
+//     the region is not rescanned: dsp::PeakScan carries its raw maxima
+//     and their prominence walks across hops, so a hop scans only the
+//     samples the previous one could not resolve and accepts exactly the
+//     peaks a rescan of the region would;
 //   - EventAssembler withholds cycles in an open stepping streak
 //     (<= streak-1) and events whose median-smoothing window is still
 //     open (<= smooth_window/2 future events).
@@ -59,6 +63,7 @@
 #include "core/segmentation.hpp"
 #include "core/stride_estimator.hpp"
 #include "core/types.hpp"
+#include "dsp/peaks.hpp"
 #include "dsp/projection.hpp"
 #include "dsp/workspace.hpp"
 #include "imu/sample_ring.hpp"
@@ -156,6 +161,7 @@ class ProjectionStage {
     std::size_t stable;
     std::size_t target;
     bool carried;
+    bool flush;
   };
 
   // Projects the region into proj_ and appends the finalized
@@ -173,8 +179,9 @@ class ProjectionStage {
 };
 
 /// Finds step peaks over the finalized projected vertical channel and pairs
-/// them into candidate cycles, carrying the peak list and the pairing index
-/// across hops. Candidates are emitted exactly once, in order.
+/// them into candidate cycles, carrying the peak scan (dsp::PeakScan), the
+/// peak list and the pairing index across hops. Candidates are emitted
+/// exactly once, in order.
 class SegmentationStage {
  public:
   SegmentationStage(const StepCounterConfig& cfg, double fs);
@@ -194,6 +201,7 @@ class SegmentationStage {
   std::size_t margin_;    ///< peak finalization margin (samples)
 
   std::vector<std::size_t> peaks_;  ///< finalized peaks awaiting pairing
+  dsp::PeakScan peak_scan_;  ///< raw maxima and walks carried across hops
   std::vector<std::size_t> scan_scratch_;  ///< per-hop peak-scan results
   std::size_t pair_index_ = 0;      ///< batch pairing loop index into peaks_
   std::size_t last_final_peak_ = 0;

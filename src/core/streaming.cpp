@@ -31,7 +31,6 @@ StreamingTracker::StreamingTracker(double fs, StreamingConfig config)
           1, static_cast<std::size_t>(config.hop_s * fs))) {
   if (config_.pipeline.quality.enabled) {
     quality_.emplace(fs_, config_.pipeline.quality);
-    repair_buf_.reserve(quality_->latency_bound() + 1);
   }
 }
 
@@ -46,11 +45,7 @@ void StreamingTracker::push(const imu::Sample& sample) {
   // Route through the online quality stage (which holds a bounded tail
   // back until each sample's fate is decided) into the ring.
   if (quality_) {
-    repair_buf_.clear();
-    quality_->push(s, repair_buf_);
-    for (const imu::RepairedSample& r : repair_buf_) {
-      ring_.push(r.sample, r.flags);
-    }
+    quality_->push(s, ring_);
   } else {
     ring_.push(s, 0);
   }
@@ -128,13 +123,7 @@ std::vector<StepEvent> StreamingTracker::finish() {
 
 // ptrack-lint: allow(entry-check) terminal flush is legal in any state
 void StreamingTracker::drain_into(std::vector<StepEvent>& out) {
-  if (quality_) {
-    repair_buf_.clear();
-    quality_->flush(repair_buf_);
-    for (const imu::RepairedSample& r : repair_buf_) {
-      ring_.push(r.sample, r.flags);
-    }
-  }
+  if (quality_) quality_->flush(ring_);
   run_hop(/*flush=*/true);
   samples_since_hop_ = 0;
   poll_into(out);

@@ -153,7 +153,6 @@ class StreamingTracker {
   imu::SampleRing ring_;
   StagePipeline pipe_;
   std::optional<imu::IncrementalQuality> quality_;
-  std::vector<imu::RepairedSample> repair_buf_;  ///< per-push scratch
   std::size_t hop_samples_;
   std::size_t samples_since_hop_ = 0;
   bool warmed_up_ = false;  ///< a flush hop has run (buffers are sized)

@@ -75,10 +75,8 @@ std::vector<double> magnitude_spectrum(std::span<const double> xs) {
   return mag;
 }
 
-double dominant_frequency(std::span<const double> xs, double fs) {
-  expects(fs > 0.0, "dominant_frequency: fs > 0");
-  if (xs.size() < 4) return 0.0;
-  const auto mag = magnitude_spectrum(xs);
+double spectrum_peak_frequency(std::span<const double> mag, double fs) {
+  expects(fs > 0.0, "spectrum_peak_frequency: fs > 0");
   std::size_t best = 0;
   double best_val = 0.0;
   for (std::size_t k = 1; k < mag.size(); ++k) {
@@ -92,8 +90,7 @@ double dominant_frequency(std::span<const double> xs, double fs) {
   return static_cast<double>(best) * fs / static_cast<double>(nfft);
 }
 
-double spectral_entropy(std::span<const double> xs) {
-  const auto mag = magnitude_spectrum(xs);
+double spectrum_entropy(std::span<const double> mag) {
   if (mag.size() <= 2) return 0.0;
   double total = 0.0;
   for (std::size_t k = 1; k < mag.size(); ++k) total += mag[k] * mag[k];
@@ -105,6 +102,16 @@ double spectral_entropy(std::span<const double> xs) {
   }
   const double hmax = std::log(static_cast<double>(mag.size() - 1));
   return hmax > 0.0 ? h / hmax : 0.0;
+}
+
+double dominant_frequency(std::span<const double> xs, double fs) {
+  expects(fs > 0.0, "dominant_frequency: fs > 0");
+  if (xs.size() < 4) return 0.0;
+  return spectrum_peak_frequency(magnitude_spectrum(xs), fs);
+}
+
+double spectral_entropy(std::span<const double> xs) {
+  return spectrum_entropy(magnitude_spectrum(xs));
 }
 
 }  // namespace ptrack::dsp

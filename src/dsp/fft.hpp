@@ -34,4 +34,11 @@ double dominant_frequency(std::span<const double> xs, double fs);
 /// Normalized spectral entropy in [0, 1] (0 = single tone, 1 = flat).
 double spectral_entropy(std::span<const double> xs);
 
+/// The two features above from a spectrum already computed with
+/// magnitude_spectrum(), for callers that want both of one signal: the
+/// same arithmetic, one transform. spectrum_peak_frequency has no
+/// short-input case (dominant_frequency's < 4 samples).
+double spectrum_peak_frequency(std::span<const double> mag, double fs);
+double spectrum_entropy(std::span<const double> mag);
+
 }  // namespace ptrack::dsp

@@ -86,7 +86,7 @@ std::span<double> multi_filter_core(
   }
   const std::size_t m = lpad + n + rpad;
 
-  double* buf = ws.real_scratch(0, m * kL).data();
+  double* buf = ws.real_scratch(m * kL).data();
   for (std::size_t c = 0; c < k; ++c) {
     pad_reflect_lane(xs[c], lpad, rpad, buf, c);
   }
@@ -163,10 +163,7 @@ void filtfilt_into(const BiquadCascade& cascade, std::span<const double> xs,
   }
   pad = std::min(pad, xs.size() - 1);
 
-  auto& padded = ws.real_scratch(0, xs.size() + 2 * pad);
-  PTRACK_CHECK_MSG(static_cast<const void*>(&padded) !=
-                       static_cast<const void*>(&out),
-                   "filtfilt_into: out aliases scratch");
+  const std::span<double> padded = ws.real_scratch(xs.size() + 2 * pad);
   pad_reflect_into(xs, pad, padded);
   filtfilt_inplace(cascade, padded);
 

@@ -24,7 +24,7 @@ std::vector<double> filtfilt(const BiquadCascade& cascade,
                              std::span<const double> xs, std::size_t pad = 64);
 
 /// As above, with caller-provided scratch for the padded working buffer
-/// (workspace real slot 0) — repeated calls allocate only the returned
+/// (the workspace's real scratch) — repeated calls allocate only the returned
 /// output vector.
 std::vector<double> filtfilt(const BiquadCascade& cascade,
                              std::span<const double> xs, std::size_t pad,
@@ -32,7 +32,7 @@ std::vector<double> filtfilt(const BiquadCascade& cascade,
 
 /// Fully allocation-free steady state: writes the filtered signal into
 /// `out` (resized to xs.size(), capacity reused across calls). `out` must
-/// not alias `xs` or workspace real slot 0. Identical arithmetic to the
+/// not alias `xs` or the workspace's real scratch. Identical arithmetic to the
 /// allocating overloads (they delegate here).
 void filtfilt_into(const BiquadCascade& cascade, std::span<const double> xs,
                    std::size_t pad, Workspace& ws, std::vector<double>& out);
@@ -42,7 +42,8 @@ void filtfilt_into(const BiquadCascade& cascade, std::span<const double> xs,
 /// in time, so batching channels is where the parallelism comes from). Each
 /// output is bit-identical to filtfilt_into() on that channel alone with the
 /// same pad. `outs[c]` must be sized to the channel length and must alias
-/// neither the inputs nor workspace real slot 0. `xs.size() <= kIirLanes`,
+/// neither the inputs nor the workspace's real scratch.
+/// `xs.size() <= kIirLanes`,
 /// `cascade.sections().size() <= 8`.
 void filtfilt_multi_into(const BiquadCascade& cascade,
                          std::span<const std::span<const double>> xs,
@@ -57,7 +58,7 @@ void filtfilt_multi_into(const BiquadCascade& cascade,
 /// backward pass are filtfilt_multi_into's. When `state` is bit-equal to
 /// the forward state filtfilt_multi_into reaches at sample k of a longer
 /// signal whose right pad is not clamped, the outputs equal that call's
-/// outputs from k on, bit for bit. Same channel and slot contract as
+/// outputs from k on, bit for bit. Same channel and scratch contract as
 /// filtfilt_multi_into.
 void filtfilt_multi_carried_into(const BiquadCascade& cascade,
                                  std::span<const std::span<const double>> xs,

@@ -9,27 +9,37 @@ namespace ptrack::dsp {
 
 namespace {
 
-// Raw local maxima appended to `out`, plateau-aware: for a flat top, report
-// the center.
-void raw_maxima_into(std::span<const double> xs, std::vector<std::size_t>& out) {
-  out.clear();
+// Raw local maxima of xs from index i (>= 1) on, plateau-aware: calls
+// on_max(start, center) for each maximum, with the first sample and the
+// center of its flat top. Returns where a scan of a longer xs (the same
+// samples followed by new ones) resumes: the start of a plateau still open
+// at the right edge, else the last sample.
+template <typename OnMax>
+std::size_t scan_maxima(std::span<const double> xs, std::size_t i,
+                        OnMax&& on_max) {
   const std::size_t n = xs.size();
-  if (n < 3) return;
-  std::size_t i = 1;
   while (i + 1 < n) {
     if (xs[i] > xs[i - 1]) {
       // Scan a possible plateau [i, j].
       std::size_t j = i;
       while (j + 1 < n && xs[j + 1] == xs[i]) ++j;
-      if (j + 1 < n && xs[j + 1] < xs[i]) {
-        // ptrack-lint: allow(alloc) grows caller scratch; steady capacity
-        out.push_back((i + j) / 2);
-      }
+      if (j + 1 < n && xs[j + 1] < xs[i]) on_max(i, (i + j) / 2);
+      if (j + 1 == n) return i;  // plateau still open at the edge
       i = j + 1;
     } else {
       ++i;
     }
   }
+  return i;
+}
+
+void raw_maxima_into(std::span<const double> xs, std::vector<std::size_t>& out) {
+  out.clear();
+  if (xs.size() < 3) return;
+  scan_maxima(xs, 1, [&](std::size_t, std::size_t center) {
+    // ptrack-lint: allow(alloc) grows caller scratch; steady capacity
+    out.push_back(center);
+  });
 }
 
 double prominence_of(std::span<const double> xs, std::size_t peak) {
@@ -48,6 +58,14 @@ void enforce_min_distance(std::span<const double> xs,
                           std::vector<std::size_t>& peaks,
                           std::size_t min_distance) {
   if (min_distance <= 1 || peaks.size() < 2) return;
+  // Peaks already spaced at least min_distance apart lose nothing (the
+  // common case for step peaks).
+  if (std::adjacent_find(peaks.begin(), peaks.end(),
+                         [&](std::size_t a, std::size_t b) {
+                           return b - a < min_distance;
+                         }) == peaks.end()) {
+    return;
+  }
   // Greedy by height: keep taller peaks, drop any neighbor that is too close
   // to an already kept peak. Scratch is thread-local so steady-state callers
   // stop paying per-call allocations once the high-water capacity is reached.
@@ -99,6 +117,79 @@ void find_peaks_into(std::span<const double> xs, const PeakOptions& opt,
     });
   }
   enforce_min_distance(xs, out, opt.min_distance);
+}
+
+void PeakScan::reserve(std::size_t maxima) {
+  // ptrack-lint: allow(alloc) setup-time reservation
+  maxima_.reserve(maxima);
+}
+
+void PeakScan::scan(std::span<const double> xs, std::size_t first,
+                    const PeakOptions& opt, std::vector<std::size_t>& out) {
+  const std::size_t end = first + xs.size();
+  if (first < first_ || end < end_) {
+    maxima_.clear();
+    resume_ = 0;
+  }
+  first_ = first;
+  end_ = end;
+  // Maxima whose rise lies at or before the window's first sample (sorted
+  // by plateau start).
+  const auto kept = std::find_if(
+      maxima_.begin(), maxima_.end(),
+      [&](const Maximum& m) { return m.start > first; });
+  maxima_.erase(maxima_.begin(), kept);
+  const std::size_t from = std::max(resume_, first + 1) - first;
+  resume_ = first + scan_maxima(xs, from, [&](std::size_t start,
+                                              std::size_t center) {
+    // ptrack-lint: allow(alloc) grows the cache; steady capacity
+    maxima_.push_back({first + start, first + center, 0.0, 0.0, 0, 0, false,
+                       false, false});
+  });
+
+  out.clear();
+  for (Maximum& m : maxima_) {
+    const double h = xs[m.at - first];
+    if (opt.min_height > -1e300 && h < opt.min_height) continue;
+    if (opt.min_prominence > 0.0) {
+      update_walks(m, xs, first);
+      if (h - std::max(m.left_min, m.right_min) < opt.min_prominence) {
+        continue;
+      }
+    }
+    // ptrack-lint: allow(alloc) grows caller scratch; steady capacity
+    out.push_back(m.at - first);
+  }
+  enforce_min_distance(xs, out, opt.min_distance);
+}
+
+void PeakScan::update_walks(Maximum& m, std::span<const double> xs,
+                            std::size_t first) {
+  const std::size_t at = m.at - first;
+  const double h = xs[at];
+  // The left walk holds while the window keeps exactly what it walked: its
+  // breaker, or the start it ran off.
+  if (!m.walked || (m.left_done ? m.left_from < first : m.left_from != first)) {
+    std::size_t stop = 0;
+    m.left_min = simd::min_until_greater_bwd(xs.first(at), h, &stop);
+    m.left_done = stop != at;
+    m.left_from = first + (m.left_done ? stop : 0);
+  }
+  if (!m.walked) {
+    m.right_min = h;
+    m.right_to = m.at + 1;
+    m.right_done = false;
+    m.walked = true;
+  }
+  // A right walk that ran off the old end continues over the new samples.
+  if (!m.right_done && m.right_to < first + xs.size()) {
+    const std::span<const double> rest = xs.subspan(m.right_to - first);
+    std::size_t stop = 0;
+    m.right_min =
+        std::min(m.right_min, simd::min_until_greater_fwd(rest, h, &stop));
+    m.right_done = stop != rest.size();
+    m.right_to += m.right_done ? stop + 1 : rest.size();
+  }
 }
 
 std::vector<std::size_t> find_peaks(std::span<const double> xs,

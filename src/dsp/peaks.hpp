@@ -37,6 +37,57 @@ std::vector<std::size_t> find_peaks(std::span<const double> xs,
 void find_peaks_into(std::span<const double> xs, const PeakOptions& opt,
                      std::vector<std::size_t>& out);
 
+/// Incremental find_peaks_into() over a sliding window of one growing
+/// signal. Each scan() gets the window [first, first + xs.size()) of a
+/// signal whose samples never change once seen, and both window edges may
+/// only move forward between calls (a call that moves either back starts
+/// over). `out` then holds exactly what find_peaks_into(xs, opt, out) would
+/// (window-relative indices), but the call does not rescan what earlier
+/// calls resolved:
+///  - raw maxima are kept across calls, and the search for new ones resumes
+///    where the previous call stopped (its last sample, or a plateau still
+///    open at the right edge); one whose plateau starts at or before the
+///    window's first sample is dropped, as a rescan could not see its rise;
+///  - each maximum's prominence walks are kept with where they stopped: a
+///    right walk that ran off the old end continues over the new samples
+///    only (min is exact, so the result is unchanged), and a left walk that
+///    ran off the old start is redone once the start moves past it;
+///  - min-distance suppression runs over all surviving maxima of the
+///    window, with the same body as find_peaks_into().
+/// Walk results are bit-identical for finite samples. A fresh scanner's
+/// first call is one full scan. Once its buffers have reached their
+/// high-water capacity, calls stop touching the heap.
+class PeakScan {
+ public:
+  /// Pre-sizes the raw-maxima cache (setup time).
+  void reserve(std::size_t maxima);
+
+  void scan(std::span<const double> xs, std::size_t first,
+            const PeakOptions& opt, std::vector<std::size_t>& out);
+
+ private:
+  /// One raw maximum (absolute indices) and its walks so far.
+  struct Maximum {
+    std::size_t start;  ///< first sample of its plateau
+    std::size_t at;     ///< reported index (plateau center)
+    double left_min;    ///< walk over [left_from, at)
+    double right_min;   ///< walk over (at, right_to)
+    std::size_t left_from;
+    std::size_t right_to;
+    bool left_done;     ///< walk met a higher sample (at left_from)
+    bool right_done;    ///< walk met a higher sample (at right_to - 1)
+    bool walked;        ///< walks computed at least once
+  };
+
+  static void update_walks(Maximum& m, std::span<const double> xs,
+                           std::size_t first);
+
+  std::vector<Maximum> maxima_;
+  std::size_t first_ = 0;   ///< previous window
+  std::size_t end_ = 0;
+  std::size_t resume_ = 0;  ///< where the raw-maxima search continues
+};
+
 /// Indices of local minima (peaks of the negated signal).
 std::vector<std::size_t> find_valleys(std::span<const double> xs,
                                       const PeakOptions& opt = {});

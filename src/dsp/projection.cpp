@@ -185,7 +185,8 @@ Vec3 estimate_up(std::span<const double> x, std::span<const double> y,
                  std::span<const double> z, double fs, double cutoff_hz,
                  Workspace& ws) {
   expects(x.size() >= 4, "estimate_up: >= 4 samples");
-  auto& scratch = ws.real_scratch(0, gravity_weights_scratch(x.size()));
+  const std::span<double> scratch =
+      ws.real_scratch(gravity_weights_scratch(x.size()));
   return estimate_up(x, y, z,
                      gravity_weights_into(x.size(), fs, cutoff_hz, scratch));
 }

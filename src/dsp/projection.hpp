@@ -138,7 +138,7 @@ Vec3 estimate_up(std::span<const double> x, std::span<const double> y,
                  std::span<const double> z, std::span<const double> w);
 
 /// As above, computing the weights for (x.size(), fs, cutoff_hz) into `ws`
-/// real scratch slot 0 first (clobbered). Requires >= 4 samples per
+/// real scratch first (clobbered). Requires >= 4 samples per
 /// channel and fs > 0.
 Vec3 estimate_up(std::span<const double> x, std::span<const double> y,
                  std::span<const double> z, double fs, double cutoff_hz,

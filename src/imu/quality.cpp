@@ -121,6 +121,16 @@ void detect_saturation(const std::vector<Sample>& samples,
   }
 }
 
+/// Excursion-and-return: `cur` departs from BOTH neighbors by more than
+/// `delta`, in the same direction. A genuine fast motion moves the
+/// neighbors with it.
+bool excursion(double prev, double cur, double next, double delta) {
+  const double d_prev = cur - prev;
+  const double d_next = cur - next;
+  return std::abs(d_prev) > delta && std::abs(d_next) > delta &&
+         d_prev * d_next > 0.0;
+}
+
 void detect_component_spikes(const std::vector<Sample>& samples,
                              double delta, double Vec3::*comp,
                              Vec3 Sample::*channel,
@@ -128,15 +138,8 @@ void detect_component_spikes(const std::vector<Sample>& samples,
   for (std::size_t i = 1; i + 1 < samples.size(); ++i) {
     if (flags[i] != kFlagClean) continue;
     if ((flags[i - 1] | flags[i + 1]) & kFlagNonFinite) continue;
-    const double prev = samples[i - 1].*channel.*comp;
-    const double cur = samples[i].*channel.*comp;
-    const double next = samples[i + 1].*channel.*comp;
-    const double d_prev = cur - prev;
-    const double d_next = cur - next;
-    // Excursion-and-return: the sample departs from BOTH neighbors in the
-    // same direction. A genuine fast motion moves the neighbors with it.
-    if (std::abs(d_prev) > delta && std::abs(d_next) > delta &&
-        d_prev * d_next > 0.0) {
+    if (excursion(samples[i - 1].*channel.*comp, samples[i].*channel.*comp,
+                  samples[i + 1].*channel.*comp, delta)) {
       set_flag(flags[i], kFlagSpike);
     }
   }
@@ -385,7 +388,10 @@ IncrementalQuality::IncrementalQuality(double fs, QualityConfig cfg)
   pending_.reserve(latency_bound() + 1);
 }
 
-void IncrementalQuality::detect_on_push(const Sample& s, std::uint8_t& flags) {
+// detect_on_push, is_spike, emit and append are the per-sample path of
+// every push; `inline` lets the compiler fold them into push_into.
+inline void IncrementalQuality::detect_on_push(const Sample& s,
+                                               std::uint8_t& flags) {
   if (!sample_physical(s, cfg_)) set_flag(flags, kFlagNonFinite);
   const bool cur_nonfinite = (flags & kFlagNonFinite) != 0;
 
@@ -454,11 +460,24 @@ void IncrementalQuality::detect_on_push(const Sample& s, std::uint8_t& flags) {
   }
 }
 
+inline bool IncrementalQuality::is_spike(const Sample& left,
+                                         const Sample& center,
+                                         const Sample& right) const {
+  const double a = cfg_.spike_delta;
+  const double g = cfg_.gyro_spike_delta;
+  return excursion(left.accel.x, center.accel.x, right.accel.x, a) ||
+         excursion(left.accel.y, center.accel.y, right.accel.y, a) ||
+         excursion(left.accel.z, center.accel.z, right.accel.z, a) ||
+         excursion(left.gyro.x, center.gyro.x, right.gyro.x, g) ||
+         excursion(left.gyro.y, center.gyro.y, right.gyro.y, g) ||
+         excursion(left.gyro.z, center.gyro.z, right.gyro.z, g);
+}
+
 void IncrementalQuality::evaluate_spike_before_last() {
   // The excursion-and-return test needs both neighbors, so the candidate is
   // the second-newest pending sample; its left neighbor may already have
-  // been finalized (out1_, raw values). Held samples can never spike
-  // (d_prev == 0), so a dropout flag arriving later cannot contradict this.
+  // been finalized (raw values). Held samples can never spike (d_prev ==
+  // 0), so a dropout flag arriving later cannot contradict this.
   if (pending_.size() < 2) return;
   Pending& center = pending_[pending_.size() - 2];
   if (center.flags != kFlagClean) return;
@@ -468,29 +487,14 @@ void IncrementalQuality::evaluate_spike_before_last() {
   if (pending_.size() >= 3) {
     left = &pending_[pending_.size() - 3].s;
     left_flags = pending_[pending_.size() - 3].flags;
-  } else if (out1_.has_value()) {
-    left = &out1_->raw;
-    left_flags = out1_->flags;
+  } else if (counts_.emitted > 0) {
+    left = &last_emitted().raw;
+    left_flags = last_emitted().flags;
   } else {
     return;  // stream-start sample: batch never flags index 0 either
   }
   if ((left_flags | right.flags) & kFlagNonFinite) return;
-  for (double Vec3::*comp : {&Vec3::x, &Vec3::y, &Vec3::z}) {
-    for (const auto& [channel, delta] :
-         {std::pair{&Sample::accel, cfg_.spike_delta},
-          std::pair{&Sample::gyro, cfg_.gyro_spike_delta}}) {
-      const double prev = (*left).*channel.*comp;
-      const double cur = center.s.*channel.*comp;
-      const double next = right.s.*channel.*comp;
-      const double d_prev = cur - prev;
-      const double d_next = cur - next;
-      if (std::abs(d_prev) > delta && std::abs(d_next) > delta &&
-          d_prev * d_next > 0.0) {
-        set_flag(center.flags, kFlagSpike);
-        return;
-      }
-    }
-  }
+  if (is_spike(*left, center.s, right.s)) set_flag(center.flags, kFlagSpike);
 }
 
 Sample IncrementalQuality::neutral_sample() const {
@@ -505,38 +509,55 @@ Sample IncrementalQuality::neutral_sample() const {
   return s;
 }
 
-void IncrementalQuality::emit(const Sample& repaired, const Sample& raw,
-                              std::uint8_t flags,
-                              std::vector<RepairedSample>& out) {
-  out.push_back({repaired, flags});
-  ++counts_.emitted;
-  if (flags & kFlagDropout) ++counts_.dropout;
-  if (flags & kFlagSaturated) ++counts_.saturated;
-  if (flags & kFlagSpike) ++counts_.spike;
-  if (flags & kFlagNonFinite) ++counts_.nonfinite;
-  if (flags & kFlagRepaired) ++counts_.repaired;
-  if (flags & kFlagMasked) ++counts_.masked;
+namespace {
+
+inline void append(std::vector<RepairedSample>& out, const Sample& s,
+                   std::uint8_t flags) {
+  out.push_back({s, flags});
+}
+
+void append(SampleRing& out, const Sample& s, std::uint8_t flags) {
+  out.push(s, flags);
+}
+
+}  // namespace
+
+template <typename Out>
+inline void IncrementalQuality::emit(const Sample& repaired,
+                                     const Sample& raw, std::uint8_t flags,
+                                     Out& out) {
+  append(out, repaired, flags);
   if (flags == kFlagClean) {
     accel_sum_ += raw.accel;
     gyro_sum_ += raw.gyro;
     ++clean_count_;
+  } else {
+    if (flags & kFlagDropout) ++counts_.dropout;
+    if (flags & kFlagSaturated) ++counts_.saturated;
+    if (flags & kFlagSpike) ++counts_.spike;
+    if (flags & kFlagNonFinite) ++counts_.nonfinite;
+    if (flags & kFlagRepaired) ++counts_.repaired;
+    if (flags & kFlagMasked) ++counts_.masked;
   }
-  out2_ = out1_;
-  out1_ = Emitted{raw, flags};
+  recent_[counts_.emitted & 1] = {raw, flags};
+  ++counts_.emitted;
 }
 
-void IncrementalQuality::fill_and_emit(std::size_t run,
-                                       std::vector<RepairedSample>& out) {
+template <typename Out>
+void IncrementalQuality::fill_and_emit(std::size_t run, Out& out) {
   // Mirrors hermite_fill: p0 = the last finalized sample (clean by run
   // maximality), p1 = the closing clean sample, tangents one-sided where
-  // the outer neighbors are clean.
-  const Sample& p0s = out1_->raw;
+  // the outer neighbors are clean. p0 and the left tangent are re-read
+  // from the emitted context for every sample, so from the second sample
+  // on they come from the previous gap sample (header: divergences).
   const Sample& p1s = pending_[run].s;
-  const bool m0_clean = out2_.has_value() && out2_->flags == kFlagClean;
+  const bool m0_clean =
+      counts_.emitted >= 2 && second_last_emitted().flags == kFlagClean;
   const bool m1_clean = run + 1 < pending_.size() &&
                         pending_[run + 1].flags == kFlagClean;
   const auto span = static_cast<double>(run + 1);
   for (std::size_t i = 0; i < run; ++i) {
+    const Sample& p0s = last_emitted().raw;
     Sample repaired = pending_[i].s;
     for (double Vec3::*comp : {&Vec3::x, &Vec3::y, &Vec3::z}) {
       for (Vec3 Sample::*channel : {&Sample::accel, &Sample::gyro}) {
@@ -544,7 +565,7 @@ void IncrementalQuality::fill_and_emit(std::size_t run,
         const double p1 = p1s.*channel.*comp;
         const double secant = (p1 - p0) / span;
         const double m0 =
-            m0_clean ? p0 - out2_->raw.*channel.*comp : secant;
+            m0_clean ? p0 - second_last_emitted().raw.*channel.*comp : secant;
         const double m1 =
             m1_clean ? pending_[run + 1].s.*channel.*comp - p1 : secant;
         const double u = static_cast<double>(i + 1) / span;
@@ -559,8 +580,8 @@ void IncrementalQuality::fill_and_emit(std::size_t run,
                  pending_.begin() + static_cast<std::ptrdiff_t>(run));
 }
 
-void IncrementalQuality::mask_and_emit(std::size_t run,
-                                       std::vector<RepairedSample>& out) {
+template <typename Out>
+void IncrementalQuality::mask_and_emit(std::size_t run, Out& out) {
   const Sample neutral = neutral_sample();
   for (std::size_t i = 0; i < run; ++i) {
     Sample repaired = pending_[i].s;
@@ -574,8 +595,8 @@ void IncrementalQuality::mask_and_emit(std::size_t run,
                  pending_.begin() + static_cast<std::ptrdiff_t>(run));
 }
 
-void IncrementalQuality::finalize_ready(std::vector<RepairedSample>& out,
-                                        bool flushing) {
+template <typename Out>
+void IncrementalQuality::finalize_ready(Out& out, bool flushing) {
   while (!pending_.empty()) {
     const std::size_t n = pending_.size();
     // Keep one sample back so its spike test has a right neighbor.
@@ -613,8 +634,8 @@ void IncrementalQuality::finalize_ready(std::vector<RepairedSample>& out,
     // The left endpoint must be a clean finalized sample: absent at stream
     // start (batch: i == 0), and non-clean when this run is the tail of a
     // longer run whose head was already masked.
-    const bool fillable = run <= max_fill_ && out1_.has_value() &&
-                          out1_->flags == kFlagClean;
+    const bool fillable = run <= max_fill_ && counts_.emitted > 0 &&
+                          last_emitted().flags == kFlagClean;
     if (fillable) {
       fill_and_emit(run, out);
     } else {
@@ -623,15 +644,32 @@ void IncrementalQuality::finalize_ready(std::vector<RepairedSample>& out,
   }
 }
 
-void IncrementalQuality::push(const Sample& s,
-                              std::vector<RepairedSample>& out) {
+template <typename Out>
+void IncrementalQuality::push_into(const Sample& s, Out& out) {
   if (!cfg_.enabled) {
-    out.push_back({s, kFlagClean});
+    append(out, s, kFlagClean);
     ++counts_.emitted;
     return;
   }
   std::uint8_t flags = kFlagClean;
   detect_on_push(s, flags);
+  // Common case: a clean newcomer after one clean held-back sample, outside
+  // any held run. The held-back sample's spike test (left context = the
+  // last emitted sample) is all that decides it; when it passes, the
+  // sample is final and the newcomer is held back in its place — what the
+  // general path below concludes, without its bookkeeping.
+  if (flags == kFlagClean && held_run_ == 0 && pending_.size() == 1 &&
+      pending_.front().flags == kFlagClean) {
+    Pending& held = pending_.front();
+    const bool spike = counts_.emitted > 0 &&
+                       (last_emitted().flags & kFlagNonFinite) == 0 &&
+                       is_spike(last_emitted().raw, held.s, s);
+    if (!spike) {
+      emit(held.s, held.s, kFlagClean, out);
+      held.s = s;
+      return;
+    }
+  }
   pending_.push_back({s, flags});
   evaluate_spike_before_last();
   finalize_ready(out, false);
@@ -639,10 +677,26 @@ void IncrementalQuality::push(const Sample& s,
                    "IncrementalQuality: bounded hold-back");
 }
 
-void IncrementalQuality::flush(std::vector<RepairedSample>& out) {
+template <typename Out>
+void IncrementalQuality::flush_into(Out& out) {
   if (!cfg_.enabled) return;
   finalize_ready(out, true);
   PTRACK_CHECK_MSG(pending_.empty(), "IncrementalQuality: flush drains all");
 }
+
+void IncrementalQuality::push(const Sample& s,
+                              std::vector<RepairedSample>& out) {
+  push_into(s, out);
+}
+
+void IncrementalQuality::push(const Sample& s, SampleRing& out) {
+  push_into(s, out);
+}
+
+void IncrementalQuality::flush(std::vector<RepairedSample>& out) {
+  flush_into(out);
+}
+
+void IncrementalQuality::flush(SampleRing& out) { flush_into(out); }
 
 }  // namespace ptrack::imu

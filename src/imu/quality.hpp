@@ -18,11 +18,12 @@
 
 #pragma once
 
+#include <array>
 #include <cstddef>
 #include <cstdint>
-#include <optional>
 #include <vector>
 
+#include "imu/sample_ring.hpp"
 #include "imu/trace.hpp"
 
 namespace ptrack::imu {
@@ -179,11 +180,20 @@ struct IncrementalQualityCounts {
 ///    detector bit can differ right at a decision boundary (the repair
 ///    action itself still matches);
 ///  - Hermite tangent selection next to a gap can fall back to the secant
-///    when the outer neighbor's flags were not yet final.
+///    when the outer neighbor's flags were not yet final;
+///  - a gap fill takes its left endpoint and tangent from the two most
+///    recently emitted samples *as it emits*, so from a run's second sample
+///    on it bridges from the previous sample's raw (pre-repair) value, not
+///    from the clean sample before the gap as batch does.
 ///
 /// Latency: a sample is held back at most latency_bound() samples
 /// (~ max_fill_s plus the dropout-run and spike lookaheads; ~0.3 s at
 /// 100 Hz with defaults).
+///
+/// Cost: the common case (a clean newcomer, one clean held-back sample and
+/// no held run) is decided directly — the spike test on plain component
+/// compares, then the held-back sample is emitted and the newcomer takes
+/// its place — without the general finalization loop.
 class IncrementalQuality {
  public:
   explicit IncrementalQuality(double fs, QualityConfig cfg = {});
@@ -191,10 +201,14 @@ class IncrementalQuality {
   /// Ingests one raw sample; appends finalized samples (possibly none, or
   /// several when a held run resolves) to `out`.
   void push(const Sample& s, std::vector<RepairedSample>& out);
+  /// Same, appending the finalized samples (with their flags) straight to
+  /// a ring — the streaming tracker's path, without a staging buffer.
+  void push(const Sample& s, SampleRing& out);
 
   /// Finalizes every pending sample (end-of-run gaps are masked, exactly
   /// like batch runs that touch the trace edge).
   void flush(std::vector<RepairedSample>& out);
+  void flush(SampleRing& out);
 
   /// Samples currently held back.
   [[nodiscard]] std::size_t pending() const { return pending_.size(); }
@@ -217,14 +231,32 @@ class IncrementalQuality {
     std::uint8_t flags = kFlagClean;
   };
 
+  template <typename Out>
+  void push_into(const Sample& s, Out& out);
+  template <typename Out>
+  void flush_into(Out& out);
   void detect_on_push(const Sample& s, std::uint8_t& flags);
+  [[nodiscard]] bool is_spike(const Sample& left, const Sample& center,
+                              const Sample& right) const;
   void evaluate_spike_before_last();
-  void finalize_ready(std::vector<RepairedSample>& out, bool flushing);
+  template <typename Out>
+  void finalize_ready(Out& out, bool flushing);
+  template <typename Out>
   void emit(const Sample& repaired, const Sample& raw, std::uint8_t flags,
-            std::vector<RepairedSample>& out);
-  void fill_and_emit(std::size_t run, std::vector<RepairedSample>& out);
-  void mask_and_emit(std::size_t run, std::vector<RepairedSample>& out);
+            Out& out);
+  template <typename Out>
+  void fill_and_emit(std::size_t run, Out& out);
+  template <typename Out>
+  void mask_and_emit(std::size_t run, Out& out);
   [[nodiscard]] Sample neutral_sample() const;
+  /// The most recently emitted sample (requires counts_.emitted >= 1) and
+  /// the one before it (requires >= 2).
+  [[nodiscard]] const Emitted& last_emitted() const {
+    return recent_[(counts_.emitted - 1) & 1];
+  }
+  [[nodiscard]] const Emitted& second_last_emitted() const {
+    return recent_[counts_.emitted & 1];
+  }
 
   QualityConfig cfg_;
   double fs_;
@@ -252,8 +284,8 @@ class IncrementalQuality {
   std::size_t clean_count_ = 0;
 
   // Last two finalized samples: left context for spikes and gap tangents.
-  std::optional<Emitted> out1_;  ///< most recent
-  std::optional<Emitted> out2_;
+  // emit() overwrites the older slot, recent_[counts_.emitted & 1].
+  std::array<Emitted, 2> recent_{};
 
   IncrementalQualityCounts counts_;
 };

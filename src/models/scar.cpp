@@ -24,8 +24,11 @@ void channel_features(std::span<const double> xs, double fs,
   out.push_back(stats::mean(xs));
   out.push_back(stats::stddev(xs));
   out.push_back(stats::rms(xs));
-  out.push_back(dsp::dominant_frequency(xs, fs));
-  out.push_back(dsp::spectral_entropy(xs));
+  // One transform serves both spectral features (windows are >= 16
+  // samples, so dominant_frequency's short-input case never applies).
+  const std::vector<double> mag = dsp::magnitude_spectrum(xs);
+  out.push_back(dsp::spectrum_peak_frequency(mag, fs));
+  out.push_back(dsp::spectrum_entropy(mag));
   const std::size_t max_lag = xs.size() / 2;
   const std::size_t min_lag = std::max<std::size_t>(2, xs.size() / 16);
   const std::size_t period = dsp::dominant_period(xs, min_lag, max_lag);

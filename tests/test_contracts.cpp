@@ -88,11 +88,4 @@ TEST(ContractsInLibraries, WeightedOffsetStaysNormalized) {
   EXPECT_LE(offset, 1.0);
 }
 
-TEST(ContractsInLibraries, WorkspaceRejectsOutOfRangeSlot) {
-  dsp::Workspace ws;
-  EXPECT_THROW((void)ws.real_scratch(dsp::Workspace::kRealSlots, 8),
-               InvalidArgument);
-  EXPECT_NO_THROW((void)ws.real_scratch(dsp::Workspace::kRealSlots - 1, 8));
-}
-
 }  // namespace

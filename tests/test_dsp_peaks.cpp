@@ -5,6 +5,7 @@
 #include <cmath>
 
 #include "common/angles.hpp"
+#include "common/rng.hpp"
 #include "dsp/peaks.hpp"
 
 using namespace ptrack;
@@ -126,4 +127,104 @@ TEST(FindExtrema, ValuesMatchSignal) {
       EXPECT_NEAR(e.value, -1.0, 0.01);
     }
   }
+}
+
+namespace {
+
+/// Seeded signal that stresses the incremental scan's edge cases: exact
+/// ties and plateaus (quantized levels and held runs, which hop edges cut),
+/// and chains of ever taller peaks closer than the suppression distance.
+std::vector<double> adversarial_signal(std::uint64_t seed, std::size_t n) {
+  Rng rng(seed);
+  std::vector<double> xs;
+  double phase = 0.0;
+  while (xs.size() < n) {
+    const int len = rng.uniform_int(4, 120);
+    switch (rng.uniform_int(0, 3)) {
+      case 0:  // quantized noisy wave
+        for (int k = 0; k < len; ++k) {
+          phase += 0.15;
+          xs.push_back(
+              std::round((2.0 * std::sin(phase) + rng.normal(0.0, 0.3)) * 4.0) /
+              4.0);
+        }
+        break;
+      case 1:  // held run
+        xs.insert(xs.end(), static_cast<std::size_t>(len),
+                  xs.empty() ? 0.0 : xs.back());
+        break;
+      case 2: {  // chain of taller peaks
+        double h = rng.uniform(-1.0, 1.0);
+        for (int k = 0; k < len / 4; ++k) {
+          const int gap = rng.uniform_int(1, 6);
+          for (int g = 0; g < gap; ++g) xs.push_back(h - 1.0);
+          xs.push_back(h);
+          h += rng.chance(0.2) ? 0.0 : 0.25;
+        }
+        break;
+      }
+      default:  // small integer levels
+        for (int k = 0; k < len; ++k) xs.push_back(rng.uniform_int(0, 3));
+        break;
+    }
+  }
+  xs.resize(n);
+  return xs;
+}
+
+}  // namespace
+
+// The incremental scan must return exactly what a rescan of the same
+// window returns, on every call, as both window edges slide forward in
+// uneven steps (edges landing inside plateaus, starts passing maxima and
+// the walks' breakers).
+TEST(PeakScan, MatchesRescanOnEveryWindow) {
+  std::vector<dsp::PeakOptions> opts(4);
+  opts[1].min_distance = 5;
+  opts[1].min_prominence = 0.3;
+  opts[2].min_distance = 30;
+  opts[2].min_prominence = 1.0;
+  opts[2].min_height = 0.5;
+  opts[3].min_distance = 12;
+  opts[3].min_prominence = 0.01;
+  std::size_t windows = 0;
+  for (std::uint64_t seed = 1; seed <= 40; ++seed) {
+    const std::vector<double> xs = adversarial_signal(seed, 4000);
+    for (const dsp::PeakOptions& opt : opts) {
+      Rng rng(seed * 7919);
+      dsp::PeakScan scan;
+      std::vector<std::size_t> got;
+      std::vector<std::size_t> want;
+      std::size_t begin = 0;
+      std::size_t end = 0;
+      while (end < xs.size()) {
+        end = std::min(xs.size(), end + static_cast<std::size_t>(
+                                            rng.uniform_int(1, 150)));
+        const std::size_t lookback =
+            static_cast<std::size_t>(rng.uniform_int(0, 700));
+        begin = std::max(begin, end > lookback ? end - lookback : 0);
+        const std::span<const double> window(xs.data() + begin, end - begin);
+        scan.scan(window, begin, opt, got);
+        dsp::find_peaks_into(window, opt, want);
+        ASSERT_EQ(got, want) << "seed " << seed << " window [" << begin
+                             << ", " << end << ")";
+        ++windows;
+      }
+    }
+  }
+  EXPECT_GT(windows, 5000u);
+}
+
+TEST(PeakScan, StartsOverWhenTheWindowMovesBack) {
+  const std::vector<double> xs = adversarial_signal(99, 1000);
+  dsp::PeakOptions opt;
+  opt.min_distance = 8;
+  opt.min_prominence = 0.5;
+  dsp::PeakScan scan;
+  std::vector<std::size_t> got;
+  std::vector<std::size_t> want;
+  scan.scan(std::span<const double>(xs).subspan(400, 600), 400, opt, got);
+  scan.scan(std::span<const double>(xs).first(500), 0, opt, got);
+  dsp::find_peaks_into(std::span<const double>(xs).first(500), opt, want);
+  EXPECT_EQ(got, want);
 }

@@ -345,3 +345,29 @@ TEST(Quality, Preconditions) {
   cfg.window_s = 0.0;
   EXPECT_THROW(imu::assess(trace, cfg), InvalidArgument);
 }
+
+// The online stage decides a clean sample after a clean held-back one on a
+// direct path (imu/quality.hpp, "Cost"); an isolated spike between clean
+// neighbors is decided there too, and must be flagged exactly where the
+// batch detector flags it.
+TEST(Quality, IncrementalFastPathFlagsEveryIsolatedSpike) {
+  const imu::Trace clean = walking(77, 60.0).trace;
+  Rng rng(7700);
+  const imu::Trace spiky = imu::inject_spikes(clean, 6.0, 5.0, rng,
+                                              imu::FaultChannels::Both);
+  const imu::QualityReport batch = imu::assess(spiky);
+  imu::IncrementalQuality inc(spiky.fs());
+  std::vector<imu::RepairedSample> out;
+  for (const imu::Sample& s : spiky.samples()) inc.push(s, out);
+  inc.flush(out);
+  ASSERT_EQ(out.size(), spiky.size());
+  std::size_t spikes = 0;
+  for (std::size_t i = 0; i < out.size(); ++i) {
+    EXPECT_EQ(out[i].flags & imu::kFlagSpike,
+              batch.flags[i] & imu::kFlagSpike)
+        << "i=" << i;
+    spikes += (batch.flags[i] & imu::kFlagSpike) ? 1 : 0;
+  }
+  EXPECT_GE(spikes, 3u);
+  EXPECT_EQ(inc.counts().spike, spikes);
+}
