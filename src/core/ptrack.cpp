@@ -24,25 +24,29 @@ TrackResult PTrack::process(const imu::Trace& trace) const {
   if (trace.size() < 16) return {};
   PTRACK_OBS_SPAN("ptrack.core.process");
   PTRACK_COUNT("ptrack.core.traces");
-  obs::StageTimer timer;
-  if (!cfg_.quality.enabled) return run_pipeline(trace, nullptr);
+  imu::SampleRing ring;
+  if (!cfg_.quality.enabled) {
+    for (const imu::Sample& s : trace.samples()) ring.push(s, 0);
+    return run_pipeline(ring, trace.fs());
+  }
 
-  const imu::QualityResult repaired =
-      imu::assess_and_repair(trace, cfg_.quality);
+  // The trace streams through the online quality stage straight into the
+  // ring, with its per-sample flags: the drained-stream computation.
+  obs::StageTimer timer;
+  const imu::QualityReport report =
+      imu::repair_into(trace, cfg_.quality, ring);
   const double quality_us = timer.lap_us();
-  if (!repaired.report.usable) {
+  if (!report.usable) {
     PTRACK_COUNT("ptrack.core.unusable_traces");
     throw Error("PTrack::process: trace unusable (" +
-                std::to_string(repaired.report.nonfinite_samples) + " of " +
+                std::to_string(report.nonfinite_samples) + " of " +
                 std::to_string(trace.size()) +
                 " samples non-finite or nonphysical)");
   }
-  // The pipeline's assembler reads per-sample flags off the ring, so cycle
-  // and event confidences come out already annotated (identical arithmetic
-  // to QualityReport::fraction_flagged / fraction_masked).
-  TrackResult result = run_pipeline(repaired.trace, &repaired.report.flags);
+  // The pipeline's assembler reads the flags off the ring, so cycle and
+  // event confidences come out already annotated.
+  TrackResult result = run_pipeline(ring, trace.fs());
 
-  const imu::QualityReport& report = repaired.report;
   result.quality.clean_fraction = report.clean_fraction;
   result.quality.repaired_fraction = report.repaired_fraction;
   result.quality.masked_fraction = report.masked_fraction;
@@ -55,23 +59,10 @@ TrackResult PTrack::process(const imu::Trace& trace) const {
   return result;
 }
 
-TrackResult PTrack::process_repaired(const imu::Trace& trace) const {
-  return run_pipeline(trace, nullptr);
-}
-
-TrackResult PTrack::run_pipeline(
-    const imu::Trace& trace, const std::vector<std::uint8_t>* flags) const {
-  if (trace.size() < 16) return {};
-  check(flags == nullptr || flags->size() == trace.size(),
-        "PTrack: one quality flag per sample");
-  imu::SampleRing ring;
-  const std::vector<imu::Sample>& samples = trace.samples();
-  for (std::size_t i = 0; i < samples.size(); ++i) {
-    ring.push(samples[i], flags ? (*flags)[i] : 0);
-  }
+TrackResult PTrack::run_pipeline(imu::SampleRing& ring, double fs) const {
   // One push + one flush over a fresh pipeline = the batch computation
   // (see core/stages.hpp for the equivalence contract).
-  StagePipeline pipeline(cfg_.counter, cfg_.stride, trace.fs(), &workspace_);
+  StagePipeline pipeline(cfg_.counter, cfg_.stride, fs, &workspace_);
   pipeline.advance(ring, /*flush=*/true);
 
   TrackResult result;

@@ -9,14 +9,13 @@
 
 #pragma once
 
-#include <cstdint>
 #include <memory>
-#include <vector>
 
 #include "core/stride_estimator.hpp"
 #include "core/types.hpp"
 #include "dsp/workspace.hpp"
 #include "imu/quality.hpp"
+#include "imu/sample_ring.hpp"
 #include "imu/trace.hpp"
 #include "models/step_counter.hpp"
 
@@ -38,10 +37,11 @@ struct PTrackConfig {
 ///
 /// Since the stage-graph refactor, process() is a thin batch driver over
 /// the same incremental core the streaming tracker runs (core/stages.hpp):
-/// the trace is loaded into an imu::SampleRing and a fresh StagePipeline is
-/// advanced once with flush, which degenerates every stage to exactly the
-/// batch computation. Batch results are therefore the oracle the streaming
-/// mode is validated against.
+/// the trace streams through the online quality stage into an
+/// imu::SampleRing and a fresh StagePipeline is advanced once with flush,
+/// which degenerates every stage to exactly the batch computation. Batch
+/// results are therefore the oracle the streaming mode is validated
+/// against; a stream drained in one hop reproduces them bit for bit.
 ///
 /// Each instance owns a dsp::Workspace that process() reuses across calls,
 /// so repeated invocations (streaming hops, batch traces) run without the
@@ -55,28 +55,22 @@ class PTrack {
 
   /// Runs the full pipeline over a trace. Every counted step's event gets
   /// its stride filled in (0 when the geometry solve degenerates). With the
-  /// quality layer enabled (default) the trace is assessed and repaired
-  /// first, and the result's quality/confidence fields are populated;
+  /// quality layer enabled (default) the trace streams through the online
+  /// quality stage first (imu::repair_into: the same computation a drained
+  /// StreamingTracker runs), and the result's quality/confidence fields are
+  /// populated;
   /// throws ptrack::Error when the trace is unusable (dominated by
   /// non-finite or nonphysical cells — there is no signal to track).
   [[nodiscard]] TrackResult process(const imu::Trace& trace) const;
-
-  /// The pipeline body without the quality layer (projection -> counting
-  /// -> strides) over a trace taken as clean: no assessment, no repair,
-  /// no quality fields. Self-training uses it to read the classified
-  /// cycles of its calibration walks.
-  [[nodiscard]] TrackResult process_repaired(const imu::Trace& trace) const;
 
   [[nodiscard]] const PTrackConfig& config() const { return cfg_; }
   void set_profile(const StrideProfile& profile);
 
  private:
 
-  /// Batch driver: loads the trace (with optional per-sample quality flags)
-  /// into a ring and flushes one StagePipeline over it.
-  [[nodiscard]] TrackResult run_pipeline(
-      const imu::Trace& trace,
-      const std::vector<std::uint8_t>* flags) const;
+  /// Batch driver: flushes one StagePipeline over the loaded ring.
+  [[nodiscard]] TrackResult run_pipeline(imu::SampleRing& ring,
+                                         double fs) const;
 
   PTrackConfig cfg_;
   mutable dsp::Workspace workspace_;  ///< scratch reused across process()

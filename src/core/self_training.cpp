@@ -24,11 +24,12 @@ CycleBank classify_cycles(const imu::Trace& trace,
   CycleBank bank;
   bank.projected = project_trace(trace, cfg.counter.lowpass_hz);
   // Classify on the same projection the bank keeps: one whole-trace
-  // anterior fit.
+  // anterior fit over the raw samples.
   PTrackConfig pcfg;
   pcfg.counter = cfg.counter;
   pcfg.counter.anterior_window_s = 0.0;
-  const TrackResult result = PTrack(pcfg).process_repaired(trace);
+  pcfg.quality.enabled = false;
+  const TrackResult result = PTrack(pcfg).process(trace);
   for (const CycleRecord& c : result.cycles) {
     if (c.type == GaitType::Walking) bank.walking.push_back(c);
     if (c.type == GaitType::Stepping) bank.stepping.push_back(c);

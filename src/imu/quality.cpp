@@ -40,87 +40,6 @@ double max_abs_gyro(const Sample& s) {
                    std::abs(s.gyro.z)});
 }
 
-void detect_nonfinite(const std::vector<Sample>& samples,
-                      const QualityConfig& cfg,
-                      std::vector<std::uint8_t>& flags) {
-  for (std::size_t i = 0; i < samples.size(); ++i) {
-    if (!sample_physical(samples[i], cfg)) set_flag(flags[i], kFlagNonFinite);
-  }
-}
-
-void detect_dropouts(const std::vector<Sample>& samples,
-                     const QualityConfig& cfg,
-                     std::vector<std::uint8_t>& flags) {
-  // A held run repeats the *whole* sample (accel and gyro): a dropped
-  // transport packet loses both, and requiring both makes the detector
-  // immune to one quantized channel idling while the other still moves.
-  std::size_t i = 1;
-  while (i < samples.size()) {
-    const bool held = (flags[i] & kFlagNonFinite) == 0 &&
-                      (flags[i - 1] & kFlagNonFinite) == 0 &&
-                      samples[i].accel == samples[i - 1].accel &&
-                      samples[i].gyro == samples[i - 1].gyro;
-    if (!held) {
-      ++i;
-      continue;
-    }
-    std::size_t j = i;
-    while (j < samples.size() && (flags[j] & kFlagNonFinite) == 0 &&
-           samples[j].accel == samples[j - 1].accel &&
-           samples[j].gyro == samples[j - 1].gyro) {
-      ++j;
-    }
-    if (j - i >= cfg.min_dropout_run) {
-      for (std::size_t k = i; k < j; ++k) set_flag(flags[k], kFlagDropout);
-    }
-    i = j;
-  }
-}
-
-void detect_saturation(const std::vector<Sample>& samples,
-                       const QualityConfig& cfg,
-                       std::vector<std::uint8_t>& flags) {
-  double accel_limit = cfg.saturation_limit;
-  if (accel_limit <= 0.0) {
-    // Auto-detect: clipping pins several samples to the exact same rail
-    // value — a continuous noisy signal never repeats its maximum exactly.
-    double rail = 0.0;
-    for (std::size_t i = 0; i < samples.size(); ++i) {
-      if ((flags[i] & kFlagNonFinite) == 0) {
-        rail = std::max(rail, max_abs_accel(samples[i]));
-      }
-    }
-    std::size_t at_rail = 0;
-    if (rail > 1.2 * kGravity) {  // below that it is just gravity at rest
-      for (std::size_t i = 0; i < samples.size(); ++i) {
-        if ((flags[i] & kFlagNonFinite) == 0 &&
-            max_abs_accel(samples[i]) >= rail * (1.0 - 1e-12)) {
-          ++at_rail;
-        }
-      }
-    }
-    if (at_rail >= cfg.min_saturation_plateau) accel_limit = rail;
-  }
-  if (accel_limit > 0.0) {
-    const double thr = accel_limit * (1.0 - 1e-9);
-    for (std::size_t i = 0; i < samples.size(); ++i) {
-      if ((flags[i] & kFlagNonFinite) == 0 &&
-          max_abs_accel(samples[i]) >= thr) {
-        set_flag(flags[i], kFlagSaturated);
-      }
-    }
-  }
-  if (cfg.gyro_saturation_limit > 0.0) {
-    const double thr = cfg.gyro_saturation_limit * (1.0 - 1e-9);
-    for (std::size_t i = 0; i < samples.size(); ++i) {
-      if ((flags[i] & kFlagNonFinite) == 0 &&
-          max_abs_gyro(samples[i]) >= thr) {
-        set_flag(flags[i], kFlagSaturated);
-      }
-    }
-  }
-}
-
 /// Excursion-and-return: `cur` departs from BOTH neighbors by more than
 /// `delta`, in the same direction. A genuine fast motion moves the
 /// neighbors with it.
@@ -131,35 +50,9 @@ bool excursion(double prev, double cur, double next, double delta) {
          d_prev * d_next > 0.0;
 }
 
-void detect_component_spikes(const std::vector<Sample>& samples,
-                             double delta, double Vec3::*comp,
-                             Vec3 Sample::*channel,
-                             std::vector<std::uint8_t>& flags) {
-  for (std::size_t i = 1; i + 1 < samples.size(); ++i) {
-    if (flags[i] != kFlagClean) continue;
-    if ((flags[i - 1] | flags[i + 1]) & kFlagNonFinite) continue;
-    if (excursion(samples[i - 1].*channel.*comp, samples[i].*channel.*comp,
-                  samples[i + 1].*channel.*comp, delta)) {
-      set_flag(flags[i], kFlagSpike);
-    }
-  }
-}
-
-void detect_spikes(const std::vector<Sample>& samples,
-                   const QualityConfig& cfg,
-                   std::vector<std::uint8_t>& flags) {
-  for (double Vec3::*comp : {&Vec3::x, &Vec3::y, &Vec3::z}) {
-    detect_component_spikes(samples, cfg.spike_delta, comp, &Sample::accel,
-                            flags);
-    detect_component_spikes(samples, cfg.gyro_spike_delta, comp,
-                            &Sample::gyro, flags);
-  }
-}
-
 /// One point of the cubic Hermite gap bridge: endpoint values p0/p1,
 /// endpoint tangents m0/m1 (per-sample slopes), gap span in samples and
-/// the normalized position u in (0, 1). Shared by the batch fill and the
-/// incremental stage so the two paths are arithmetic-identical.
+/// the normalized position u in (0, 1).
 double hermite_point(double p0, double m0, double p1, double m1, double span,
                      double u) {
   const double u2 = u * u;
@@ -171,33 +64,6 @@ double hermite_point(double p0, double m0, double p1, double m1, double span,
   return h00 * p0 + h10 * (m0 * span) + h01 * p1 + h11 * (m1 * span);
 }
 
-/// Cubic Hermite fill of one component over the gap [a, b) using the clean
-/// endpoint samples a-1 and b, with one-sided tangents when the outer
-/// neighbors are clean too. For a clipped peak the endpoint slopes point
-/// "into" the gap, so the curve bulges beyond the endpoints — a first-order
-/// reconstruction of the cut-off extremum.
-void hermite_fill(std::vector<Sample>& samples,
-                  const std::vector<std::uint8_t>& flags, std::size_t a,
-                  std::size_t b, double Vec3::*comp, Vec3 Sample::*channel) {
-  const std::size_t n = samples.size();
-  const double p0 = samples[a - 1].*channel.*comp;
-  const double p1 = samples[b].*channel.*comp;
-  const auto span = static_cast<double>(b - a + 1);
-  const double secant = (p1 - p0) / span;
-  const double m0 = (a >= 2 && flags[a - 2] == kFlagClean)
-                        ? samples[a - 1].*channel.*comp -
-                              samples[a - 2].*channel.*comp
-                        : secant;
-  const double m1 = (b + 1 < n && flags[b + 1] == kFlagClean)
-                        ? samples[b + 1].*channel.*comp -
-                              samples[b].*channel.*comp
-                        : secant;
-  for (std::size_t i = a; i < b; ++i) {
-    const double u = static_cast<double>(i - a + 1) / span;
-    samples[i].*channel.*comp = hermite_point(p0, m0, p1, m1, span, u);
-  }
-}
-
 void validate(const QualityConfig& cfg) {
   expects(cfg.min_dropout_run >= 1, "quality: min_dropout_run >= 1");
   expects(cfg.spike_delta > 0.0 && cfg.gyro_spike_delta > 0.0,
@@ -207,173 +73,9 @@ void validate(const QualityConfig& cfg) {
   expects(cfg.max_fill_s >= 0.0, "quality: max_fill_s >= 0");
   expects(cfg.min_usable_fraction >= 0.0 && cfg.min_usable_fraction <= 1.0,
           "quality: min_usable_fraction in [0,1]");
-  expects(cfg.window_s > 0.0, "quality: window_s > 0");
-}
-
-/// Shared worker: detection, repair planning and (when `repaired` is
-/// non-null) the actual value rewrite.
-QualityReport analyze(const Trace& trace, const QualityConfig& cfg,
-                      std::vector<Sample>* repaired) {
-  validate(cfg);
-  QualityReport report;
-  const std::size_t n = trace.size();
-  report.flags.assign(n, kFlagClean);
-  report.window_s = cfg.window_s;
-  if (!cfg.enabled || n == 0) {
-    if (n > 0) {
-      const auto window_len = std::max<std::size_t>(
-          1, static_cast<std::size_t>(std::llround(cfg.window_s * trace.fs())));
-      report.window_flags.assign((n + window_len - 1) / window_len,
-                                 kFlagClean);
-      report.window_s = static_cast<double>(window_len) / trace.fs();
-    }
-    return report;
-  }
-
-  const std::vector<Sample>& samples = trace.samples();
-  std::vector<std::uint8_t>& flags = report.flags;
-  detect_nonfinite(samples, cfg, flags);
-  detect_dropouts(samples, cfg, flags);
-  detect_saturation(samples, cfg, flags);
-  detect_spikes(samples, cfg, flags);
-
-  // Neutral hold value for masked regions: the mean clean sample. With any
-  // gravity-bearing trace that is approximately the gravity vector, i.e. a
-  // stationary device — masked stretches cannot fabricate steps.
-  Vec3 neutral_accel{0.0, 0.0, kGravity};
-  Vec3 neutral_gyro{};
-  std::size_t clean_count = 0;
-  Vec3 accel_sum{};
-  Vec3 gyro_sum{};
-  for (std::size_t i = 0; i < n; ++i) {
-    if (flags[i] == kFlagClean) {
-      accel_sum += samples[i].accel;
-      gyro_sum += samples[i].gyro;
-      ++clean_count;
-    }
-  }
-  if (clean_count > 0) {
-    neutral_accel = accel_sum / static_cast<double>(clean_count);
-    neutral_gyro = gyro_sum / static_cast<double>(clean_count);
-  }
-
-  const auto max_fill = static_cast<std::size_t>(
-      std::llround(cfg.max_fill_s * trace.fs()));
-
-  // Repair plan over maximal flagged runs. Interpolation needs a clean
-  // sample on both sides; runs that are too long, touch a trace edge, or
-  // carry no usable endpoints are hard-masked instead.
-  std::size_t i = 0;
-  while (i < n) {
-    if (flags[i] == kFlagClean) {
-      ++i;
-      continue;
-    }
-    std::size_t j = i;
-    while (j < n && flags[j] != kFlagClean) ++j;
-    const bool fillable = (j - i) <= max_fill && i > 0 && j < n;
-    for (std::size_t k = i; k < j; ++k) {
-      set_flag(flags[k], fillable ? kFlagRepaired : kFlagMasked);
-    }
-    if (repaired != nullptr) {
-      if (fillable) {
-        for (double Vec3::*comp : {&Vec3::x, &Vec3::y, &Vec3::z}) {
-          hermite_fill(*repaired, flags, i, j, comp, &Sample::accel);
-          hermite_fill(*repaired, flags, i, j, comp, &Sample::gyro);
-        }
-      } else {
-        for (std::size_t k = i; k < j; ++k) {
-          (*repaired)[k].accel = neutral_accel;
-          (*repaired)[k].gyro = neutral_gyro;
-        }
-      }
-    }
-    i = j;
-  }
-
-  for (std::size_t k = 0; k < n; ++k) {
-    if (flags[k] & kFlagDropout) ++report.dropout_samples;
-    if (flags[k] & kFlagSaturated) ++report.saturated_samples;
-    if (flags[k] & kFlagSpike) ++report.spike_samples;
-    if (flags[k] & kFlagNonFinite) ++report.nonfinite_samples;
-    if (flags[k] & kFlagRepaired) ++report.repaired_samples;
-    if (flags[k] & kFlagMasked) ++report.masked_samples;
-  }
-  PTRACK_CHECK_MSG(report.repaired_samples + report.masked_samples <= n,
-                   "quality: repair plan covers each sample at most once");
-  const auto dn = static_cast<double>(n);
-  report.repaired_fraction = static_cast<double>(report.repaired_samples) / dn;
-  report.masked_fraction = static_cast<double>(report.masked_samples) / dn;
-  report.clean_fraction =
-      1.0 - report.repaired_fraction - report.masked_fraction;
-  // Usability gates on *information content*: held or clipped stretches are
-  // still a (degraded) record of real motion and repair recovers them, but
-  // non-finite/nonphysical cells are pure garbage. A trace dominated by
-  // garbage has nothing to track.
-  report.usable = (dn - static_cast<double>(report.nonfinite_samples)) / dn >=
-                  cfg.min_usable_fraction;
-
-  const auto window_len = std::max<std::size_t>(
-      1, static_cast<std::size_t>(std::llround(cfg.window_s * trace.fs())));
-  report.window_s = static_cast<double>(window_len) / trace.fs();
-  report.window_flags.assign((n + window_len - 1) / window_len, kFlagClean);
-  for (std::size_t k = 0; k < n; ++k) {
-    set_flag(report.window_flags[k / window_len], flags[k]);
-  }
-  return report;
-}
-
-double fraction_with(const std::vector<std::uint8_t>& flags,
-                     std::size_t begin, std::size_t end,
-                     std::uint8_t mask) {
-  end = std::min(end, flags.size());
-  if (begin >= end) return 0.0;
-  std::size_t hits = 0;
-  for (std::size_t i = begin; i < end; ++i) {
-    if (flags[i] & mask) ++hits;
-  }
-  return static_cast<double>(hits) / static_cast<double>(end - begin);
 }
 
 }  // namespace
-
-double QualityReport::fraction_flagged(std::size_t begin,
-                                       std::size_t end) const {
-  return fraction_with(flags, begin, end, 0xFF);
-}
-
-double QualityReport::fraction_masked(std::size_t begin,
-                                      std::size_t end) const {
-  return fraction_with(flags, begin, end, kFlagMasked);
-}
-
-namespace {
-
-void count_quality(const QualityReport& report) {
-  PTRACK_COUNT("ptrack.imu.quality.traces");
-  PTRACK_COUNT_N("ptrack.imu.quality.samples_repaired", report.repaired_samples);
-  PTRACK_COUNT_N("ptrack.imu.quality.samples_masked", report.masked_samples);
-  if (report.repaired_samples + report.masked_samples > 0) {
-    PTRACK_COUNT("ptrack.imu.quality.traces_degraded");
-  }
-}
-
-}  // namespace
-
-QualityReport assess(const Trace& trace, const QualityConfig& cfg) {
-  PTRACK_OBS_SPAN("ptrack.imu.quality");
-  QualityReport report = analyze(trace, cfg, nullptr);
-  count_quality(report);
-  return report;
-}
-
-QualityResult assess_and_repair(const Trace& trace, const QualityConfig& cfg) {
-  PTRACK_OBS_SPAN("ptrack.imu.quality");
-  std::vector<Sample> samples = trace.samples();
-  QualityReport report = analyze(trace, cfg, &samples);
-  count_quality(report);
-  return {Trace(trace.fs(), std::move(samples)), std::move(report)};
-}
 
 // ---------------------------------------------------------------------------
 // IncrementalQuality
@@ -423,7 +125,9 @@ inline void IncrementalQuality::detect_on_push(const Sample& s,
 
   // Saturation. Explicit rails flag immediately; the auto rail is a running
   // maximum that confirms once enough samples have dwelled at it, then
-  // retro-flags whatever part of the plateau is still pending.
+  // retro-flags whatever part of the plateau is still pending. A held
+  // repeat is one reading, not a dwell: a dropout holding at the running
+  // maximum must not confirm it as a rail.
   if (!cur_nonfinite) {
     const double m = max_abs_accel(s);
     if (cfg_.saturation_limit > 0.0) {
@@ -434,7 +138,7 @@ inline void IncrementalQuality::detect_on_push(const Sample& s,
       if (m > rail_) {
         rail_ = m;
         rail_count_ = 1;
-      } else if (m >= rail_ * (1.0 - 1e-12)) {
+      } else if (!held && m >= rail_ * (1.0 - 1e-12)) {
         ++rail_count_;
       }
       if (rail_ > 1.2 * kGravity &&
@@ -491,12 +195,15 @@ void IncrementalQuality::evaluate_spike_before_last() {
     left = &last_emitted().raw;
     left_flags = last_emitted().flags;
   } else {
-    return;  // stream-start sample: batch never flags index 0 either
+    return;  // stream-start sample: no left neighbor, never a spike
   }
   if ((left_flags | right.flags) & kFlagNonFinite) return;
   if (is_spike(*left, center.s, right.s)) set_flag(center.flags, kFlagSpike);
 }
 
+// The neutral hold value for masked runs: the running mean clean sample.
+// With any gravity-bearing stream that is approximately the gravity vector,
+// i.e. a stationary device, so masked stretches cannot fabricate steps.
 Sample IncrementalQuality::neutral_sample() const {
   Sample s;
   if (clean_count_ > 0) {
@@ -545,11 +252,15 @@ inline void IncrementalQuality::emit(const Sample& repaired,
 
 template <typename Out>
 void IncrementalQuality::fill_and_emit(std::size_t run, Out& out) {
-  // Mirrors hermite_fill: p0 = the last finalized sample (clean by run
+  // Cubic Hermite bridge: p0 = the last finalized sample (clean by run
   // maximality), p1 = the closing clean sample, tangents one-sided where
-  // the outer neighbors are clean. p0 and the left tangent are re-read
-  // from the emitted context for every sample, so from the second sample
-  // on they come from the previous gap sample (header: divergences).
+  // the outer neighbors are clean. For a clipped peak the endpoint slopes
+  // point "into" the gap, so the curve bulges beyond the endpoints — a
+  // first-order reconstruction of the cut-off extremum. The left context is
+  // copied before the loop: emit() overwrites recent_, and every sample of
+  // the run bridges from the same endpoints.
+  const Sample p0s = last_emitted().raw;
+  const Sample outer = second_last_emitted().raw;
   const Sample& p1s = pending_[run].s;
   const bool m0_clean =
       counts_.emitted >= 2 && second_last_emitted().flags == kFlagClean;
@@ -557,15 +268,13 @@ void IncrementalQuality::fill_and_emit(std::size_t run, Out& out) {
                         pending_[run + 1].flags == kFlagClean;
   const auto span = static_cast<double>(run + 1);
   for (std::size_t i = 0; i < run; ++i) {
-    const Sample& p0s = last_emitted().raw;
     Sample repaired = pending_[i].s;
     for (double Vec3::*comp : {&Vec3::x, &Vec3::y, &Vec3::z}) {
       for (Vec3 Sample::*channel : {&Sample::accel, &Sample::gyro}) {
         const double p0 = p0s.*channel.*comp;
         const double p1 = p1s.*channel.*comp;
         const double secant = (p1 - p0) / span;
-        const double m0 =
-            m0_clean ? p0 - second_last_emitted().raw.*channel.*comp : secant;
+        const double m0 = m0_clean ? p0 - outer.*channel.*comp : secant;
         const double m1 =
             m1_clean ? pending_[run + 1].s.*channel.*comp - p1 : secant;
         const double u = static_cast<double>(i + 1) / span;
@@ -619,7 +328,7 @@ void IncrementalQuality::finalize_ready(Out& out, bool flushing) {
     const bool closed = run < n;
     if (!closed) {
       // Open run: a run already longer than the fill limit will be masked
-      // no matter how it ends (batch masks on total length); emit it now
+      // no matter how it ends (masking goes by total length); emit it now
       // to keep the latency bound. Otherwise wait for the closing sample.
       if (flushing || run > max_fill_) {
         mask_and_emit(run, out);
@@ -632,8 +341,8 @@ void IncrementalQuality::finalize_ready(Out& out, bool flushing) {
     // bit settles only once pending_[run + 2] has arrived.
     if (!flushing && n < run + 3) break;
     // The left endpoint must be a clean finalized sample: absent at stream
-    // start (batch: i == 0), and non-clean when this run is the tail of a
-    // longer run whose head was already masked.
+    // start, and non-clean when this run is the tail of a longer run whose
+    // head was already masked.
     const bool fillable = run <= max_fill_ && counts_.emitted > 0 &&
                           last_emitted().flags == kFlagClean;
     if (fillable) {
@@ -698,5 +407,70 @@ void IncrementalQuality::flush(std::vector<RepairedSample>& out) {
 }
 
 void IncrementalQuality::flush(SampleRing& out) { flush_into(out); }
+
+namespace {
+
+/// One whole trace as a stream that ends: push per sample, then flush.
+template <typename Out>
+QualityReport run_trace(const Trace& trace, const QualityConfig& cfg,
+                        Out& out) {
+  PTRACK_OBS_SPAN("ptrack.imu.quality");
+  IncrementalQuality engine(trace.fs(), cfg);
+  for (const Sample& s : trace.samples()) engine.push(s, out);
+  engine.flush(out);
+
+  const IncrementalQualityCounts& c = engine.counts();
+  QualityReport report;
+  report.dropout_samples = c.dropout;
+  report.saturated_samples = c.saturated;
+  report.spike_samples = c.spike;
+  report.nonfinite_samples = c.nonfinite;
+  report.repaired_samples = c.repaired;
+  report.masked_samples = c.masked;
+  if (c.emitted > 0) {
+    const auto n = static_cast<double>(c.emitted);
+    report.repaired_fraction = static_cast<double>(c.repaired) / n;
+    report.masked_fraction = static_cast<double>(c.masked) / n;
+    report.clean_fraction =
+        1.0 - report.repaired_fraction - report.masked_fraction;
+    // Usability gates on *information content*: held or clipped stretches
+    // are still a (degraded) record of real motion and repair recovers
+    // them, but non-finite/nonphysical cells are pure garbage. A trace
+    // dominated by garbage has nothing to track.
+    report.usable = (n - static_cast<double>(c.nonfinite)) / n >=
+                    cfg.min_usable_fraction;
+  }
+
+  PTRACK_COUNT("ptrack.imu.quality.traces");
+  PTRACK_COUNT_N("ptrack.imu.quality.samples_repaired", c.repaired);
+  PTRACK_COUNT_N("ptrack.imu.quality.samples_masked", c.masked);
+  if (c.repaired + c.masked > 0) {
+    PTRACK_COUNT("ptrack.imu.quality.traces_degraded");
+  }
+  return report;
+}
+
+}  // namespace
+
+QualityResult assess_and_repair(const Trace& trace, const QualityConfig& cfg) {
+  std::vector<RepairedSample> out;
+  out.reserve(trace.size());
+  QualityResult result;
+  result.report = run_trace(trace, cfg, out);
+  std::vector<Sample> samples;
+  samples.reserve(out.size());
+  result.report.flags.reserve(out.size());
+  for (const RepairedSample& r : out) {
+    samples.push_back(r.sample);
+    result.report.flags.push_back(r.flags);
+  }
+  result.trace = Trace(trace.fs(), std::move(samples));
+  return result;
+}
+
+QualityReport repair_into(const Trace& trace, const QualityConfig& cfg,
+                          SampleRing& ring) {
+  return run_trace(trace, cfg, ring);
+}
 
 }  // namespace ptrack::imu

@@ -5,11 +5,16 @@
 // adversarial: BLE dropouts arrive as sample-and-hold runs, cheap MEMS
 // ranges saturate, transport glitches land as isolated spikes, and
 // malformed records carry non-finite or nonphysical values. This module
-// detects those shapes in a raw trace, repairs what is recoverable (short
-// gaps are interpolated; long gaps are hard-masked to a neutral stationary
-// value so they cannot fabricate steps), and reports per-sample and
-// per-window flags so the pipeline can attach a confidence to every step
-// it emits instead of silently counting through garbage.
+// detects those shapes in a raw sample stream, repairs what is recoverable
+// (short gaps are interpolated; long gaps are hard-masked to a neutral
+// stationary value so they cannot fabricate steps), and flags every sample
+// so the pipeline can attach a confidence to every step it emits instead
+// of silently counting through garbage.
+//
+// There is one engine, the online IncrementalQuality stage. Streams push
+// into it sample by sample; a whole trace is simply a stream that ends
+// (assess_and_repair, repair_into), so batch and drained-stream results
+// are the same computation.
 //
 // Duality contract (kept in sync with imu/faults.hpp and exercised by
 // tests/test_imu_quality.cpp): every injector's output is detected by the
@@ -45,8 +50,8 @@ enum SampleFlag : std::uint8_t {
 /// jump by multiple g within 10 ms, and never dwell at their exact maximum
 /// — so a clean trace produces zero flags.
 struct QualityConfig {
-  /// Master switch: disabled means assess_and_repair is the identity and
-  /// reports a fully clean trace (for ablation and repair-off benching).
+  /// Master switch: disabled means the engine passes every sample through
+  /// as clean (for ablation and repair-off benching).
   bool enabled = true;
 
   /// A run of >= this many *held* samples (identical accel AND gyro to the
@@ -82,16 +87,13 @@ struct QualityConfig {
   /// Below this fraction of clean-or-repaired samples the trace carries no
   /// usable signal; PTrack::process refuses it (QualityReport::usable).
   double min_usable_fraction = 0.25;
-
-  /// Granularity of QualityReport::window_flags (s).
-  double window_s = 1.0;
 };
 
 /// Per-trace quality assessment. Fractions are over the trace's samples.
 struct QualityReport {
-  std::vector<std::uint8_t> flags;         ///< per-sample SampleFlag bits
-  std::vector<std::uint8_t> window_flags;  ///< OR of flags per window
-  double window_s = 1.0;                   ///< realized window length (s)
+  /// Per-sample SampleFlag bits (assess_and_repair only: repair_into leaves
+  /// them in the ring).
+  std::vector<std::uint8_t> flags;
 
   std::size_t dropout_samples = 0;
   std::size_t saturated_samples = 0;
@@ -113,15 +115,6 @@ struct QualityReport {
                nonfinite_samples >
            0;
   }
-
-  /// Fraction of samples in [begin, end) carrying any flag (clamped to the
-  /// trace; empty or out-of-range intervals yield 0).
-  [[nodiscard]] double fraction_flagged(std::size_t begin,
-                                        std::size_t end) const;
-
-  /// Fraction of samples in [begin, end) that were hard-masked.
-  [[nodiscard]] double fraction_masked(std::size_t begin,
-                                       std::size_t end) const;
 };
 
 /// A repaired trace with its assessment.
@@ -130,17 +123,20 @@ struct QualityResult {
   QualityReport report;
 };
 
-/// Runs the detectors only (flags and counts; Repaired/Masked bits show
-/// what a repair pass *would* do, but no trace is materialized).
-QualityReport assess(const Trace& trace, const QualityConfig& cfg = {});
-
-/// Runs the detectors and the repair pass: short flagged runs are
-/// interpolated (cubic Hermite through the clean neighbors, falling back
-/// to linear/hold at the trace edges), long runs are replaced by the
-/// trace's neutral stationary value (mean clean accel ~ gravity, mean
-/// clean gyro). Clean samples pass through bit-identical.
+/// Streams a whole trace through one IncrementalQuality (push per sample,
+/// then flush) and returns the repaired trace with its per-sample flags:
+/// short flagged runs are interpolated (cubic Hermite through the clean
+/// neighbors), long runs and runs touching a trace edge are replaced by the
+/// running neutral stationary value (mean clean accel ~ gravity, mean clean
+/// gyro). Clean samples pass through bit-identical.
 QualityResult assess_and_repair(const Trace& trace,
                                 const QualityConfig& cfg = {});
+
+/// The same pass appending the finalized samples (with their flags)
+/// straight to a ring, as PTrack::process does; the report carries the
+/// totals but no per-sample flags.
+QualityReport repair_into(const Trace& trace, const QualityConfig& cfg,
+                          SampleRing& ring);
 
 /// One finalized sample of the incremental quality stage: repaired values
 /// plus the final SampleFlag bits.
@@ -150,7 +146,7 @@ struct RepairedSample {
 };
 
 /// Cumulative per-flag sample counts emitted by an IncrementalQuality
-/// instance (the streaming dual of the QualityReport totals).
+/// instance (a whole-trace QualityReport is built from them).
 struct IncrementalQualityCounts {
   std::size_t emitted = 0;
   std::size_t dropout = 0;
@@ -161,30 +157,24 @@ struct IncrementalQualityCounts {
   std::size_t masked = 0;
 };
 
-/// Online detect-and-repair stage: the bounded-latency dual of
-/// assess_and_repair for sample streams. push() ingests one raw sample and
-/// appends every sample whose fate is decided (detected, and repaired or
-/// masked where flagged) to the caller's output, in stream order; flush()
-/// finalizes the held tail at a stream pause or end (the stream may
-/// continue afterwards).
+/// Online detect-and-repair stage, the module's one engine. push() ingests
+/// one raw sample and appends every sample whose fate is decided
+/// (detected, and repaired or masked where flagged) to the caller's
+/// output, in stream order; flush() finalizes the held tail at a stream
+/// pause or end (the stream may continue afterwards).
 ///
-/// Parity with the batch pass (tests/test_imu_quality_incremental.cpp):
-/// clean samples, dropout runs, explicit-rail saturation, spikes,
-/// non-finite cells, Hermite gap fills and neutral masking all match
-/// assess_and_repair sample-for-sample. Documented divergences, inherent
-/// to not seeing the future:
+/// Seeing only the past and a bounded lookahead, it differs from a
+/// whole-trace detector (the reference in
+/// tests/test_imu_quality_incremental.cpp) in two ways:
 ///  - the masking neutral and the auto-detected saturation rail are
-///    *running* statistics (batch uses whole-trace values); samples at the
-///    rail emitted before the plateau confirms keep their flags;
+///    *running* statistics, not whole-trace values; samples at the rail
+///    emitted before the plateau confirms keep their flags, and a held
+///    repeat never counts toward the plateau;
 ///  - retroactive flagging reaches only into the pending tail, so a
 ///    detector bit can differ right at a decision boundary (the repair
-///    action itself still matches);
-///  - Hermite tangent selection next to a gap can fall back to the secant
-///    when the outer neighbor's flags were not yet final;
-///  - a gap fill takes its left endpoint and tangent from the two most
-///    recently emitted samples *as it emits*, so from a run's second sample
-///    on it bridges from the previous sample's raw (pre-repair) value, not
-///    from the clean sample before the gap as batch does.
+///    action itself still matches).
+/// A gap fill bridges every sample of a run from the clean sample before
+/// it, with the reference's endpoints and tangents.
 ///
 /// Latency: a sample is held back at most latency_bound() samples
 /// (~ max_fill_s plus the dropout-run and spike lookaheads; ~0.3 s at
@@ -202,11 +192,12 @@ class IncrementalQuality {
   /// several when a held run resolves) to `out`.
   void push(const Sample& s, std::vector<RepairedSample>& out);
   /// Same, appending the finalized samples (with their flags) straight to
-  /// a ring — the streaming tracker's path, without a staging buffer.
+  /// a ring — the path of StreamingTracker and PTrack::process, without a
+  /// staging buffer.
   void push(const Sample& s, SampleRing& out);
 
-  /// Finalizes every pending sample (end-of-run gaps are masked, exactly
-  /// like batch runs that touch the trace edge).
+  /// Finalizes every pending sample as if the stream ended here (a run
+  /// still open is masked, like any run that touches the trace edge).
   void flush(std::vector<RepairedSample>& out);
   void flush(SampleRing& out);
 

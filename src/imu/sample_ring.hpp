@@ -64,7 +64,7 @@ class SampleRing {
   [[nodiscard]] std::size_t count_flagged(std::size_t b, std::size_t e,
                                           std::uint8_t mask) const;
   /// Fraction of samples in [begin, end) whose flags intersect `mask`
-  /// (0 for empty ranges), mirroring QualityReport::fraction_flagged.
+  /// (0 for empty ranges).
   [[nodiscard]] double fraction_flagged(std::size_t b, std::size_t e,
                                         std::uint8_t mask) const;
 

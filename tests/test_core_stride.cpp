@@ -28,7 +28,9 @@ StrideFixture make(synth::ActivityKind kind, std::uint64_t seed) {
                                  : synth::Scenario::pure_stepping(40.0);
   s.result = synth::synthesize(scenario, s.user, synth::SynthOptions{}, rng);
   s.projected = core::project_trace(s.result.trace, 5.0);
-  s.counted = core::PTrack().process_repaired(s.result.trace);
+  core::PTrackConfig raw;
+  raw.quality.enabled = false;
+  s.counted = core::PTrack(raw).process(s.result.trace);
   return s;
 }
 

@@ -2,6 +2,7 @@
 // dual detector at default thresholds, a clean synthesized trace produces
 // zero flags (false-positive guard), the repair pass touches only flagged
 // samples, and the pipeline's quality propagation reaches TrackResult.
+// imu::assess_and_repair drives the one (online) engine over a whole trace.
 
 #include <gtest/gtest.h>
 
@@ -57,6 +58,16 @@ imu::Trace sine_trace(double seconds = 10.0, double fs = 100.0,
   return imu::Trace(fs, std::move(samples));
 }
 
+/// The trace pushed sample by sample through the online engine, then
+/// flushed.
+std::vector<imu::RepairedSample> stream(const imu::Trace& trace) {
+  imu::IncrementalQuality engine(trace.fs());
+  std::vector<imu::RepairedSample> out;
+  for (const imu::Sample& s : trace.samples()) engine.push(s, out);
+  engine.flush(out);
+  return out;
+}
+
 }  // namespace
 
 // --------------------------------------------------------------------------
@@ -64,13 +75,14 @@ imu::Trace sine_trace(double seconds = 10.0, double fs = 100.0,
 
 TEST(Quality, CleanSynthesizedTraceHasNoFlags) {
   const auto r = walking(101);
-  const auto report = imu::assess(r.trace);
+  const auto report = imu::assess_and_repair(r.trace).report;
   EXPECT_FALSE(report.any_fault());
   EXPECT_EQ(report.repaired_samples, 0u);
   EXPECT_EQ(report.masked_samples, 0u);
   EXPECT_DOUBLE_EQ(report.clean_fraction, 1.0);
   EXPECT_TRUE(report.usable);
-  for (const auto f : report.window_flags) EXPECT_EQ(f, imu::kFlagClean);
+  ASSERT_EQ(report.flags.size(), r.trace.size());
+  for (const auto f : report.flags) EXPECT_EQ(f, imu::kFlagClean);
 }
 
 TEST(Quality, CleanTraceRepairIsIdentity) {
@@ -111,7 +123,7 @@ TEST(Quality, DetectsInjectedDropouts) {
   const auto r = walking(104);
   Rng rng(11);
   const auto faulty = imu::inject_dropouts(r.trace, 30.0, 5, 12, rng);
-  const auto report = imu::assess(faulty);
+  const auto report = imu::assess_and_repair(faulty).report;
   EXPECT_GT(report.dropout_samples, 0u);
   // Every flagged dropout sample really is inside a held run.
   for (std::size_t i = 1; i < faulty.size(); ++i) {
@@ -133,14 +145,14 @@ TEST(Quality, ShortHoldsAreNotDropouts) {
   auto& samples = trace.samples();
   samples[100] = samples[99];
   samples[100].t = 100.0 / trace.fs();
-  const auto report = imu::assess(trace);
+  const auto report = imu::assess_and_repair(trace).report;
   EXPECT_EQ(report.dropout_samples, 0u);
 }
 
 TEST(Quality, AutoDetectsSaturationPlateau) {
   const double limit = 12.0;  // clips the 5 m/s^2 sine around gravity
   const auto clipped = imu::clip_acceleration(sine_trace(), limit);
-  const auto report = imu::assess(clipped);
+  const auto report = imu::assess_and_repair(clipped).report;
   EXPECT_GT(report.saturated_samples, 10u);
   for (std::size_t i = 0; i < clipped.size(); ++i) {
     if (report.flags[i] & imu::kFlagSaturated) {
@@ -159,11 +171,11 @@ TEST(Quality, ExplicitSaturationLimitFlagsTheRail) {
   imu::QualityConfig cfg;
   cfg.saturation_limit = 12.0;
   const auto clipped = imu::clip_acceleration(base, 12.0);
-  EXPECT_GT(imu::assess(clipped, cfg).saturated_samples, 10u);
+  EXPECT_GT(imu::assess_and_repair(clipped, cfg).report.saturated_samples, 10u);
 
   imu::QualityConfig roomy;
   roomy.saturation_limit = 20.0;
-  EXPECT_EQ(imu::assess(base, roomy).saturated_samples, 0u);
+  EXPECT_EQ(imu::assess_and_repair(base, roomy).report.saturated_samples, 0u);
 }
 
 TEST(Quality, GyroSaturationLimitFlagsTheRail) {
@@ -171,9 +183,9 @@ TEST(Quality, GyroSaturationLimitFlagsTheRail) {
   const auto clipped = imu::clip_gyro(base, 0.6);
   imu::QualityConfig cfg;
   cfg.gyro_saturation_limit = 0.6;
-  EXPECT_GT(imu::assess(clipped, cfg).saturated_samples, 10u);
+  EXPECT_GT(imu::assess_and_repair(clipped, cfg).report.saturated_samples, 10u);
   // Gyro saturation is explicit-only: without the limit, no auto-detect.
-  EXPECT_EQ(imu::assess(clipped).saturated_samples, 0u);
+  EXPECT_EQ(imu::assess_and_repair(clipped).report.saturated_samples, 0u);
 }
 
 TEST(Quality, DetectsInjectedAccelAndGyroSpikes) {
@@ -181,7 +193,7 @@ TEST(Quality, DetectsInjectedAccelAndGyroSpikes) {
   Rng rng(12);
   const auto spiked = imu::inject_spikes(base, 20.0, 8.0, rng,
                                          imu::FaultChannels::Both);
-  const auto report = imu::assess(spiked);
+  const auto report = imu::assess_and_repair(spiked).report;
   EXPECT_GT(report.spike_samples, 0u);
   // A spiked sample must differ from the clean base at that index.
   for (std::size_t i = 0; i < spiked.size(); ++i) {
@@ -199,7 +211,7 @@ TEST(Quality, FlagsNonFiniteAndNonphysicalCells) {
   samples[50].accel.y = std::numeric_limits<double>::quiet_NaN();
   samples[120].gyro.z = std::numeric_limits<double>::infinity();
   samples[200].accel.x = 5.0e6;  // finite but ~500,000 g
-  const auto report = imu::assess(trace);
+  const auto report = imu::assess_and_repair(trace).report;
   EXPECT_EQ(report.nonfinite_samples, 3u);
   EXPECT_TRUE(report.flags[50] & imu::kFlagNonFinite);
   EXPECT_TRUE(report.flags[120] & imu::kFlagNonFinite);
@@ -224,6 +236,22 @@ TEST(Quality, RepairTouchesOnlyFlaggedSamples) {
   }
   EXPECT_EQ(repaired.report.repaired_samples + repaired.report.masked_samples,
             repaired.report.dropout_samples);
+}
+
+TEST(Quality, HeldDropoutDoesNotConfirmAutoRail) {
+  // A dropout holding at the running maximum is one reading repeated, not
+  // a clipping plateau: it must not confirm an auto rail (which would flag
+  // and gap-fill every later peak above it as saturated).
+  const auto r = walking(106);
+  Rng rng(13);
+  const auto faulty = imu::inject_dropouts(r.trace, 20.0, 4, 10, rng);
+  std::size_t dropout = 0, saturated = 0;
+  for (const imu::RepairedSample& s : stream(faulty)) {
+    dropout += (s.flags & imu::kFlagDropout) ? 1 : 0;
+    saturated += (s.flags & imu::kFlagSaturated) ? 1 : 0;
+  }
+  EXPECT_GT(dropout, 0u);
+  EXPECT_EQ(saturated, 0u);
 }
 
 TEST(Quality, ShortGapsInterpolatedLongGapsMasked) {
@@ -263,7 +291,7 @@ TEST(Quality, UnusableTraceIsReported) {
     samples[i].gyro = {1.0e9, 1.0e9, -1.0e9};
   }
   const imu::Trace garbage(100.0, std::move(samples));
-  const auto report = imu::assess(garbage);
+  const auto report = imu::assess_and_repair(garbage).report;
   EXPECT_FALSE(report.usable);
   EXPECT_EQ(report.nonfinite_samples, garbage.size());
 
@@ -286,28 +314,65 @@ TEST(Quality, DisabledConfigIsIdentityAndClean) {
 }
 
 // --------------------------------------------------------------------------
-// Windows and interval queries.
+// Localization and the gap bridge.
 
-TEST(Quality, WindowFlagsLocalizeFaults) {
-  auto trace = sine_trace(10.0);  // 10 windows of 1 s at fs=100
+TEST(Quality, FlagsLocalizeFaults) {
+  auto trace = sine_trace(10.0);
   auto& samples = trace.samples();
-  for (std::size_t i = 320; i < 330; ++i) {  // fault inside window 3 only
+  for (std::size_t i = 320; i < 330; ++i) {  // one 10-sample hold
     samples[i].accel = samples[319].accel;
     samples[i].gyro = samples[319].gyro;
   }
-  const auto report = imu::assess(trace);
-  ASSERT_EQ(report.window_flags.size(), 10u);
-  for (std::size_t w = 0; w < report.window_flags.size(); ++w) {
-    if (w == 3) {
-      EXPECT_NE(report.window_flags[w], imu::kFlagClean);
+  const auto report = imu::assess_and_repair(trace).report;
+  ASSERT_EQ(report.flags.size(), trace.size());
+  for (std::size_t i = 0; i < trace.size(); ++i) {
+    if (i >= 320 && i < 330) {
+      EXPECT_EQ(report.flags[i], imu::kFlagDropout | imu::kFlagRepaired)
+          << "sample " << i;
     } else {
-      EXPECT_EQ(report.window_flags[w], imu::kFlagClean) << "window " << w;
+      EXPECT_EQ(report.flags[i], imu::kFlagClean) << "sample " << i;
     }
   }
-  EXPECT_GT(report.fraction_flagged(300, 400), 0.0);
-  EXPECT_DOUBLE_EQ(report.fraction_flagged(0, 300), 0.0);
-  EXPECT_DOUBLE_EQ(report.fraction_flagged(400, 400), 0.0);  // empty
-  EXPECT_DOUBLE_EQ(report.fraction_masked(300, 400), 0.0);   // repaired, not
+  EXPECT_EQ(report.masked_samples, 0u);  // repaired, not masked
+}
+
+TEST(Quality, GapFillBridgesFromTheCleanSampleBeforeTheGap) {
+  // Every sample of a held run is bridged by one cubic Hermite through the
+  // clean samples on either side (tangents from their clean outer
+  // neighbors), not from the previous gap sample's held value.
+  const auto clean = sine_trace(10.0);
+  auto trace = clean;
+  auto& samples = trace.samples();
+  const std::size_t a = 300, b = 310;  // held run [a, b)
+  for (std::size_t i = a; i < b; ++i) {
+    samples[i].accel = samples[a - 1].accel;
+    samples[i].gyro = samples[a - 1].gyro;
+  }
+  const auto out = stream(trace);
+  ASSERT_EQ(out.size(), trace.size());
+  const auto span = static_cast<double>(b - a + 1);
+  const auto bridge = [&](std::size_t i, double v0, double vm, double v1,
+                          double vp) {
+    const double m0 = v0 - vm;
+    const double m1 = vp - v1;
+    const double u = static_cast<double>(i - a + 1) / span;
+    const double u2 = u * u;
+    const double u3 = u2 * u;
+    return (2.0 * u3 - 3.0 * u2 + 1.0) * v0 +
+           (u3 - 2.0 * u2 + u) * (m0 * span) + (-2.0 * u3 + 3.0 * u2) * v1 +
+           (u3 - u2) * (m1 * span);
+  };
+  for (std::size_t i = a; i < b; ++i) {
+    ASSERT_TRUE(out[i].flags & imu::kFlagRepaired) << i;
+    for (Vec3 imu::Sample::*ch : {&imu::Sample::accel, &imu::Sample::gyro}) {
+      for (double Vec3::*c : {&Vec3::x, &Vec3::y, &Vec3::z}) {
+        const double want =
+            bridge(i, clean[a - 1].*ch.*c, clean[a - 2].*ch.*c,
+                   clean[b].*ch.*c, clean[b + 1].*ch.*c);
+        EXPECT_NEAR(out[i].sample.*ch.*c, want, 1e-12) << "sample " << i;
+      }
+    }
+  }
 }
 
 // --------------------------------------------------------------------------
@@ -334,40 +399,11 @@ TEST(Quality, Preconditions) {
   const auto trace = sine_trace(2.0);
   imu::QualityConfig cfg;
   cfg.min_dropout_run = 0;
-  EXPECT_THROW(imu::assess(trace, cfg), InvalidArgument);
+  EXPECT_THROW(imu::assess_and_repair(trace, cfg), InvalidArgument);
   cfg = {};
   cfg.spike_delta = 0.0;
-  EXPECT_THROW(imu::assess(trace, cfg), InvalidArgument);
+  EXPECT_THROW(imu::assess_and_repair(trace, cfg), InvalidArgument);
   cfg = {};
   cfg.min_usable_fraction = 1.5;
-  EXPECT_THROW(imu::assess(trace, cfg), InvalidArgument);
-  cfg = {};
-  cfg.window_s = 0.0;
-  EXPECT_THROW(imu::assess(trace, cfg), InvalidArgument);
-}
-
-// The online stage decides a clean sample after a clean held-back one on a
-// direct path (imu/quality.hpp, "Cost"); an isolated spike between clean
-// neighbors is decided there too, and must be flagged exactly where the
-// batch detector flags it.
-TEST(Quality, IncrementalFastPathFlagsEveryIsolatedSpike) {
-  const imu::Trace clean = walking(77, 60.0).trace;
-  Rng rng(7700);
-  const imu::Trace spiky = imu::inject_spikes(clean, 6.0, 5.0, rng,
-                                              imu::FaultChannels::Both);
-  const imu::QualityReport batch = imu::assess(spiky);
-  imu::IncrementalQuality inc(spiky.fs());
-  std::vector<imu::RepairedSample> out;
-  for (const imu::Sample& s : spiky.samples()) inc.push(s, out);
-  inc.flush(out);
-  ASSERT_EQ(out.size(), spiky.size());
-  std::size_t spikes = 0;
-  for (std::size_t i = 0; i < out.size(); ++i) {
-    EXPECT_EQ(out[i].flags & imu::kFlagSpike,
-              batch.flags[i] & imu::kFlagSpike)
-        << "i=" << i;
-    spikes += (batch.flags[i] & imu::kFlagSpike) ? 1 : 0;
-  }
-  EXPECT_GE(spikes, 3u);
-  EXPECT_EQ(inc.counts().spike, spikes);
+  EXPECT_THROW(imu::assess_and_repair(trace, cfg), InvalidArgument);
 }

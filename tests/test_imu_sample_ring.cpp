@@ -104,7 +104,7 @@ TEST(SampleRing, FlagAccountingMatchesQualityReportArithmetic) {
   EXPECT_EQ(ring.count_flagged(0, 50, imu::kFlagMasked), 4u);
   EXPECT_DOUBLE_EQ(ring.fraction_flagged(0, 50, 0xFF), 14.0 / 50.0);
   EXPECT_DOUBLE_EQ(ring.fraction_flagged(30, 34, imu::kFlagMasked), 1.0);
-  // Empty interval yields 0, mirroring QualityReport::fraction_flagged.
+  // Empty interval yields 0.
   EXPECT_DOUBLE_EQ(ring.fraction_flagged(25, 25, 0xFF), 0.0);
   const auto f = ring.flags(10, 20);
   for (const std::uint8_t b : f) EXPECT_EQ(b, imu::kFlagDropout | imu::kFlagRepaired);

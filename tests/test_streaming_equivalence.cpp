@@ -1,15 +1,17 @@
 // Batch-oracle equivalence sweep: the incremental stage graph must
 // reproduce the batch pipeline's events over the same samples, across hop
 // settings and across synth scenarios — including interference (no events
-// either way) and injected sensor faults. Batch results are the oracle (core/stages.hpp contract);
-// divergence is bounded to the documented seam effects, so the assertions
-// check count, chronology, per-event time alignment and distance, not
-// bit-equality.
+// either way) and injected sensor faults. Batch results are the oracle
+// (core/stages.hpp contract). Across hops, divergence is bounded to the
+// documented seam effects, so the sweep checks count, chronology,
+// per-event time alignment and distance; a stream drained in one hop must
+// match batch bit for bit.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -137,6 +139,62 @@ INSTANTIATE_TEST_SUITE_P(HopSweep, IncrementalEquivalence,
                                       pinfo.param * 10.0)) +
                                   "ds";
                          });
+
+// ---------------------------------------------------------------------------
+// Drained stream == batch, bit for bit.
+
+TEST(StreamingEquivalence, DrainedStreamIsBatchBitForBit) {
+  // A stream whose hop is longer than the trace runs one flush hop at
+  // finish(): the same quality engine and the same single pipeline advance
+  // as PTrack::process, so every event field matches exactly — on faulted
+  // input too.
+  synth::UserProfile user;
+  const auto make = [&](double seconds, std::uint64_t seed) {
+    Rng rng(seed);
+    return synth::synthesize(synth::Scenario::pure_walking(seconds), user,
+                             synth::SynthOptions{}, rng)
+        .trace;
+  };
+  std::vector<NamedTrace> traces;
+  for (NamedTrace& s : scenarios()) {
+    if (s.name == "faulted") traces.push_back(std::move(s));
+  }
+  {
+    Rng rng(720);
+    traces.push_back({"spiked", imu::inject_spikes(make(40.0, 721), 12.0, 6.0,
+                                                   rng,
+                                                   imu::FaultChannels::Both)});
+  }
+  {
+    imu::Trace t = make(40.0, 722);
+    for (std::size_t i = 250; i + 1 < t.size(); i += 397) {
+      t.samples()[i].accel.y = std::nan("");
+      t.samples()[i + 1].gyro.x = std::numeric_limits<double>::infinity();
+    }
+    traces.push_back({"nonfinite", std::move(t)});
+  }
+  ASSERT_EQ(traces.size(), 3u);
+
+  for (const NamedTrace& s : traces) {
+    SCOPED_TRACE(s.name);
+    core::StreamingConfig cfg = base_config();
+    cfg.hop_s = s.trace.duration() + 1.0;
+    const core::TrackResult batch = core::PTrack(cfg.pipeline).process(s.trace);
+    ASSERT_TRUE(batch.quality.degraded());
+
+    core::StreamingTracker stream(s.trace.fs(), cfg);
+    stream.push(s.trace);
+    const auto events = stream.finish();
+    ASSERT_EQ(events.size(), batch.events.size());
+    for (std::size_t i = 0; i < events.size(); ++i) {
+      EXPECT_EQ(events[i].t, batch.events[i].t) << "event " << i;
+      EXPECT_EQ(events[i].stride, batch.events[i].stride) << "event " << i;
+      EXPECT_EQ(events[i].quality, batch.events[i].quality) << "event " << i;
+      EXPECT_EQ(events[i].degraded, batch.events[i].degraded) << "event " << i;
+      EXPECT_EQ(events[i].type, batch.events[i].type) << "event " << i;
+    }
+  }
+}
 
 // ---------------------------------------------------------------------------
 // Determinism and satellite contracts.
