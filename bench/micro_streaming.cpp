@@ -19,6 +19,11 @@
 // the last third of those hops is compared with the mean of the first
 // third.
 //
+// Hop sweep: the same trace is pushed through a fresh `inc` tracker at
+// hops of 0.1, 0.2, 0.5, 1, 2 and 4 s, timed from the first push through
+// finish(); the best repeat's CPU per pushed sample is reported per hop,
+// with the steps and distance the stream ended with.
+//
 // Flags:
 //   --reduced     shorter trace, fewer repeats (the CI smoke configuration)
 //   --gate        fail (exit 1) unless, for the `inc` arm, the post-flush
@@ -136,6 +141,35 @@ ArmResult run_arm(const std::string& name, const imu::Trace& trace,
   return best;
 }
 
+struct SweepRow {
+  double hop_s = 0.0;
+  double ns_per_sample = 0.0;
+  std::size_t steps = 0;
+  double distance_m = 0.0;
+};
+
+/// Push-to-finish cost per sample at one hop, best of `repeats`.
+SweepRow sweep_hop(const imu::Trace& trace, core::StreamingConfig cfg,
+                   double hop_s, std::size_t repeats) {
+  using clock = std::chrono::steady_clock;
+  cfg.hop_s = hop_s;
+  SweepRow row;
+  row.hop_s = hop_s;
+  for (std::size_t rep = 0; rep < repeats; ++rep) {
+    core::StreamingTracker stream(trace.fs(), cfg);
+    const auto t0 = clock::now();
+    for (std::size_t i = 0; i < trace.size(); ++i) stream.push(trace[i]);
+    stream.finish();
+    const double ns =
+        std::chrono::duration<double, std::nano>(clock::now() - t0).count() /
+        static_cast<double>(trace.size());
+    if (rep == 0 || ns < row.ns_per_sample) row.ns_per_sample = ns;
+    row.steps = stream.steps();
+    row.distance_m = stream.distance();
+  }
+  return row;
+}
+
 /// Last recorded figures of the full-window recompute streaming mode
 /// (180 s walking trace, hop 2 s, guard = window / 4, AVX2), kept for
 /// comparison after that mode was removed. Not re-measured.
@@ -205,6 +239,10 @@ int main(int argc, char** argv) {
     dsp::simd::force_isa(dsp::simd::Isa::kScalar);
     arms.push_back(run_arm("inc_scalar", trace, cfg, repeats));
     dsp::simd::force_isa(dsp::simd::detected());
+    std::vector<SweepRow> sweep;
+    for (const double hop : {0.1, 0.2, 0.5, 1.0, 2.0, 4.0}) {
+      sweep.push_back(sweep_hop(trace, cfg, hop, repeats));
+    }
 
     std::printf(
         "micro_streaming: %.0f s walking trace @ %.0f Hz, hop 2 s, best of "
@@ -219,6 +257,14 @@ int main(int argc, char** argv) {
           a.name.c_str(), a.hop_p50_us, a.hop_p90_us, a.hop_p99_us,
           a.hop_mean_us, a.streams_per_core, a.steps, a.early_hop_us,
           a.late_hop_us);
+    }
+
+    std::printf("  hop sweep (push to finish, best of %zu):\n", repeats);
+    std::printf("  %8s %14s %6s %12s\n", "hop s", "ns/sample", "steps",
+                "distance m");
+    for (const SweepRow& r : sweep) {
+      std::printf("  %8.1f %14.1f %6zu %12.2f\n", r.hop_s, r.ns_per_sample,
+                  r.steps, r.distance_m);
     }
 
     const ArmResult& inc = arms[0];
@@ -262,6 +308,14 @@ int main(int argc, char** argv) {
         w.key(a.name + "_steps").value(a.steps);
         w.key(a.name + "_steady_early_hop_us").value(a.early_hop_us);
         w.key(a.name + "_steady_late_hop_us").value(a.late_hop_us);
+      }
+      for (const SweepRow& r : sweep) {
+        const std::string key =
+            "sweep_hop_" +
+            std::to_string(static_cast<int>(r.hop_s * 1000.0 + 0.5)) + "ms";
+        w.key(key + "_ns_per_sample").value(r.ns_per_sample);
+        w.key(key + "_steps").value(r.steps);
+        w.key(key + "_distance_m").value(r.distance_m);
       }
       w.key("hop_cost_flat").value(hop_cost_flat);
       w.key("simd_isa").value(
