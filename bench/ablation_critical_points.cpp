@@ -11,9 +11,7 @@
 
 #include "bench_util.hpp"
 #include "common/table.hpp"
-#include "core/frontend.hpp"
-#include "core/gait_id.hpp"
-#include "core/segmentation.hpp"
+#include "core/ptrack.hpp"
 #include "synth/synthesizer.hpp"
 
 using namespace ptrack;
@@ -57,16 +55,12 @@ Separation evaluate(const Corpus& corpus, const core::StepCounterConfig& cfg) {
     std::size_t above = 0;
     std::size_t total = 0;
     for (const imu::Trace& trace : traces) {
-      const core::ProjectedChannels proj =
-          core::project_trace(trace, cfg.lowpass_hz);
-      for (const core::CycleCandidate& c :
-           core::segment_cycles(proj.vertical, proj.fs, cfg)) {
-        const std::size_t n = c.end - c.begin;
-        if (n < 8) continue;
-        const std::span<const double> vert(proj.vertical.data() + c.begin, n);
-        const std::span<const double> ant(proj.anterior.data() + c.begin, n);
+      core::PTrackConfig pcfg;
+      pcfg.counter = cfg;
+      for (const core::CycleRecord& c :
+           core::PTrack(pcfg).process(trace).cycles) {
         ++total;
-        if (core::analyze_cycle(vert, ant, cfg).offset > cfg.delta) ++above;
+        if (c.offset > cfg.delta) ++above;
       }
     }
     return total == 0 ? 0.0

@@ -13,9 +13,7 @@
 #include "bench_util.hpp"
 #include "common/cdf.hpp"
 #include "common/table.hpp"
-#include "core/frontend.hpp"
-#include "core/gait_id.hpp"
-#include "core/segmentation.hpp"
+#include "core/ptrack.hpp"
 #include "synth/synthesizer.hpp"
 
 using namespace ptrack;
@@ -26,15 +24,10 @@ std::vector<double> cycle_offsets(const imu::Trace& trace,
                                   const core::StepCounterConfig& cfg) {
   std::vector<double> offsets;
   if (trace.size() < 32) return offsets;
-  const core::ProjectedChannels proj =
-      core::project_trace(trace, cfg.lowpass_hz);
-  for (const core::CycleCandidate& c :
-       core::segment_cycles(proj.vertical, proj.fs, cfg)) {
-    const std::size_t n = c.end - c.begin;
-    if (n < 8) continue;
-    const std::span<const double> vert(proj.vertical.data() + c.begin, n);
-    const std::span<const double> ant(proj.anterior.data() + c.begin, n);
-    offsets.push_back(core::analyze_cycle(vert, ant, cfg).offset);
+  core::PTrackConfig pcfg;
+  pcfg.counter = cfg;
+  for (const core::CycleRecord& c : core::PTrack(pcfg).process(trace).cycles) {
+    offsets.push_back(c.offset);
   }
   return offsets;
 }

@@ -5,9 +5,7 @@
 
 #include "common/error.hpp"
 #include "common/stats.hpp"
-#include "core/frontend.hpp"
-#include "core/gait_id.hpp"
-#include "core/segmentation.hpp"
+#include "core/ptrack.hpp"
 
 namespace ptrack::core {
 
@@ -78,15 +76,13 @@ AdaptiveDelta tune_delta(const imu::Trace& trace,
   fallback.delta = cfg.delta;
   if (trace.size() < 16) return fallback;
 
-  const ProjectedChannels proj =
-      project_trace(trace, cfg.lowpass_hz, cfg.anterior_window_s);
+  // The tracker's own per-cycle offsets, over the raw samples.
+  PTrackConfig pcfg;
+  pcfg.counter = cfg;
+  pcfg.quality.enabled = false;
   std::vector<double> offsets;
-  for (const CycleCandidate& c : segment_cycles(proj.vertical, proj.fs, cfg)) {
-    const std::size_t n = c.end - c.begin;
-    if (n < 8) continue;
-    const std::span<const double> vert(proj.vertical.data() + c.begin, n);
-    const std::span<const double> ant(proj.anterior.data() + c.begin, n);
-    offsets.push_back(analyze_cycle(vert, ant, cfg).offset);
+  for (const CycleRecord& c : PTrack(pcfg).process(trace).cycles) {
+    offsets.push_back(c.offset);
   }
   if (offsets.size() < 8) {
     fallback.cycles = offsets.size();

@@ -34,8 +34,9 @@ struct AdaptiveDelta {
 AdaptiveDelta otsu_threshold(std::span<const double> offsets,
                              std::size_t bins = 64);
 
-/// Collects the per-cycle offsets of a trace (using `cfg` for projection
-/// and segmentation) and tunes delta from them. When the offsets are not
+/// Collects the per-cycle offsets of a trace (CycleRecord::offset of
+/// PTrack::process with `cfg` and the quality layer off) and tunes delta
+/// from them. When the offsets are not
 /// separable (separation < min_separation) or there are fewer than 8
 /// cycles, the returned delta falls back to cfg.delta.
 AdaptiveDelta tune_delta(const imu::Trace& trace,

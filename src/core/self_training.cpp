@@ -7,6 +7,7 @@
 #include "common/error.hpp"
 #include "common/stats.hpp"
 #include "core/ptrack.hpp"
+#include "core/stages.hpp"
 #include "core/stride_estimator.hpp"
 
 namespace ptrack::core {
@@ -22,12 +23,11 @@ struct CycleBank {
 CycleBank classify_cycles(const imu::Trace& trace,
                           const SelfTrainingConfig& cfg) {
   CycleBank bank;
-  bank.projected = project_trace(trace, cfg.counter.lowpass_hz);
-  // Classify on the same projection the bank keeps: one whole-trace
-  // anterior fit over the raw samples.
+  // Classify on the same projection the bank keeps: the tracker's over
+  // the raw samples.
+  bank.projected = project_trace(trace, cfg.counter);
   PTrackConfig pcfg;
   pcfg.counter = cfg.counter;
-  pcfg.counter.anterior_window_s = 0.0;
   pcfg.quality.enabled = false;
   const TrackResult result = PTrack(pcfg).process(trace);
   for (const CycleRecord& c : result.cycles) {

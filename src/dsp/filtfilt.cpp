@@ -48,35 +48,31 @@ void filtfilt_inplace(const BiquadCascade& cascade, std::span<double> padded) {
 
 // Odd reflection of one channel into lane `lane` of the interleaved
 // (sample-major, kIirLanes-stride) buffer — the same values pad_reflect_into
-// writes, just strided — with `lpad` samples mirrored about the front and
-// `rpad` about the back.
-void pad_reflect_lane(std::span<const double> xs, std::size_t lpad,
-                      std::size_t rpad, double* out, std::size_t lane) {
+// writes, just strided.
+void pad_reflect_lane(std::span<const double> xs, std::size_t pad,
+                      double* out, std::size_t lane) {
   constexpr std::size_t kL = simd::kIirLanes;
   const std::size_t n = xs.size();
-  PTRACK_CHECK_MSG(n >= 1 && lpad < n && rpad < n,
+  PTRACK_CHECK_MSG(n >= 1 && pad < n,
                    "pad_reflect_lane: pad shorter than the signal");
-  for (std::size_t i = 0; i < lpad; ++i) {
-    out[i * kL + lane] = 2.0 * xs.front() - xs[lpad - i];
+  for (std::size_t i = 0; i < pad; ++i) {
+    out[i * kL + lane] = 2.0 * xs.front() - xs[pad - i];
   }
-  for (std::size_t i = 0; i < n; ++i) out[(lpad + i) * kL + lane] = xs[i];
-  for (std::size_t i = 1; i <= rpad; ++i) {
-    out[(lpad + n - 1 + i) * kL + lane] = 2.0 * xs.back() - xs[n - 1 - i];
+  for (std::size_t i = 0; i < n; ++i) out[(pad + i) * kL + lane] = xs[i];
+  for (std::size_t i = 1; i <= pad; ++i) {
+    out[(pad + n - 1 + i) * kL + lane] = 2.0 * xs.back() - xs[n - 1 - i];
   }
 }
 
-// Pads every channel into the interleaved scratch and runs the zero-phase
-// forward/backward cascade over all lanes at once. The pads must already
-// be clamped. With `state` empty the forward pass starts from zero state
-// behind `lpad` reflected samples; otherwise (lpad == 0) it starts from
-// `state` (simd::cascade_state_size values, channel c in lane c). Returns
-// the padded interleaved buffer of (lpad + n + rpad) samples.
+// Pads every channel into the interleaved scratch (`pad` samples each
+// side, already clamped) and runs the zero-phase forward/backward cascade
+// over all lanes at once, each pass from zero state. Returns the padded
+// interleaved buffer of (n + 2 * pad) samples.
 // Backward pass = iterating the samples in reverse with fresh filter state,
 // which is bit-identical to filtfilt_inplace's reverse/process/reverse.
 std::span<double> multi_filter_core(
     const BiquadCascade& cascade, std::span<const std::span<const double>> xs,
-    std::size_t lpad, std::size_t rpad, std::span<const double> state,
-    Workspace& ws) {
+    std::size_t pad, Workspace& ws) {
   constexpr std::size_t kL = simd::kIirLanes;
   const std::size_t k = xs.size();
   expects(k >= 1 && k <= kL, "filtfilt_multi: 1..kIirLanes channels");
@@ -84,11 +80,11 @@ std::span<double> multi_filter_core(
   for (const auto& chan : xs) {
     expects(chan.size() == n, "filtfilt_multi: equal-length channels");
   }
-  const std::size_t m = lpad + n + rpad;
+  const std::size_t m = n + 2 * pad;
 
   double* buf = ws.real_scratch(m * kL).data();
   for (std::size_t c = 0; c < k; ++c) {
-    pad_reflect_lane(xs[c], lpad, rpad, buf, c);
+    pad_reflect_lane(xs[c], pad, buf, c);
   }
   // Unused lanes never influence the occupied ones, but stale scratch there
   // could drive the recurrence through denormals/Inf and stall every lane's
@@ -102,42 +98,9 @@ std::span<double> multi_filter_core(
   expects(secs.size() <= coeffs.size(), "filtfilt_multi: section count");
   for (std::size_t s = 0; s < secs.size(); ++s) coeffs[s] = secs[s].coeffs();
   const std::span<const BiquadCoeffs> sections(coeffs.data(), secs.size());
-
-  std::array<double, simd::cascade_state_size(8)> carried{};
-  double* fwd_state = nullptr;
-  if (!state.empty()) {
-    expects(lpad == 0 &&
-                state.size() == simd::cascade_state_size(sections.size()),
-            "filtfilt_multi: carried state sized to the cascade");
-    std::copy(state.begin(), state.end(), carried.begin());
-    fwd_state = carried.data();
-  }
-  simd::cascade_multi(sections, buf, m, false, fwd_state);
+  simd::cascade_multi(sections, buf, m, false);
   simd::cascade_multi(sections, buf, m, true);
   return {buf, m * kL};
-}
-
-void multi_into(const BiquadCascade& cascade,
-                std::span<const std::span<const double>> xs, std::size_t pad,
-                std::span<const double> state, Workspace& ws,
-                std::span<const std::span<double>> outs) {
-  constexpr std::size_t kL = simd::kIirLanes;
-  expects(outs.size() == xs.size(),
-          "filtfilt_multi_into: one output per channel");
-  if (xs.empty()) return;
-  const std::size_t n = xs[0].size();
-  for (const auto& out : outs) {
-    expects(out.size() == n, "filtfilt_multi_into: outputs sized to channel");
-  }
-  if (n == 0) return;
-  pad = std::min(pad, n - 1);
-  const std::size_t lpad = state.empty() ? pad : 0;
-  const auto buf = multi_filter_core(cascade, xs, lpad, pad, state, ws);
-  for (std::size_t c = 0; c < outs.size(); ++c) {
-    for (std::size_t i = 0; i < n; ++i) {
-      outs[c][i] = buf[(lpad + i) * kL + c];
-    }
-  }
 }
 
 }  // namespace
@@ -184,16 +147,22 @@ void filtfilt_multi_into(const BiquadCascade& cascade,
                          std::span<const std::span<const double>> xs,
                          std::size_t pad, Workspace& ws,
                          std::span<const std::span<double>> outs) {
-  multi_into(cascade, xs, pad, {}, ws, outs);
-}
-
-void filtfilt_multi_carried_into(const BiquadCascade& cascade,
-                                 std::span<const std::span<const double>> xs,
-                                 std::span<const double> state,
-                                 std::size_t pad, Workspace& ws,
-                                 std::span<const std::span<double>> outs) {
-  expects(!state.empty(), "filtfilt_multi_carried_into: state given");
-  multi_into(cascade, xs, pad, state, ws, outs);
+  constexpr std::size_t kL = simd::kIirLanes;
+  expects(outs.size() == xs.size(),
+          "filtfilt_multi_into: one output per channel");
+  if (xs.empty()) return;
+  const std::size_t n = xs[0].size();
+  for (const auto& out : outs) {
+    expects(out.size() == n, "filtfilt_multi_into: outputs sized to channel");
+  }
+  if (n == 0) return;
+  pad = std::min(pad, n - 1);
+  const auto buf = multi_filter_core(cascade, xs, pad, ws);
+  for (std::size_t c = 0; c < outs.size(); ++c) {
+    for (std::size_t i = 0; i < n; ++i) {
+      outs[c][i] = buf[(pad + i) * kL + c];
+    }
+  }
 }
 
 std::vector<double> zero_phase_lowpass(std::span<const double> xs,

@@ -50,22 +50,6 @@ void filtfilt_multi_into(const BiquadCascade& cascade,
                          std::size_t pad, Workspace& ws,
                          std::span<const std::span<double>> outs);
 
-/// Zero-phase filter over the tail of a stream whose earlier samples were
-/// filtered before: the forward pass starts from `state` — the cascade's
-/// forward state just before xs[0], in simd::cascade_state layout with
-/// channel c in lane c — instead of a reflected left pad; the right pad
-/// (`pad` samples, clamped to the channel length - 1) and the zero-state
-/// backward pass are filtfilt_multi_into's. When `state` is bit-equal to
-/// the forward state filtfilt_multi_into reaches at sample k of a longer
-/// signal whose right pad is not clamped, the outputs equal that call's
-/// outputs from k on, bit for bit. Same channel and scratch contract as
-/// filtfilt_multi_into.
-void filtfilt_multi_carried_into(const BiquadCascade& cascade,
-                                 std::span<const std::span<const double>> xs,
-                                 std::span<const double> state,
-                                 std::size_t pad, Workspace& ws,
-                                 std::span<const std::span<double>> outs);
-
 /// Convenience: zero-phase Butterworth low-pass of the given order.
 std::vector<double> zero_phase_lowpass(std::span<const double> xs,
                                        double cutoff_hz, double fs,

@@ -1,5 +1,5 @@
-// Tests for the projection frontend options: windowed anterior estimation
-// (turning routes) and the streaming stage's carried low-pass state.
+// Tests for the projection frontend: the trailing axis window (turning
+// routes), the grid low-pass, and the projection stage's hop invariance.
 
 #include <gtest/gtest.h>
 
@@ -12,8 +12,10 @@
 #include "core/frontend.hpp"
 #include "core/ptrack.hpp"
 #include "core/stages.hpp"
-#include "imu/sample_ring.hpp"
+#include "dsp/butterworth.hpp"
+#include "dsp/filtfilt.hpp"
 #include "dsp/workspace.hpp"
+#include "imu/sample_ring.hpp"
 #include "synth/synthesizer.hpp"
 
 using namespace ptrack;
@@ -29,6 +31,12 @@ synth::SynthResult turning_walk(std::uint64_t seed) {
   return synth::synthesize(scenario, user, synth::SynthOptions{}, rng);
 }
 
+core::ProjectedChannels project(const imu::Trace& trace, double window_s) {
+  core::StepCounterConfig cfg;
+  cfg.anterior_window_s = window_s;
+  return core::project_trace(trace, cfg);
+}
+
 }  // namespace
 
 TEST(Frontend, ProjectTraceBasicShapes) {
@@ -36,19 +44,21 @@ TEST(Frontend, ProjectTraceBasicShapes) {
   synth::UserProfile user;
   const auto r = synth::synthesize(synth::Scenario::pure_walking(20.0), user,
                                    synth::SynthOptions{}, rng);
-  const auto p = core::project_trace(r.trace, 5.0);
+  const auto p = core::project_trace(r.trace);
   EXPECT_EQ(p.vertical.size(), r.trace.size());
   EXPECT_EQ(p.anterior.size(), r.trace.size());
   EXPECT_DOUBLE_EQ(p.fs, r.trace.fs());
 }
 
+// "Global" is an axis window as long as the trace: each block fits over
+// everything before its end.
 TEST(Frontend, WindowedAnteriorMatchesGlobalOnStraightWalk) {
   Rng rng(802);
   synth::UserProfile user;
   const auto r = synth::synthesize(synth::Scenario::pure_walking(30.0), user,
                                    synth::SynthOptions{}, rng);
-  const auto global = core::project_trace(r.trace, 5.0, 0.0);
-  const auto windowed = core::project_trace(r.trace, 5.0, 10.0);
+  const auto global = project(r.trace, 30.0);
+  const auto windowed = project(r.trace, 10.0);
   // Same direction up to sign per window; compare energy, not samples.
   double eg = 0.0;
   double ew = 0.0;
@@ -61,10 +71,10 @@ TEST(Frontend, WindowedAnteriorMatchesGlobalOnStraightWalk) {
 
 TEST(Frontend, WindowedAnteriorHelpsOnTurningRoute) {
   const auto r = turning_walk(803);
-  // Anterior energy with the global fit is diluted across the two
-  // headings; the windowed fit recovers it.
-  const auto global = core::project_trace(r.trace, 5.0, 0.0);
-  const auto windowed = core::project_trace(r.trace, 5.0, 10.0);
+  // After the turn, the trace-long window still holds the first heading,
+  // which dilutes the anterior energy; the 10 s window recovers it.
+  const auto global = project(r.trace, 60.0);
+  const auto windowed = project(r.trace, 10.0);
   double eg = 0.0;
   double ew = 0.0;
   for (std::size_t i = 0; i < global.anterior.size(); ++i) {
@@ -91,116 +101,111 @@ TEST(Frontend, Preconditions) {
   synth::UserProfile user;
   const auto r = synth::synthesize(synth::Scenario::pure_walking(5.0), user,
                                    synth::SynthOptions{}, rng);
-  EXPECT_THROW(core::project_trace(r.trace.slice(0, 8), 5.0), InvalidArgument);
-  EXPECT_THROW(core::project_trace(r.trace, 0.0), InvalidArgument);
+  EXPECT_THROW(core::project_trace(r.trace.slice(0, 8)), InvalidArgument);
+  core::StepCounterConfig cfg;
+  cfg.lowpass_hz = 0.0;
+  EXPECT_THROW(core::project_trace(r.trace, cfg), InvalidArgument);
+  // The axis window spans at least one grid block.
+  cfg = {};
+  cfg.anterior_window_s = 0.5;
+  EXPECT_THROW(core::project_trace(r.trace, cfg), InvalidArgument);
+}
+
+// A single flush of the grid low-pass over a whole signal is the batch
+// zero-phase filter, bit for bit; shorter than the pad too.
+TEST(GridLowpass, FlushIsFiltfilt) {
+  Rng rng(807);
+  for (const std::size_t n : {std::size_t{2}, std::size_t{40},
+                              std::size_t{65}, std::size_t{700}}) {
+    std::vector<double> v(n);
+    std::vector<double> a(n);
+    for (std::size_t i = 0; i < n; ++i) {
+      v[i] = rng.normal(0.0, 1.0);
+      a[i] = rng.normal(0.0, 3.0);
+    }
+    dsp::Workspace ws;
+    core::GridLowpass lowpass(5.0, 100.0);
+    lowpass.append(v, a, ws);
+    lowpass.flush(ws);
+    ASSERT_EQ(lowpass.final_end(), n);
+
+    std::vector<double> fv(n);
+    std::vector<double> fa(n);
+    const std::array<std::span<const double>, 2> ins{
+        std::span<const double>(v), std::span<const double>(a)};
+    const std::array<std::span<double>, 2> outs{std::span<double>(fv),
+                                                std::span<double>(fa)};
+    dsp::filtfilt_multi_into(core::output_lowpass(5.0, 100.0), ins,
+                             core::kLowpassPad, ws, outs);
+    for (std::size_t i = 0; i < n; ++i) {
+      EXPECT_EQ(lowpass.vertical()[i], fv[i]) << "n " << n << " i " << i;
+      EXPECT_EQ(lowpass.anterior()[i], fa[i]) << "n " << n << " i " << i;
+    }
+  }
 }
 
 // ---------------------------------------------------------------------------
-// Carried low-pass state: the streaming ProjectionStage projects and filters
-// only each hop's new samples, starting the output filter from a state
-// carried over raw lanes. Its finalized channels must match what a per-hop
-// zero-state re-projection of [stable - kProjectionCtxS, end) finalizes.
+// Hop invariance: a ProjectionStage advanced at any hop, with its raw ring
+// trimmed to what it still needs, finalizes exactly the channels its flush
+// over the whole trace finalizes, and, once its first fit is in, holds no
+// sample back longer than (kSettleBlocks + 1) grid blocks.
 
 namespace {
 
-struct CarryCase {
-  double hop_s;
-  double window_s;
-};
-
-/// Raw channels [b, e) of the ring.
-core::AxisHistory ring_spans(const imu::SampleRing& ring, std::size_t b,
-                             std::size_t e) {
-  return {ring.ax(b, e), ring.ay(b, e), ring.az(b, e)};
-}
-
-/// Streams `trace` through a ProjectionStage in hops (a flush halfway, then
-/// more hops, then a final flush) and returns the largest finalized-sample
-/// gap to the zero-state re-projection, relative to the channels' peak.
-/// `carried_bits` reports whether any sample differed at all.
-double stage_gap_to_reprojection(const imu::Trace& trace, const CarryCase& c,
-                                 bool& carried_bits) {
+/// Streams `trace` through a ProjectionStage in hops of `hop` samples, then
+/// flushes; returns the finalized channels.
+core::ProjectedChannels stream_projection(const imu::Trace& trace,
+                                          const core::StepCounterConfig& cfg,
+                                          std::size_t hop) {
   const double fs = trace.fs();
-  core::StepCounterConfig cfg;
-  cfg.anterior_window_s = c.window_s;
+  const std::size_t block = core::grid_block(fs);
+  const std::size_t lag = (core::kSettleBlocks + 1) * block;
+  // The stream's first fit waits for kMinAxisWindowS of samples.
+  const std::size_t first_fit =
+      (static_cast<std::size_t>(core::kMinAxisWindowS * fs) + block - 1) /
+      block * block;
   dsp::Workspace ws;
-  dsp::Workspace ref_ws;
   core::ProjectionStage stage(cfg, fs, &ws);
   imu::SampleRing ring;
-
-  const auto samples = [&](double s) {
-    return static_cast<std::size_t>(s * fs);
-  };
-  const std::size_t ctx = samples(core::kProjectionCtxS);
-  const std::size_t margin = samples(core::kProjectionMarginS);
-  const std::size_t axis_window = samples(core::kProjectionAxisWindowS);
-  const std::size_t hop = samples(c.hop_s);
-
-  core::ProjectionSeam seam;
-  core::ProjectedChannels ref;
-
-  double peak = 0.0;
-  double gap = 0.0;
-  carried_bits = false;
-  const auto run_hop = [&](bool flush) {
-    const std::size_t end = ring.end();
-    const std::size_t stable = stage.frontier();
-    const std::size_t target =
-        flush ? end : (end > margin ? end - margin : 0);
-    std::size_t begin = stable > ctx ? stable - ctx : 0;
-    begin = std::max(begin, ring.base());
-    const bool projects = target > stable && end - begin >= 16;
-    if (projects) {
-      std::size_t axis_begin = end > axis_window ? end - axis_window : 0;
-      axis_begin = std::max(axis_begin, ring.base());
-      const bool pin = c.window_s <= 0.0 && axis_begin < begin;
-      const auto raw = ring_spans(ring, begin, end);
-      core::project_channels_into(
-          raw.ax, raw.ay, raw.az, fs, cfg.lowpass_hz, c.window_s, ref_ws,
-          &seam, pin ? ring_spans(ring, axis_begin, end) : core::AxisHistory{},
-          ref);
+  core::ProjectedChannels out;
+  const auto collect = [&] {
+    for (std::size_t i = out.vertical.size(); i < stage.frontier(); ++i) {
+      out.vertical.push_back(stage.vertical()[i]);
+      out.anterior.push_back(stage.anterior()[i]);
     }
-    stage.advance(ring, flush);
-    if (!projects) return;
-    EXPECT_EQ(stage.frontier(), target);
-    for (std::size_t i = stable; i < target; ++i) {
-      const double rv = ref.vertical[i - begin];
-      const double ra = ref.anterior[i - begin];
-      peak = std::max({peak, std::abs(rv), std::abs(ra)});
-      const double dv = std::abs(stage.vertical()[i] - rv);
-      const double da = std::abs(stage.anterior()[i] - ra);
-      gap = std::max({gap, dv, da});
-      carried_bits = carried_bits || dv != 0.0 || da != 0.0;
-    }
+    stage.trim_projected(stage.frontier());
     ring.trim_to(std::min(stage.min_required(), ring.end()));
   };
-
-  const std::size_t half = trace.size() / 2;
   for (std::size_t i = 0; i < trace.size(); ++i) {
     ring.push(trace[i], 0);
-    if ((i + 1) % hop == 0) run_hop(false);
-    if (i == half) run_hop(true);  // a mid-stream drain, then more pushes
+    if ((i + 1) % hop != 0) continue;
+    stage.advance(ring, false);
+    if (ring.end() >= first_fit) {
+      EXPECT_LE(ring.end(), stage.frontier() + lag) << "hop " << hop;
+    }
+    collect();
   }
-  run_hop(true);
-  EXPECT_GT(peak, 0.0);
-  return gap / peak;
+  stage.advance(ring, true);
+  collect();
+  return out;
 }
 
 }  // namespace
 
-TEST(ProjectionCarry, FinalizedChannelsMatchPerHopReprojection) {
+TEST(ProjectionStage, StreamedChannelsEqualFlush) {
   const auto r = turning_walk(811);
-  for (const double hop_s : {0.5, 1.0, 2.0}) {
-    for (const double window_s : {0.0, 10.0}) {
-      const CarryCase c{hop_s, window_s};
-      SCOPED_TRACE(::testing::Message() << "hop " << hop_s << " window "
-                                        << window_s);
-      bool carried_bits = false;
-      const double rel = stage_gap_to_reprojection(r.trace, c, carried_bits);
-      EXPECT_LT(rel, 1e-9);
-      // Rounding differs somewhere: the hops really filtered from the
-      // carried state rather than re-projecting their context.
-      EXPECT_TRUE(carried_bits);
+  for (const double window_s : {10.0, 20.0}) {
+    core::StepCounterConfig cfg;
+    cfg.anterior_window_s = window_s;
+    const core::ProjectedChannels batch = core::project_trace(r.trace, cfg);
+    ASSERT_EQ(batch.vertical.size(), r.trace.size());
+    for (const std::size_t hop : {1u, 37u, 50u, 100u, 250u, 400u}) {
+      SCOPED_TRACE(::testing::Message() << "window " << window_s << " hop "
+                                        << hop);
+      const core::ProjectedChannels streamed =
+          stream_projection(r.trace, cfg, hop);
+      EXPECT_EQ(streamed.vertical, batch.vertical);
+      EXPECT_EQ(streamed.anterior, batch.anterior);
     }
   }
 }

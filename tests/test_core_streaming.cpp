@@ -271,16 +271,15 @@ TEST(Streaming, StatsSnapshotTracksLifetime) {
   EXPECT_LE(after.degraded_fraction(), 1.0);
 }
 
-// Every same-fs stream pins its projection axes with one process-wide,
-// read-only gravity weight table, created by whichever stream needs it
-// first. Streams driven concurrently from several threads, and
-// sample-interleaved on each thread so that they share its per-thread
-// projection scratch, must each emit exactly the events they emit when run
-// alone. The interleaved streams differ in anterior mode (one global fit
-// pinned to the gravity table's history, or 10 s windows) and hop length,
-// so scratch state leaking from one stream into the next changes some
-// stream's events. Under TSan this is also the race check on the table's
-// publication.
+// Every same-fs stream with the same axis window fits its projection axes
+// with one process-wide, read-only gravity weight table, created by
+// whichever stream needs it first. Streams driven concurrently from
+// several threads, and sample-interleaved on each thread so that they
+// share its per-thread scratch, must each emit exactly the events they
+// emit when run alone. The interleaved streams differ in axis window (20
+// or 10 s, two tables) and hop length, so scratch state leaking from one
+// stream into the next changes some stream's events. Under TSan this is
+// also the race check on the tables' publication.
 TEST(Streaming, SharedGravityTableAcrossThreads) {
   constexpr std::size_t kThreads = 4;
   constexpr std::size_t kStreamsPerThread = 3;
@@ -293,7 +292,7 @@ TEST(Streaming, SharedGravityTableAcrossThreads) {
   }
   const auto config = [](std::size_t stream) {
     core::StreamingConfig cfg = config_for_user();
-    cfg.pipeline.counter.anterior_window_s = stream % 2 == 1 ? 10.0 : 0.0;
+    cfg.pipeline.counter.anterior_window_s = stream % 2 == 1 ? 10.0 : 20.0;
     cfg.hop_s = std::array{0.5, 1.0, 2.0}[stream % 3];
     return cfg;
   };

@@ -4,7 +4,7 @@
 
 #include "common/stats.hpp"
 #include "common/error.hpp"
-#include "core/frontend.hpp"
+#include "core/stages.hpp"
 #include "core/ptrack.hpp"
 #include "core/stride_estimator.hpp"
 #include "synth/synthesizer.hpp"
@@ -27,7 +27,7 @@ StrideFixture make(synth::ActivityKind kind, std::uint64_t seed) {
                                  ? synth::Scenario::pure_walking(40.0)
                                  : synth::Scenario::pure_stepping(40.0);
   s.result = synth::synthesize(scenario, s.user, synth::SynthOptions{}, rng);
-  s.projected = core::project_trace(s.result.trace, 5.0);
+  s.projected = core::project_trace(s.result.trace);
   core::PTrackConfig raw;
   raw.quality.enabled = false;
   s.counted = core::PTrack(raw).process(s.result.trace);

@@ -437,68 +437,6 @@ TEST(SimdKernels, CascadeMultiCarriedStateSplitsBitExact) {
   expect_bits_equal(a, b);
 }
 
-namespace {
-
-/// filtfilt_multi_carried_into from the forward state a zero-state
-/// filtfilt_multi_into reaches at sample k equals that call from k on.
-void expect_carried_filtfilt_matches_full(std::size_t n, std::size_t k) {
-  constexpr std::size_t kL = simd::kIirLanes;
-  const auto cascade = dsp::butterworth_lowpass(4, 5.0, 100.0);
-  const std::vector<double> a = rand_vec(n, 91);
-  const std::vector<double> b = rand_vec(n, 92);
-  dsp::Workspace ws;
-
-  std::vector<double> full_a(n);
-  std::vector<double> full_b(n);
-  const std::array<std::span<const double>, 2> xs{std::span<const double>(a),
-                                             std::span<const double>(b)};
-  const std::array<std::span<double>, 2> full{std::span<double>(full_a),
-                                         std::span<double>(full_b)};
-  dsp::filtfilt_multi_into(cascade, xs, 64, ws, full);
-
-  // The forward state at k: the odd left pad, then samples [0, k).
-  const std::size_t pad = std::min<std::size_t>(64, n - 1);
-  std::vector<double> rows((pad + k) * kL, 0.0);
-  for (std::size_t c = 0; c < 2; ++c) {
-    const std::vector<double>& x = c == 0 ? a : b;
-    for (std::size_t i = 0; i < pad; ++i) {
-      rows[i * kL + c] = 2.0 * x[0] - x[pad - i];
-    }
-    for (std::size_t i = 0; i < k; ++i) rows[(pad + i) * kL + c] = x[i];
-  }
-  std::vector<dsp::BiquadCoeffs> sections;
-  for (const auto& s : cascade.sections()) sections.push_back(s.coeffs());
-  std::vector<double> state(simd::cascade_state_size(sections.size()), 0.0);
-  simd::cascade_multi(sections, rows.data(), pad + k, false, state.data());
-
-  std::vector<double> tail_a(n - k);
-  std::vector<double> tail_b(n - k);
-  const std::array<std::span<const double>, 2> tails{
-      std::span<const double>(a).subspan(k), std::span<const double>(b).subspan(k)};
-  const std::array<std::span<double>, 2> outs{std::span<double>(tail_a),
-                                         std::span<double>(tail_b)};
-  dsp::filtfilt_multi_carried_into(cascade, tails, state, 64, ws, outs);
-  expect_bits_equal(tail_a, std::vector<double>(full_a.begin() + k, full_a.end()));
-  expect_bits_equal(tail_b, std::vector<double>(full_b.begin() + k, full_b.end()));
-}
-
-}  // namespace
-
-TEST(SimdComposite, CarriedFiltfiltMatchesFullRun) {
-  IsaGuard guard(simd::detected());
-  for (const simd::Isa isa : {simd::Isa::kScalar, simd::detected()}) {
-    simd::force_isa(isa);
-    for (const std::size_t n : {std::size_t{130}, std::size_t{650}}) {
-      for (const std::size_t k : {std::size_t{0}, std::size_t{1},
-                                  std::size_t{65}, n - 65}) {
-        SCOPED_TRACE(::testing::Message() << simd::isa_name(isa) << " n "
-                                          << n << " k " << k);
-        expect_carried_filtfilt_matches_full(n, k);
-      }
-    }
-  }
-}
-
 // ---------------------------------------------------------------------------
 // Composite: the batched filtfilt entry points.
 

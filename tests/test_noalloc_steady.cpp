@@ -74,8 +74,9 @@ std::uint64_t run_hops(core::StreamingTracker& stream, const imu::Trace& trace,
   return after.allocations - before.allocations;
 }
 
-void expect_steady_hops_allocation_free(const NamedTrace& s,
-                                        double anterior_window_s = 0.0) {
+void expect_steady_hops_allocation_free(
+    const NamedTrace& s,
+    double anterior_window_s = core::StepCounterConfig{}.anterior_window_s) {
   synth::UserProfile user;
   core::StreamingConfig cfg;
   cfg.pipeline.stride.profile = {user.arm_length, user.leg_length, 2.0};
@@ -126,10 +127,8 @@ TEST(NoAllocSteadyState, DoublePrecisionAcrossScenarios) {
   }
 }
 
-// Windowed anterior mode re-fits the axes over each hop's re-projected
-// region instead of pinning the 20 s history, so its gravity weights are
-// computed into workspace scratch every hop rather than read from the
-// shared table; that path must be allocation-free too.
+// A 10 s axis window (Fig. 9's) fits its axes with another gravity table;
+// its steady blocks must be allocation-free too.
 TEST(NoAllocSteadyState, WindowedAnteriorAcrossScenarios) {
   for (const NamedTrace& s : scenarios()) {
     SCOPED_TRACE(s.name);
