@@ -25,6 +25,12 @@ template <class T>
 class Ring {
  public:
   void push(const T& v) { data_.push_back(v); }
+  /// Appends n value-initialized values and returns them for writing: the
+  /// push() of a whole block.
+  std::span<T> extend(std::size_t n) {
+    data_.resize(data_.size() + n);
+    return {data_.data() + data_.size() - n, n};
+  }
 
   /// Absolute index of the oldest retained value.
   [[nodiscard]] std::size_t base() const { return base_; }

@@ -10,11 +10,12 @@
 // the stream has been running. Events come out finalized, chronological
 // and never retracted.
 //
-// Consistency: over the same stream, the incremental event sequence is
-// validated hop-for-hop against the batch result on the same samples
-// (tests/test_streaming_equivalence.cpp); divergences are confined to the
-// documented seam effects (per-hop gravity estimate, filter margins,
-// running quality statistics — see DESIGN.md §13).
+// Consistency: every stage computes on a grid anchored at the stream's
+// first sample, so at any hop and in any chunking the events equal the
+// batch result on the same samples (PTrack::process), field for field
+// (tests/test_streaming_equivalence.cpp; DESIGN.md §13). The hop only sets
+// how often the pipeline advances, i.e. CPU per sample and how soon a
+// finalized event is handed out.
 //
 // Short streams: the pipeline needs >= 16 samples to project and three
 // step peaks (>= ~0.7 s apart) to form a cycle, so finish() on a stream of
@@ -38,8 +39,8 @@ namespace ptrack::core {
 struct StreamingConfig {
   PTrackConfig pipeline{};
   /// Advance the pipeline after this many seconds of new samples. (No
-  /// analysis window: stage state carries across hops, and each stage
-  /// derives its own finalization margin; see core/stages.hpp.)
+  /// analysis window: stage state carries across hops, and what a stage
+  /// finalizes does not depend on the hop; see core/stages.hpp.)
   double hop_s = 2.0;
   /// Arm an alloc::NoAllocScope around every steady-state incremental hop
   /// (each non-flush advance after the first flush). With PTrack checks

@@ -99,7 +99,12 @@ GravityWeights::GravityWeights(std::size_t n, double fs, double cutoff_hz)
     : fs_(fs),
       cutoff_hz_(cutoff_hz),
       storage_(gravity_weights_scratch(n)),
-      weights_(gravity_weights_into(n, fs, cutoff_hz, storage_)) {}
+      weights_(gravity_weights_into(n, fs, cutoff_hz, storage_)),
+      cumulative_(n + 1, 0.0) {
+  for (std::size_t j = 0; j < n; ++j) {
+    cumulative_[j + 1] = cumulative_[j] + weights_[j];
+  }
+}
 
 namespace {
 
@@ -197,18 +202,23 @@ Vec3 principal_horizontal_direction(std::span<const double> x,
                                     const Vec3& up) {
   expects(x.size() == y.size() && y.size() == z.size(),
           "principal_horizontal_direction: equal channel lengths");
-  const std::size_t n = x.size();
+  expects(!x.empty(), "principal_horizontal_direction: non-empty");
+  // One pass of first and second moments of d = f - f[0] in double.
+  const Vec3 f0{x[0], y[0], z[0]};
+  return principal_horizontal_direction(simd::moments3(x, y, z, f0), x.size(),
+                                        up);
+}
+
+Vec3 principal_horizontal_direction(const simd::Moments3& m, std::size_t n,
+                                    const Vec3& up) {
   expects(n > 0, "principal_horizontal_direction: non-empty");
   // Orthonormal horizontal basis (e1, e2) perpendicular to up.
   const Vec3 ref = std::abs(up.z) < 0.9 ? kVertical : kAnterior;
   const Vec3 e1 = up.cross(ref).normalized();
   const Vec3 e2 = up.cross(e1).normalized();
 
-  // One pass of first and second moments of d = f - f[0] in double, then
-  // the scatter matrix about the mean, C = sum d d^T - (sum d)(sum d)^T / n,
+  // The scatter matrix about the mean, C = sum d d^T - (sum d)(sum d)^T / n,
   // and its horizontal 2x2 block s_ab = e_a^T C e_b.
-  const Vec3 f0{x[0], y[0], z[0]};
-  const simd::Moments3 m = simd::moments3(x, y, z, f0);
   const auto count = static_cast<double>(n);
   const double cxx = m.xx - m.sum.x * m.sum.x / count;
   const double cxy = m.xy - m.sum.x * m.sum.y / count;

@@ -12,8 +12,9 @@
 //
 // The two axis estimators are the only copies of that arithmetic in the
 // tree. They run on structure-of-arrays channel spans, and
-// core::project_channels_into builds the PTrack frontend on them; project()
-// below is the whole-trace projection the baseline models use.
+// core::ProjectionStage builds the PTrack frontend on them, one fit per 1 s
+// grid block (core/frontend.hpp); project() below is the whole-trace
+// projection the baseline models use.
 //
 // The gravity estimate is a fixed linear functional. It is defined as
 // normalize(mean(filtfilt(pad(x)))) per channel: odd-reflection padding P
@@ -34,9 +35,7 @@
 // A plain mean is NOT equivalent: the filter's zero-state edge transients
 // give the ends of the window far less weight than the middle, and that
 // taper is part of the estimate. Replacing w by 1/n moves the up vector by
-// ~12 mrad (median; up to ~38) over 20 s windows of synthetic walking, and
-// the incremental stream's distance drifts ~13 % from the batch oracle's,
-// which fails tests/test_streaming_equivalence.cpp.
+// ~12 mrad (median; up to ~38) over 20 s windows of synthetic walking.
 
 #pragma once
 
@@ -47,6 +46,7 @@
 
 #include "common/vec3.hpp"
 #include "dsp/aligned.hpp"
+#include "dsp/simd.hpp"
 
 namespace ptrack::dsp {
 
@@ -88,12 +88,17 @@ class GravityWeights {
   GravityWeights& operator=(const GravityWeights&) = delete;
 
   [[nodiscard]] std::span<const double> weights() const { return weights_; }
+  /// cumulative()[j] = the sum of weights()[0, j), n + 1 values: the
+  /// weight of any run of positions is the difference of two entries.
+  [[nodiscard]] std::span<const double> cumulative() const {
+    return cumulative_;
+  }
   [[nodiscard]] std::size_t size() const { return weights_.size(); }
   [[nodiscard]] double fs() const { return fs_; }
   [[nodiscard]] double cutoff_hz() const { return cutoff_hz_; }
-  /// Bytes of weight storage (padded scratch length).
+  /// Bytes of storage (padded scratch length plus the cumulative sums).
   [[nodiscard]] std::size_t bytes() const {
-    return storage_.size() * sizeof(double);
+    return (storage_.size() + cumulative_.size()) * sizeof(double);
   }
 
  private:
@@ -101,23 +106,24 @@ class GravityWeights {
   double cutoff_hz_;
   AlignedVector<double> storage_;
   std::span<const double> weights_;
+  AlignedVector<double> cumulative_;
 };
 
 /// Bytes of tables nobody holds that the shared registry keeps: enough for
-/// a few warm-up ladders (one 1 s-hop ladder at 100 Hz is ~170 KB).
+/// a few warm-up ladders (one ladder of 1 s blocks at 100 Hz is ~170 KB).
 inline constexpr std::size_t kGravityRegistryUnheldBytes = std::size_t{1}
                                                            << 20;
 
 /// The process-wide table for (n, fs, cutoff_hz), computed on first request
 /// and shared read-only by every holder (a streaming ProjectionStage keeps
 /// its steady-window table for its lifetime and a warm-up length's table
-/// for one hop). Tables no one holds are kept, least recently requested
+/// for one block). Tables no one holds are kept, least recently requested
 /// dropped first, while they total at most kGravityRegistryUnheldBytes
 /// (the table returned counts as unheld): lengths and rates that streams
 /// come back to are computed once per process, and distinct client rates
 /// cannot grow the registry past the tables in use plus that budget (or
 /// one table, if a single table is larger). Thread-safe; takes a lock, so
-/// call it at setup or on warm-up hops, never on a steady hop.
+/// call it at setup or on warm-up blocks, never on a steady one.
 std::shared_ptr<const GravityWeights> shared_gravity_weights(
     std::size_t n, double fs, double cutoff_hz);
 
@@ -155,6 +161,12 @@ Vec3 estimate_up(std::span<const double> x, std::span<const double> y,
 Vec3 principal_horizontal_direction(std::span<const double> x,
                                     std::span<const double> y,
                                     std::span<const double> z,
+                                    const Vec3& up);
+
+/// As above, from the moments of n > 0 samples about any shift
+/// (simd::moments3, or a sum of them over consecutive spans taken about
+/// one shift).
+Vec3 principal_horizontal_direction(const simd::Moments3& m, std::size_t n,
                                     const Vec3& up);
 
 /// Whole-trace projection: up from the gravity estimate, forward from the

@@ -1,11 +1,14 @@
 // Ingest-server integration tests over real Unix domain sockets: healthy
 // round trips checked bit-for-bit (at wire precision) against a local
-// StreamingTracker oracle, the chaos soak (faulty clients must not harm
+// StreamingTracker oracle and, through a live ptrack_serve process, against
+// batch PTrack::process, the chaos soak (faulty clients must not harm
 // healthy neighbors and every session must be reclaimed), admission
 // shedding, slow-consumer eviction, stall eviction, and the graceful
 // server-initiated drain.
 
 #include <gtest/gtest.h>
+#include <signal.h>
+#include <sys/wait.h>
 
 #include <algorithm>
 #include <atomic>
@@ -16,7 +19,9 @@
 #include <unistd.h>
 #include <vector>
 
+#include "core/ptrack.hpp"
 #include "core/streaming.hpp"
+#include "imu/faults.hpp"
 #include "net/chaos.hpp"
 #include "net/http.hpp"
 #include "net/server.hpp"
@@ -130,6 +135,55 @@ TEST(NetServer, HealthyClientMatchesOracle) {
   EXPECT_EQ(s.session_errors, 0u);
   EXPECT_EQ(s.samples_in, trace.size());
   EXPECT_EQ(s.memory_charged_bytes, 0u);
+}
+
+// The daemon at any hop emits exactly the batch events: a live ptrack_serve
+// process at --hop 0.3 (30-sample hops), fed a faulted walk in 37-sample
+// SAMPLES frames that straddle the hops.
+TEST(NetServer, LiveDaemonMatchesBatch) {
+  imu::Trace trace = walking_trace(40.0, 1101);
+  Rng rng(1102);
+  trace = imu::inject_dropouts(trace, 4.0, 10, 60, rng);
+  trace = imu::clip_acceleration(trace, 25.0);
+  const core::TrackResult batch = core::PTrack().process(trace);
+  ASSERT_TRUE(batch.quality.degraded());
+  ASSERT_GT(batch.events.size(), 30u);
+
+  const std::string path =
+      "/tmp/ptsrv_" + std::to_string(::getpid()) + "_live.sock";
+  ::unlink(path.c_str());
+  const pid_t pid = ::fork();
+  ASSERT_GE(pid, 0);
+  if (pid == 0) {
+    ::execl(PTRACK_SERVE_PATH, PTRACK_SERVE_PATH, "--uds", path.c_str(),
+            "--hop", "0.3", "--quiet", static_cast<char*>(nullptr));
+    ::_exit(127);
+  }
+  ClientConfig ccfg;
+  ccfg.session_id = 11;
+  ccfg.fs = trace.fs();
+  ccfg.samples_per_frame = 37;
+  ClientResult res;
+  // Connecting fails until the daemon listens.
+  const bool connected = wait_for(
+      [&] {
+        try {
+          res = run_healthy_client(Endpoint::uds(path), ccfg,
+                                   trace.samples());
+          return true;
+        } catch (const Error&) {
+          return false;
+        }
+      },
+      10.0);
+  ::kill(pid, SIGTERM);
+  int status = 0;
+  ::waitpid(pid, &status, 0);
+  ::unlink(path.c_str());
+  ASSERT_TRUE(connected) << "ptrack_serve never accepted a connection";
+  ASSERT_TRUE(res.ok) << res.detail;
+  expect_wire_equal(res.events, batch.events);
+  EXPECT_TRUE(WIFEXITED(status) && WEXITSTATUS(status) == 0);
 }
 
 TEST(NetServer, SoakChaosCannotHarmHealthyNeighbors) {
