@@ -32,6 +32,10 @@ class Ring {
     return {data_.data() + data_.size() - n, n};
   }
 
+  /// Reserves storage for n values, dead prefix included: pushes stay
+  /// allocation-free while the storage holds at most n.
+  void reserve(std::size_t n) { data_.reserve(n); }
+
   /// Absolute index of the oldest retained value.
   [[nodiscard]] std::size_t base() const { return base_; }
   /// One past the absolute index of the newest value (== values pushed

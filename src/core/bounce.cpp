@@ -54,11 +54,11 @@ BounceSolution solve_bounce(double h1, double h2, double d, double m) {
   for (int iter = 0; iter < 80; ++iter) {
     const double mid = 0.5 * (lo + hi);
     const double f = sweep_width(mid, h1, h2, m) - d;
-    if (f < 0.0) {
-      lo = mid;
-    } else {
-      hi = mid;
-    }
+    // An iteration that leaves (lo, hi) as they were is a fixed point:
+    // every later one would repeat it, so stopping there is exact.
+    double& end = f < 0.0 ? lo : hi;
+    if (end == mid) break;
+    end = mid;
   }
   out.bounce = 0.5 * (lo + hi);
   out.valid = true;

@@ -7,12 +7,13 @@
 // of a stream, [kB, (k+1)B), is projected once, with its own axes: the
 // gravity estimate and the principal horizontal direction
 // (dsp/projection.hpp) over the trailing axis window
-// (StepCounterConfig::anterior_window_s) that ends at the block's end; a
-// stream's first fit waits for kMinAxisWindowS and projects everything
-// before it. Both channels then pass through GridLowpass below. A batch
-// trace is the same computation with its final partial block flushed: its
-// axes are fit over the window ending at the trace's end. ProjectionStage
-// (core/stages.hpp) drives both; project_trace is its flush over a trace.
+// (StepCounterConfig::anterior_window_s, cut to whole blocks) that ends at
+// the block's end; a stream's first fit waits for kMinAxisWindowS and
+// projects everything before it. Both channels then pass through
+// GridLowpass below. A batch trace is the same computation with its final
+// partial block flushed on the last grid fit's axes (a trace shorter than
+// the first fit is fit over all of it). ProjectionStage (core/stages.hpp)
+// drives both; project_trace is its flush over a trace.
 //
 // Each block has one up axis, so the channels must be in a platform frame
 // whose vertical does not turn with the wrist. A device-frame recording is

@@ -30,7 +30,8 @@ ProjectionStage::ProjectionStage(const StepCounterConfig& cfg, double fs,
     : fs_(fs),
       ws_(ws),
       block_(grid_block(fs)),
-      axis_window_(seconds_to_samples(cfg.anterior_window_s, fs)),
+      axis_window_(seconds_to_samples(cfg.anterior_window_s, fs) / block_ *
+                   block_),
       taper_(seconds_to_samples(kTaperS, fs)),
       first_fit_(std::min(axis_window_,
                           (seconds_to_samples(kMinAxisWindowS, fs) + block_ -
@@ -44,6 +45,18 @@ ProjectionStage::ProjectionStage(const StepCounterConfig& cfg, double fs,
   // ptrack-lint: push-allow(alloc) setup-time reservation
   block_v_.reserve(first_fit_);
   block_a_.reserve(first_fit_);
+  // The block positions of a full window whose gravity weights vary, so
+  // that fit_axes weighs them sample by sample (the test in its add()).
+  for (std::size_t p = 0; p < axis_window_ / block_; ++p) {
+    if (p * block_ < taper_ || (p + 1) * block_ + taper_ > axis_window_) {
+      taper_positions_.push_back(p);
+    }
+  }
+  // The per-block rings hold a window's blocks and the next one, and a
+  // dead prefix up to as long before they compact.
+  const std::size_t blocks = 2 * (axis_window_ / block_ + 1);
+  block_moments_.reserve(blocks);
+  taper_sums_.reserve(blocks * taper_positions_.size());
   // ptrack-lint: pop-allow(alloc)
 }
 
@@ -59,11 +72,18 @@ void ProjectionStage::advance(const imu::SampleRing& ring, bool flush) {
     // The stream's first fit waits for kMinAxisWindowS of samples and
     // projects all of them.
     if (projected_ == 0 && g < first_fit_) continue;
+    axes_ = fit_axes(ring, g);
     project_to(ring, g);
     lowpass_.finalize(g > settle ? g - settle : 0, *ws_);
   }
   if (flush && ring.end() >= 16) {
-    if (ring.end() > projected_) project_to(ring, ring.end());
+    if (ring.end() > projected_) {
+      // The final partial block keeps the last grid fit's axes, so no fit
+      // ever needs a window of raw samples that is not block-aligned; a
+      // stream shorter than its first fit is fit over all of it.
+      if (projected_ == 0) axes_ = fit_axes(ring, ring.end());
+      project_to(ring, ring.end());
+    }
     lowpass_.flush(*ws_);
   }
   lowpass_.run_passes(*ws_);
@@ -75,7 +95,6 @@ void ProjectionStage::project_to(const imu::SampleRing& ring,
   const std::size_t b = projected_;
   PTRACK_CHECK_MSG(b < e && e - b <= first_fit_,
                    "ProjectionStage: one first fit or block at a time");
-  const Axes axes = fit_axes(ring, e);
   // Specific force f = a_lin - g_vec with g_vec = -g*up, so the linear
   // vertical acceleration is f.up - g.
   // ptrack-lint: push-allow(alloc) within the ctor's reserve(first_fit_)
@@ -83,53 +102,69 @@ void ProjectionStage::project_to(const imu::SampleRing& ring,
   block_a_.resize(e - b);
   // ptrack-lint: pop-allow(alloc)
   dsp::simd::axis_project(ring.ax(b, e), ring.ay(b, e), ring.az(b, e),
-                          axes.up, kGravity, block_v_);
+                          axes_.up, kGravity, block_v_);
   dsp::simd::residual_project(ring.ax(b, e), ring.ay(b, e), ring.az(b, e),
-                              axes.up, axes.anterior, block_a_);
-  anterior_ = axes.anterior;
+                              axes_.up, axes_.anterior, block_a_);
   lowpass_.append(block_v_, block_a_, *ws_);
   projected_ = e;
+}
+
+void ProjectionStage::take_blocks(const imu::SampleRing& ring,
+                                  std::size_t e) {
+  PTRACK_CHECK_MSG(ring.base() <= block_moments_.end() * block_,
+                   "ProjectionStage: blocks not yet taken are retained raw");
+  if (!up_weights_) {
+    up_weights_ =
+        dsp::shared_gravity_weights(axis_window_, fs_, dsp::kGravityCutoffHz);
+    moment_shift_ = {ring.ax(0, 1)[0], ring.ay(0, 1)[0], ring.az(0, 1)[0]};
+  }
+  const std::span<const double> w = up_weights_->weights();
+  while ((block_moments_.end() + 1) * block_ <= e) {
+    const std::size_t pb = block_moments_.end() * block_;
+    const std::size_t pe = pb + block_;
+    // ptrack-lint: push-allow(alloc) per-block entries; steady capacity
+    block_moments_.push(dsp::simd::moments3(
+        ring.ax(pb, pe), ring.ay(pb, pe), ring.az(pb, pe), moment_shift_));
+    for (const std::size_t p : taper_positions_) {
+      taper_sums_.push(dsp::simd::weighted_sum3(
+          w.subspan(p * block_, block_), ring.ax(pb, pe), ring.ay(pb, pe),
+          ring.az(pb, pe)));
+    }
+    // ptrack-lint: pop-allow(alloc)
+  }
 }
 
 ProjectionStage::Axes ProjectionStage::fit_axes(const imu::SampleRing& ring,
                                                 std::size_t e) {
   const std::size_t begin = e > axis_window_ ? e - axis_window_ : 0;
   const std::size_t n = e - begin;
-  PTRACK_CHECK_MSG(ring.base() <= begin && n >= 16,
-                   "ProjectionStage: axis window inside the retained ring");
+  const bool full = n == axis_window_;
+  PTRACK_CHECK_MSG(n >= 16 && (full ? begin % block_ == 0
+                                    : begin == 0 && ring.base() == 0),
+                   "ProjectionStage: a full window is whole blocks; a "
+                   "shorter one reads the retained stream from its start");
+  take_blocks(ring, e);
   // The gravity weights depend only on the window length: a full window
   // takes the table this stage holds; shorter ones (the first blocks of a
-  // stream, a flush of a short trace) come from the shared registry.
-  std::shared_ptr<const dsp::GravityWeights> table = up_weights_;
-  if (n != axis_window_ || !table) {
-    table = dsp::shared_gravity_weights(n, fs_, dsp::kGravityCutoffHz);
-    if (n == axis_window_) up_weights_ = table;
-  }
+  // stream, a flush of a short one) come from the shared registry.
+  const std::shared_ptr<const dsp::GravityWeights> table =
+      full ? up_weights_
+           : dsp::shared_gravity_weights(n, fs_, dsp::kGravityCutoffHz);
 
-  // Each whole grid block's moments are taken once, about the stream's
-  // first sample.
-  const auto moments = [&](std::size_t pb, std::size_t pe) {
-    return dsp::simd::moments3(ring.ax(pb, pe), ring.ay(pb, pe),
-                               ring.az(pb, pe), moment_shift_);
-  };
-  if (block_moments_.end() == 0) {
-    moment_shift_ = {ring.ax(0, 1)[0], ring.ay(0, 1)[0], ring.az(0, 1)[0]};
-  }
-  while ((block_moments_.end() + 1) * block_ <= e) {
-    const std::size_t pb = block_moments_.end() * block_;
-    // ptrack-lint: allow(alloc) one entry per block; steady capacity
-    block_moments_.push(moments(pb, pb + block_));
-  }
-
-  // The window is cut at grid points into pieces: whole blocks, and
-  // partial ones at its edges. The principal direction reads their summed
-  // moments. The gravity estimate weighs each sample with the gravity
-  // weights where the taper varies, within kTaperS of either end; a whole
-  // block inside that is weighed by its mean weight, from its moments.
-  const std::size_t first = (begin + block_ - 1) / block_;
+  // The window is cut at grid points into pieces: whole blocks, and a
+  // partial one at the end of a stream shorter than its first fit. The
+  // principal direction reads their summed moments. The gravity estimate
+  // weighs each sample with the gravity weights where the taper varies,
+  // within kTaperS of either end; a whole block inside that is weighed by
+  // its mean weight, from its moments. In a full window the per-sample
+  // sums were taken with the blocks (take_blocks), so it reads no raw
+  // sample.
+  const std::size_t first = begin / block_;
   const std::size_t last = e / block_;
   const std::span<const double> w = table->weights();
   const std::span<const double> cumulative = table->cumulative();
+  const std::size_t slots = taper_positions_.size();
+  std::size_t slot = 0;  // taper position of a full window's next block
   dsp::simd::Moments3 total{};
   Vec3 gravity{};
   const auto add = [&](std::size_t pb, std::size_t pe,
@@ -147,25 +182,27 @@ ProjectionStage::Axes ProjectionStage::fit_axes(const imu::SampleRing& ring,
       const double c = cumulative[je] - cumulative[jb];
       gravity += (m.sum + moment_shift_ * static_cast<double>(block_)) *
                  (c / static_cast<double>(block_));
+    } else if (full) {
+      PTRACK_CHECK_MSG(slot < slots && taper_positions_[slot] == jb / block_,
+                       "ProjectionStage: full-window blocks in taper order");
+      gravity += taper_sums_[pb / block_ * slots + slot];
+      ++slot;
     } else {
       gravity += dsp::simd::weighted_sum3(w.subspan(jb, je - jb),
                                           ring.ax(pb, pe), ring.ay(pb, pe),
                                           ring.az(pb, pe));
     }
   };
-  if (first >= last) {
-    add(begin, e, moments(begin, e));
-  } else {
-    if (begin < first * block_) {
-      add(begin, first * block_, moments(begin, first * block_));
-    }
-    for (std::size_t k = first; k < last; ++k) {
-      add(k * block_, (k + 1) * block_, block_moments_[k]);
-    }
-    if (last * block_ < e) add(last * block_, e, moments(last * block_, e));
+  for (std::size_t k = first; k < last; ++k) {
+    add(k * block_, (k + 1) * block_, block_moments_[k]);
+  }
+  if (const std::size_t pb = last * block_; pb < e) {
+    add(pb, e, dsp::simd::moments3(ring.ax(pb, e), ring.ay(pb, e),
+                                   ring.az(pb, e), moment_shift_));
   }
   // The next window starts after this one.
   block_moments_.trim_to(first);
+  taper_sums_.trim_to(first * slots);
 
   check(gravity.norm() > 1e-6,
         "ProjectionStage: gravity magnitude not degenerate");
@@ -173,16 +210,20 @@ ProjectionStage::Axes ProjectionStage::fit_axes(const imu::SampleRing& ring,
   // PCA is sign-ambiguous: align with the previous fit so the anterior
   // channel does not flip mid-stream.
   axes.anterior = dsp::principal_horizontal_direction(total, n, axes.up);
-  if (anterior_.norm2() > 0.0 && axes.anterior.dot(anterior_) < 0.0) {
+  if (axes_.anterior.norm2() > 0.0 &&
+      axes.anterior.dot(axes_.anterior) < 0.0) {
     axes.anterior = -axes.anterior;
   }
   return axes;
 }
 
 std::size_t ProjectionStage::min_required() const {
-  // The next block ends after projected_, and its axis window reaches
-  // axis_window_ back from there.
-  return projected_ + 1 > axis_window_ ? projected_ + 1 - axis_window_ : 0;
+  // The next grid fit ends at the grid point after projected_. A window
+  // shorter than axis_window_ reads the stream's raw samples from its
+  // start; a full one reads the stored block sums, so only the blocks not
+  // yet taken stay raw: from projected_'s block on.
+  const std::size_t block = projected_ / block_ * block_;
+  return block + block_ >= axis_window_ ? block : 0;
 }
 
 // ---------------------------------------------------------------------------

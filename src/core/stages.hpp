@@ -33,7 +33,12 @@
 //     low-pass's forward pass over it (core::GridLowpass). At each grid
 //     point g it finalizes the samples below g - kSettleBlocks * B with a
 //     backward pass from g. A flush projects the final partial block with
-//     axes fit at the raw frontier and finalizes the rest from there.
+//     the last grid fit's axes and finalizes the rest from there. The
+//     axis window is whole blocks, and each block's taper-weighted gravity
+//     sums are taken when the block is (ProjectionStage), so once the
+//     window is full the stage keeps raw samples only from the block being
+//     filled: the raw ring's retention is then set by segmentation and the
+//     assembler, a few seconds.
 //   - SegmentationStage finds step peaks with prominence windows bounded
 //     to kPeakWindowS and greedy min-distance suppression followed
 //     kSuppressionDepth levels deep (dsp::PeakScan), so a peak is final
@@ -103,8 +108,9 @@ class ProjectionStage {
 
   /// Projects every grid block the raw ring now covers; flush also
   /// projects the partial block up to the raw frontier (given >= 16 raw
-  /// samples) and finalizes everything. Appends only — previously
-  /// finalized samples never change.
+  /// samples) with the last grid fit's axes, or fit over the whole stream
+  /// before its first fit, and finalizes everything. Appends only —
+  /// previously finalized samples never change.
   void advance(const imu::SampleRing& ring, bool flush);
 
   [[nodiscard]] const Ring<double>& vertical() const {
@@ -115,7 +121,9 @@ class ProjectionStage {
   }
   /// One past the newest finalized projected sample (absolute).
   [[nodiscard]] std::size_t frontier() const { return lowpass_.final_end(); }
-  /// Earliest *raw* absolute index the next advance will read.
+  /// Earliest *raw* absolute index the next advance will read: the
+  /// stream's start while the next fit's window is shorter than the axis
+  /// window, then the start of the block being filled.
   [[nodiscard]] std::size_t min_required() const;
   /// Drops projected samples below `new_base` (downstream consumers done).
   void trim_projected(std::size_t new_base) {
@@ -125,30 +133,41 @@ class ProjectionStage {
   [[nodiscard]] double fs() const { return fs_; }
 
  private:
-  // Projects raw samples [projected_, e) with axes fit over the axis
-  // window ending at e, and appends them to the low-pass.
+  // Projects raw samples [projected_, e) with axes_ and appends them to
+  // the low-pass.
   void project_to(const imu::SampleRing& ring, std::size_t e);
   struct Axes {
     Vec3 up;
     Vec3 anterior;
   };
-  // Fits the axes over the axis window ending at e.
+  // Fits the axes over the axis window ending at e: a grid point, or the
+  // end of a stream shorter than its first fit.
   Axes fit_axes(const imu::SampleRing& ring, std::size_t e);
+  // Takes the moments and taper sums of every whole block below e not yet
+  // taken.
+  void take_blocks(const imu::SampleRing& ring, std::size_t e);
 
   double fs_;
   dsp::Workspace* ws_;
   std::size_t block_;        ///< grid block (samples)
-  std::size_t axis_window_;  ///< trailing axis window (samples)
+  std::size_t axis_window_;  ///< trailing axis window: whole grid blocks
   std::size_t taper_;        ///< kTaperS (samples)
   std::size_t first_fit_;    ///< grid point of a stream's first fit
+  /// Block positions in a full window weighed sample by sample (within
+  /// kTaperS of either end), ascending.
+  std::vector<std::size_t> taper_positions_;
   /// Gravity weights for a full axis window: the process-wide table for
-  /// this fs, taken on first use and held for the stage's lifetime, so a
-  /// steady block neither looks it up nor filters weights
+  /// this fs, taken with the first block and held for the stage's
+  /// lifetime, so a steady block neither looks it up nor filters weights
   /// (dsp/projection.hpp).
   std::shared_ptr<const dsp::GravityWeights> up_weights_;
-  Vec3 anterior_{};  ///< the previous fit's (zero before a stream's first)
+  Axes axes_{};  ///< the last fit's (zero before a stream's first)
   Vec3 moment_shift_{};  ///< the stream's first raw sample
   Ring<dsp::simd::Moments3> block_moments_;  ///< per grid block, about it
+  /// Per grid block k, its weighted sums at each of taper_positions_, at
+  /// k * taper_positions_.size() + slot: a full window's per-sample
+  /// gravity terms, taken while the block's samples are fresh.
+  Ring<Vec3> taper_sums_;
   std::size_t projected_ = 0;  ///< raw samples projected so far
   std::vector<double> block_v_;  ///< one block's pre-filter channels
   std::vector<double> block_a_;

@@ -69,9 +69,10 @@ struct SignalQuality {
 struct StepCounterConfig {
   double lowpass_hz = 5.0;       ///< analysis band for projected signals
   /// Trailing axis window (s): each 1 s grid block's up and anterior axes
-  /// are fit over the window of this length that ends at the block's end
-  /// (core/frontend.hpp); at least one block. Shorter windows keep the
-  /// anterior channel faithful on routes with turns.
+  /// are fit over the window of this length, cut to whole blocks, that
+  /// ends at the block's end (core/frontend.hpp); at least one block.
+  /// Shorter windows keep the anterior channel faithful on routes with
+  /// turns.
   double anterior_window_s = 20.0;
   double delta = 0.0325;         ///< offset threshold (paper SIII-B1)
   std::size_t streak = 3;        ///< consecutive confirmations for stepping

@@ -160,22 +160,12 @@ void diff_div(std::span<const double> hi, std::span<const double> lo,
                                out.data());
 }
 
-double min_until_greater_fwd(std::span<const double> xs, double h,
-                             std::size_t* stop) {
-  std::size_t at = 0;
-  const double m =
-      dispatch().table->min_until_greater_fwd_d(xs.data(), xs.size(), h, &at);
-  if (stop != nullptr) *stop = at;
-  return m;
+double min_until_greater_fwd(std::span<const double> xs, double h) {
+  return dispatch().table->min_until_greater_fwd_d(xs.data(), xs.size(), h);
 }
 
-double min_until_greater_bwd(std::span<const double> xs, double h,
-                             std::size_t* stop) {
-  std::size_t at = 0;
-  const double m =
-      dispatch().table->min_until_greater_bwd_d(xs.data(), xs.size(), h, &at);
-  if (stop != nullptr) *stop = at;
-  return m;
+double min_until_greater_bwd(std::span<const double> xs, double h) {
+  return dispatch().table->min_until_greater_bwd_d(xs.data(), xs.size(), h);
 }
 
 void normalize_lags(std::span<const double> raw, std::size_t n, double den,

@@ -117,16 +117,11 @@ void diff_div(std::span<const double> hi, std::span<const double> lo,
 /// Minimum over xs[0..k] where k is the first index with xs[k] > h (k = n-1
 /// when none exceeds h) — one side of a peak-prominence walk. Returns h for
 /// empty input. min is exact, so any evaluation order is bit-identical.
-/// `stop` (optional) receives where the walk stopped: k, or n when no
-/// sample exceeds h (the walk ran off the span's end).
 [[nodiscard]] double min_until_greater_fwd(std::span<const double> xs,
-                                           double h,
-                                           std::size_t* stop = nullptr);
-/// Same walk right-to-left (from xs.back() towards xs.front()); `stop`
-/// receives the index of the first sample > h met, or n when none is.
+                                           double h);
+/// Same walk right-to-left (from xs.back() towards xs.front()).
 [[nodiscard]] double min_until_greater_bwd(std::span<const double> xs,
-                                           double h,
-                                           std::size_t* stop = nullptr);
+                                           double h);
 
 /// Unbiased autocorrelation normalization: out[lag] =
 /// clamp(raw[lag] * (n / (n - lag)) / den, -1, 1) for lag in

@@ -210,8 +210,7 @@ void diff_div_avx2(const double* hi, const double* lo, std::size_t n,
   for (; i < n; ++i) out[i] = (hi[i] - lo[i]) / div;
 }
 
-double min_until_greater_fwd_avx2(const double* xs, std::size_t n, double h,
-                                  std::size_t* stop) {
+double min_until_greater_fwd_avx2(const double* xs, std::size_t n, double h) {
   const __m256d hv = _mm256_set1_pd(h);
   __m256d mv = hv;
   std::size_t i = 0;
@@ -227,12 +226,10 @@ double min_until_greater_fwd_avx2(const double* xs, std::size_t n, double h,
     m = std::min(m, xs[i]);
     if (xs[i] > h) break;
   }
-  *stop = i;
   return m;
 }
 
-double min_until_greater_bwd_avx2(const double* xs, std::size_t n, double h,
-                                  std::size_t* stop) {
+double min_until_greater_bwd_avx2(const double* xs, std::size_t n, double h) {
   const __m256d hv = _mm256_set1_pd(h);
   __m256d mv = hv;
   std::size_t i = n;
@@ -244,12 +241,8 @@ double min_until_greater_bwd_avx2(const double* xs, std::size_t n, double h,
   double m = std::min(h, hmin(mv));
   for (; i-- > 0;) {
     m = std::min(m, xs[i]);
-    if (xs[i] > h) {
-      *stop = i;
-      return m;
-    }
+    if (xs[i] > h) break;
   }
-  *stop = n;
   return m;
 }
 

@@ -42,10 +42,8 @@ struct KernelTable {
   void (*sub_scalar_d)(const double*, std::size_t, double, double*);
   void (*diff_div_d)(const double*, const double*, std::size_t, double,
                      double*);
-  double (*min_until_greater_fwd_d)(const double*, std::size_t, double,
-                                    std::size_t*);
-  double (*min_until_greater_bwd_d)(const double*, std::size_t, double,
-                                    std::size_t*);
+  double (*min_until_greater_fwd_d)(const double*, std::size_t, double);
+  double (*min_until_greater_bwd_d)(const double*, std::size_t, double);
   void (*normalize_lags_d)(const double*, std::size_t, std::size_t, double,
                            double*);
   void (*cascade_multi_d)(const BiquadCoeffs*, std::size_t, double*,
@@ -213,28 +211,22 @@ inline void diff_div_canonical(const double* hi, const double* lo,
 }
 
 inline double min_until_greater_fwd_canonical(const double* xs, std::size_t n,
-                                              double h, std::size_t* stop) {
+                                              double h) {
   double m = h;
-  std::size_t i = 0;
-  for (; i < n; ++i) {
+  for (std::size_t i = 0; i < n; ++i) {
     m = std::min(m, xs[i]);
     if (xs[i] > h) break;
   }
-  *stop = i;
   return m;
 }
 
 inline double min_until_greater_bwd_canonical(const double* xs, std::size_t n,
-                                              double h, std::size_t* stop) {
+                                              double h) {
   double m = h;
   for (std::size_t i = n; i-- > 0;) {
     m = std::min(m, xs[i]);
-    if (xs[i] > h) {
-      *stop = i;
-      return m;
-    }
+    if (xs[i] > h) break;
   }
-  *stop = n;
   return m;
 }
 

@@ -262,7 +262,8 @@ void Scheduler::execute(const Task& t, std::size_t executor, Lane lane) {
   std::uint64_t start = 0;
   if (timed) {
     start = obs::now_ns();
-    const double wait_us =
+    // Read only by PTRACK_HIST_US, which PTRACK_OBS=OFF compiles out.
+    [[maybe_unused]] const double wait_us =
         static_cast<double>(start - t.submit_ns) / 1000.0;
     if (lane == Lane::kLatency) {
       PTRACK_HIST_US("ptrack.runtime.sched.latency.queue_wait_us", wait_us);
@@ -282,7 +283,7 @@ void Scheduler::execute(const Task& t, std::size_t executor, Lane lane) {
   }
   st_.executed[l].fetch_add(1, std::memory_order_relaxed);
   if (timed) {
-    const double exec_us =
+    [[maybe_unused]] const double exec_us =
         static_cast<double>(obs::now_ns() - start) / 1000.0;
     if (lane == Lane::kLatency) {
       PTRACK_HIST_US("ptrack.runtime.sched.latency.exec_us", exec_us);

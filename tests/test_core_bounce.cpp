@@ -3,6 +3,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 
 #include "common/error.hpp"
@@ -63,6 +64,41 @@ TEST(BounceSolver, RoundTripSweep) {
       }
     }
   }
+}
+
+TEST(BounceSolver, EarlyStopMatchesTheFullBisection) {
+  // The solver stops once an iteration leaves its bracket unchanged; the
+  // full 80-step bisection over the same bracket must give the same bits.
+  const auto full = [](double h1, double h2, double d, double m) {
+    double lo = std::max({0.0, -h1, -h2});
+    double hi = std::min(m - h1, m - h2);
+    for (int iter = 0; iter < 80; ++iter) {
+      const double mid = 0.5 * (lo + hi);
+      if (core::sweep_width(mid, h1, h2, m) - d < 0.0) {
+        lo = mid;
+      } else {
+        hi = mid;
+      }
+    }
+    return 0.5 * (lo + hi);
+  };
+  int solved = 0;
+  for (double m : {0.55, 0.63, 0.70, 0.85}) {
+    for (double b : {0.0, 1e-4, 0.004, 0.03, 0.061, 0.10}) {
+      for (double t1 : {0.05, 0.25, 0.40, 0.55}) {
+        for (double t2 : {0.05, 0.30, 0.45}) {
+          const Measurement meas = forward(b, m, t1, t2);
+          const core::BounceSolution sol =
+              core::solve_bounce(meas.h1, meas.h2, meas.d, m);
+          if (!sol.valid) continue;
+          ++solved;
+          EXPECT_EQ(sol.bounce, full(meas.h1, meas.h2, meas.d, m))
+              << "m=" << m << " b=" << b << " t1=" << t1 << " t2=" << t2;
+        }
+      }
+    }
+  }
+  EXPECT_GT(solved, 200);
 }
 
 TEST(BounceSolver, SweepWidthIsMonotoneInBounce) {

@@ -5,15 +5,19 @@
 
 #include <algorithm>
 #include <cmath>
+#include <span>
 #include <vector>
 
 #include "common/angles.hpp"
 #include "common/error.hpp"
+#include "common/vec3.hpp"
 #include "core/frontend.hpp"
 #include "core/ptrack.hpp"
 #include "core/stages.hpp"
 #include "dsp/butterworth.hpp"
 #include "dsp/filtfilt.hpp"
+#include "dsp/projection.hpp"
+#include "dsp/simd.hpp"
 #include "dsp/workspace.hpp"
 #include "imu/sample_ring.hpp"
 #include "synth/synthesizer.hpp"
@@ -148,7 +152,8 @@ TEST(GridLowpass, FlushIsFiltfilt) {
 // Hop invariance: a ProjectionStage advanced at any hop, with its raw ring
 // trimmed to what it still needs, finalizes exactly the channels its flush
 // over the whole trace finalizes, and, once its first fit is in, holds no
-// sample back longer than (kSettleBlocks + 1) grid blocks.
+// sample back longer than (kSettleBlocks + 1) grid blocks. Once its axis
+// window is full it needs less than one grid block of raw samples.
 
 namespace {
 
@@ -164,6 +169,8 @@ core::ProjectedChannels stream_projection(const imu::Trace& trace,
   const std::size_t first_fit =
       (static_cast<std::size_t>(core::kMinAxisWindowS * fs) + block - 1) /
       block * block;
+  const std::size_t window =
+      static_cast<std::size_t>(cfg.anterior_window_s * fs) / block * block;
   dsp::Workspace ws;
   core::ProjectionStage stage(cfg, fs, &ws);
   imu::SampleRing ring;
@@ -184,6 +191,9 @@ core::ProjectedChannels stream_projection(const imu::Trace& trace,
       EXPECT_LE(ring.end(), stage.frontier() + lag) << "hop " << hop;
     }
     collect();
+    if (ring.end() >= window) {
+      EXPECT_LT(ring.size(), block) << "hop " << hop << " at " << ring.end();
+    }
   }
   stage.advance(ring, true);
   collect();
@@ -206,6 +216,147 @@ TEST(ProjectionStage, StreamedChannelsEqualFlush) {
           stream_projection(r.trace, cfg, hop);
       EXPECT_EQ(streamed.vertical, batch.vertical);
       EXPECT_EQ(streamed.anterior, batch.anterior);
+    }
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Stored taper sums: a full window's per-sample gravity terms are taken
+// once per block, when the block is first seen, instead of from the raw
+// ring at every fit that reads them. The kernel, the spans and the
+// accumulation order are those of a fit that reads raw samples, so the
+// projected channels are the same bits.
+
+namespace {
+
+/// The projection with every grid fit reading the raw samples: blocks in
+/// a window's tapers are weighed sample by sample (simd::weighted_sum3)
+/// at fit time. Block moments, mean weights, the final partial block on the
+/// last fit's axes and the low-pass schedule are ProjectionStage's.
+/// Requires at least the stream's first fit of samples.
+core::ProjectedChannels per_sample_projection(
+    const imu::Trace& trace, const core::StepCounterConfig& cfg) {
+  const double fs = trace.fs();
+  const std::size_t total = trace.size();
+  std::vector<double> x(total);
+  std::vector<double> y(total);
+  std::vector<double> z(total);
+  for (std::size_t i = 0; i < total; ++i) {
+    x[i] = trace[i].accel.x;
+    y[i] = trace[i].accel.y;
+    z[i] = trace[i].accel.z;
+  }
+  const std::span<const double> xs(x);
+  const std::span<const double> ys(y);
+  const std::span<const double> zs(z);
+  const std::size_t block = core::grid_block(fs);
+  const std::size_t window =
+      static_cast<std::size_t>(cfg.anterior_window_s * fs) / block * block;
+  const std::size_t taper = static_cast<std::size_t>(core::kTaperS * fs);
+  const std::size_t first_fit = std::min(
+      window,
+      (static_cast<std::size_t>(core::kMinAxisWindowS * fs) + block - 1) /
+          block * block);
+  const std::size_t settle = core::kSettleBlocks * block;
+  const Vec3 shift{x[0], y[0], z[0]};
+
+  dsp::Workspace ws;
+  core::GridLowpass lowpass(cfg.lowpass_hz, fs);
+  Vec3 up{};
+  Vec3 anterior{};
+  std::size_t projected = 0;
+  std::vector<double> v;
+  std::vector<double> a;
+  const auto project = [&](std::size_t e) {
+    const std::size_t len = e - projected;
+    v.resize(len);
+    a.resize(len);
+    dsp::simd::axis_project(xs.subspan(projected, len),
+                            ys.subspan(projected, len),
+                            zs.subspan(projected, len), up, kGravity, v);
+    dsp::simd::residual_project(xs.subspan(projected, len),
+                                ys.subspan(projected, len),
+                                zs.subspan(projected, len), up, anterior, a);
+    lowpass.append(v, a, ws);
+    projected = e;
+  };
+  for (std::size_t e = first_fit; e <= total; e += block) {
+    const std::size_t begin = e > window ? e - window : 0;
+    const std::size_t n = e - begin;
+    const auto table =
+        dsp::shared_gravity_weights(n, fs, dsp::kGravityCutoffHz);
+    const std::span<const double> w = table->weights();
+    const std::span<const double> cumulative = table->cumulative();
+    dsp::simd::Moments3 moments{};
+    Vec3 gravity{};
+    for (std::size_t pb = begin; pb < e; pb += block) {
+      const auto m = dsp::simd::moments3(xs.subspan(pb, block),
+                                         ys.subspan(pb, block),
+                                         zs.subspan(pb, block), shift);
+      moments.sum += m.sum;
+      moments.xx += m.xx;
+      moments.xy += m.xy;
+      moments.xz += m.xz;
+      moments.yy += m.yy;
+      moments.yz += m.yz;
+      moments.zz += m.zz;
+      const std::size_t jb = pb - begin;
+      const std::size_t je = jb + block;
+      if (jb >= taper && je + taper <= n) {
+        gravity += (m.sum + shift * static_cast<double>(block)) *
+                   ((cumulative[je] - cumulative[jb]) /
+                    static_cast<double>(block));
+      } else {
+        gravity += dsp::simd::weighted_sum3(
+            w.subspan(jb, block), xs.subspan(pb, block),
+            ys.subspan(pb, block), zs.subspan(pb, block));
+      }
+    }
+    up = gravity.normalized();
+    const Vec3 previous = anterior;
+    anterior = dsp::principal_horizontal_direction(moments, n, up);
+    if (previous.norm2() > 0.0 && anterior.dot(previous) < 0.0) {
+      anterior = -anterior;
+    }
+    project(e);
+    lowpass.finalize(e > settle ? e - settle : 0, ws);
+  }
+  if (total > projected) project(total);
+  lowpass.flush(ws);
+  lowpass.run_passes(ws);
+
+  core::ProjectedChannels out;
+  out.fs = fs;
+  const std::span<const double> fv = lowpass.vertical().span(0, total);
+  const std::span<const double> fa = lowpass.anterior().span(0, total);
+  out.vertical.assign(fv.begin(), fv.end());
+  out.anterior.assign(fa.begin(), fa.end());
+  return out;
+}
+
+}  // namespace
+
+TEST(ProjectionStage, StoredTaperSumsMatchPerSampleFit) {
+  const auto r = turning_walk(812);
+  // Whole seconds, and a trace that ends 37 samples into its last block
+  // (its flush projects that block on the last grid fit's axes).
+  const imu::Trace ragged = r.trace.slice(0, r.trace.size() - 63);
+  for (const double window_s : {10.0, 20.0}) {
+    core::StepCounterConfig cfg;
+    cfg.anterior_window_s = window_s;
+    for (const imu::Trace* trace : {&r.trace, &ragged}) {
+      const core::ProjectedChannels reference =
+          per_sample_projection(*trace, cfg);
+      ASSERT_EQ(reference.vertical.size(), trace->size());
+      for (const std::size_t hop : {1u, 37u, 100u, 250u, 400u}) {
+        SCOPED_TRACE(::testing::Message()
+                     << "window " << window_s << " samples "
+                     << trace->size() << " hop " << hop);
+        const core::ProjectedChannels streamed =
+            stream_projection(*trace, cfg, hop);
+        EXPECT_EQ(streamed.vertical, reference.vertical);
+        EXPECT_EQ(streamed.anterior, reference.anterior);
+      }
     }
   }
 }

@@ -6,11 +6,13 @@
 
 #include <algorithm>
 #include <array>
+#include <cstdint>
 #include <latch>
 #include <memory>
 #include <thread>
 #include <vector>
 
+#include "common/alloc_hooks.hpp"
 #include "common/error.hpp"
 #include "core/streaming.hpp"
 #include "imu/faults.hpp"
@@ -243,6 +245,42 @@ TEST(Streaming, FinishThenContinue) {
   stream.push(r.trace.slice(half, r.trace.size()));
   stream.finish();
   EXPECT_GT(stream.steps(), steps_at_half + 20);
+}
+
+// Steady per-tracker heap: once its axis window is full, a tracker keeps
+// raw samples only for segmentation and the assembler's quality reads (a
+// few seconds), plus each grid block's taper-weighted gravity sums in place
+// of the window's raw samples. After 80 s of 100 Hz walking its live heap
+// stays under 170 KB (~285 KB while the ring held the whole 20 s window).
+TEST(Streaming, SteadyLiveHeapIsBounded) {
+  if (!alloc::hooks_enabled()) {
+    GTEST_SKIP() << "allocation hooks compiled out";
+  }
+  const auto r = make(synth::Scenario::pure_walking(80.0), 512);
+  ASSERT_DOUBLE_EQ(r.trace.fs(), 100.0);
+  std::vector<core::StepEvent> sink;
+  sink.reserve(4096);
+  const auto run = [&] {
+    auto stream = std::make_unique<core::StreamingTracker>(r.trace.fs(),
+                                                           config_for_user());
+    for (std::size_t i = 0; i < r.trace.size(); ++i) {
+      stream->push(r.trace[i]);
+      stream->poll_into(sink);
+      sink.clear();
+    }
+    return stream;
+  };
+  // A first tracker takes what every tracker shares (gravity weight
+  // tables, per-thread scratch, telemetry handles), so the second one's
+  // delta is its own heap.
+  run().reset();
+  const auto before = static_cast<std::int64_t>(alloc::live_bytes());
+  const auto stream = run();
+  const std::int64_t live =
+      static_cast<std::int64_t>(alloc::live_bytes()) - before;
+  EXPECT_LE(live, 170 * 1024) << "tracker live heap " << live / 1024
+                              << " KB";
+  EXPECT_GT(stream->steps(), 80u);
 }
 
 TEST(Streaming, StatsSnapshotTracksLifetime) {

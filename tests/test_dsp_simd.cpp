@@ -250,38 +250,6 @@ TEST(SimdKernels, ProminenceScansBitExact) {
   EXPECT_EQ(simd::min_until_greater_bwd({}, 2.5), 2.5);
 }
 
-TEST(SimdKernels, ProminenceScansReportWhereTheyStopped) {
-  IsaGuard guard(simd::detected());
-  for (std::size_t n : kLengths) {
-    const auto xs = rand_vec(n, 43);
-    for (double h : {-10.0, -1.0, 0.0, 1.0, 10.0}) {
-      // Oracle: the first sample above h from either end, n when none.
-      std::size_t want_fwd = n;
-      for (std::size_t i = 0; i < n && want_fwd == n; ++i) {
-        if (xs[i] > h) want_fwd = i;
-      }
-      std::size_t want_bwd = n;
-      for (std::size_t i = n; i-- > 0 && want_bwd == n;) {
-        if (xs[i] > h) want_bwd = i;
-      }
-      const auto [f0, f1] = both_isas([&] {
-        std::size_t stop = 0;
-        (void)simd::min_until_greater_fwd(xs, h, &stop);
-        return stop;
-      });
-      EXPECT_EQ(f0, want_fwd) << "fwd n=" << n << " h=" << h;
-      EXPECT_EQ(f1, want_fwd) << "fwd n=" << n << " h=" << h;
-      const auto [b0, b1] = both_isas([&] {
-        std::size_t stop = 0;
-        (void)simd::min_until_greater_bwd(xs, h, &stop);
-        return stop;
-      });
-      EXPECT_EQ(b0, want_bwd) << "bwd n=" << n << " h=" << h;
-      EXPECT_EQ(b1, want_bwd) << "bwd n=" << n << " h=" << h;
-    }
-  }
-}
-
 TEST(SimdKernels, ScansExcludeSamplesPastTheBreaker) {
   IsaGuard guard(simd::detected());
   // A deep minimum *behind* the first sample greater than h must not leak

@@ -14,6 +14,7 @@
 #include <string>
 #include <vector>
 
+#include "core/frontend.hpp"
 #include "core/ptrack.hpp"
 #include "core/streaming.hpp"
 #include "imu/faults.hpp"
@@ -110,8 +111,32 @@ TEST_P(IncrementalEquivalence, TracksBatchOracleAcrossScenarios) {
   EXPECT_GT(events, 200u);
 }
 
+// A trace that ends mid-block: its flush projects the final partial block
+// with the last grid fit's axes, a rule no whole-second trace reaches.
+TEST_P(IncrementalEquivalence, RaggedFaultedTraceTracksBatchOracle) {
+  synth::UserProfile user;
+  Rng rng(707);
+  imu::Trace trace = synth::synthesize(synth::Scenario::pure_walking(45.0),
+                                       user, synth::SynthOptions{}, rng)
+                         .trace;
+  Rng fault_rng(708);
+  trace = imu::inject_dropouts(trace, 4.0, 10, 60, fault_rng);
+  trace = imu::clip_acceleration(trace, 25.0);
+  // 40.37 s: 37 samples into the trace's last grid block.
+  trace = trace.slice(0, static_cast<std::size_t>(std::lround(40.37 *
+                                                              trace.fs())));
+  ASSERT_NE(trace.size() % core::grid_block(trace.fs()), 0u);
+  core::StreamingConfig cfg = base_config();
+  cfg.hop_s = GetParam();
+  core::PTrack batch(cfg.pipeline);
+  const core::TrackResult oracle = batch.process(trace);
+  expect_same_events(run_stream(trace, cfg), oracle.events);
+  EXPECT_GT(oracle.events.size(), 40u);
+}
+
 INSTANTIATE_TEST_SUITE_P(HopSweep, IncrementalEquivalence,
-                         ::testing::Values(0.1, 0.25, 0.5, 1.0, 2.0, 4.0),
+                         ::testing::Values(0.1, 0.25, 0.3, 0.5, 1.0, 2.0,
+                                           4.0),
                          [](const auto& pinfo) {
                            const auto ms = static_cast<int>(
                                std::lround(pinfo.param * 1000.0));
