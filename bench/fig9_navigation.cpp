@@ -3,9 +3,14 @@
 // corridor double-crossing between B and D); PTrack's step/stride events
 // are dead-reckoned along the route headings. Paper: tracked distance
 // 136.4 m vs 141.5 m, mean per-step error 5.1 cm.
+//
+// Exits non-zero when a user's per-step error is more than 1 cm above its
+// recorded value (EXPERIMENTS.md: 6.8 / 5.4 / 11.2 cm), so the run doubles
+// as a regression gate.
 
 #include <cmath>
 #include <iostream>
+#include <string>
 
 #include "bench_util.hpp"
 #include "common/table.hpp"
@@ -16,6 +21,15 @@
 
 using namespace ptrack;
 
+namespace {
+
+/// Per-step error (cm) each user's row printed when gated.
+constexpr double kRecordedStepErrorCm[] = {6.8, 5.4, 11.2};
+/// How far above its recorded value a user's per-step error may go (cm).
+constexpr double kStepErrorSlackCm = 1.0;
+
+}  // namespace
+
 int main() {
   print_banner(std::cout, "Fig. 9: indoor navigation case study");
   const nav::Route route = nav::shopping_center_route();
@@ -25,6 +39,7 @@ int main() {
   Table table({"user", "route (m)", "tracked (m)", "per-step err (cm)",
                "end error (m)", "mean xtrack (m)"});
   std::size_t idx = 0;
+  std::string above_floor;
   for (const auto& user : users) {
     // Script the walk leg by leg at the user's preferred speed.
     synth::Scenario scenario;
@@ -88,14 +103,27 @@ int main() {
 
     const nav::RouteErrorStats stats =
         nav::score_trajectory(route, dr.trajectory());
+    const double step_err =
+        err_n ? err_acc / static_cast<double>(err_n) : 0.0;
+    const double recorded = kRecordedStepErrorCm[idx];
     table.add_row({"user " + std::to_string(++idx),
                    Table::num(route.length(), 1), Table::num(walked, 1),
-                   Table::num(err_n ? err_acc / static_cast<double>(err_n) : 0.0, 1),
-                   Table::num(stats.end_error, 1),
+                   Table::num(step_err, 1), Table::num(stats.end_error, 1),
                    Table::num(stats.mean_cross_track, 2)});
+    if (step_err > recorded + kStepErrorSlackCm) {
+      above_floor += " user " + std::to_string(idx) + " " +
+                     Table::num(step_err, 1) + " cm (recorded " +
+                     Table::num(recorded, 1) + ")";
+    }
   }
   table.print(std::cout);
   std::cout << "paper: route 141.5 m, PTrack-tracked 136.4 m, per-step error "
                "5.1 cm.\n";
+  if (!above_floor.empty()) {
+    std::cout << "FIG. 9 GATE VIOLATION: per-step error more than "
+              << kStepErrorSlackCm << " cm above its recorded value:"
+              << above_floor << "\n";
+    return 1;
+  }
   return 0;
 }

@@ -26,9 +26,11 @@
 //
 // Tracker heap: the live operator-new bytes one fresh `inc` tracker holds
 // after 80 s of the trace (replayed from its start when shorter), hop 2 s,
-// events drained as they come; measured after a first tracker has set up
-// what every tracker shares (gravity weight tables, per-thread scratch,
-// telemetry handles). 0 when the allocation hooks are compiled out.
+// events drained as they come (tracker_live_kb), and the most it held
+// after any push over those 80 s, warm-up included (tracker_peak_kb);
+// measured after a first tracker has set up what every tracker shares
+// (gravity weight tables, per-thread scratch, telemetry handles). 0 when
+// the allocation hooks are compiled out.
 //
 // Flags:
 //   --reduced     shorter trace, fewer repeats (the CI smoke configuration)
@@ -178,25 +180,34 @@ SweepRow sweep_hop(const imu::Trace& trace, core::StreamingConfig cfg,
   return row;
 }
 
-/// Live heap (KB) of one tracker after 80 s of `trace` (see the header).
-double tracker_live_kb(const imu::Trace& trace,
-                       const core::StreamingConfig& cfg) {
+struct TrackerHeap {
+  double live_kb = 0.0;  ///< after 80 s
+  double peak_kb = 0.0;  ///< the most after any push
+};
+
+/// Heap (KB) of one tracker over 80 s of `trace` (see the header).
+TrackerHeap tracker_heap(const imu::Trace& trace,
+                         const core::StreamingConfig& cfg) {
   const auto samples = static_cast<std::size_t>(80.0 * trace.fs());
   std::vector<core::StepEvent> sink;
   sink.reserve(4096);
-  const auto run = [&] {
+  double peak = 0.0;
+  const auto run = [&](double before) {
     auto stream = std::make_unique<core::StreamingTracker>(trace.fs(), cfg);
     for (std::size_t i = 0; i < samples; ++i) {
       stream->push(trace[i % trace.size()]);
       stream->poll_into(sink);
       sink.clear();
+      peak = std::max(peak, static_cast<double>(alloc::live_bytes()) - before);
     }
     return stream;
   };
-  run().reset();
+  run(0.0).reset();
+  peak = 0.0;
   const auto before = static_cast<double>(alloc::live_bytes());
-  const auto stream = run();
-  return (static_cast<double>(alloc::live_bytes()) - before) / 1024.0;
+  const auto stream = run(before);
+  return {(static_cast<double>(alloc::live_bytes()) - before) / 1024.0,
+          peak / 1024.0};
 }
 
 /// Last recorded figures of the full-window recompute streaming mode
@@ -272,7 +283,7 @@ int main(int argc, char** argv) {
     for (const double hop : {0.1, 0.2, 0.5, 1.0, 2.0, 4.0}) {
       sweep.push_back(sweep_hop(trace, cfg, hop, repeats));
     }
-    const double live_kb = tracker_live_kb(trace, cfg);
+    const TrackerHeap heap = tracker_heap(trace, cfg);
 
     std::printf(
         "micro_streaming: %.0f s walking trace @ %.0f Hz, hop 2 s, best of "
@@ -296,7 +307,8 @@ int main(int argc, char** argv) {
       std::printf("  %8.1f %14.1f %6zu %12.2f\n", r.hop_s, r.ns_per_sample,
                   r.steps, r.distance_m);
     }
-    std::printf("  tracker live heap after 80 s: %.1f KB\n", live_kb);
+    std::printf("  tracker live heap after 80 s: %.1f KB (peak %.1f KB)\n",
+                heap.live_kb, heap.peak_kb);
 
     const ArmResult& inc = arms[0];
     const ArmResult& inc_scalar = arms[1];
@@ -348,7 +360,8 @@ int main(int argc, char** argv) {
         w.key(key + "_steps").value(r.steps);
         w.key(key + "_distance_m").value(r.distance_m);
       }
-      w.key("tracker_live_kb").value(live_kb);
+      w.key("tracker_live_kb").value(heap.live_kb);
+      w.key("tracker_peak_kb").value(heap.peak_kb);
       w.key("hop_cost_flat").value(hop_cost_flat);
       w.key("simd_isa").value(
           std::string(dsp::simd::isa_name(dsp::simd::detected())));

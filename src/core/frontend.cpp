@@ -43,15 +43,12 @@ GridLowpass::GridLowpass(double lowpass_hz, double fs) {
   }
 }
 
-void GridLowpass::append(std::span<const double> vertical,
-                         std::span<const double> anterior,
-                         dsp::Workspace& ws) {
-  expects(vertical.size() == anterior.size(),
-          "GridLowpass::append: equal channel lengths");
-  const std::size_t b = end();
-  const std::size_t n = vertical.size();
-  std::ranges::copy(vertical, pre_v_.extend(n).begin());
-  std::ranges::copy(anterior, pre_a_.extend(n).begin());
+void GridLowpass::forward_appended(std::size_t n, dsp::Workspace& ws) {
+  PTRACK_CHECK_MSG(n <= end() && pre_a_.end() == end(),
+                   "GridLowpass: both channels appended alike");
+  const std::size_t b = end() - n;
+  const std::span<const double> vertical = pre_v_.span(b, end());
+  const std::span<const double> anterior = pre_a_.span(b, end());
   // ptrack-lint: allow(alloc) rows are trimmed as they finalize
   rows_.resize(rows_.size() + n * kL);
   double* rows = row(b);

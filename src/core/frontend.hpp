@@ -86,10 +86,16 @@ class GridLowpass {
  public:
   GridLowpass(double lowpass_hz, double fs);
 
-  /// Appends the next samples of both channels (equal lengths) and runs
-  /// the forward pass over them. Clobbers `ws` real scratch.
-  void append(std::span<const double> vertical,
-              std::span<const double> anterior, dsp::Workspace& ws);
+  /// Appends the next n samples of both channels and runs the forward
+  /// pass over them. `write(vertical, anterior)` fills them in place: two
+  /// spans of n values at the end of the input rings, so a producer
+  /// writes straight into the rings. Clobbers `ws` real scratch.
+  template <class Write>
+  void append(std::size_t n, Write&& write, dsp::Workspace& ws) {
+    const std::span<double> vertical = pre_v_.extend(n);
+    write(vertical, pre_a_.extend(n));
+    forward_appended(n, ws);
+  }
   /// Requests the finalization of [requested_end(), upto) by a backward
   /// pass from end(); upto <= end(). Ignored before the forward pass has
   /// started or when upto <= requested_end().
@@ -122,6 +128,9 @@ class GridLowpass {
     State state;
   };
 
+  // Lays out the newest n appended samples as filter rows and runs the
+  // forward pass over them (starting it once there is enough signal).
+  void forward_appended(std::size_t n, dsp::Workspace& ws);
   void start(std::size_t pad, dsp::Workspace& ws);
   // Runs the forward pass over rows [b, end()), in place.
   void forward(std::size_t b);

@@ -62,7 +62,7 @@ TrackResult PTrack::process(const imu::Trace& trace) const {
 TrackResult PTrack::run_pipeline(imu::SampleRing& ring, double fs) const {
   // One push + one flush over a fresh pipeline = the batch computation
   // (see core/stages.hpp for the equivalence contract).
-  StagePipeline pipeline(cfg_.counter, cfg_.stride, fs, &workspace_);
+  StagePipeline pipeline(cfg_.counter, cfg_.stride, fs);
   pipeline.advance(ring, /*flush=*/true);
 
   TrackResult result;

@@ -13,7 +13,6 @@
 
 #include "core/stride_estimator.hpp"
 #include "core/types.hpp"
-#include "dsp/workspace.hpp"
 #include "imu/quality.hpp"
 #include "imu/sample_ring.hpp"
 #include "imu/trace.hpp"
@@ -43,12 +42,11 @@ struct PTrackConfig {
 /// results are therefore the oracle the streaming mode is validated
 /// against; a stream drained in one hop reproduces them bit for bit.
 ///
-/// Each instance owns a dsp::Workspace that process() reuses across calls,
-/// so repeated invocations (streaming hops, batch traces) run without the
-/// per-window scratch allocations. Consequently an instance is NOT safe for
-/// concurrent process() calls — give each thread its own PTrack (see
-/// runtime::BatchRunner, which does exactly that). Results are a pure
-/// function of the input trace either way.
+/// process() keeps no state between calls: its filter scratch is the
+/// calling thread's (dsp::thread_workspace), so repeated calls on a thread
+/// run without per-window scratch allocations, and one instance may serve
+/// any number of threads at once (runtime::BatchRunner shares one).
+/// Results are a pure function of the input trace.
 class PTrack {
  public:
   explicit PTrack(PTrackConfig cfg = {});
@@ -73,7 +71,6 @@ class PTrack {
                                          double fs) const;
 
   PTrackConfig cfg_;
-  mutable dsp::Workspace workspace_;  ///< scratch reused across process()
 };
 
 /// models::IStepCounter adapter over the PTrack pipeline.

@@ -8,6 +8,7 @@
 #include "common/error.hpp"
 #include "dsp/peaks.hpp"
 #include "dsp/simd.hpp"
+#include "dsp/workspace.hpp"
 #include "imu/quality.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
@@ -25,10 +26,8 @@ namespace {
 // ---------------------------------------------------------------------------
 // ProjectionStage
 
-ProjectionStage::ProjectionStage(const StepCounterConfig& cfg, double fs,
-                                 dsp::Workspace* ws)
+ProjectionStage::ProjectionStage(const StepCounterConfig& cfg, double fs)
     : fs_(fs),
-      ws_(ws),
       block_(grid_block(fs)),
       axis_window_(seconds_to_samples(cfg.anterior_window_s, fs) / block_ *
                    block_),
@@ -37,20 +36,13 @@ ProjectionStage::ProjectionStage(const StepCounterConfig& cfg, double fs,
                           (seconds_to_samples(kMinAxisWindowS, fs) + block_ -
                            1) / block_ * block_)),
       lowpass_(cfg.lowpass_hz, fs) {
-  expects(ws != nullptr, "ProjectionStage: requires a workspace");
   expects(axis_window_ >= block_,
           "ProjectionStage: anterior_window_s spans at least one grid block");
-  // Setup-time reservation: the first fit is the longest range projected
-  // at once, so later blocks reuse this capacity.
-  // ptrack-lint: push-allow(alloc) setup-time reservation
-  block_v_.reserve(first_fit_);
-  block_a_.reserve(first_fit_);
+  // ptrack-lint: push-allow(alloc) setup-time reservations
   // The block positions of a full window whose gravity weights vary, so
   // that fit_axes weighs them sample by sample (the test in its add()).
   for (std::size_t p = 0; p < axis_window_ / block_; ++p) {
-    if (p * block_ < taper_ || (p + 1) * block_ + taper_ > axis_window_) {
-      taper_positions_.push_back(p);
-    }
+    if (tapered(p, axis_window_ / block_)) taper_positions_.push_back(p);
   }
   // The per-block rings hold a window's blocks and the next one, and a
   // dead prefix up to as long before they compact.
@@ -64,6 +56,7 @@ void ProjectionStage::advance(const imu::SampleRing& ring, bool flush) {
   PTRACK_OBS_SPAN("ptrack.core.project");
   PTRACK_CHECK_MSG(projected_ <= ring.end(),
                    "ProjectionStage: projected frontier within the ring");
+  dsp::Workspace& ws = dsp::thread_workspace();
   const std::size_t settle = kSettleBlocks * block_;
   // Every grid point the raw ring has reached, in order: project the block
   // that ends there, then finalize what a backward pass from it settles.
@@ -73,8 +66,8 @@ void ProjectionStage::advance(const imu::SampleRing& ring, bool flush) {
     // projects all of them.
     if (projected_ == 0 && g < first_fit_) continue;
     axes_ = fit_axes(ring, g);
-    project_to(ring, g);
-    lowpass_.finalize(g > settle ? g - settle : 0, *ws_);
+    project_to(ring, g, ws);
+    lowpass_.finalize(g > settle ? g - settle : 0, ws);
   }
   if (flush && ring.end() >= 16) {
     if (ring.end() > projected_) {
@@ -82,30 +75,31 @@ void ProjectionStage::advance(const imu::SampleRing& ring, bool flush) {
       // ever needs a window of raw samples that is not block-aligned; a
       // stream shorter than its first fit is fit over all of it.
       if (projected_ == 0) axes_ = fit_axes(ring, ring.end());
-      project_to(ring, ring.end());
+      project_to(ring, ring.end(), ws);
     }
-    lowpass_.flush(*ws_);
+    lowpass_.flush(ws);
   }
-  lowpass_.run_passes(*ws_);
+  lowpass_.run_passes(ws);
 }
 
-void ProjectionStage::project_to(const imu::SampleRing& ring,
-                                 std::size_t e) {
+void ProjectionStage::project_to(const imu::SampleRing& ring, std::size_t e,
+                                 dsp::Workspace& ws) {
   PTRACK_COUNT("ptrack.core.projections");
   const std::size_t b = projected_;
   PTRACK_CHECK_MSG(b < e && e - b <= first_fit_,
                    "ProjectionStage: one first fit or block at a time");
   // Specific force f = a_lin - g_vec with g_vec = -g*up, so the linear
   // vertical acceleration is f.up - g.
-  // ptrack-lint: push-allow(alloc) within the ctor's reserve(first_fit_)
-  block_v_.resize(e - b);
-  block_a_.resize(e - b);
-  // ptrack-lint: pop-allow(alloc)
-  dsp::simd::axis_project(ring.ax(b, e), ring.ay(b, e), ring.az(b, e),
-                          axes_.up, kGravity, block_v_);
-  dsp::simd::residual_project(ring.ax(b, e), ring.ay(b, e), ring.az(b, e),
-                              axes_.up, axes_.anterior, block_a_);
-  lowpass_.append(block_v_, block_a_, *ws_);
+  lowpass_.append(
+      e - b,
+      [&](std::span<double> vertical, std::span<double> anterior) {
+        dsp::simd::axis_project(ring.ax(b, e), ring.ay(b, e), ring.az(b, e),
+                                axes_.up, kGravity, vertical);
+        dsp::simd::residual_project(ring.ax(b, e), ring.ay(b, e),
+                                    ring.az(b, e), axes_.up, axes_.anterior,
+                                    anterior);
+      },
+      ws);
   projected_ = e;
 }
 
@@ -113,22 +107,53 @@ void ProjectionStage::take_blocks(const imu::SampleRing& ring,
                                   std::size_t e) {
   PTRACK_CHECK_MSG(ring.base() <= block_moments_.end() * block_,
                    "ProjectionStage: blocks not yet taken are retained raw");
+  const std::size_t blocks = axis_window_ / block_;
+  const std::size_t ladder = first_fit_ / block_;
   if (!up_weights_) {
     up_weights_ =
         dsp::shared_gravity_weights(axis_window_, fs_, dsp::kGravityCutoffHz);
     moment_shift_ = {ring.ax(0, 1)[0], ring.ay(0, 1)[0], ring.az(0, 1)[0]};
+    // The warm-up ladder's tables and room for every block's sums against
+    // them: held through the warm-up only (fit_axes releases them).
+    std::size_t sums = 0;
+    for (std::size_t k = 0; k + 1 < blocks; ++k) {
+      for (std::size_t m = first_warm_window(k); m < blocks && tapered(k, m);
+           ++m) {
+        ++sums;
+      }
+    }
+    // ptrack-lint: push-allow(alloc) warm-up state, released when full
+    for (std::size_t m = ladder; m < blocks; ++m) {
+      warm_tables_.push_back(dsp::shared_gravity_weights(
+          m * block_, fs_, dsp::kGravityCutoffHz));
+    }
+    warm_offsets_.reserve(blocks);
+    warm_sums_.reserve(sums);
+    // ptrack-lint: pop-allow(alloc)
   }
   const std::span<const double> w = up_weights_->weights();
   while ((block_moments_.end() + 1) * block_ <= e) {
-    const std::size_t pb = block_moments_.end() * block_;
+    const std::size_t k = block_moments_.end();
+    const std::size_t pb = k * block_;
     const std::size_t pe = pb + block_;
+    const std::span<const double> x = ring.ax(pb, pe);
+    const std::span<const double> y = ring.ay(pb, pe);
+    const std::span<const double> z = ring.az(pb, pe);
     // ptrack-lint: push-allow(alloc) per-block entries; steady capacity
-    block_moments_.push(dsp::simd::moments3(
-        ring.ax(pb, pe), ring.ay(pb, pe), ring.az(pb, pe), moment_shift_));
+    block_moments_.push(dsp::simd::moments3(x, y, z, moment_shift_));
     for (const std::size_t p : taper_positions_) {
-      taper_sums_.push(dsp::simd::weighted_sum3(
-          w.subspan(p * block_, block_), ring.ax(pb, pe), ring.ay(pb, pe),
-          ring.az(pb, pe)));
+      taper_sums_.push(
+          dsp::simd::weighted_sum3(w.subspan(p * block_, block_), x, y, z));
+    }
+    if (k + 1 < blocks && !warm_tables_.empty()) {
+      // Within the warm-up reservations above.
+      warm_offsets_.push_back(warm_sums_.size());
+      for (std::size_t m = first_warm_window(k); m < blocks && tapered(k, m);
+           ++m) {
+        warm_sums_.push_back(dsp::simd::weighted_sum3(
+            warm_tables_[m - ladder]->weights().subspan(pb, block_), x, y,
+            z));
+      }
     }
     // ptrack-lint: pop-allow(alloc)
   }
@@ -139,26 +164,31 @@ ProjectionStage::Axes ProjectionStage::fit_axes(const imu::SampleRing& ring,
   const std::size_t begin = e > axis_window_ ? e - axis_window_ : 0;
   const std::size_t n = e - begin;
   const bool full = n == axis_window_;
-  PTRACK_CHECK_MSG(n >= 16 && (full ? begin % block_ == 0
-                                    : begin == 0 && ring.base() == 0),
-                   "ProjectionStage: a full window is whole blocks; a "
-                   "shorter one reads the retained stream from its start");
+  // A warm-up window on the ladder: whole blocks from the stream's start.
+  const bool warm = !full && n >= first_fit_;
+  PTRACK_CHECK_MSG(n >= 16 && (full || warm ? begin % block_ == 0 &&
+                                                  n % block_ == 0
+                                            : begin == 0 && ring.base() == 0),
+                   "ProjectionStage: full and warm-up windows are whole "
+                   "blocks; a shorter one reads the stream from its start");
   take_blocks(ring, e);
-  // The gravity weights depend only on the window length: a full window
-  // takes the table this stage holds; shorter ones (the first blocks of a
-  // stream, a flush of a short one) come from the shared registry.
+  // The gravity weights depend only on the window length: full and warm-up
+  // windows take the tables this stage holds; a shorter one (a flush of a
+  // stream before its first fit) comes from the shared registry.
+  const std::size_t ladder = first_fit_ / block_;
   const std::shared_ptr<const dsp::GravityWeights> table =
-      full ? up_weights_
-           : dsp::shared_gravity_weights(n, fs_, dsp::kGravityCutoffHz);
+      full   ? up_weights_
+      : warm ? warm_tables_[n / block_ - ladder]
+             : dsp::shared_gravity_weights(n, fs_, dsp::kGravityCutoffHz);
 
   // The window is cut at grid points into pieces: whole blocks, and a
   // partial one at the end of a stream shorter than its first fit. The
   // principal direction reads their summed moments. The gravity estimate
   // weighs each sample with the gravity weights where the taper varies,
   // within kTaperS of either end; a whole block inside that is weighed by
-  // its mean weight, from its moments. In a full window the per-sample
-  // sums were taken with the blocks (take_blocks), so it reads no raw
-  // sample.
+  // its mean weight, from its moments. In full and warm-up windows the
+  // per-sample sums were taken with the blocks (take_blocks), so they read
+  // no raw sample; only a window shorter than the first fit does.
   const std::size_t first = begin / block_;
   const std::size_t last = e / block_;
   const std::span<const double> w = table->weights();
@@ -187,6 +217,15 @@ ProjectionStage::Axes ProjectionStage::fit_axes(const imu::SampleRing& ring,
                        "ProjectionStage: full-window blocks in taper order");
       gravity += taper_sums_[pb / block_ * slots + slot];
       ++slot;
+    } else if (warm) {
+      const std::size_t k = pb / block_;
+      const std::size_t i =
+          warm_offsets_[k] + n / block_ - first_warm_window(k);
+      PTRACK_CHECK_MSG(i < (k + 1 < warm_offsets_.size()
+                                ? warm_offsets_[k + 1]
+                                : warm_sums_.size()),
+                       "ProjectionStage: warm-up sums stored for the block");
+      gravity += warm_sums_[i];
     } else {
       gravity += dsp::simd::weighted_sum3(w.subspan(jb, je - jb),
                                           ring.ax(pb, pe), ring.ay(pb, pe),
@@ -200,9 +239,16 @@ ProjectionStage::Axes ProjectionStage::fit_axes(const imu::SampleRing& ring,
     add(pb, e, dsp::simd::moments3(ring.ax(pb, e), ring.ay(pb, e),
                                    ring.az(pb, e), moment_shift_));
   }
-  // The next window starts after this one.
+  // The next window starts after this one; once a window is full, no
+  // warm-up window is left to fit.
   block_moments_.trim_to(first);
   taper_sums_.trim_to(first * slots);
+  if (full && !warm_tables_.empty()) {
+    // Move-assigned, not `= {}`: assigning an empty list keeps the capacity.
+    warm_tables_ = decltype(warm_tables_)();
+    warm_offsets_ = decltype(warm_offsets_)();
+    warm_sums_ = decltype(warm_sums_)();
+  }
 
   check(gravity.norm() > 1e-6,
         "ProjectionStage: gravity magnitude not degenerate");
@@ -219,11 +265,12 @@ ProjectionStage::Axes ProjectionStage::fit_axes(const imu::SampleRing& ring,
 
 std::size_t ProjectionStage::min_required() const {
   // The next grid fit ends at the grid point after projected_. A window
-  // shorter than axis_window_ reads the stream's raw samples from its
-  // start; a full one reads the stored block sums, so only the blocks not
-  // yet taken stay raw: from projected_'s block on.
+  // shorter than the first fit (a stream's first fit, or a flush before
+  // it) reads the stream's raw samples from its start; warm-up and full
+  // windows read the stored block sums, so only the blocks not yet taken
+  // stay raw: from projected_'s block on.
   const std::size_t block = projected_ / block_ * block_;
-  return block + block_ >= axis_window_ ? block : 0;
+  return block + block_ >= first_fit_ ? block : 0;
 }
 
 // ---------------------------------------------------------------------------
@@ -557,9 +604,8 @@ std::size_t EventAssembler::min_required() const {
 // StagePipeline
 
 StagePipeline::StagePipeline(const StepCounterConfig& counter_cfg,
-                             const StrideConfig& stride_cfg, double fs,
-                             dsp::Workspace* ws)
-    : projection_(counter_cfg, fs, ws),
+                             const StrideConfig& stride_cfg, double fs)
+    : projection_(counter_cfg, fs),
       segmentation_(counter_cfg, fs),
       assembler_(counter_cfg, stride_cfg, fs) {}
 
@@ -600,8 +646,7 @@ ProjectedChannels project_trace(const imu::Trace& trace,
   expects(trace.size() >= 16, "project_trace: >= 16 samples");
   imu::SampleRing ring;
   for (const imu::Sample& s : trace.samples()) ring.push(s, 0);
-  dsp::Workspace ws;
-  ProjectionStage stage(cfg, trace.fs(), &ws);
+  ProjectionStage stage(cfg, trace.fs());
   stage.advance(ring, /*flush=*/true);
   const std::size_t n = stage.frontier();
   ProjectedChannels out;

@@ -35,10 +35,11 @@
 //     backward pass from g. A flush projects the final partial block with
 //     the last grid fit's axes and finalizes the rest from there. The
 //     axis window is whole blocks, and each block's taper-weighted gravity
-//     sums are taken when the block is (ProjectionStage), so once the
-//     window is full the stage keeps raw samples only from the block being
-//     filled: the raw ring's retention is then set by segmentation and the
-//     assembler, a few seconds.
+//     sums, for the full window and for every warm-up window that weighs
+//     it sample by sample, are taken when the block is (ProjectionStage),
+//     so from a stream's first fit on the stage keeps raw samples only
+//     from the block being filled: the raw ring's retention is then set by
+//     segmentation and the assembler, a few seconds.
 //   - SegmentationStage finds step peaks with prominence windows bounded
 //     to kPeakWindowS and greedy min-distance suppression followed
 //     kSuppressionDepth levels deep (dsp::PeakScan), so a peak is final
@@ -51,6 +52,7 @@
 
 #pragma once
 
+#include <algorithm>
 #include <cstddef>
 #include <memory>
 #include <span>
@@ -65,7 +67,6 @@
 #include "dsp/peaks.hpp"
 #include "dsp/projection.hpp"
 #include "dsp/simd.hpp"
-#include "dsp/workspace.hpp"
 #include "imu/sample_ring.hpp"
 #include "imu/trace.hpp"
 
@@ -101,16 +102,15 @@ struct StageStats {
 /// absolute-indexed rings aligned with the raw ring's index space.
 class ProjectionStage {
  public:
-  /// `ws` (required, non-null) holds the projection's filter scratch and
-  /// must outlive the stage. cfg.anterior_window_s must span at least one
-  /// grid block.
-  ProjectionStage(const StepCounterConfig& cfg, double fs, dsp::Workspace* ws);
+  /// cfg.anterior_window_s must span at least one grid block.
+  ProjectionStage(const StepCounterConfig& cfg, double fs);
 
   /// Projects every grid block the raw ring now covers; flush also
   /// projects the partial block up to the raw frontier (given >= 16 raw
   /// samples) with the last grid fit's axes, or fit over the whole stream
   /// before its first fit, and finalizes everything. Appends only —
-  /// previously finalized samples never change.
+  /// previously finalized samples never change. The filter scratch is the
+  /// calling thread's (dsp::thread_workspace), taken for this call only.
   void advance(const imu::SampleRing& ring, bool flush);
 
   [[nodiscard]] const Ring<double>& vertical() const {
@@ -122,8 +122,8 @@ class ProjectionStage {
   /// One past the newest finalized projected sample (absolute).
   [[nodiscard]] std::size_t frontier() const { return lowpass_.final_end(); }
   /// Earliest *raw* absolute index the next advance will read: the
-  /// stream's start while the next fit's window is shorter than the axis
-  /// window, then the start of the block being filled.
+  /// stream's start until its first fit, then the start of the block
+  /// being filled.
   [[nodiscard]] std::size_t min_required() const;
   /// Drops projected samples below `new_base` (downstream consumers done).
   void trim_projected(std::size_t new_base) {
@@ -133,9 +133,10 @@ class ProjectionStage {
   [[nodiscard]] double fs() const { return fs_; }
 
  private:
-  // Projects raw samples [projected_, e) with axes_ and appends them to
-  // the low-pass.
-  void project_to(const imu::SampleRing& ring, std::size_t e);
+  // Projects raw samples [projected_, e) with axes_ straight into the
+  // low-pass's input.
+  void project_to(const imu::SampleRing& ring, std::size_t e,
+                  dsp::Workspace& ws);
   struct Axes {
     Vec3 up;
     Vec3 anterior;
@@ -146,9 +147,19 @@ class ProjectionStage {
   // Takes the moments and taper sums of every whole block below e not yet
   // taken.
   void take_blocks(const imu::SampleRing& ring, std::size_t e);
+  // Whether a window of `blocks` grid blocks weighs its block at position
+  // p sample by sample (within kTaperS of either end).
+  [[nodiscard]] bool tapered(std::size_t p, std::size_t blocks) const {
+    return p * block_ < taper_ || (p + 1) * block_ + taper_ > blocks * block_;
+  }
+  // The shortest warm-up window (in blocks) that holds block k. Block k's
+  // warm-up sums are stored for the windows from this one up that weigh
+  // it sample by sample; those are consecutive.
+  [[nodiscard]] std::size_t first_warm_window(std::size_t k) const {
+    return std::max(first_fit_ / block_, k + 1);
+  }
 
   double fs_;
-  dsp::Workspace* ws_;
   std::size_t block_;        ///< grid block (samples)
   std::size_t axis_window_;  ///< trailing axis window: whole grid blocks
   std::size_t taper_;        ///< kTaperS (samples)
@@ -168,9 +179,17 @@ class ProjectionStage {
   /// k * taper_positions_.size() + slot: a full window's per-sample
   /// gravity terms, taken while the block's samples are fresh.
   Ring<Vec3> taper_sums_;
+  /// Warm-up: before its axis window is full, a stream's grid fits run over
+  /// [0, m B) for m = first_fit_ / B ... W / B - 1 blocks (the ladder).
+  /// Its tables (index m - first_fit_ / B) are taken with the first block,
+  /// and each block k below W / B - 1 has its weighted sums against every
+  /// ladder window that weighs it sample by sample, from
+  /// first_warm_window(k) up, at warm_offsets_[k] on. All three are
+  /// released with the first full window's fit.
+  std::vector<std::shared_ptr<const dsp::GravityWeights>> warm_tables_;
+  std::vector<std::size_t> warm_offsets_;
+  std::vector<Vec3> warm_sums_;
   std::size_t projected_ = 0;  ///< raw samples projected so far
-  std::vector<double> block_v_;  ///< one block's pre-filter channels
-  std::vector<double> block_a_;
   GridLowpass lowpass_;
 };
 
@@ -279,7 +298,14 @@ class EventAssembler {
 class StagePipeline {
  public:
   StagePipeline(const StepCounterConfig& counter_cfg,
-                const StrideConfig& stride_cfg, double fs, dsp::Workspace* ws);
+                const StrideConfig& stride_cfg, double fs);
+  /// The constructor above, for callers written when the pipeline took a
+  /// workspace (e2e_bench/src/probes.cpp): scratch is now the thread's, so
+  /// the pointer is not used.
+  StagePipeline(const StepCounterConfig& counter_cfg,
+                const StrideConfig& stride_cfg, double fs,
+                dsp::Workspace* /*unused*/)
+      : StagePipeline(counter_cfg, stride_cfg, fs) {}
 
   void set_profile(const StrideProfile& profile);
 

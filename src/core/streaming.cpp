@@ -26,7 +26,7 @@ double validated_fs(double fs, const StreamingConfig& config) {
 StreamingTracker::StreamingTracker(double fs, StreamingConfig config)
     : fs_(validated_fs(fs, config)),
       config_(config),
-      pipe_(config.pipeline.counter, config.pipeline.stride, fs, &workspace_),
+      pipe_(config.pipeline.counter, config.pipeline.stride, fs),
       hop_samples_(std::max<std::size_t>(
           1, static_cast<std::size_t>(config.hop_s * fs))) {
   if (config_.pipeline.quality.enabled) {

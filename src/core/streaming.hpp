@@ -150,7 +150,6 @@ class StreamingTracker {
   double fs_;
   StreamingConfig config_;
 
-  dsp::Workspace workspace_;             ///< must outlive pipe_
   imu::SampleRing ring_;
   StagePipeline pipe_;
   std::optional<imu::IncrementalQuality> quality_;

@@ -116,14 +116,15 @@ inline constexpr std::size_t kGravityRegistryUnheldBytes = std::size_t{1}
 
 /// The process-wide table for (n, fs, cutoff_hz), computed on first request
 /// and shared read-only by every holder (a streaming ProjectionStage keeps
-/// its steady-window table for its lifetime and a warm-up length's table
-/// for one block). Tables no one holds are kept, least recently requested
+/// its steady-window table for its lifetime and its warm-up ladder's tables
+/// for the whole warm-up, until its axis window is full). Tables no one
+/// holds are kept, least recently requested
 /// dropped first, while they total at most kGravityRegistryUnheldBytes
 /// (the table returned counts as unheld): lengths and rates that streams
 /// come back to are computed once per process, and distinct client rates
 /// cannot grow the registry past the tables in use plus that budget (or
 /// one table, if a single table is larger). Thread-safe; takes a lock, so
-/// call it at setup or on warm-up blocks, never on a steady one.
+/// call it at setup or on a stream's first block, never on a steady one.
 std::shared_ptr<const GravityWeights> shared_gravity_weights(
     std::size_t n, double fs, double cutoff_hz);
 

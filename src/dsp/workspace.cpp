@@ -10,4 +10,9 @@ std::span<double> Workspace::real_scratch(std::size_t n) {
   return {real_.data(), n};
 }
 
+Workspace& thread_workspace() {
+  thread_local Workspace ws;
+  return ws;
+}
+
 }  // namespace ptrack::dsp

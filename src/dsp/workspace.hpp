@@ -8,13 +8,22 @@
 // to the working-set size.
 //
 // Ownership rules:
-//  * One Workspace per pipeline instance (core::PTrack owns one), never
-//    shared between threads — scratch contents are clobbered by every call.
+//  * Scratch belongs to a thread, not to a pipeline: the pipeline stages
+//    (core::ProjectionStage, and the core::GridLowpass it drives) take
+//    thread_workspace() each time they run, so every tracker and batch
+//    run on a thread shares one buffer, and a stream that moves between
+//    threads (core::HopJob) uses whichever thread it runs on. A Workspace
+//    is never shared between threads.
+//  * Contents are transient: nothing is carried in the scratch from one
+//    call to the next, which is what lets many pipelines take turns on
+//    one thread. Contents are unspecified on entry; kernels must fully
+//    overwrite the range they request.
 //  * There is one real scratch buffer: a kernel that takes it must not
 //    call another kernel that takes it while it still reads its own
 //    scratch (each kernel documents that it uses the workspace).
-//  * Contents of the scratch are unspecified on entry; kernels must fully
-//    overwrite the range they request.
+//  * The buffer only grows, to the largest request its thread has made,
+//    so a thread's scratch is sized once, by its largest call, and never
+//    per stream.
 
 #pragma once
 
@@ -29,8 +38,7 @@ class Workspace {
  public:
   Workspace() = default;
   /// Copying yields a fresh, empty workspace: scratch contents are transient
-  /// by contract, and sharing buffers across copies would alias. This keeps
-  /// owners (e.g. core::PTrack) copyable.
+  /// by contract, and sharing buffers across copies would alias.
   Workspace(const Workspace&) {}
   Workspace& operator=(const Workspace&) { return *this; }
   Workspace(Workspace&&) = default;
@@ -45,5 +53,9 @@ class Workspace {
  private:
   AlignedVector<double> real_;
 };
+
+/// The calling thread's workspace: the scratch every pipeline run on this
+/// thread takes (see the ownership rules above).
+[[nodiscard]] Workspace& thread_workspace();
 
 }  // namespace ptrack::dsp

@@ -71,15 +71,16 @@ std::vector<TraceResult> BatchRunner::run(
   };
   std::vector<WorkerBusy> busy(executors);
 
-  // One pipeline (and thus one scratch workspace) per executor: no sharing,
-  // no locks, and buffer capacities amortize across that executor's traces.
-  // Executor ids are dense — scheduler workers [0, W) plus the calling
-  // thread at W — so they index these vectors directly.
-  std::vector<core::PTrack> trackers(executors, core::PTrack(cfg_));
+  // One pipeline for every executor: process() is stateless, and its
+  // scratch is the executor thread's, so nothing is locked and buffer
+  // capacities amortize across that thread's traces. Executor ids are
+  // dense — scheduler workers [0, W) plus the calling thread at W — so
+  // they index `busy` directly.
+  const core::PTrack tracker(cfg_);
   sched().parallel_for(
       Lane::kThroughput, traces.size(),
       [&](std::size_t task, std::size_t executor) {
-        PTRACK_CHECK_MSG(task < results.size() && executor < trackers.size(),
+        PTRACK_CHECK_MSG(task < results.size() && executor < busy.size(),
                          "BatchRunner: task and executor indices in range");
         PTRACK_OBS_SPAN("ptrack.runtime.task");
         const std::uint64_t task_start_ns = obs_on ? obs::now_ns() : 0;
@@ -87,7 +88,7 @@ std::vector<TraceResult> BatchRunner::run(
         // bad trace cannot poison the batch (parallel_for rethrows escaped
         // exceptions after the drain, which would abort the whole batch).
         try {
-          results[task] = trackers[executor].process(traces[task]);
+          results[task] = tracker.process(traces[task]);
         } catch (const std::exception& e) {
           results[task] = make_unexpected(
               TraceError{TraceError::Stage::Process,

@@ -2,8 +2,9 @@
 //
 // Related wearable studies process thousands of independent wrist traces
 // through one DSP front end (Urbanek et al.; Straczkiewicz et al.) — the
-// workload this runner serves. Each executor owns a private core::PTrack
-// instance (and therefore a private dsp::Workspace), traces are fanned out
+// workload this runner serves. Every executor runs the one shared
+// core::PTrack (process() is stateless; its filter scratch is the
+// executor thread's dsp::thread_workspace), traces are fanned out
 // dynamically, and results come back in input order.
 //
 // Since the scheduler refactor (DESIGN.md §18) the runner is a thin
@@ -19,7 +20,7 @@
 // batch completes. Worker-thread exceptions never escape the scheduler.
 //
 // Determinism: PTrack::process is a pure function of the input trace, and
-// no state is shared between executors, so the result vector is
+// no mutable state is shared between executors, so the result vector is
 // bit-identical regardless of thread count or scheduling (validated by
 // tests/test_runtime_batch and test_runtime_scheduler).
 

@@ -5,9 +5,11 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <span>
 #include <vector>
 
+#include "common/alloc_hooks.hpp"
 #include "common/angles.hpp"
 #include "common/error.hpp"
 #include "common/vec3.hpp"
@@ -129,7 +131,13 @@ TEST(GridLowpass, FlushIsFiltfilt) {
     }
     dsp::Workspace ws;
     core::GridLowpass lowpass(5.0, 100.0);
-    lowpass.append(v, a, ws);
+    lowpass.append(
+        n,
+        [&](std::span<double> vertical, std::span<double> anterior) {
+          std::ranges::copy(v, vertical.begin());
+          std::ranges::copy(a, anterior.begin());
+        },
+        ws);
     lowpass.flush(ws);
     ASSERT_EQ(lowpass.final_end(), n);
 
@@ -152,8 +160,8 @@ TEST(GridLowpass, FlushIsFiltfilt) {
 // Hop invariance: a ProjectionStage advanced at any hop, with its raw ring
 // trimmed to what it still needs, finalizes exactly the channels its flush
 // over the whole trace finalizes, and, once its first fit is in, holds no
-// sample back longer than (kSettleBlocks + 1) grid blocks. Once its axis
-// window is full it needs less than one grid block of raw samples.
+// sample back longer than (kSettleBlocks + 1) grid blocks and needs less
+// than one grid block of raw samples.
 
 namespace {
 
@@ -169,10 +177,7 @@ core::ProjectedChannels stream_projection(const imu::Trace& trace,
   const std::size_t first_fit =
       (static_cast<std::size_t>(core::kMinAxisWindowS * fs) + block - 1) /
       block * block;
-  const std::size_t window =
-      static_cast<std::size_t>(cfg.anterior_window_s * fs) / block * block;
-  dsp::Workspace ws;
-  core::ProjectionStage stage(cfg, fs, &ws);
+  core::ProjectionStage stage(cfg, fs);
   imu::SampleRing ring;
   core::ProjectedChannels out;
   const auto collect = [&] {
@@ -191,7 +196,7 @@ core::ProjectedChannels stream_projection(const imu::Trace& trace,
       EXPECT_LE(ring.end(), stage.frontier() + lag) << "hop " << hop;
     }
     collect();
-    if (ring.end() >= window) {
+    if (ring.end() >= first_fit) {
       EXPECT_LT(ring.size(), block) << "hop " << hop << " at " << ring.end();
     }
   }
@@ -221,11 +226,11 @@ TEST(ProjectionStage, StreamedChannelsEqualFlush) {
 }
 
 // ---------------------------------------------------------------------------
-// Stored taper sums: a full window's per-sample gravity terms are taken
-// once per block, when the block is first seen, instead of from the raw
-// ring at every fit that reads them. The kernel, the spans and the
-// accumulation order are those of a fit that reads raw samples, so the
-// projected channels are the same bits.
+// Stored taper sums: the per-sample gravity terms of full and warm-up
+// windows are taken once per block, when the block is first seen, instead
+// of from the raw ring at every fit that reads them. The kernel, the spans
+// and the accumulation order are those of a fit that reads raw samples,
+// so the projected channels are the same bits.
 
 namespace {
 
@@ -265,19 +270,21 @@ core::ProjectedChannels per_sample_projection(
   Vec3 up{};
   Vec3 anterior{};
   std::size_t projected = 0;
-  std::vector<double> v;
-  std::vector<double> a;
   const auto project = [&](std::size_t e) {
     const std::size_t len = e - projected;
-    v.resize(len);
-    a.resize(len);
-    dsp::simd::axis_project(xs.subspan(projected, len),
-                            ys.subspan(projected, len),
-                            zs.subspan(projected, len), up, kGravity, v);
-    dsp::simd::residual_project(xs.subspan(projected, len),
-                                ys.subspan(projected, len),
-                                zs.subspan(projected, len), up, anterior, a);
-    lowpass.append(v, a, ws);
+    lowpass.append(
+        len,
+        [&](std::span<double> v, std::span<double> a) {
+          dsp::simd::axis_project(xs.subspan(projected, len),
+                                  ys.subspan(projected, len),
+                                  zs.subspan(projected, len), up, kGravity,
+                                  v);
+          dsp::simd::residual_project(xs.subspan(projected, len),
+                                      ys.subspan(projected, len),
+                                      zs.subspan(projected, len), up,
+                                      anterior, a);
+        },
+        ws);
     projected = e;
   };
   for (std::size_t e = first_fit; e <= total; e += block) {
@@ -359,4 +366,79 @@ TEST(ProjectionStage, StoredTaperSumsMatchPerSampleFit) {
       }
     }
   }
+}
+
+// Warm-up: before the axis window is full, each grid fit runs over the
+// stream from its start with that length's weight table. Over a stream's
+// first 25 s (every warm-up fit, the first full window and a few after),
+// the stored per-block sums give the channels of fits that read every
+// raw sample from the stream's start, bit for bit, while the stage keeps
+// less than one grid block of raw samples from its first fit on
+// (stream_projection). At a 10 s window every warm-up block is tapered.
+TEST(ProjectionStage, WarmUpSumsMatchPerSampleFit) {
+  const auto r = turning_walk(813);
+  const imu::Trace head =
+      r.trace.slice(0, static_cast<std::size_t>(25.0 * r.trace.fs()));
+  for (const double window_s : {10.0, 20.0}) {
+    core::StepCounterConfig cfg;
+    cfg.anterior_window_s = window_s;
+    const core::ProjectedChannels reference =
+        per_sample_projection(head, cfg);
+    ASSERT_EQ(reference.vertical.size(), head.size());
+    for (const std::size_t hop : {1u, 7u, 37u, 100u, 173u, 250u, 400u}) {
+      SCOPED_TRACE(::testing::Message()
+                   << "window " << window_s << " hop " << hop);
+      const core::ProjectedChannels streamed =
+          stream_projection(head, cfg, hop);
+      EXPECT_EQ(streamed.vertical, reference.vertical);
+      EXPECT_EQ(streamed.anterior, reference.anterior);
+    }
+  }
+}
+
+// The warm-up's tables and stored sums are released with the first full
+// window's fit: over the first 25 s at 100 Hz and a 20 s window, the heap
+// the stage itself holds falls below its warm-up peak by at least the 139
+// sums it stored.
+TEST(ProjectionStage, ReleasesWarmUpStateWithFirstFullWindow) {
+  if (!alloc::hooks_enabled()) {
+    GTEST_SKIP() << "allocation hooks compiled out";
+  }
+  const auto r = turning_walk(814);
+  const double fs = r.trace.fs();
+  ASSERT_DOUBLE_EQ(fs, 100.0);
+  const std::size_t block = core::grid_block(fs);
+  const core::StepCounterConfig cfg;
+  ASSERT_DOUBLE_EQ(cfg.anterior_window_s, 20.0);
+  const auto live = [] {
+    return static_cast<std::int64_t>(alloc::live_bytes());
+  };
+  // The stage's own heap: what its advance and trim calls leave allocated.
+  std::int64_t held = 0;
+  std::int64_t warm_peak = 0;
+  const auto run = [&] {
+    core::ProjectionStage stage(cfg, fs);
+    imu::SampleRing ring;
+    held = 0;
+    warm_peak = 0;
+    for (std::size_t i = 0; i < static_cast<std::size_t>(25.0 * fs); ++i) {
+      ring.push(r.trace[i], 0);
+      if ((i + 1) % block != 0) continue;
+      const std::int64_t before = live();
+      stage.advance(ring, false);
+      stage.trim_projected(stage.frontier());
+      held += live() - before;
+      ring.trim_to(std::min(stage.min_required(), ring.end()));
+      if (i + 1 < static_cast<std::size_t>(20.0 * fs)) {
+        warm_peak = std::max(warm_peak, held);
+      }
+    }
+  };
+  // A first stage takes what every stage shares (gravity weight tables,
+  // the thread's scratch), so the second one's figures are its own.
+  run();
+  run();
+  EXPECT_LE(held + static_cast<std::int64_t>(139 * sizeof(Vec3)), warm_peak)
+      << "held " << held << " B after 25 s, warm-up peak " << warm_peak
+      << " B";
 }

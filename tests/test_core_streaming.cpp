@@ -247,12 +247,13 @@ TEST(Streaming, FinishThenContinue) {
   EXPECT_GT(stream.steps(), steps_at_half + 20);
 }
 
-// Steady per-tracker heap: once its axis window is full, a tracker keeps
-// raw samples only for segmentation and the assembler's quality reads (a
-// few seconds), plus each grid block's taper-weighted gravity sums in place
-// of the window's raw samples. After 80 s of 100 Hz walking its live heap
-// stays under 170 KB (~285 KB while the ring held the whole 20 s window).
-TEST(Streaming, SteadyLiveHeapIsBounded) {
+// Peak per-tracker heap over a stream's life. From its first fit a
+// tracker keeps raw samples only for segmentation and the assembler's
+// quality reads (a few seconds): warm-up and full-window fits read each
+// grid block's taper-weighted gravity sums, taken with the block, and the
+// filter scratch is the thread's. The peak of its live heap, sampled after
+// every push of an 80 s walk at 100 Hz, warm-up included, is bounded.
+TEST(Streaming, PeakLiveHeapIsBounded) {
   if (!alloc::hooks_enabled()) {
     GTEST_SKIP() << "allocation hooks compiled out";
   }
@@ -260,27 +261,80 @@ TEST(Streaming, SteadyLiveHeapIsBounded) {
   ASSERT_DOUBLE_EQ(r.trace.fs(), 100.0);
   std::vector<core::StepEvent> sink;
   sink.reserve(4096);
-  const auto run = [&] {
-    auto stream = std::make_unique<core::StreamingTracker>(r.trace.fs(),
-                                                           config_for_user());
-    for (std::size_t i = 0; i < r.trace.size(); ++i) {
-      stream->push(r.trace[i]);
-      stream->poll_into(sink);
-      sink.clear();
-    }
-    return stream;
+  // Bounds (KB) ~10 % above the measured peaks: 79.5 at 1 s hops and
+  // 92.3 at 2 s (a private 14.5 KB workspace, or raw samples retained
+  // through the warm-up, breaks them).
+  struct Case {
+    double hop_s;
+    std::int64_t bound_kb;
   };
-  // A first tracker takes what every tracker shares (gravity weight
-  // tables, per-thread scratch, telemetry handles), so the second one's
-  // delta is its own heap.
-  run().reset();
-  const auto before = static_cast<std::int64_t>(alloc::live_bytes());
-  const auto stream = run();
-  const std::int64_t live =
-      static_cast<std::int64_t>(alloc::live_bytes()) - before;
-  EXPECT_LE(live, 170 * 1024) << "tracker live heap " << live / 1024
-                              << " KB";
-  EXPECT_GT(stream->steps(), 80u);
+  for (const Case c : {Case{1.0, 88}, Case{2.0, 102}}) {
+    SCOPED_TRACE(::testing::Message() << "hop " << c.hop_s << " s");
+    core::StreamingConfig cfg = config_for_user();
+    cfg.hop_s = c.hop_s;
+    std::int64_t peak = 0;
+    const auto run = [&](std::int64_t before) {
+      auto stream = std::make_unique<core::StreamingTracker>(r.trace.fs(),
+                                                             cfg);
+      for (std::size_t i = 0; i < r.trace.size(); ++i) {
+        stream->push(r.trace[i]);
+        stream->poll_into(sink);
+        sink.clear();
+        peak = std::max(
+            peak, static_cast<std::int64_t>(alloc::live_bytes()) - before);
+      }
+      return stream;
+    };
+    // A first tracker takes what every tracker shares (gravity weight
+    // tables, the thread's scratch, telemetry handles), so the second
+    // one's peak is its own heap.
+    run(0).reset();
+    peak = 0;
+    const auto stream = run(static_cast<std::int64_t>(alloc::live_bytes()));
+    EXPECT_LE(peak, c.bound_kb * 1024)
+        << "tracker peak live heap " << peak / 1024 << " KB";
+    EXPECT_GT(stream->steps(), 80u);
+  }
+}
+
+// Trackers on one thread share its scratch: interleaved sample by sample,
+// at different hops and axis windows (so their scratch requests differ),
+// each still emits exactly the batch events of its own samples.
+TEST(Streaming, InterleavedTrackersOnOneThreadMatchBatch) {
+  const auto walk = make(synth::Scenario::pure_walking(45.0), 513);
+  const auto mixed = make(synth::Scenario::mixed_gait(40.0), 514);
+  core::StreamingConfig a_cfg = config_for_user();
+  a_cfg.hop_s = 1.0;
+  core::StreamingConfig b_cfg = config_for_user();
+  b_cfg.hop_s = 0.3;
+  b_cfg.pipeline.counter.anterior_window_s = 10.0;
+  core::StreamingTracker a(walk.trace.fs(), a_cfg);
+  core::StreamingTracker b(mixed.trace.fs(), b_cfg);
+  std::vector<core::StepEvent> got_a;
+  std::vector<core::StepEvent> got_b;
+  for (std::size_t i = 0; i < walk.trace.size(); ++i) {
+    a.push(walk.trace[i]);
+    if (i < mixed.trace.size()) b.push(mixed.trace[i]);
+    a.poll_into(got_a);
+    b.poll_into(got_b);
+  }
+  a.drain_into(got_a);
+  b.drain_into(got_b);
+  const auto expect_batch = [](const std::vector<core::StepEvent>& got,
+                               const imu::Trace& trace,
+                               const core::StreamingConfig& cfg) {
+    const core::TrackResult want = core::PTrack(cfg.pipeline).process(trace);
+    ASSERT_GT(want.events.size(), 30u);
+    ASSERT_EQ(got.size(), want.events.size());
+    for (std::size_t i = 0; i < got.size(); ++i) {
+      EXPECT_EQ(got[i].t, want.events[i].t) << "event " << i;
+      EXPECT_EQ(got[i].stride, want.events[i].stride) << "event " << i;
+      EXPECT_EQ(got[i].quality, want.events[i].quality) << "event " << i;
+      EXPECT_EQ(got[i].type, want.events[i].type) << "event " << i;
+    }
+  };
+  expect_batch(got_a, walk.trace, a_cfg);
+  expect_batch(got_b, mixed.trace, b_cfg);
 }
 
 TEST(Streaming, StatsSnapshotTracksLifetime) {

@@ -548,6 +548,78 @@ TEST(HopJob, OffThreadHopsMatchDirectTrackerBitForBit) {
   EXPECT_GT(sched.stats().submitted_latency, 0u);
 }
 
+namespace {
+
+/// Latency-lane executor that pins each hop to the next worker in turn,
+/// so a stream's hops keep moving between threads.
+class RotatingExecutor final : public core::HopExecutor {
+ public:
+  explicit RotatingExecutor(Scheduler& sched) : sched_(sched) {}
+  void submit(core::HopJob& job, std::uint64_t) override {
+    Task t;
+    t.fn = [](void* ctx, std::size_t executor, std::uint64_t) {
+      static_cast<core::HopJob*>(ctx)->run_scheduled(executor);
+    };
+    t.ctx = &job;
+    sched_.submit(Lane::kLatency, t,
+                  next_.fetch_add(1, std::memory_order_relaxed));
+  }
+
+ private:
+  Scheduler& sched_;
+  std::atomic<std::uint64_t> next_{0};
+};
+
+}  // namespace
+
+// The filter scratch is the thread's, not the stream's: two streams whose
+// hops rotate over two workers (so each worker's scratch serves both, and
+// each stream runs on both workers' scratch) still emit exactly the
+// batch events of their samples.
+TEST(HopJob, StreamsMovingBetweenWorkersMatchBatch) {
+  const auto walk = make_walk_trace(0xa11, 40.0);
+  const auto other = make_walk_trace(0xa12, 33.0);
+  core::StreamingConfig cfg;
+  cfg.hop_s = 0.5;
+  core::StreamingConfig windowed = cfg;
+  windowed.pipeline.counter.anterior_window_s = 10.0;
+
+  Scheduler sched(opts(2));
+  RotatingExecutor exec(sched);
+  std::vector<core::StepEvent> got_walk;
+  std::vector<core::StepEvent> got_other;
+  std::vector<std::size_t> seen(2, 0);
+  {
+    core::HopJob a(exec, /*stream_id=*/1, walk.fs(), cfg);
+    core::HopJob b(exec, /*stream_id=*/2, other.fs(), windowed);
+    constexpr std::size_t kChunk = 173;
+    for (std::size_t i = 0; i < walk.size(); i += kChunk) {
+      for (std::size_t j = i; j < std::min(i + kChunk, walk.size()); ++j) {
+        a.push(walk[j]);
+        if (j < other.size()) b.push(other[j]);
+      }
+      a.wait_idle();
+      b.wait_idle();
+      for (const core::HopJob* job : {&a, &b}) {
+        if (job->last_executor() < seen.size()) ++seen[job->last_executor()];
+      }
+      a.poll_into(got_walk);
+      b.poll_into(got_other);
+    }
+    a.drain_into(got_walk);
+    b.drain_into(got_other);
+  }
+  EXPECT_GT(seen[0], 0u);
+  EXPECT_GT(seen[1], 0u);
+  const core::TrackResult want_walk = core::PTrack(cfg.pipeline).process(walk);
+  const core::TrackResult want_other =
+      core::PTrack(windowed.pipeline).process(other);
+  ASSERT_GT(want_walk.events.size(), 30u);
+  ASSERT_GT(want_other.events.size(), 30u);
+  expect_events_identical(got_walk, want_walk.events);
+  expect_events_identical(got_other, want_other.events);
+}
+
 TEST(HopJob, AffinityKeepsHopsOnThePreferredWorker) {
   Scheduler sched(opts(2));
   runtime::SchedulerHopExecutor exec(sched);

@@ -134,6 +134,40 @@ TEST_P(IncrementalEquivalence, RaggedFaultedTraceTracksBatchOracle) {
   EXPECT_GT(oracle.events.size(), 40u);
 }
 
+// Streams that end inside the warm-up, before the 20 s axis window is
+// full: at the first fit (4 s), mid-block, mid-ladder and one sample short
+// of the full window, clean and with sensor faults. Their grid fits read
+// the stored warm-up sums, and a flush projects the final partial block on
+// the last fit's axes.
+TEST_P(IncrementalEquivalence, StreamEndingInWarmUpTracksBatchOracle) {
+  synth::UserProfile user;
+  Rng rng(709);
+  const imu::Trace walk =
+      synth::synthesize(synth::Scenario::pure_walking(20.0), user,
+                        synth::SynthOptions{}, rng)
+          .trace;
+  Rng fault_rng(710);
+  const imu::Trace faulty = imu::clip_acceleration(
+      imu::inject_dropouts(walk, 6.0, 10, 60, fault_rng), 25.0);
+  core::StreamingConfig cfg = base_config();
+  cfg.hop_s = GetParam();
+  const core::PTrack batch(cfg.pipeline);
+  std::size_t events = 0;
+  for (const imu::Trace* source : {&walk, &faulty}) {
+    for (const double seconds : {4.0, 7.37, 12.5, 19.99}) {
+      SCOPED_TRACE(::testing::Message()
+                   << (source == &walk ? "clean " : "faulted ") << seconds
+                   << " s");
+      const imu::Trace trace = source->slice(
+          0, static_cast<std::size_t>(std::lround(seconds * source->fs())));
+      const core::TrackResult oracle = batch.process(trace);
+      expect_same_events(run_stream(trace, cfg), oracle.events);
+      events += oracle.events.size();
+    }
+  }
+  EXPECT_GT(events, 60u);
+}
+
 INSTANTIATE_TEST_SUITE_P(HopSweep, IncrementalEquivalence,
                          ::testing::Values(0.1, 0.25, 0.3, 0.5, 1.0, 2.0,
                                            4.0),
