@@ -59,15 +59,19 @@ double count_accuracy(std::size_t counted, std::size_t truth) {
   return 1.0 - err;
 }
 
-void write_host(json::Writer& w, std::size_t workers) {
+std::size_t available_cpus() {
   cpu_set_t set;
   CPU_ZERO(&set);
   int cpus = 1;
   if (sched_getaffinity(0, sizeof(set), &set) == 0) {
     cpus = std::max(1, CPU_COUNT(&set));
   }
+  return static_cast<std::size_t>(cpus);
+}
+
+void write_host(json::Writer& w, std::size_t workers) {
   w.key("host").begin_object();
-  w.key("nproc").value(static_cast<std::size_t>(cpus));
+  w.key("nproc").value(available_cpus());
   w.key("isa").value(dsp::simd::isa_name(dsp::simd::detected()));
   w.key("build_type").value(PTRACK_BENCH_BUILD_TYPE);
   w.key("obs_compiled").value(PTRACK_OBS_ENABLED != 0);

@@ -40,6 +40,10 @@ std::vector<std::string> scar_gait_labels();
 /// Step-count accuracy as the paper reports it: 1 - |counted - true|/true.
 double count_accuracy(std::size_t counted, std::size_t truth);
 
+/// CPUs this process may run on (its affinity mask, as nproc counts
+/// them), at least 1.
+std::size_t available_cpus();
+
 /// Writes key "host" into `w`'s open object: the machine block e2e_bench
 /// prints (nproc = CPUs this process may run on, the detected SIMD ISA, the
 /// build type, whether obs instrumentation is compiled in) plus the

@@ -27,8 +27,10 @@
 //                   3. every scrape answered (zero failures);
 //                   4. every healthy client in all phases completed the
 //                      full protocol with the expected event count.
-//   --json PATH   write {"bench":"ingest_storm","metrics":{...}} (also via
-//                 the PTRACK_BENCH_JSON environment variable)
+//   --json PATH   write {"bench":"ingest_storm","host":{...},"metrics":{...}}
+//                 (also via the PTRACK_BENCH_JSON environment variable);
+//                 "host" is the machine block (bench::write_host) with
+//                 workers = 1, the server's single reactor thread
 
 #include <algorithm>
 #include <atomic>
@@ -361,6 +363,7 @@ int main(int argc, char** argv) {
       json::Writer w(out);
       w.begin_object();
       w.key("bench").value(std::string("ingest_storm"));
+      bench::write_host(w, 1);
       w.key("metrics").begin_object();
       w.key("reduced").value(reduced);
       w.key("healthy_clients").value(n_healthy);

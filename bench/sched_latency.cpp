@@ -20,18 +20,15 @@
 //
 //   contended hop p99 <= 2 x uncontended hop p99
 //
-// A separate steal-probe phase (a second two-worker scheduler with a
-// deliberately pinned backlog) exercises steal-half so the exported
-// metrics snapshot always carries nonzero steal counters for
-// `obs_check --sched`, independent of --workers.
-//
 // Flags:
 //   --reduced          fewer streams/rounds (the CI smoke configuration)
 //   --gate             fail (exit 1) unless contended p99 <= 2x uncontended
-//   --workers N        scheduler workers (default 1: the strictest
-//                      configuration — one ring, no steals to hide behind)
-//   --json PATH        write {"bench":"sched_latency","metrics":{...}}
-//                      (also via the PTRACK_BENCH_JSON environment variable)
+//   --workers N        scheduler workers (default: the CPUs this process
+//                      may run on)
+//   --json PATH        write {"bench":"sched_latency","host":{...},
+//                      "metrics":{...}} (also via the PTRACK_BENCH_JSON
+//                      environment variable); "host" is the machine block
+//                      (bench::write_host) with the scheduler's workers
 //   --metrics-out PATH write the ptrack.metrics.v1 obs snapshot for
 //                      `obs_check --metrics PATH --sched`
 
@@ -108,11 +105,10 @@ double measure_chunk(Stream& s, const imu::Trace& trace, std::size_t chunk) {
 }
 
 /// Runs one measurement phase: `rounds` chunks per stream, round-robin
-/// across streams so every stream's affinity target stays warm. The pause
-/// between measurements models a live stream's hop cadence — and hands
-/// the throughput lane a window in which batch work actually executes, so
-/// contended-phase hops genuinely land mid-batch-item instead of
-/// monopolizing the workers.
+/// across streams. The pause between measurements models a live stream's
+/// hop cadence — and hands the throughput lane a window in which batch
+/// work actually executes, so contended-phase hops genuinely land
+/// mid-batch-item instead of monopolizing the workers.
 PhaseResult run_phase(const std::string& name, std::vector<Stream>& streams,
                       const imu::Trace& trace, std::size_t chunk,
                       std::size_t rounds, std::size_t pause_us) {
@@ -144,25 +140,6 @@ PhaseResult run_phase_best(const std::string& name,
   return best;
 }
 
-/// Guarantees steal-half (and its counters) fire at least once in this
-/// process: a two-worker scheduler with a backlog pinned onto one ring.
-/// Returns the number of stolen tasks observed.
-std::uint64_t steal_probe() {
-  runtime::Scheduler sched({.workers = 2});
-  std::atomic<int> remaining{64};
-  for (int i = 0; i < 64; ++i) {
-    runtime::Task t;
-    t.fn = [](void* ctx, std::size_t, std::uint64_t) {
-      std::this_thread::sleep_for(std::chrono::microseconds(200));
-      static_cast<std::atomic<int>*>(ctx)->fetch_sub(1);
-    };
-    t.ctx = &remaining;
-    sched.submit(runtime::Lane::kThroughput, t, /*affinity=*/0);
-  }
-  while (remaining.load() != 0) std::this_thread::yield();
-  return sched.stats().steals;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -173,7 +150,8 @@ int main(int argc, char** argv) {
          {"gate",
           "fail unless contended hop p99 <= 2x uncontended hop p99",
           "", true},
-         {"workers", "scheduler worker threads", "1", false},
+         {"workers", "scheduler worker threads (default: nproc)",
+          std::to_string(bench::available_cpus()), false},
          {"json", "output JSON path (overrides PTRACK_BENCH_JSON)", "",
           false},
          {"metrics-out",
@@ -227,8 +205,6 @@ int main(int argc, char** argv) {
                             user, bench::standard_options(), batch_rng)
               .trace);
     }
-
-    const std::uint64_t stolen = steal_probe();
 
     runtime::Scheduler sched({.workers = workers});
     runtime::SchedulerHopExecutor exec(sched);
@@ -303,15 +279,11 @@ int main(int argc, char** argv) {
         "phase\n",
         batch_traces_per_s);
     std::printf(
-        "  sched: %llu hops, %llu batch tasks, %llu parks, %llu wakeups, "
-        "%llu steals (probe %llu), %llu spills\n",
+        "  sched: %llu hops, %llu batch tasks, %llu parks, %llu wakeups\n",
         static_cast<unsigned long long>(stats.submitted_latency),
         static_cast<unsigned long long>(stats.submitted_throughput),
         static_cast<unsigned long long>(stats.parks),
-        static_cast<unsigned long long>(stats.wakeups),
-        static_cast<unsigned long long>(stats.steals),
-        static_cast<unsigned long long>(stolen),
-        static_cast<unsigned long long>(stats.spills));
+        static_cast<unsigned long long>(stats.wakeups));
     std::printf("  contended p99 vs 2x uncontended p99: %.1f us vs %.1f us "
                 "(%s)\n",
                 contended.p99_us, 2.0 * uncontended.p99_us,
@@ -329,6 +301,7 @@ int main(int argc, char** argv) {
       json::Writer w(out);
       w.begin_object();
       w.key("bench").value(std::string("sched_latency"));
+      bench::write_host(w, workers);
       w.key("metrics").begin_object();
       w.key("reduced").value(reduced);
       w.key("workers").value(workers);
@@ -344,8 +317,6 @@ int main(int argc, char** argv) {
       w.key("batch_traces_per_s").value(batch_traces_per_s);
       w.key("sched_parks").value(stats.parks);
       w.key("sched_wakeups").value(stats.wakeups);
-      w.key("sched_steals_probe").value(stolen);
-      w.key("sched_spills").value(stats.spills);
       w.key("latency_gate_ok").value(latency_gate_ok);
       w.end_object();
       w.end_object();

@@ -8,13 +8,14 @@
 // parks the confirmed events for poll_into(). At most ONE executor task
 // per job is ever in flight (an atomic idle/scheduled/running/dirty state
 // machine), so the tracker itself is still only ever touched by one thread
-// at a time — the actor pattern, with the scheduler's affinity hint keeping
-// that thread stable so the stream's SampleRing stays cache-warm.
+// at a time — the actor pattern. Which thread that is may change from hop
+// to hop: the tracker's DSP scratch belongs to the executing thread, not
+// the stream, so a hop's output does not depend on where it runs.
 //
 // Layering: core defines the HopExecutor port below and knows nothing of
-// the runtime layer; runtime/hop_executor.hpp adapts the work-stealing
-// Scheduler's latency lane to it. Tests can drive a HopJob with a trivial
-// inline executor.
+// the runtime layer; runtime/hop_executor.hpp adapts the Scheduler's
+// latency lane to it. Tests can drive a HopJob with a trivial inline
+// executor.
 //
 // Threading contract: push()/poll_into()/flush()/wait_idle() are intended
 // for ONE producer thread (matching the net-layer model of one session per
@@ -44,9 +45,9 @@ class HopExecutor {
   virtual ~HopExecutor() = default;
 
   /// Schedules job.run_scheduled(executor_index) to run soon. `affinity`
-  /// is a stable per-stream token; executors should prefer running jobs
-  /// with the same token on the same thread (cache warmth), but
-  /// correctness must not depend on it.
+  /// is a stable per-stream token that no executor in this repository
+  /// uses; it stays until the end-to-end benchmark's executor stops
+  /// overriding this signature (ROADMAP item 7).
   virtual void submit(HopJob& job, std::uint64_t affinity) = 0;
 };
 
@@ -54,8 +55,8 @@ class HopExecutor {
 /// run on the executor, confirmed events out via poll_into().
 class HopJob {
  public:
-  /// `stream_id` doubles as the affinity token. `executor` must outlive
-  /// this job.
+  /// `stream_id` is passed to the executor as its affinity token.
+  /// `executor` must outlive this job.
   HopJob(HopExecutor& executor, std::uint64_t stream_id, double fs,
          StreamingConfig config = {});
 

@@ -72,9 +72,10 @@ void StreamingTracker::run_hop(bool flush) {
 
   // Steady-state allocation discipline: every incremental (non-flush) hop
   // after warm-up runs under a NoAllocScope. By default the scope only
-  // counts (visible via alloc::thread_stats()); with enforce_no_alloc and
-  // checks enabled, a stray allocation throws at its call site.
-  const auto mode = (!flush && warmed_up_ && config_.enforce_no_alloc)
+  // counts (visible via alloc::thread_stats()); once set_enforce_no_alloc
+  // armed it and with checks enabled, a stray allocation throws at its
+  // call site.
+  const auto mode = (!flush && warmed_up_ && enforce_no_alloc_)
                         ? alloc::NoAllocScope::Mode::kEnforce
                         : alloc::NoAllocScope::Mode::kCount;
   {

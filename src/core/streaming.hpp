@@ -42,13 +42,6 @@ struct StreamingConfig {
   /// analysis window: stage state carries across hops, and what a stage
   /// finalizes does not depend on the hop; see core/stages.hpp.)
   double hop_s = 2.0;
-  /// Arm an alloc::NoAllocScope around every steady-state incremental hop
-  /// (each non-flush advance after the first flush). With PTrack checks
-  /// enabled, any heap allocation inside such a hop then throws
-  /// InvariantViolation at the offending allocation site — the enforcement
-  /// mode of the zero-allocation steady-state contract (DESIGN.md §15).
-  /// Off by default: production streams should count, not throw.
-  bool enforce_no_alloc = false;
 };
 
 /// Lifetime statistics of a StreamingTracker (see stats()). All values are
@@ -125,11 +118,16 @@ class StreamingTracker {
 
   [[nodiscard]] double fs() const { return fs_; }
 
-  /// Toggles StreamingConfig::enforce_no_alloc at runtime. A typical
-  /// harness streams a warm-up prefix with enforcement off (buffers and
-  /// scratch still growing to steady size), then arms it for the measured
-  /// region.
-  void set_enforce_no_alloc(bool on) { config_.enforce_no_alloc = on; }
+  /// Arms an alloc::NoAllocScope in enforce mode around every steady-state
+  /// incremental hop (each non-flush advance after the first flush): with
+  /// PTrack checks enabled, any heap allocation inside such a hop then
+  /// throws InvariantViolation at the offending allocation site — the
+  /// enforcement mode of the zero-allocation steady-state contract
+  /// (DESIGN.md §15). Off by default: production streams count, not throw.
+  /// A test harness streams a warm-up prefix with enforcement off (buffers
+  /// and scratch still growing to steady size), then arms it for the
+  /// measured region.
+  void set_enforce_no_alloc(bool on) { enforce_no_alloc_ = on; }
 
   /// Snapshot of the tracker's lifetime statistics (hops run, events
   /// emitted, degraded fraction).
@@ -155,8 +153,9 @@ class StreamingTracker {
   std::optional<imu::IncrementalQuality> quality_;
   std::size_t hop_samples_;
   std::size_t samples_since_hop_ = 0;
-  bool warmed_up_ = false;  ///< a flush hop has run (buffers are sized)
-  double next_t_ = 0.0;     ///< stream time of the next sample
+  bool warmed_up_ = false;         ///< a flush hop has run (buffers sized)
+  bool enforce_no_alloc_ = false;  ///< see set_enforce_no_alloc()
+  double next_t_ = 0.0;            ///< stream time of the next sample
 
   std::vector<StepEvent> ready_;     ///< confirmed, not yet polled
   std::size_t emitted_steps_ = 0;

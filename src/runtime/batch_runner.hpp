@@ -7,11 +7,11 @@
 // executor thread's dsp::thread_workspace), traces are fanned out
 // dynamically, and results come back in input order.
 //
-// Since the scheduler refactor (DESIGN.md §18) the runner is a thin
-// deterministic wrapper over Scheduler::parallel_for on the THROUGHPUT
-// lane: batch traces never delay latency-lane streaming hops sharing the
-// same scheduler, and the claimer design re-checks the latency lane
-// between consecutive traces.
+// The runner is a thin deterministic wrapper over
+// Scheduler::parallel_for on the THROUGHPUT lane (DESIGN.md §18): batch
+// traces never delay latency-lane streaming hops sharing the same
+// scheduler, because each claimer task runs one trace and goes back to
+// the shared queue, behind any hop that arrived meanwhile.
 //
 // Fault isolation: one bad trace must not abort the other ten thousand.
 // Every per-trace failure — a malformed file at load time, an exception
@@ -21,8 +21,9 @@
 //
 // Determinism: PTrack::process is a pure function of the input trace, and
 // no mutable state is shared between executors, so the result vector is
-// bit-identical regardless of thread count or scheduling (validated by
-// tests/test_runtime_batch and test_runtime_scheduler).
+// bit-identical regardless of thread count or of which worker pops which
+// claimer (validated by tests/test_runtime_batch and
+// test_runtime_scheduler).
 
 #pragma once
 

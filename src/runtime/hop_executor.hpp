@@ -4,9 +4,8 @@
 // dependency on the runtime layer (tests drive it with an inline
 // executor); this header is where the two meet. Hops are latency-lane
 // tasks by definition — they preempt any batch work queued on the same
-// scheduler — and the stream id flows through as the affinity hint so a
-// session's hops keep landing on the worker whose cache holds its
-// SampleRing.
+// scheduler — and run on whichever worker pops them first: the shared
+// queue places nothing, so the affinity token is not passed on.
 
 #pragma once
 
@@ -19,13 +18,13 @@ class SchedulerHopExecutor final : public core::HopExecutor {
  public:
   explicit SchedulerHopExecutor(Scheduler& sched) : sched_(sched) {}
 
-  void submit(core::HopJob& job, std::uint64_t affinity) override {
+  void submit(core::HopJob& job, std::uint64_t /*affinity*/) override {
     Task t;
     t.fn = [](void* ctx, std::size_t executor, std::uint64_t /*arg*/) {
       static_cast<core::HopJob*>(ctx)->run_scheduled(executor);
     };
     t.ctx = &job;
-    sched_.submit(Lane::kLatency, t, affinity);
+    sched_.submit(Lane::kLatency, t);
   }
 
  private:

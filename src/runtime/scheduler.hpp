@@ -1,56 +1,57 @@
-// Work-stealing scheduler with two priority lanes — the one compute
-// substrate for both of PTrack's workload shapes (DESIGN.md §18).
+// Two-lane task scheduler: the one compute substrate for PTrack's mixed
+// load, streaming hops sharing cores with batch work (DESIGN.md §18).
 //
-// The deployment story is mixed-load: latency-sensitive streaming hops
-// (a connected wearable's next 2 s of samples) sharing cores with
-// throughput batch jobs (self-training profile rebuilds, cohort sweeps).
-// A homogeneous fork-join pool head-of-line-blocks the hops whenever a
-// batch saturates; this scheduler removes that by construction:
+//   * One mutex guards one FIFO per lane. Workers pop the latency FIFO
+//     first, so a hop waits for at most the batch item already running,
+//     and the oldest queued hop runs next.
+//   * An idle worker spins on the shared queued-task count, then waits on
+//     the one condvar. submit() notifies only a waiting worker; that count
+//     shares the mutex with the queues, so no wake is lost.
+//   * parallel_for() fans an index space out as self-resubmitting claimer
+//     tasks, one index each, so workers re-check the latency lane between
+//     batch items. Results are positional: BatchRunner stays
+//     bit-deterministic at any pool size.
 //
-//   * Two lanes. Every worker drains its latency work (own ring, shared
-//     spill, then stolen) before it looks at any throughput work. A hop
-//     submitted during a saturating batch waits for at most the batch
-//     item currently executing, never for the queue behind it.
-//   * Per-worker bounded lock-free rings (runtime/worker.hpp), steal-half
-//     victim selection: an idle worker takes half of a random victim's
-//     ring in one pass, runs one task and re-homes the rest, so imbalance
-//     halves per steal instead of migrating one task at a time.
-//   * Bounded spin then park. An idle worker spins a few thousand
-//     iterations watching the pending counters (covers the common
-//     hop-every-few-ms cadence without syscalls), then parks on its own
-//     condvar. Submission wakes the affinity-preferred worker first so a
-//     stream's hops keep landing on the worker whose cache holds its
-//     SampleRing.
-//   * Deterministic fork-join on top: parallel_for() fans an index space
-//     across the workers via self-resubmitting claimer tasks — each
-//     claims ONE index, runs it, and resubmits itself, so the worker loop
-//     re-checks the latency lane between every batch item. Results are
-//     positional, so BatchRunner's bit-determinism contract survives
-//     unchanged, as do the PR-2 exception semantics (first exception in
-//     completion order, rethrown after the drain).
-//
-// Steady-state submission, claiming and stealing are allocation-free
-// (rings are pre-sized in constructors; the only allocating path is the
-// counted spill fallback when a ring overflows) — enforced by the alloc
-// lint rule covering runtime/*.cpp.
+// Steady-state submission is allocation-free: each FIFO is a pre-sized
+// circular buffer whose one growth site (doubling under the lock) is
+// annotated for the alloc lint rule on runtime/*.cpp.
 
 #pragma once
 
 #include <atomic>
+#include <condition_variable>
 #include <cstddef>
 #include <cstdint>
-#include <deque>
 #include <functional>
-#include <memory>
 #include <mutex>
+#include <thread>
 #include <vector>
-
-#include "runtime/worker.hpp"
 
 namespace ptrack::runtime {
 
-/// "No placement preference" for submit(); the task round-robins.
-inline constexpr std::uint64_t kNoAffinity = ~std::uint64_t{0};
+/// The two priority lanes of the scheduler. Latency work (streaming hops)
+/// always drains before throughput work (batch traces).
+enum class Lane : std::uint8_t { kLatency = 0, kThroughput = 1 };
+
+inline constexpr std::size_t kLaneCount = 2;
+
+[[nodiscard]] constexpr std::size_t lane_index(Lane lane) noexcept {
+  return static_cast<std::size_t>(lane);
+}
+
+/// One unit of scheduled work: a function pointer plus context, so a queue
+/// slot is POD and submission never allocates. `arg` is a free payload
+/// word; `submit_ns` stamps submission for the queue-wait histograms (0
+/// when telemetry is off, and then the pop side skips the clock too).
+struct Task {
+  void (*fn)(void* ctx, std::size_t executor, std::uint64_t arg) = nullptr;
+  void* ctx = nullptr;
+  std::uint64_t arg = 0;
+  std::uint64_t submit_ns = 0;
+};
+
+/// Tasks each lane's FIFO holds before its first growth.
+inline constexpr std::size_t kInitialQueueCapacity = 1024;
 
 struct SchedulerOptions {
   /// Background worker threads. 0 is valid: submit() runs tasks inline on
@@ -59,21 +60,21 @@ struct SchedulerOptions {
   std::size_t workers = 0;
 };
 
-/// Monotone scheduler event counts, readable at any time (relaxed; exact
-/// once workers are quiescent). Tests assert on these; the same events
-/// feed the `ptrack.runtime.sched.*` metrics.
+/// Monotone scheduler event counts, readable at any time. Tests assert on
+/// these; the same events feed the `ptrack.runtime.sched.*` metrics.
 struct SchedulerStats {
   std::uint64_t submitted_latency = 0;
   std::uint64_t submitted_throughput = 0;
   std::uint64_t executed_latency = 0;
   std::uint64_t executed_throughput = 0;
   std::uint64_t inline_runs = 0;       ///< tasks run by submit() (0 workers)
-  std::uint64_t steals = 0;            ///< tasks migrated by steal-half
-  std::uint64_t steal_batches = 0;     ///< steal-half passes that got >= 1
-  std::uint64_t parks = 0;
-  std::uint64_t wakeups = 0;
-  std::uint64_t spills = 0;            ///< ring-full fallbacks
+  std::uint64_t parks = 0;             ///< waits on the condvar
+  std::uint64_t wakeups = 0;           ///< notifies issued by submit()
   std::uint64_t task_exceptions = 0;   ///< exceptions swallowed at the loop
+  /// Always 0: the shared queue neither steals nor spills. Kept until the
+  /// end-to-end benchmark stops reading them (ROADMAP item 7).
+  std::uint64_t steals = 0;
+  std::uint64_t spills = 0;
 };
 
 class Scheduler {
@@ -96,72 +97,52 @@ class Scheduler {
   /// Executor index parallel_for() reports for the calling thread.
   [[nodiscard]] std::size_t caller_executor() const { return n_workers_; }
 
-  /// Enqueues one task (fire-and-forget; completion signalling is the
-  /// task's business — see core::HopJob). `affinity` pins the task to
-  /// worker `affinity % workers()`'s ring; submission is wait-free apart
-  /// from the rare ring-overflow spill. With 0 workers the task runs
-  /// inline here. Exceptions escaping a task are swallowed and counted
-  /// (stats().task_exceptions) — tasks own their error channel.
-  void submit(Lane lane, Task task, std::uint64_t affinity = kNoAffinity);
+  /// Enqueues one task at the back of `lane`'s FIFO (fire-and-forget;
+  /// completion signalling is the task's business — see core::HopJob).
+  /// With 0 workers the task runs inline here. Exceptions escaping a task
+  /// are swallowed and counted (stats().task_exceptions). `affinity`
+  /// places nothing; the end-to-end benchmark still passes it (ROADMAP 7).
+  void submit(Lane lane, Task task, std::uint64_t affinity = 0);
 
   /// Runs fn(task, executor) for every task in [0, n_tasks) on `lane`,
   /// dynamically load-balanced; blocks until all completed. The calling
-  /// thread participates as executor workers(). If any task throws, the
-  /// first exception (in completion order) is rethrown here after the
-  /// drain. Must not be called from this scheduler's own worker threads.
-  ///
-  /// `caller_participates = false` makes the call dispatch-only: the
-  /// caller seeds the claimers and then just waits, donating no CPU — for
-  /// threads with other duties (a daemon control thread fanning out a
-  /// rebuild). Ignored with 0 workers, where the caller is the only
-  /// executor there is.
+  /// thread participates as executor workers() unless
+  /// `caller_participates` is false (dispatch-only: it seeds the claimers
+  /// and waits, for threads with other duties); with 0 workers it always
+  /// participates. The first exception (in completion order) is rethrown
+  /// after the drain. Must not be called from this scheduler's workers.
   void parallel_for(Lane lane, std::size_t n_tasks, const TaskFn& fn,
                     bool caller_participates = true);
 
   [[nodiscard]] SchedulerStats stats() const;
 
  private:
-  struct ParallelJob;
+  /// Circular FIFO of tasks, power-of-two capacity; guarded by mu_.
+  struct Fifo {
+    std::vector<Task> buf = std::vector<Task>(kInitialQueueCapacity);
+    std::size_t head = 0;
+    std::size_t size = 0;
+    void push(const Task& task);  ///< doubles `buf` when full
+    bool pop(Task& out);
+  };
 
-  static void claimer_trampoline(void* ctx, std::size_t executor,
-                                 std::uint64_t arg);
-  void claim_inline(ParallelJob& job, std::size_t executor);
-
-  bool find_task(std::size_t self, Task& out, Lane& lane_out);
-  bool pop_spill(Lane lane, Task& out);
-  bool steal_half(std::size_t self, Lane lane, Task& out);
   void execute(const Task& t, std::size_t executor, Lane lane);
-  bool try_wake(std::size_t w);
-  void wake_one(std::size_t preferred);
-  void update_depth_gauges();
+  void update_depth_gauges() const;
   void worker_loop(std::size_t w);
 
-  std::size_t n_workers_ = 0;
-  std::vector<std::unique_ptr<Worker>> workers_;
-  std::atomic<std::size_t> rr_{0};  ///< round-robin cursor (no affinity)
+  std::size_t n_workers_;
 
-  /// Tasks currently queued (rings + spill) per lane; the seq_cst
-  /// handshake between submitters and parking workers (see worker.hpp).
-  alignas(64) std::atomic<std::size_t> pending_[kLaneCount] = {};
-
-  std::mutex spill_mu_[kLaneCount];
-  std::deque<Task> spill_[kLaneCount];
-  std::atomic<std::size_t> spill_count_[kLaneCount] = {};
-
-  std::atomic<bool> stop_{false};
-
-  struct InternalStats {
-    std::atomic<std::uint64_t> submitted[kLaneCount] = {};
-    std::atomic<std::uint64_t> executed[kLaneCount] = {};
-    std::atomic<std::uint64_t> inline_runs{0};
-    std::atomic<std::uint64_t> steals{0};
-    std::atomic<std::uint64_t> steal_batches{0};
-    std::atomic<std::uint64_t> parks{0};
-    std::atomic<std::uint64_t> wakeups{0};
-    std::atomic<std::uint64_t> spills{0};
-    std::atomic<std::uint64_t> task_exceptions{0};
-  };
-  InternalStats st_;
+  mutable std::mutex mu_;
+  std::condition_variable cv_;
+  Fifo fifo_[kLaneCount];    ///< guarded by mu_
+  std::size_t waiting_ = 0;  ///< workers in cv_.wait; guarded by mu_
+  std::size_t wakes_ = 0;    ///< notifies no waiter took yet; guarded by mu_
+  bool stop_ = false;        ///< guarded by mu_
+  SchedulerStats st_;        ///< guarded by mu_
+  /// Tasks in both FIFOs. Written only under mu_; read without it by
+  /// spinning workers, which take the lock before acting on it.
+  std::atomic<std::size_t> queued_{0};
+  std::vector<std::thread> threads_;  ///< last: the workers use all above
 };
 
 }  // namespace ptrack::runtime

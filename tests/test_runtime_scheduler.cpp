@@ -1,25 +1,27 @@
-// Work-stealing scheduler tests (DESIGN.md §18): every submitted task runs
+// Two-lane scheduler tests (DESIGN.md §18): every submitted task runs
 // exactly once across producers, workers and lanes; the latency lane
-// strictly preempts queued throughput work; steal-half redistributes a
-// pinned backlog; parallel_for keeps the fork-join contract (positional
-// determinism, first-exception propagation, no reentrancy from workers);
-// submission is allocation-free at steady state; and the HopJob actor
-// produces bit-identical events to a directly-driven StreamingTracker.
+// strictly preempts queued throughput work; a backlog beyond the initial
+// FIFO capacity keeps both guarantees; parallel_for keeps the fork-join
+// contract (positional determinism, first-exception propagation, no
+// reentrancy from workers); submission is allocation-free at steady state;
+// and the HopJob actor produces bit-identical events to a directly-driven
+// StreamingTracker, on whichever threads its hops run.
 //
 // The stress cases are the TSan targets: N producers x M workers x both
-// lanes with randomized affinity (steal pressure), concurrent parallel_for
-// callers, a producer hammering a HopJob while the batch lane is busy, and
-// tight job-lifetime loops (short dispatch-only jobs, HopJob teardown right
-// after idle) that expose any touch of a job after its owner may free it.
+// lanes, concurrent parallel_for callers, a producer hammering a HopJob
+// while the batch lane is busy, and tight job-lifetime loops (short
+// dispatch-only jobs, HopJob teardown right after idle) that expose any
+// touch of a job after its owner may free it.
 
 #include <gtest/gtest.h>
 
 #include <array>
 #include <atomic>
 #include <chrono>
+#include <condition_variable>
+#include <deque>
 #include <memory>
 #include <mutex>
-#include <random>
 #include <stdexcept>
 #include <thread>
 #include <vector>
@@ -95,7 +97,6 @@ TEST(Scheduler, RunsEverySubmittedTaskExactlyOnceAcrossProducersAndLanes) {
     producers.reserve(kProducers);
     for (std::size_t p = 0; p < kProducers; ++p) {
       producers.emplace_back([&, p] {
-        std::mt19937_64 rng(0xabc + p);
         for (std::size_t i = 0; i < kPerProducer; ++i) {
           Task t;
           t.fn = [](void* ctx, std::size_t, std::uint64_t arg) {
@@ -104,10 +105,7 @@ TEST(Scheduler, RunsEverySubmittedTaskExactlyOnceAcrossProducersAndLanes) {
           t.ctx = hits.data();
           t.arg = p * kPerProducer + i;
           const Lane lane = (i % 2 == 0) ? Lane::kLatency : Lane::kThroughput;
-          // Randomized placement: pinned rings and round-robin both in play.
-          const std::uint64_t affinity =
-              (rng() % 3 == 0) ? runtime::kNoAffinity : rng() % 8;
-          sched.submit(lane, t, affinity);
+          sched.submit(lane, t);
         }
       });
     }
@@ -122,9 +120,8 @@ TEST(Scheduler, RunsEverySubmittedTaskExactlyOnceAcrossProducersAndLanes) {
 }
 
 TEST(Scheduler, LatencyLaneDrainsBeforeQueuedThroughputWork) {
-  // One worker, all tasks pinned to its ring: execution order is exactly
-  // the worker loop's drain order, so the lane priority is observable
-  // deterministically.
+  // One worker: execution order is exactly the worker loop's pop order, so
+  // the lane priority is observable deterministically.
   Scheduler sched(opts(1));
 
   std::atomic<bool> gate_open{false};
@@ -140,7 +137,7 @@ TEST(Scheduler, LatencyLaneDrainsBeforeQueuedThroughputWork) {
     while (!g->open->load()) std::this_thread::yield();
   };
   gate.ctx = &gate_ctx;
-  sched.submit(Lane::kLatency, gate, /*affinity=*/0);
+  sched.submit(Lane::kLatency, gate);
   ASSERT_TRUE(wait_until([&] { return gate_running.load(); }));
 
   // With the worker held, queue throughput FIRST, latency SECOND — arrival
@@ -159,11 +156,11 @@ TEST(Scheduler, LatencyLaneDrainsBeforeQueuedThroughputWork) {
   constexpr std::uint64_t kEach = 5;
   for (std::uint64_t i = 0; i < kEach; ++i) {
     record.arg = 100 + i;  // throughput ids
-    sched.submit(Lane::kThroughput, record, /*affinity=*/0);
+    sched.submit(Lane::kThroughput, record);
   }
   for (std::uint64_t i = 0; i < kEach; ++i) {
     record.arg = i;  // latency ids
-    sched.submit(Lane::kLatency, record, /*affinity=*/0);
+    sched.submit(Lane::kLatency, record);
   }
   gate_open.store(true);
   ASSERT_TRUE(wait_until([&] {
@@ -184,29 +181,72 @@ TEST(Scheduler, LatencyLaneDrainsBeforeQueuedThroughputWork) {
   }
 }
 
-TEST(Scheduler, StealHalfRedistributesAPinnedBacklog) {
-  Scheduler sched(opts(4));
-  constexpr std::size_t kTasks = 64;
-  std::atomic<std::size_t> done{0};
-  struct Ctx {
-    std::atomic<std::size_t>* done;
-  } ctx{&done};
-  for (std::size_t i = 0; i < kTasks; ++i) {
-    Task t;
-    t.fn = [](void* c, std::size_t, std::uint64_t) {
-      // Sleeping releases the core (this box may be single-CPU), so the
-      // other woken workers get scheduled and must steal to help.
-      std::this_thread::sleep_for(std::chrono::milliseconds(1));
-      static_cast<Ctx*>(c)->done->fetch_add(1);
-    };
-    t.ctx = &ctx;
-    sched.submit(Lane::kThroughput, t, /*affinity=*/0);  // all on one ring
+// Every worker is held on a gate while more tasks than a FIFO's initial
+// capacity queue on each lane, so both FIFOs grow (the latency one with a
+// wrapped head, since the gates were popped from it). Each task must still
+// run exactly once, and every executor must see them in pop order: FIFO
+// within a lane, and no latency task after a throughput one.
+TEST(Scheduler, BacklogBeyondQueueCapacityRunsEveryTaskOnce) {
+  constexpr std::size_t kPerLane = runtime::kInitialQueueCapacity + 300;
+  for (const std::size_t workers : {1u, 3u}) {
+    struct Shared {
+      std::atomic<std::size_t> held{0};
+      std::atomic<bool> open{false};
+      std::vector<std::atomic<int>> runs =
+          std::vector<std::atomic<int>>(2 * kPerLane);
+      std::vector<std::vector<std::uint64_t>> order;  ///< per executor
+    } sh;
+    sh.order.resize(workers);
+    for (auto& o : sh.order) o.reserve(2 * kPerLane);
+    {
+      Scheduler sched(opts(workers));
+      Task gate;
+      gate.fn = [](void* c, std::size_t, std::uint64_t) {
+        auto* x = static_cast<Shared*>(c);
+        x->held.fetch_add(1);
+        while (!x->open.load()) std::this_thread::yield();
+      };
+      gate.ctx = &sh;
+      for (std::size_t w = 0; w < workers; ++w) {
+        sched.submit(Lane::kLatency, gate);
+      }
+      ASSERT_TRUE(wait_until([&] { return sh.held.load() == workers; }));
+
+      // Ids: throughput tasks [0, kPerLane), latency [kPerLane, 2 kPerLane);
+      // throughput is queued first so arrival order must lose to lanes.
+      Task record;
+      record.fn = [](void* c, std::size_t executor, std::uint64_t id) {
+        auto* x = static_cast<Shared*>(c);
+        x->runs[id].fetch_add(1);
+        x->order[executor].push_back(id);
+      };
+      record.ctx = &sh;
+      for (const Lane lane : {Lane::kThroughput, Lane::kLatency}) {
+        const std::uint64_t base = lane == Lane::kLatency ? kPerLane : 0;
+        for (std::uint64_t i = 0; i < kPerLane; ++i) {
+          record.arg = base + i;
+          sched.submit(lane, record);
+        }
+      }
+      sh.open.store(true);
+    }  // the destructor drains every queued task
+    for (std::size_t id = 0; id < 2 * kPerLane; ++id) {
+      ASSERT_EQ(sh.runs[id].load(), 1) << workers << " workers, task " << id;
+    }
+    for (std::size_t w = 0; w < workers; ++w) {
+      const auto& o = sh.order[w];
+      for (std::size_t k = 1; k < o.size(); ++k) {
+        const bool prev_latency = o[k - 1] >= kPerLane;
+        const bool latency = o[k] >= kPerLane;
+        ASSERT_FALSE(latency && !prev_latency)
+            << "executor " << w << " ran latency task " << o[k]
+            << " after throughput task " << o[k - 1];
+        if (latency == prev_latency) {
+          ASSERT_LT(o[k - 1], o[k]) << "executor " << w << " broke FIFO";
+        }
+      }
+    }
   }
-  ASSERT_TRUE(wait_until([&] { return done.load() == kTasks; }));
-  const auto s = sched.stats();
-  EXPECT_GT(s.steals, 0u) << "a 64-task backlog pinned to one of four "
-                             "workers must provoke steal-half";
-  EXPECT_EQ(s.executed_throughput, kTasks);
 }
 
 TEST(Scheduler, ParksWhenIdleAndWakesOnSubmit) {
@@ -317,7 +357,7 @@ TEST(Scheduler, ConcurrentParallelForCallersShareTheWorkers) {
 TEST(Scheduler, SubmissionIsAllocationFreeAfterWarmup) {
   Scheduler sched(opts(2));
   // Warm-up: registers the obs handles (function-local statics) and sizes
-  // nothing else — rings were pre-sized in the constructor.
+  // nothing else — the FIFOs were pre-sized in the constructor.
   std::atomic<int> sink{0};
   Task t;
   t.fn = [](void* c, std::size_t, std::uint64_t) {
@@ -325,12 +365,11 @@ TEST(Scheduler, SubmissionIsAllocationFreeAfterWarmup) {
   };
   t.ctx = &sink;
   for (int i = 0; i < 32; ++i) {
-    sched.submit(i % 2 == 0 ? Lane::kLatency : Lane::kThroughput, t,
-                 static_cast<std::uint64_t>(i));
+    sched.submit(i % 2 == 0 ? Lane::kLatency : Lane::kThroughput, t);
   }
   ASSERT_TRUE(wait_until([&] { return sink.load() == 32; }));
   // Make sure the park/wake metric handles registered too: wait for the
-  // workers to park, then submit through the targeted-wake path once.
+  // workers to park, then submit through the notify path once.
   ASSERT_TRUE(wait_until([&] { return sched.stats().parks >= 1; }));
   for (int i = 0; i < 4; ++i) sched.submit(Lane::kLatency, t);
   ASSERT_TRUE(wait_until([&] { return sink.load() == 36; }));
@@ -340,8 +379,7 @@ TEST(Scheduler, SubmissionIsAllocationFreeAfterWarmup) {
     alloc::NoAllocScope guard("scheduler submit steady state",
                               alloc::NoAllocScope::Mode::kCount);
     for (int i = 0; i < 200; ++i) {
-      sched.submit(i % 2 == 0 ? Lane::kLatency : Lane::kThroughput, t,
-                   static_cast<std::uint64_t>(i));
+      sched.submit(i % 2 == 0 ? Lane::kLatency : Lane::kThroughput, t);
     }
   }
   const auto after = alloc::thread_stats();
@@ -350,7 +388,6 @@ TEST(Scheduler, SubmissionIsAllocationFreeAfterWarmup) {
         << "steady-state submit must not touch the heap";
   }
   ASSERT_TRUE(wait_until([&] { return sink.load() == 236; }));
-  EXPECT_EQ(sched.stats().spills, 0u);
 }
 
 // ---------------------------------------------------------------------------
@@ -550,31 +587,67 @@ TEST(HopJob, OffThreadHopsMatchDirectTrackerBitForBit) {
 
 namespace {
 
-/// Latency-lane executor that pins each hop to the next worker in turn,
-/// so a stream's hops keep moving between threads.
-class RotatingExecutor final : public core::HopExecutor {
+/// Executor that runs hops on two threads it owns, alternating each
+/// stream's hops between them (by the affinity token, which here is the
+/// stream id), and records which threads each stream ran on.
+class AlternatingExecutor final : public core::HopExecutor {
  public:
-  explicit RotatingExecutor(Scheduler& sched) : sched_(sched) {}
-  void submit(core::HopJob& job, std::uint64_t) override {
-    Task t;
-    t.fn = [](void* ctx, std::size_t executor, std::uint64_t) {
-      static_cast<core::HopJob*>(ctx)->run_scheduled(executor);
-    };
-    t.ctx = &job;
-    sched_.submit(Lane::kLatency, t,
-                  next_.fetch_add(1, std::memory_order_relaxed));
+  AlternatingExecutor() {
+    for (std::size_t i = 0; i < threads_.size(); ++i) {
+      threads_[i] = std::thread([this, i] { loop(i); });
+    }
+  }
+  ~AlternatingExecutor() override {
+    {
+      std::lock_guard<std::mutex> lk(mu_);
+      stop_ = true;
+    }
+    cv_.notify_all();
+    for (std::thread& t : threads_) t.join();
+  }
+  void submit(core::HopJob& job, std::uint64_t stream) override {
+    {
+      std::lock_guard<std::mutex> lk(mu_);
+      const std::size_t thread = submits_.at(stream)++ % threads_.size();
+      inbox_[thread].push_back(&job);
+      used_.at(stream) |= 1u << thread;
+    }
+    cv_.notify_all();
+  }
+  /// Bit i set: a hop of `stream` ran on thread i.
+  unsigned threads_used(std::uint64_t stream) {
+    std::lock_guard<std::mutex> lk(mu_);
+    return used_.at(stream);
   }
 
  private:
-  Scheduler& sched_;
-  std::atomic<std::uint64_t> next_{0};
+  void loop(std::size_t self) {
+    std::unique_lock<std::mutex> lk(mu_);
+    for (;;) {
+      cv_.wait(lk, [&] { return stop_ || !inbox_[self].empty(); });
+      if (inbox_[self].empty()) return;
+      core::HopJob* job = inbox_[self].front();
+      inbox_[self].pop_front();
+      lk.unlock();
+      job->run_scheduled(self);
+      lk.lock();
+    }
+  }
+
+  std::mutex mu_;
+  std::condition_variable cv_;
+  std::array<std::deque<core::HopJob*>, 2> inbox_;
+  std::array<std::size_t, 4> submits_{};  ///< per stream id
+  std::array<unsigned, 4> used_{};        ///< per stream id
+  bool stop_ = false;
+  std::array<std::thread, 2> threads_;
 };
 
 }  // namespace
 
 // The filter scratch is the thread's, not the stream's: two streams whose
-// hops rotate over two workers (so each worker's scratch serves both, and
-// each stream runs on both workers' scratch) still emit exactly the
+// hops alternate over two threads (so each thread's scratch serves both,
+// and each stream runs on both threads' scratch) still emit exactly the
 // batch events of their samples.
 TEST(HopJob, StreamsMovingBetweenWorkersMatchBatch) {
   const auto walk = make_walk_trace(0xa11, 40.0);
@@ -584,11 +657,9 @@ TEST(HopJob, StreamsMovingBetweenWorkersMatchBatch) {
   core::StreamingConfig windowed = cfg;
   windowed.pipeline.counter.anterior_window_s = 10.0;
 
-  Scheduler sched(opts(2));
-  RotatingExecutor exec(sched);
+  AlternatingExecutor exec;
   std::vector<core::StepEvent> got_walk;
   std::vector<core::StepEvent> got_other;
-  std::vector<std::size_t> seen(2, 0);
   {
     core::HopJob a(exec, /*stream_id=*/1, walk.fs(), cfg);
     core::HopJob b(exec, /*stream_id=*/2, other.fs(), windowed);
@@ -600,17 +671,14 @@ TEST(HopJob, StreamsMovingBetweenWorkersMatchBatch) {
       }
       a.wait_idle();
       b.wait_idle();
-      for (const core::HopJob* job : {&a, &b}) {
-        if (job->last_executor() < seen.size()) ++seen[job->last_executor()];
-      }
       a.poll_into(got_walk);
       b.poll_into(got_other);
     }
     a.drain_into(got_walk);
     b.drain_into(got_other);
   }
-  EXPECT_GT(seen[0], 0u);
-  EXPECT_GT(seen[1], 0u);
+  EXPECT_EQ(exec.threads_used(1), 0b11u) << "stream 1 stayed on one thread";
+  EXPECT_EQ(exec.threads_used(2), 0b11u) << "stream 2 stayed on one thread";
   const core::TrackResult want_walk = core::PTrack(cfg.pipeline).process(walk);
   const core::TrackResult want_other =
       core::PTrack(windowed.pipeline).process(other);
@@ -618,31 +686,6 @@ TEST(HopJob, StreamsMovingBetweenWorkersMatchBatch) {
   ASSERT_GT(want_other.events.size(), 30u);
   expect_events_identical(got_walk, want_walk.events);
   expect_events_identical(got_other, want_other.events);
-}
-
-TEST(HopJob, AffinityKeepsHopsOnThePreferredWorker) {
-  Scheduler sched(opts(2));
-  runtime::SchedulerHopExecutor exec(sched);
-  const auto trace = make_walk_trace(0xfeed, 20.0);
-  // stream_id 0 -> worker 0 is the preferred executor.
-  core::HopJob job(exec, /*stream_id=*/0, trace.fs(), {});
-
-  std::size_t on_preferred = 0;
-  constexpr std::size_t kRounds = 20;
-  const std::size_t chunk = trace.size() / kRounds;
-  for (std::size_t r = 0; r < kRounds; ++r) {
-    for (std::size_t i = r * chunk; i < (r + 1) * chunk; ++i) {
-      job.push(trace.samples()[i]);
-    }
-    job.wait_idle();
-    on_preferred += job.last_executor() == 0 ? 1 : 0;
-    // Let the workers park so the next push exercises the targeted wake.
-    std::this_thread::sleep_for(std::chrono::milliseconds(2));
-  }
-  // Cache-warmth is a hint, not a guarantee (a spinning sibling may grab a
-  // hop first), but with parked workers the targeted wake must dominate.
-  EXPECT_GT(on_preferred, kRounds / 2)
-      << "affinity hint should route most hops to worker 0";
 }
 
 TEST(HopJob, RejectsMismatchedRateAndSurvivesGarbageSamples) {

@@ -20,7 +20,7 @@
 //     the active-sessions gauge, the queue-depth histogram) — the serve
 //     smoke job's variant of the same gate;
 //   - with --sched it switches to the ptrack.runtime.sched.* set the
-//     scheduler drives (per-lane submission counters, parks/wakeups/steals,
+//     scheduler drives (per-lane submission counters, parks/wakeups,
 //     the worker and queue-depth gauges, non-empty per-lane queue-wait and
 //     exec histograms) — the sched smoke job's variant, fed by
 //     bench/sched_latency --metrics-out.
@@ -124,16 +124,14 @@ const std::vector<std::string>& required_net_counters() {
 }
 
 /// Counters a sched_latency bench run always drives: hops on the latency
-/// lane, batch claimers on the throughput lane, park/wake cycles between
-/// measurement rounds, and the steal-probe phase's migrations (spills and
-/// task_exceptions legitimately stay zero).
+/// lane, batch claimers on the throughput lane, and park/wake cycles
+/// between measurement rounds (task_exceptions legitimately stays zero).
 const std::vector<std::string>& required_sched_counters() {
   static const std::vector<std::string> k = {
       "ptrack.runtime.sched.submitted.latency",
       "ptrack.runtime.sched.submitted.throughput",
       "ptrack.runtime.sched.parks",
       "ptrack.runtime.sched.wakeups",
-      "ptrack.runtime.sched.steals",
   };
   return k;
 }

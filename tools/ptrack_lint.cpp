@@ -567,9 +567,9 @@ bool is_hot_path_tu(const std::string& generic_path) {
   if (ends_with("imu/sample_ring.cpp")) return true;
   if (!ends_with(".cpp")) return false;
   if (generic_path.find("dsp/") != std::string::npos) return true;
-  // The scheduler's steady state (submission, claiming, stealing) must be
-  // allocation-free after warm-up: rings are pre-sized in constructors and
-  // the only allocating paths are counted, annotated fallbacks.
+  // The scheduler's steady state (submission, claiming) must be
+  // allocation-free after warm-up: the lane FIFOs are pre-sized in
+  // constructors and their one growth site is annotated.
   if (generic_path.find("runtime/") != std::string::npos) return true;
   // The ingest reactor's steady state must also be allocation-free. The
   // chaos test clients (blocking test support) and the HTTP admin control
