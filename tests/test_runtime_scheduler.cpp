@@ -18,8 +18,6 @@
 #include <array>
 #include <atomic>
 #include <chrono>
-#include <condition_variable>
-#include <deque>
 #include <memory>
 #include <mutex>
 #include <stdexcept>
@@ -587,60 +585,32 @@ TEST(HopJob, OffThreadHopsMatchDirectTrackerBitForBit) {
 
 namespace {
 
-/// Executor that runs hops on two threads it owns, alternating each
-/// stream's hops between them (by the affinity token, which here is the
-/// stream id), and records which threads each stream ran on.
+/// Executor that alternates each stream's hops (by the affinity token,
+/// which here is the stream id) between two threads it owns — the workers
+/// of two one-worker schedulers — and records where each stream ran.
+/// HopJob submits only from its producer thread, so no lock is needed.
 class AlternatingExecutor final : public core::HopExecutor {
  public:
-  AlternatingExecutor() {
-    for (std::size_t i = 0; i < threads_.size(); ++i) {
-      threads_[i] = std::thread([this, i] { loop(i); });
-    }
-  }
-  ~AlternatingExecutor() override {
-    {
-      std::lock_guard<std::mutex> lk(mu_);
-      stop_ = true;
-    }
-    cv_.notify_all();
-    for (std::thread& t : threads_) t.join();
-  }
   void submit(core::HopJob& job, std::uint64_t stream) override {
-    {
-      std::lock_guard<std::mutex> lk(mu_);
-      const std::size_t thread = submits_.at(stream)++ % threads_.size();
-      inbox_[thread].push_back(&job);
-      used_.at(stream) |= 1u << thread;
-    }
-    cv_.notify_all();
+    const std::size_t k = submits_.at(stream)++ % 2;
+    used_.at(stream) |= 1u << k;
+    Task t;
+    t.fn = [](void* ctx, std::size_t executor, std::uint64_t) {
+      static_cast<core::HopJob*>(ctx)->run_scheduled(executor);
+    };
+    t.ctx = &job;
+    (k == 0 ? first_ : second_).submit(Lane::kLatency, t);
   }
-  /// Bit i set: a hop of `stream` ran on thread i.
-  unsigned threads_used(std::uint64_t stream) {
-    std::lock_guard<std::mutex> lk(mu_);
+  /// Bit k set: a hop of `stream` ran on thread k.
+  [[nodiscard]] unsigned threads_used(std::uint64_t stream) const {
     return used_.at(stream);
   }
 
  private:
-  void loop(std::size_t self) {
-    std::unique_lock<std::mutex> lk(mu_);
-    for (;;) {
-      cv_.wait(lk, [&] { return stop_ || !inbox_[self].empty(); });
-      if (inbox_[self].empty()) return;
-      core::HopJob* job = inbox_[self].front();
-      inbox_[self].pop_front();
-      lk.unlock();
-      job->run_scheduled(self);
-      lk.lock();
-    }
-  }
-
-  std::mutex mu_;
-  std::condition_variable cv_;
-  std::array<std::deque<core::HopJob*>, 2> inbox_;
   std::array<std::size_t, 4> submits_{};  ///< per stream id
   std::array<unsigned, 4> used_{};        ///< per stream id
-  bool stop_ = false;
-  std::array<std::thread, 2> threads_;
+  Scheduler first_{opts(1)};
+  Scheduler second_{opts(1)};
 };
 
 }  // namespace
