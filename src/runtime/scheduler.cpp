@@ -30,8 +30,7 @@ inline void cpu_relax() {
 static_assert((kInitialQueueCapacity & (kInitialQueueCapacity - 1)) == 0,
               "a lane FIFO's capacity is a power of two");
 
-/// Idle spins on the queued-task count before waiting on the condvar: they
-/// cover sub-millisecond submit gaps without a futex round trip per hop.
+/// Idle spins on the queued-task count before waiting on the condvar.
 constexpr std::uint32_t kSpinIterations = 4000;
 
 /// One parallel_for call, on the caller's stack.
@@ -176,8 +175,8 @@ void Scheduler::execute(const Task& t, std::size_t executor, Lane lane) {
   try {
     t.fn(t.ctx, executor, t.arg);
   } catch (...) {
-    // Tasks own their error channel (HopJob and the claimers capture
-    // theirs); one reaching here is a contract breach, counted, not fatal.
+    // Tasks own their error channel (HopJob, claimers); one reaching here
+    // is a contract breach, counted, not fatal.
     threw = true;
     PTRACK_COUNT("ptrack.runtime.sched.task_exceptions");
   }
@@ -230,14 +229,15 @@ void Scheduler::worker_loop(std::size_t w) {
     }
     if (stop_) break;
 
-    // Bounded spin on the queued-task count before a futex round trip.
+    // Bounded spin on the queued-task count before a futex round trip. A
+    // task shows up while its submitter still holds mu_, so take the lock
+    // by try_lock here: blocking would add a futex sleep and wake.
     lk.unlock();
-    for (std::uint32_t i = 0;
-         i < kSpinIterations && queued_.load(std::memory_order_relaxed) == 0;
-         ++i) {
+    for (std::uint32_t i = 0; i < kSpinIterations; ++i) {
+      if (queued_.load(std::memory_order_relaxed) != 0 && lk.try_lock()) break;
       cpu_relax();
     }
-    lk.lock();
+    if (!lk.owns_lock()) lk.lock();
     if (queued_.load(std::memory_order_relaxed) != 0 || stop_) continue;
 
     // A submit either ran before the check above (its task was seen) or
