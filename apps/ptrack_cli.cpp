@@ -33,8 +33,7 @@
 // Observability (both modes): --metrics-out FILE writes a JSON snapshot of
 // every pipeline counter/gauge/histogram; --trace-out FILE writes the
 // recorded stage spans as Chrome trace_event JSON (open in chrome://tracing
-// or Perfetto). With -DPTRACK_OBS=OFF both flags still work but produce
-// empty documents. See DESIGN.md "Observability".
+// or Perfetto). See DESIGN.md "Observability".
 //
 // The input is the CSV interchange format of imu::save_csv (header
 // t,ax,ay,az,gx,gy,gz with a leading metadata row carrying the sample

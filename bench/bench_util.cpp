@@ -7,7 +7,6 @@
 #include <string>
 
 #include "dsp/simd.hpp"
-#include "obs/metrics.hpp"
 
 namespace ptrack::bench {
 
@@ -74,7 +73,6 @@ void write_host(json::Writer& w, std::size_t workers) {
   w.key("nproc").value(available_cpus());
   w.key("isa").value(dsp::simd::isa_name(dsp::simd::detected()));
   w.key("build_type").value(PTRACK_BENCH_BUILD_TYPE);
-  w.key("obs_compiled").value(PTRACK_OBS_ENABLED != 0);
   w.key("workers").value(workers);
   w.end_object();
 }

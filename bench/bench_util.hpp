@@ -46,8 +46,8 @@ std::size_t available_cpus();
 
 /// Writes key "host" into `w`'s open object: the machine block e2e_bench
 /// prints (nproc = CPUs this process may run on, the detected SIMD ISA, the
-/// build type, whether obs instrumentation is compiled in) plus the
-/// bench's worker-thread count, so a recorded figure names its hardware.
+/// build type) plus the bench's worker-thread count, so a recorded figure
+/// names its hardware.
 void write_host(json::Writer& w, std::size_t workers);
 
 }  // namespace ptrack::bench

@@ -29,8 +29,7 @@
 // events drained as they come (tracker_live_kb), and the most it held
 // after any push over those 80 s, warm-up included (tracker_peak_kb);
 // measured after a first tracker has set up what every tracker shares
-// (gravity weight tables, per-thread scratch, telemetry handles). 0 when
-// the allocation hooks are compiled out.
+// (gravity weight tables, per-thread scratch, telemetry handles).
 //
 // Flags:
 //   --reduced     shorter trace, fewer repeats (the CI smoke configuration)

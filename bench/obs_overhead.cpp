@@ -20,9 +20,6 @@
 //                 (also via the PTRACK_BENCH_JSON environment variable);
 //                 "host" is the machine block (bench::write_host), with
 //                 workers = 1 (the runs are single-threaded)
-//
-// With -DPTRACK_OBS=OFF both arms run the same uninstrumented code; the
-// measured overhead is pure noise around 0 and the gate trivially holds.
 
 #include <algorithm>
 #include <chrono>
@@ -136,7 +133,6 @@ int main(int argc, char** argv) {
       bench::write_host(w, 1);
       w.key("metrics").begin_object();
       w.key("reduced").value(reduced);
-      w.key("obs_compiled").value(PTRACK_OBS_ENABLED != 0);
       w.key("enabled_s").value(min_on);
       w.key("disabled_s").value(min_off);
       w.key("overhead").value(overhead);

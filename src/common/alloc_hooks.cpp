@@ -1,9 +1,5 @@
 #include "common/alloc_hooks.hpp"
 
-#include "common/check.hpp"
-
-#if PTRACK_ALLOC_HOOKS_ENABLED
-
 #include <atomic>
 #include <cstddef>
 #include <cstdlib>
@@ -13,6 +9,8 @@
 #if defined(__GLIBC__)
 #include <malloc.h>
 #endif
+
+#include "common/check.hpp"
 
 namespace ptrack::alloc {
 namespace {
@@ -209,22 +207,3 @@ void operator delete[](void* p, std::align_val_t,
 }
 
 // ptrack-lint: pop-allow(alloc)
-
-#else  // !PTRACK_ALLOC_HOOKS_ENABLED
-
-namespace ptrack::alloc {
-
-ThreadStats thread_stats() noexcept { return {}; }
-std::uint64_t live_allocations() noexcept { return 0; }
-std::uint64_t live_bytes() noexcept { return 0; }
-
-bool NoAllocScope::enforcement_available() noexcept { return false; }
-
-NoAllocScope::NoAllocScope(const char* label, Mode) noexcept
-    : label_(label), entry_allocations_(0), armed_(false) {}
-NoAllocScope::~NoAllocScope() = default;
-std::uint64_t NoAllocScope::observed() const noexcept { return 0; }
-
-}  // namespace ptrack::alloc
-
-#endif  // PTRACK_ALLOC_HOOKS_ENABLED

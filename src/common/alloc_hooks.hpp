@@ -1,9 +1,7 @@
 // Allocation-discipline instrumentation.
 //
-// When PTRACK_ALLOC_HOOKS_ENABLED is non-zero (the default; the build turns
-// it off with -DPTRACK_ALLOC_HOOKS=OFF), this translation unit replaces the
-// global operator new/delete family with thin wrappers over malloc/
-// posix_memalign that maintain:
+// alloc_hooks.cpp replaces the global operator new/delete family with thin
+// wrappers over malloc/posix_memalign that maintain:
 //
 //  * per-thread monotonic counters (allocations, deallocations, cumulative
 //    bytes requested) — `thread_stats()` deltas bracket a region with zero
@@ -15,8 +13,8 @@
 //
 // `NoAllocScope` is the enforcement half: a region that must not touch the
 // heap at steady state constructs one. In `kCount` mode it only measures
-// (`observed()`); in `kEnforce` mode — armed only when both the hooks and
-// the PTRACK_CHECK contract layer are compiled in — any throwing operator
+// (`observed()`); in `kEnforce` mode — armed only when the PTRACK_CHECK
+// contract layer is compiled in — any throwing operator
 // new on the same thread inside the scope raises InvariantViolation *at the
 // offending allocation site*, so a debugger or sanitizer backtrace lands on
 // the line that allocated, not on the scope exit.
@@ -32,10 +30,6 @@
 
 #include <cstdint>
 
-#ifndef PTRACK_ALLOC_HOOKS_ENABLED
-#define PTRACK_ALLOC_HOOKS_ENABLED 1
-#endif
-
 namespace ptrack::alloc {
 
 /// Monotonic per-thread allocation counters. Deltas of two snapshots bound
@@ -45,12 +39,6 @@ struct ThreadStats {
   std::uint64_t deallocations = 0;  ///< operator-delete calls on this thread
   std::uint64_t bytes = 0;          ///< cumulative bytes requested
 };
-
-/// True when the operator new/delete replacements are compiled in. All
-/// counters read as zero when this is false.
-constexpr bool hooks_enabled() noexcept {
-  return PTRACK_ALLOC_HOOKS_ENABLED != 0;
-}
 
 /// Snapshot of the calling thread's counters.
 ThreadStats thread_stats() noexcept;
@@ -78,8 +66,8 @@ class NoAllocScope {
   /// Allocations observed on this thread since the scope was entered.
   std::uint64_t observed() const noexcept;
 
-  /// True when kEnforce actually arms (hooks and contract checks both
-  /// compiled in); otherwise kEnforce degrades to kCount.
+  /// True when kEnforce actually arms (contract checks compiled in);
+  /// otherwise kEnforce degrades to kCount.
   static bool enforcement_available() noexcept;
 
  private:

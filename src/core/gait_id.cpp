@@ -13,6 +13,26 @@
 
 namespace ptrack::core {
 
+namespace {
+
+/// Absolute prominence floors (m/s^2) under the relative ones of the
+/// critical-point extraction: the query channel's noise/sway floor and the
+/// match channel's.
+constexpr double kQueryAbsProminence = 0.35;
+constexpr double kMatchAbsProminence = 0.15;
+/// Relative error of the vertical/anterior lag allowed against the quarter
+/// period by the phase gate.
+constexpr double kPhaseTolerance = 0.35;
+/// Walking hysteresis: once >= kWalkingStreakOpen consecutive cycles pass
+/// the strict offset test, up to kWalkingHysteresisCredit borderline cycles
+/// (offset > kWalkingHysteresisFactor * delta) in a row still count as
+/// walking.
+constexpr std::size_t kWalkingStreakOpen = 2;
+constexpr std::size_t kWalkingHysteresisCredit = 2;
+constexpr double kWalkingHysteresisFactor = 0.5;
+
+}  // namespace
+
 CycleAnalysis analyze_cycle(std::span<const double> vertical,
                             std::span<const double> anterior,
                             const StepCounterConfig& cfg) {
@@ -38,10 +58,10 @@ CycleAnalysis analyze_cycle(std::span<const double> vertical,
   // points and zeros (the latter capture the paper's "crossing points").
   CriticalPointOptions qopt;
   qopt.prominence_fraction = cfg.query_prominence;
-  qopt.min_abs_prominence = cfg.query_abs_prominence;
+  qopt.min_abs_prominence = kQueryAbsProminence;
   CriticalPointOptions mopt;
   mopt.prominence_fraction = cfg.match_prominence;
-  mopt.min_abs_prominence = cfg.match_abs_prominence;
+  mopt.min_abs_prominence = kMatchAbsProminence;
   mopt.hysteresis_fraction = cfg.match_hysteresis;
   // Reused per-thread point buffers: analyze_cycle runs for every candidate
   // cycle of every hop, so the four point sets must not churn the heap.
@@ -49,15 +69,14 @@ CycleAnalysis analyze_cycle(std::span<const double> vertical,
   thread_local std::vector<CriticalPoint> am;
   critical_points_into(vertical, qopt, /*include_zeros=*/false, vq);
   critical_points_into(anterior, mopt, /*include_zeros=*/true, am);
-  out.offset =
-      cycle_offset(vq, am, n, cfg.use_weighting, cfg.weight_cap);
+  out.offset = cycle_offset(vq, am, n, cfg.use_weighting);
   if (cfg.symmetric_offset) {
     thread_local std::vector<CriticalPoint> aq;
     thread_local std::vector<CriticalPoint> vm;
     critical_points_into(anterior, qopt, /*include_zeros=*/false, aq);
     critical_points_into(vertical, mopt, /*include_zeros=*/true, vm);
-    out.offset = 0.5 * (out.offset + cycle_offset(aq, vm, n, cfg.use_weighting,
-                                                  cfg.weight_cap));
+    out.offset =
+        0.5 * (out.offset + cycle_offset(aq, vm, n, cfg.use_weighting));
   }
 
   // Half-cycle autocorrelation of the anterior channel: stepping's anterior
@@ -76,7 +95,7 @@ CycleAnalysis analyze_cycle(std::span<const double> vertical,
           std::abs(std::abs(static_cast<double>(lag)) -
                    static_cast<double>(quarter)) /
           static_cast<double>(quarter);
-      out.phase_ok = err <= cfg.phase_tolerance;
+      out.phase_ok = err <= kPhaseTolerance;
     } else {
       out.phase_ok = false;
     }
@@ -116,7 +135,7 @@ GaitIdentifier::Decision GaitIdentifier::classify_impl(
   // and hysteresis credit never exceeds its configured grant.
   PTRACK_CHECK_MSG(streak_count_ < cfg_.streak,
                    "classify: stepping streak counter below threshold");
-  PTRACK_CHECK_MSG(walking_credit_ <= cfg_.walking_hysteresis_credit,
+  PTRACK_CHECK_MSG(walking_credit_ <= kWalkingHysteresisCredit,
                    "classify: hysteresis credit within its grant");
   Decision d;
   if (analysis.offset > cfg_.delta) {
@@ -124,8 +143,8 @@ GaitIdentifier::Decision GaitIdentifier::classify_impl(
     d.type = GaitType::Walking;
     streak_count_ = 0;
     streak_active_ = false;
-    if (++walking_streak_ >= cfg_.walking_streak_open) {
-      walking_credit_ = cfg_.walking_hysteresis_credit;
+    if (++walking_streak_ >= kWalkingStreakOpen) {
+      walking_credit_ = kWalkingHysteresisCredit;
     }
     return d;
   }
@@ -134,7 +153,7 @@ GaitIdentifier::Decision GaitIdentifier::classify_impl(
   // (a single gait cycle whose arm/body phases momentarily align should
   // not break an established walk).
   if (cfg_.walking_hysteresis && walking_credit_ > 0 &&
-      analysis.offset > cfg_.walking_hysteresis_factor * cfg_.delta) {
+      analysis.offset > kWalkingHysteresisFactor * cfg_.delta) {
     --walking_credit_;
     d.type = GaitType::Walking;
     streak_count_ = 0;

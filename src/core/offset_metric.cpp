@@ -10,7 +10,7 @@ namespace ptrack::core {
 
 double cycle_offset(std::span<const CriticalPoint> vertical_points,
                     std::span<const CriticalPoint> anterior_points,
-                    std::size_t n, bool use_weighting, double weight_cap) {
+                    std::size_t n, bool use_weighting) {
   expects(n >= 1, "cycle_offset: n >= 1");
   // Both point sets come out of critical_points(), which sorts by index;
   // the weighting below reads consecutive index gaps and would underflow
@@ -44,7 +44,7 @@ double cycle_offset(std::span<const CriticalPoint> vertical_points,
     const double w =
         use_weighting
             ? std::min(static_cast<double>(nv.index - prev_index) / nd,
-                       weight_cap)
+                       kWeightCap)
             : 1.0;
     offset += w * best / nd;
     prev_index = nv.index;
@@ -52,9 +52,10 @@ double cycle_offset(std::span<const CriticalPoint> vertical_points,
   // Eq. (1) is a normalized weighted score: every term is >= 0, and with
   // the weighting active the weights sum to at most max_index/n <= 1 while
   // each distance term is <= 1, so the total stays inside [0, 1].
+  static_assert(kWeightCap <= 1.0);
   PTRACK_CHECK_MSG(std::isfinite(offset) && offset >= 0.0,
                    "cycle_offset is non-negative and finite");
-  if (use_weighting && weight_cap <= 1.0) {
+  if (use_weighting) {
     PTRACK_CHECK_MSG(offset <= 1.0 + 1e-9,
                      "weighted cycle_offset is normalized to [0, 1]");
   }

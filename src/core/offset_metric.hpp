@@ -20,15 +20,17 @@
 
 namespace ptrack::core {
 
+/// Bound on w(nv): a long quiet gap before a point (e.g. the dwell phases
+/// of eating) must not let a single match dominate the sum.
+inline constexpr double kWeightCap = 0.35;
+
 /// Computes the cycle offset. `n` is the cycle length in samples (>= 1).
-/// `use_weighting` disables w(nv) for the ablation study (weight = 1 then).
-/// `weight_cap` bounds w(nv): a long quiet gap before a point (e.g. the
-/// dwell phases of eating) must not let a single match dominate the sum.
-/// When the anterior channel has no critical points at all, the offset is
-/// 1.0 (maximal: every match "disappeared").
+/// `use_weighting` disables w(nv) for the ablation study (weight = 1 then;
+/// otherwise w(nv) is capped at kWeightCap). When the anterior channel has
+/// no critical points at all, the offset is 1.0 (maximal: every match
+/// "disappeared").
 double cycle_offset(std::span<const CriticalPoint> vertical_points,
                     std::span<const CriticalPoint> anterior_points,
-                    std::size_t n, bool use_weighting = true,
-                    double weight_cap = 0.35);
+                    std::size_t n, bool use_weighting = true);
 
 }  // namespace ptrack::core

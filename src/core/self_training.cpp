@@ -14,6 +14,20 @@ namespace ptrack::core {
 
 namespace {
 
+/// Search grids (m): m̂ over [kArmMin, kArmMax], l̂ over [kLegMin, kLegMax].
+constexpr double kArmMin = 0.50;
+constexpr double kArmMax = 0.95;
+constexpr double kArmStep = 0.005;
+constexpr double kLegMin = 0.65;
+constexpr double kLegMax = 1.15;
+constexpr double kLegStep = 0.005;
+static_assert(kArmMin > 0.0 && kArmMax > kArmMin && kArmStep > 0.0,
+              "train_arm_length: valid search range");
+/// Objective weights of the invalid-solve fraction and the stepping-bounce
+/// anchor term.
+constexpr double kInvalidPenalty = 4.0;
+constexpr double kSteppingAnchorWeight = 25.0;
+
 struct CycleBank {
   ProjectedChannels projected;
   std::vector<CycleRecord> walking;
@@ -39,8 +53,7 @@ CycleBank classify_cycles(const imu::Trace& trace,
 
 /// Objective for one candidate arm length: bounce dispersion + invalid
 /// fraction (+ optional stepping anchor).
-double arm_objective(const CycleBank& bank, double arm, double k,
-                     const SelfTrainingConfig& cfg) {
+double arm_objective(const CycleBank& bank, double arm, double k) {
   StrideConfig scfg;
   scfg.profile.arm_length = arm;
   scfg.profile.leg_length = 0.9;  // irrelevant for bounce
@@ -66,7 +79,7 @@ double arm_objective(const CycleBank& bank, double arm, double k,
   if (mean <= 1e-4) return 1e9;
   const double cv = stats::stddev(bounces) / mean;
   double objective = cv * cv;
-  objective += cfg.invalid_penalty * static_cast<double>(invalid) /
+  objective += kInvalidPenalty * static_cast<double>(invalid) /
                static_cast<double>(std::max<std::size_t>(total, 1));
 
   // Stepping cycles observe the bounce *directly* (the device rides the
@@ -84,7 +97,7 @@ double arm_objective(const CycleBank& bank, double arm, double k,
     if (direct.size() >= 2) {
       const double anchor = stats::median(direct);
       const double rel = (mean - anchor) / anchor;
-      objective += cfg.stepping_anchor_weight * rel * rel;
+      objective += kSteppingAnchorWeight * rel * rel;
     }
   }
   return objective;
@@ -92,21 +105,19 @@ double arm_objective(const CycleBank& bank, double arm, double k,
 
 }  // namespace
 
+// ptrack-lint: allow(entry-check) search range static_asserted above
 double train_arm_length(const imu::Trace& trace,
                         const SelfTrainingConfig& cfg) {
-  expects(cfg.arm_min > 0.0 && cfg.arm_max > cfg.arm_min && cfg.arm_step > 0.0,
-          "train_arm_length: valid search range");
   const CycleBank bank = classify_cycles(trace, cfg);
   if (bank.walking.size() < 8) {
     throw Error("train_arm_length: not enough walking cycles (" +
                 std::to_string(bank.walking.size()) + " < 8)");
   }
 
-  double best_arm = cfg.arm_min;
+  double best_arm = kArmMin;
   double best_obj = 1e300;
-  for (double arm = cfg.arm_min; arm <= cfg.arm_max + 1e-9;
-       arm += cfg.arm_step) {
-    const double obj = arm_objective(bank, arm, cfg.k, cfg);
+  for (double arm = kArmMin; arm <= kArmMax + 1e-9; arm += kArmStep) {
+    const double obj = arm_objective(bank, arm, cfg.k);
     if (obj < best_obj) {
       best_obj = obj;
       best_arm = arm;
@@ -138,10 +149,10 @@ double train_leg_length(const imu::Trace& trace, double arm_length,
 
   // The modeled distance is monotone in l (Eq. (2) is increasing in l for
   // fixed b), so a coarse-to-fine scan suffices.
-  double best_leg = cfg.leg_min;
+  double best_leg = kLegMin;
   double best_obj = 1e300;
-  const double coarse = 8.0 * cfg.leg_step;
-  for (double leg = cfg.leg_min; leg <= cfg.leg_max + 1e-9; leg += coarse) {
+  const double coarse = 8.0 * kLegStep;
+  for (double leg = kLegMin; leg <= kLegMax + 1e-9; leg += coarse) {
     const double d = pipeline_distance(trace, arm_length, leg, cfg);
     const double rel = (d - known_distance) / known_distance;
     if (rel * rel < best_obj) {
@@ -149,9 +160,9 @@ double train_leg_length(const imu::Trace& trace, double arm_length,
       best_leg = leg;
     }
   }
-  const double lo = std::max(cfg.leg_min, best_leg - coarse);
-  const double hi = std::min(cfg.leg_max, best_leg + coarse);
-  for (double leg = lo; leg <= hi + 1e-9; leg += cfg.leg_step) {
+  const double lo = std::max(kLegMin, best_leg - coarse);
+  const double hi = std::min(kLegMax, best_leg + coarse);
+  for (double leg = lo; leg <= hi + 1e-9; leg += kLegStep) {
     const double d = pipeline_distance(trace, arm_length, leg, cfg);
     const double rel = (d - known_distance) / known_distance;
     if (rel * rel < best_obj) {
@@ -169,7 +180,7 @@ SelfTrainingResult self_train(const imu::Trace& trace, double known_distance,
   out.arm_length = train_arm_length(trace, cfg);
   const CycleBank bank = classify_cycles(trace, cfg);
   out.walking_cycles = bank.walking.size();
-  out.arm_objective = arm_objective(bank, out.arm_length, cfg.k, cfg);
+  out.arm_objective = arm_objective(bank, out.arm_length, cfg.k);
   out.leg_length = train_leg_length(trace, out.arm_length, known_distance, cfg);
   {
     // Record the achieved distance error at l̂.

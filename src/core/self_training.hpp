@@ -25,18 +25,11 @@
 
 namespace ptrack::core {
 
-/// Search configuration.
+/// Search configuration. The search grid and objective weights are fixed
+/// (core/self_training.cpp).
 struct SelfTrainingConfig {
   StepCounterConfig counter{};
   double k = 2.0;              ///< Eq. (2) factor used during the search
-  double arm_min = 0.50;       ///< m̂ search range (m)
-  double arm_max = 0.95;
-  double arm_step = 0.005;
-  double leg_min = 0.65;       ///< l̂ search range (m)
-  double leg_max = 1.15;
-  double leg_step = 0.005;
-  double invalid_penalty = 4.0;  ///< weight of invalid-solve fraction
-  double stepping_anchor_weight = 25.0; ///< weight of stepping-bounce term
 };
 
 /// Result of one self-training pass.

@@ -277,10 +277,10 @@ std::size_t ProjectionStage::min_required() const {
 // SegmentationStage
 
 SegmentationStage::SegmentationStage(const StepCounterConfig& cfg, double fs)
-    : max_gap_(seconds_to_samples(cfg.max_step_interval_s, fs)),
+    : max_gap_(seconds_to_samples(kMaxStepIntervalS, fs)),
       peak_scan_(std::max<std::size_t>(
                      1, seconds_to_samples(cfg.min_step_interval_s, fs)),
-                 cfg.min_cycle_prominence,
+                 kMinCycleProminence,
                  std::max<std::size_t>(1, seconds_to_samples(kPeakWindowS, fs)),
                  kSuppressionDepth) {
   expects(fs > 0.0, "SegmentationStage: fs > 0");

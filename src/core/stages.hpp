@@ -74,6 +74,11 @@ namespace ptrack::core {
 
 /// Half-length (s) of a step peak's prominence window (scipy's wlen / 2).
 inline constexpr double kPeakWindowS = 1.0;
+/// Minimum prominence (m/s^2) of a segmentation step peak.
+inline constexpr double kMinCycleProminence = 0.5;
+/// Longest step interval (s) a candidate cycle may span; slower peak pairs
+/// are rejected.
+inline constexpr double kMaxStepIntervalS = 1.20;
 /// Levels of greedy min-distance suppression a peak decision follows
 /// (dsp::PeakScan): chains of ever taller step peaks longer than this are
 /// cut, so a peak is final at the latest kPeakWindowS plus this many min
@@ -211,7 +216,7 @@ class SegmentationStage {
   [[nodiscard]] std::size_t min_required() const;
 
  private:
-  std::size_t max_gap_;  ///< max_step_interval_s (samples)
+  std::size_t max_gap_;  ///< kMaxStepIntervalS (samples)
   dsp::PeakScan peak_scan_;
   std::vector<std::size_t> peaks_;  ///< decided peaks awaiting pairing
   std::size_t pair_index_ = 0;      ///< pairing loop index into peaks_

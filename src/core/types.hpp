@@ -65,7 +65,9 @@ struct SignalQuality {
 
 /// Step-counter configuration. Defaults follow the paper where it gives
 /// values (delta = 0.0325) and sensible engineering choices elsewhere; the
-/// ablation benches sweep the interesting ones.
+/// ablation benches sweep the interesting ones. The pipeline's fixed
+/// parameters live as constants next to the code that reads them
+/// (core/gait_id.cpp, core/offset_metric.hpp, core/stages.hpp).
 struct StepCounterConfig {
   double lowpass_hz = 5.0;       ///< analysis band for projected signals
   /// Trailing axis window (s): each 1 s grid block's up and anterior axes
@@ -76,10 +78,7 @@ struct StepCounterConfig {
   double anterior_window_s = 20.0;
   double delta = 0.0325;         ///< offset threshold (paper SIII-B1)
   std::size_t streak = 3;        ///< consecutive confirmations for stepping
-  double phase_tolerance = 0.35; ///< relative error allowed vs quarter period
   double min_step_interval_s = 0.35;  ///< segmentation peak spacing
-  double max_step_interval_s = 1.20;  ///< reject slower candidates
-  double min_cycle_prominence = 0.5;  ///< m/s^2, segmentation peaks
   bool use_weighting = true;     ///< w(nv) term of Eq. (1) (ablation)
   bool use_phase_gate = true;    ///< phase-difference test (ablation)
 
@@ -88,11 +87,8 @@ struct StepCounterConfig {
   // turning points and zeros. Fractions are relative to the cycle's
   // peak-to-peak span (prominence) or RMS (hysteresis).
   double query_prominence = 0.12;
-  double query_abs_prominence = 0.35;  ///< m/s^2 noise/sway floor
   double match_prominence = 0.20;
-  double match_abs_prominence = 0.15;  ///< m/s^2
   double match_hysteresis = 0.50;
-  double weight_cap = 0.35;      ///< bound on w(nv) (quiet-gap guard)
   /// Anterior-energy gate (m/s^2 RMS): genuine walking always drives the
   /// anterior channel hard (arm swing + body speed oscillation). When the
   /// cycle's anterior RMS falls below this floor the channel is noise, its
@@ -105,15 +101,11 @@ struct StepCounterConfig {
   /// when one channel's critical set is sparse.
   bool symmetric_offset = false;
 
-  /// Walking hysteresis: once >= `walking_streak_open` consecutive cycles
-  /// pass the strict offset test, up to `walking_hysteresis_credit`
-  /// borderline cycles (offset > walking_hysteresis_factor * delta) in a
-  /// row are still accepted as walking. Interference never opens the gate
-  /// because it never produces the strict streak. (ablation)
+  /// Walking hysteresis: once a streak of consecutive cycles passes the
+  /// strict offset test, a few borderline cycles in a row are still
+  /// accepted as walking (core/gait_id.cpp). Interference never opens the
+  /// gate because it never produces the strict streak. (ablation)
   bool walking_hysteresis = true;
-  double walking_hysteresis_factor = 0.5;
-  std::size_t walking_streak_open = 2;
-  std::size_t walking_hysteresis_credit = 2;
 };
 
 /// User profile for stride estimation (the paper's m and l plus the Eq. (2)
@@ -140,9 +132,9 @@ struct StrideConfig {
 };
 
 /// Wall-clock cost of each pipeline stage for one trace (µs). Filled by
-/// PTrack::process when the observability layer is compiled in and enabled
-/// at runtime; all zeros otherwise. Surfaced as the "timing" block of the
-/// CLI's per-trace JSON.
+/// PTrack::process while telemetry is enabled at runtime (obs::enabled());
+/// all zeros otherwise. Surfaced as the "timing" block of the CLI's
+/// per-trace JSON.
 struct StageTiming {
   double quality_us = 0.0;  ///< signal-quality detection + repair
   double project_us = 0.0;  ///< gravity/anterior projection + filtering

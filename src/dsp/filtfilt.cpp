@@ -135,14 +135,6 @@ void filtfilt_into(const BiquadCascade& cascade, std::span<const double> xs,
              padded.begin() + static_cast<std::ptrdiff_t>(pad + xs.size()));
 }
 
-std::vector<double> filtfilt(const BiquadCascade& cascade,
-                             std::span<const double> xs, std::size_t pad,
-                             Workspace& ws) {
-  std::vector<double> out;
-  filtfilt_into(cascade, xs, pad, ws, out);
-  return out;
-}
-
 void filtfilt_multi_into(const BiquadCascade& cascade,
                          std::span<const std::span<const double>> xs,
                          std::size_t pad, Workspace& ws,

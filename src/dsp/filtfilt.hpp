@@ -23,17 +23,10 @@ class Workspace;
 std::vector<double> filtfilt(const BiquadCascade& cascade,
                              std::span<const double> xs, std::size_t pad = 64);
 
-/// As above, with caller-provided scratch for the padded working buffer
-/// (the workspace's real scratch) — repeated calls allocate only the returned
-/// output vector.
-std::vector<double> filtfilt(const BiquadCascade& cascade,
-                             std::span<const double> xs, std::size_t pad,
-                             Workspace& ws);
-
-/// Fully allocation-free steady state: writes the filtered signal into
-/// `out` (resized to xs.size(), capacity reused across calls). `out` must
-/// not alias `xs` or the workspace's real scratch. Identical arithmetic to the
-/// allocating overloads (they delegate here).
+/// Allocation-free steady state: pads into the workspace's real scratch and
+/// writes the filtered signal into `out` (resized to xs.size(), capacity
+/// reused across calls). `out` must not alias `xs` or the workspace's real
+/// scratch. Identical arithmetic to filtfilt().
 void filtfilt_into(const BiquadCascade& cascade, std::span<const double> xs,
                    std::size_t pad, Workspace& ws, std::vector<double>& out);
 

@@ -21,13 +21,13 @@ bool finite_and_bounded(double v, double limit) {
   return std::isfinite(v) && std::abs(v) <= limit;
 }
 
-bool sample_physical(const Sample& s, const QualityConfig& cfg) {
-  return finite_and_bounded(s.accel.x, cfg.nonphysical_accel) &&
-         finite_and_bounded(s.accel.y, cfg.nonphysical_accel) &&
-         finite_and_bounded(s.accel.z, cfg.nonphysical_accel) &&
-         finite_and_bounded(s.gyro.x, cfg.nonphysical_gyro) &&
-         finite_and_bounded(s.gyro.y, cfg.nonphysical_gyro) &&
-         finite_and_bounded(s.gyro.z, cfg.nonphysical_gyro);
+bool sample_physical(const Sample& s) {
+  return finite_and_bounded(s.accel.x, kNonphysicalAccel) &&
+         finite_and_bounded(s.accel.y, kNonphysicalAccel) &&
+         finite_and_bounded(s.accel.z, kNonphysicalAccel) &&
+         finite_and_bounded(s.gyro.x, kNonphysicalGyro) &&
+         finite_and_bounded(s.gyro.y, kNonphysicalGyro) &&
+         finite_and_bounded(s.gyro.z, kNonphysicalGyro);
 }
 
 double max_abs_accel(const Sample& s) {
@@ -66,11 +66,7 @@ double hermite_point(double p0, double m0, double p1, double m1, double span,
 
 void validate(const QualityConfig& cfg) {
   expects(cfg.min_dropout_run >= 1, "quality: min_dropout_run >= 1");
-  expects(cfg.spike_delta > 0.0 && cfg.gyro_spike_delta > 0.0,
-          "quality: spike thresholds > 0");
-  expects(cfg.nonphysical_accel > 0.0 && cfg.nonphysical_gyro > 0.0,
-          "quality: nonphysical limits > 0");
-  expects(cfg.max_fill_s >= 0.0, "quality: max_fill_s >= 0");
+  expects(cfg.spike_delta > 0.0, "quality: spike_delta > 0");
   expects(cfg.min_usable_fraction >= 0.0 && cfg.min_usable_fraction <= 1.0,
           "quality: min_usable_fraction in [0,1]");
 }
@@ -85,8 +81,7 @@ IncrementalQuality::IncrementalQuality(double fs, QualityConfig cfg)
     : cfg_(cfg), fs_(fs) {
   expects(fs > 0.0, "IncrementalQuality: fs > 0");
   validate(cfg_);
-  max_fill_ =
-      static_cast<std::size_t>(std::llround(cfg_.max_fill_s * fs_));
+  max_fill_ = static_cast<std::size_t>(std::llround(kMaxFillS * fs_));
   pending_.reserve(latency_bound() + 1);
 }
 
@@ -94,7 +89,7 @@ IncrementalQuality::IncrementalQuality(double fs, QualityConfig cfg)
 // every push; `inline` lets the compiler fold them into push_into.
 inline void IncrementalQuality::detect_on_push(const Sample& s,
                                                std::uint8_t& flags) {
-  if (!sample_physical(s, cfg_)) set_flag(flags, kFlagNonFinite);
+  if (!sample_physical(s)) set_flag(flags, kFlagNonFinite);
   const bool cur_nonfinite = (flags & kFlagNonFinite) != 0;
 
   // Dropout: extend or reset the current held run; retro-flag the run's
@@ -142,7 +137,7 @@ inline void IncrementalQuality::detect_on_push(const Sample& s,
         ++rail_count_;
       }
       if (rail_ > 1.2 * kGravity &&
-          rail_count_ >= cfg_.min_saturation_plateau &&
+          rail_count_ >= kMinSaturationPlateau &&
           rail_ > confirmed_rail_) {
         confirmed_rail_ = rail_;
         const double thr = confirmed_rail_ * (1.0 - 1e-9);
@@ -168,7 +163,7 @@ inline bool IncrementalQuality::is_spike(const Sample& left,
                                          const Sample& center,
                                          const Sample& right) const {
   const double a = cfg_.spike_delta;
-  const double g = cfg_.gyro_spike_delta;
+  const double g = kGyroSpikeDelta;
   return excursion(left.accel.x, center.accel.x, right.accel.x, a) ||
          excursion(left.accel.y, center.accel.y, right.accel.y, a) ||
          excursion(left.accel.z, center.accel.z, right.accel.z, a) ||

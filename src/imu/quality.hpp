@@ -45,7 +45,25 @@ enum SampleFlag : std::uint8_t {
   kFlagMasked = 1u << 5,     ///< value replaced by the neutral hold value
 };
 
-/// Detector and repair thresholds. Defaults are deliberately conservative:
+// Fixed detector and repair thresholds (conservative, like the
+// QualityConfig defaults below).
+
+/// Saturation auto-detect needs at least this many samples at the exact
+/// rail.
+inline constexpr std::size_t kMinSaturationPlateau = 4;
+/// Gyro spike threshold (rad/s); a wrist peaks around 10 rad/s.
+inline constexpr double kGyroSpikeDelta = 25.0;
+/// Accel components beyond this magnitude are transport garbage, not
+/// motion (m/s^2; ~1000 g — no wearable survives that).
+inline constexpr double kNonphysicalAccel = 1.0e4;
+/// Gyro components beyond this magnitude are garbage (rad/s).
+inline constexpr double kNonphysicalGyro = 1.0e4;
+/// Flagged runs up to this long (s) are gap-filled by interpolation;
+/// longer runs are hard-masked: no interpolation can invent half a gait
+/// cycle, and a fabricated bridge would be counted as steps.
+inline constexpr double kMaxFillS = 0.25;
+
+/// Detector and repair settings. Defaults are deliberately conservative:
 /// consecutive samples of a noisy real sensor never repeat exactly, never
 /// jump by multiple g within 10 ms, and never dwell at their exact maximum
 /// — so a clean trace produces zero flags.
@@ -65,24 +83,9 @@ struct QualityConfig {
   /// Known gyro full-scale range (rad/s); 0 disables gyro saturation
   /// detection (no auto-detect: wrist rates legitimately dwell near peaks).
   double gyro_saturation_limit = 0.0;
-  /// Auto-detect needs at least this many samples at the exact rail.
-  std::size_t min_saturation_plateau = 4;
 
   /// One-sample excursion-and-return beyond this is a spike (m/s^2).
   double spike_delta = 3.0 * kGravity;
-  /// Gyro spike threshold (rad/s); a wrist peaks around 10 rad/s.
-  double gyro_spike_delta = 25.0;
-
-  /// Accel components beyond this magnitude are transport garbage, not
-  /// motion (m/s^2; ~1000 g — no wearable survives that).
-  double nonphysical_accel = 1.0e4;
-  /// Gyro components beyond this magnitude are garbage (rad/s).
-  double nonphysical_gyro = 1.0e4;
-
-  /// Flagged runs up to this long (s) are gap-filled by interpolation;
-  /// longer runs are hard-masked: no interpolation can invent half a gait
-  /// cycle, and a fabricated bridge would be counted as steps.
-  double max_fill_s = 0.25;
 
   /// Below this fraction of clean-or-repaired samples the trace carries no
   /// usable signal; PTrack::process refuses it (QualityReport::usable).
@@ -177,7 +180,7 @@ struct IncrementalQualityCounts {
 /// it, with the reference's endpoints and tangents.
 ///
 /// Latency: a sample is held back at most latency_bound() samples
-/// (~ max_fill_s plus the dropout-run and spike lookaheads; ~0.3 s at
+/// (~ kMaxFillS plus the dropout-run and spike lookaheads; ~0.3 s at
 /// 100 Hz with defaults).
 ///
 /// Cost: the common case (a clean newcomer, one clean held-back sample and

@@ -10,6 +10,13 @@
 
 namespace ptrack::models {
 
+namespace {
+
+/// Adaptive-threshold window (s), the same for every preset.
+constexpr double kThresholdWindowS = 4.0;
+
+}  // namespace
+
 PeakCounter::PeakCounter(PeakCounterConfig config)
     : config_(std::move(config)) {
   expects(config_.lowpass_hz > 0.0, "PeakCounter: lowpass_hz > 0");
@@ -28,8 +35,8 @@ StepDetection PeakCounter::count_steps(const imu::Trace& trace) {
   mag = dsp::zero_phase_lowpass(mag, std::min(config_.lowpass_hz, 0.45 * fs),
                                 fs, 4);
 
-  const auto window =
-      std::max<std::size_t>(16, static_cast<std::size_t>(config_.window_s * fs));
+  const auto window = std::max<std::size_t>(
+      16, static_cast<std::size_t>(kThresholdWindowS * fs));
   const auto min_dist = std::max<std::size_t>(
       1, static_cast<std::size_t>(config_.min_peak_interval_s * fs));
 

@@ -24,7 +24,6 @@ struct PeakCounterConfig {
   double threshold_factor = 0.6;  ///< peak prominence as a fraction of the
                                   ///< window's acceleration std-dev
   double min_abs_prominence = 0.35;  ///< absolute floor (m/s^2)
-  double window_s = 4.0;          ///< adaptive-threshold window
 };
 
 /// The counter itself.

@@ -14,6 +14,9 @@ namespace ptrack::models {
 
 namespace {
 
+/// Peak-to-valley depth (m/s^2) a step peak needs to be confirmed.
+constexpr double kMinPeakValleyAmplitude = 0.8;
+
 /// Low-passed vertical acceleration of a trace (up positive, gravity
 /// removed).
 std::vector<double> vertical_accel(const imu::Trace& trace,
@@ -26,14 +29,14 @@ std::vector<double> vertical_accel(const imu::Trace& trace,
 }
 
 /// Step peaks with valley confirmation: a peak counts when a valley at
-/// least `min_amp` below it occurs before the next peak.
+/// least kMinPeakValleyAmplitude below it occurs before the next peak.
 std::vector<std::size_t> confirmed_step_peaks(std::span<const double> vert,
                                               double fs,
                                               const MontageConfig& cfg) {
   dsp::PeakOptions opt;
   opt.min_distance = std::max<std::size_t>(
       1, static_cast<std::size_t>(cfg.min_step_interval_s * fs));
-  opt.min_prominence = 0.25 * cfg.min_peak_valley_amplitude;
+  opt.min_prominence = 0.25 * kMinPeakValleyAmplitude;
   if (!vert.empty()) {
     // Montage adapts its detection threshold to the signal level (the
     // paper's "realtime" design); a fixed threshold would double-count
@@ -49,7 +52,7 @@ std::vector<std::size_t> confirmed_step_peaks(std::span<const double> vert,
     const std::size_t end = i + 1 < peaks.size() ? peaks[i + 1] : vert.size();
     double valley = vert[begin];
     for (std::size_t j = begin; j < end; ++j) valley = std::min(valley, vert[j]);
-    if (vert[begin] - valley >= cfg.min_peak_valley_amplitude) {
+    if (vert[begin] - valley >= kMinPeakValleyAmplitude) {
       confirmed.push_back(begin);
     }
   }

@@ -23,7 +23,6 @@ namespace ptrack::models {
 struct MontageConfig {
   double lowpass_hz = 3.0;
   double min_step_interval_s = 0.30;
-  double min_peak_valley_amplitude = 0.8;  ///< m/s^2, peak-to-valley
 };
 
 /// Montage step counter.

@@ -237,7 +237,6 @@ void write_metrics_document(std::ostream& os) {
   json::Writer w(os);
   w.begin_object();
   w.key("schema").value("ptrack.metrics.v1");
-  w.key("obs_compiled").value(PTRACK_OBS_ENABLED != 0);
   w.key("metrics");
   Registry::instance().write_json(w);
   w.end_object();

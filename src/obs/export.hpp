@@ -8,7 +8,7 @@
 //     with an explicit `le` label per exported bound plus `+Inf`, `_sum`
 //     and `_count`.
 //   * The repo's own JSON document (`--metrics-out`, `/metrics.json`):
-//     {"schema":"ptrack.metrics.v1","obs_compiled":...,"metrics":{...}} —
+//     {"schema":"ptrack.metrics.v1","metrics":{...}} —
 //     bucket boundaries are explicit in both formats, never implicit.
 //
 // Snapshot::from_json parses that JSON document back, so ptrack_top and

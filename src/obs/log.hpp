@@ -15,9 +15,6 @@
 // records are counted in the metrics registry
 // (ptrack.obs.log_{suppressed,dropped}).
 //
-// Compile-time gate: with PTRACK_OBS=OFF the PTRACK_LOG_* macros expand to
-// no-ops (arguments discarded unevaluated), matching the metrics macros.
-//
 // Record schema (one JSON object per line, literal snake_case keys —
 // enforced by ptrack_lint's `log-key` rule):
 //   {"ts":<unix seconds>,"level":"info","subsys":"net",
@@ -163,7 +160,6 @@ void format_record(std::ostream& os, const Record& rec);
 
 }  // namespace ptrack::obs::log
 
-#if PTRACK_OBS_ENABLED
 /// Emits one structured record to subsystem `subsys_` (string literal) at
 /// `level_`. Costs one relaxed load when the runtime switch is off, one
 /// extra level check when the level filters it, and one Record copy into a
@@ -182,11 +178,7 @@ void format_record(std::ostream& os, const Record& rec);
       }                                                                     \
     }                                                                       \
   } while (0)
-#else
-#define PTRACK_LOG(...) static_cast<void>(0)
-#endif
 
-#if PTRACK_OBS_ENABLED
 #define PTRACK_LOG_TRACE(subsys_, event_, ...)                         \
   PTRACK_LOG(subsys_, ::ptrack::obs::log::Level::kTrace,               \
              event_ __VA_OPT__(, ) __VA_ARGS__)
@@ -202,10 +194,3 @@ void format_record(std::ostream& os, const Record& rec);
 #define PTRACK_LOG_ERROR(subsys_, event_, ...)                         \
   PTRACK_LOG(subsys_, ::ptrack::obs::log::Level::kError,               \
              event_ __VA_OPT__(, ) __VA_ARGS__)
-#else
-#define PTRACK_LOG_TRACE(...) static_cast<void>(0)
-#define PTRACK_LOG_DEBUG(...) static_cast<void>(0)
-#define PTRACK_LOG_INFO(...) static_cast<void>(0)
-#define PTRACK_LOG_WARN(...) static_cast<void>(0)
-#define PTRACK_LOG_ERROR(...) static_cast<void>(0)
-#endif

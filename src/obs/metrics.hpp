@@ -13,13 +13,9 @@
 // subdirectories (dsp, imu, core, runtime, ...). The registry enforces the
 // prefix so dashboards can rely on it (see DESIGN.md "Observability").
 //
-// Compile-time gate: configuring with -DPTRACK_OBS=OFF defines
-// PTRACK_OBS_ENABLED=0, which turns the instrumentation macros into no-ops
-// and pins obs::enabled() to false so guarded blocks fold away. The
-// registry type itself stays compiled (it is tiny) so the CLI's
-// --metrics-out flag degrades to an empty snapshot instead of vanishing.
-// At runtime, obs::set_enabled(false) is a kill switch that short-circuits
-// the macros before any registry access.
+// Runtime switch: obs::set_enabled(false) short-circuits the macros before
+// any registry access (bench/obs_overhead times instrumentation on against
+// off with it).
 
 #pragma once
 
@@ -36,19 +32,15 @@
 
 #include "common/json.hpp"
 
-#ifndef PTRACK_OBS_ENABLED
+// Always 1: telemetry is always compiled in. Kept only because the
+// end-to-end benchmark (e2e_bench/src/main.cpp) reads it.
 #define PTRACK_OBS_ENABLED 1
-#endif
 
 namespace ptrack::obs {
 
 namespace detail {
 /// Stable small slot for the calling thread (assigned on first use).
 std::size_t this_thread_slot();
-}  // namespace detail
-
-#if PTRACK_OBS_ENABLED
-namespace detail {
 inline std::atomic<bool> g_enabled{true};
 }  // namespace detail
 
@@ -60,10 +52,6 @@ inline bool enabled() {
 inline void set_enabled(bool on) {
   detail::g_enabled.store(on, std::memory_order_relaxed);
 }
-#else
-inline constexpr bool enabled() { return false; }
-inline void set_enabled(bool) {}
-#endif
 
 /// Shard count per metric. More shards than typical worker counts would
 /// waste cache; fewer would contend. Threads map to shards slot % kShards.
@@ -202,7 +190,6 @@ class Registry {
 #define PTRACK_OBS_CAT2_(a, b) a##b
 #define PTRACK_OBS_CAT_(a, b) PTRACK_OBS_CAT2_(a, b)
 
-#if PTRACK_OBS_ENABLED
 /// Adds `n_` to the counter `name_` (string literal). The handle is looked
 /// up once per call site; afterwards the cost is one branch plus one
 /// relaxed atomic add.
@@ -229,9 +216,5 @@ class Registry {
           .observe(static_cast<double>(v_));                                \
     }                                                                       \
   } while (0)
-#else
-#define PTRACK_COUNT_N(name_, n_) static_cast<void>(0)
-#define PTRACK_HIST_US(name_, v_) static_cast<void>(0)
-#endif
 
 #define PTRACK_COUNT(name_) PTRACK_COUNT_N(name_, 1)

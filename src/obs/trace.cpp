@@ -49,7 +49,6 @@ std::vector<std::shared_ptr<ThreadRing>>& rings() {
   return r;
 }
 
-#if PTRACK_OBS_ENABLED
 ThreadRing& local_ring() {
   thread_local const std::shared_ptr<ThreadRing> ring = [] {
     auto r = std::make_shared<ThreadRing>();
@@ -67,11 +66,8 @@ void push_event(const char* name, bool end) {
   r.events[r.head % kRingCapacity] = {name, now_ns(), end};
   ++r.head;
 }
-#endif
 
 }  // namespace
-
-#if PTRACK_OBS_ENABLED
 
 ObsSpan::ObsSpan(const char* name) : name_(enabled() ? name : nullptr) {
   // The end event is pushed iff the begin was, even if the runtime switch
@@ -97,8 +93,6 @@ double StageTimer::lap_us() {
   last_ = t;
   return us;
 }
-
-#endif  // PTRACK_OBS_ENABLED
 
 void write_chrome_trace(std::ostream& os) {
   json::Writer w(os);

@@ -19,9 +19,6 @@
 // exports overwrites its oldest ones. The exporter re-balances what is
 // left (an end whose begin was overwritten is dropped, as is a begin whose
 // end never landed), so the emitted file always contains matched pairs.
-//
-// With PTRACK_OBS=OFF, ObsSpan and StageTimer collapse to empty inline
-// types and write_chrome_trace emits an empty (but valid) trace document.
 
 #pragma once
 
@@ -35,8 +32,6 @@ namespace ptrack::obs {
 /// Nanoseconds since the process's trace epoch (first call), from the
 /// steady clock.
 std::uint64_t now_ns();
-
-#if PTRACK_OBS_ENABLED
 
 /// Scoped stage timer. `name` MUST be a string literal (or otherwise
 /// outlive the export) — only the pointer is recorded.
@@ -63,20 +58,6 @@ class StageTimer {
   std::uint64_t last_ = 0;
   bool active_ = false;
 };
-
-#else
-
-class ObsSpan {
- public:
-  explicit ObsSpan(const char*) {}
-};
-
-class StageTimer {
- public:
-  double lap_us() { return 0.0; }
-};
-
-#endif
 
 /// Serializes every thread's span ring as one Chrome trace_event JSON
 /// document. See the concurrency contract above.

@@ -181,10 +181,8 @@ void Scheduler::execute(const Task& t, std::size_t executor, Lane lane) {
     PTRACK_COUNT("ptrack.runtime.sched.task_exceptions");
   }
   if (timed) {
-    // Read only by PTRACK_HIST_US, which PTRACK_OBS=OFF compiles out.
-    [[maybe_unused]] const double wait_us =
-        static_cast<double>(start - t.submit_ns) / 1000.0;
-    [[maybe_unused]] const double exec_us =
+    const double wait_us = static_cast<double>(start - t.submit_ns) / 1000.0;
+    const double exec_us =
         static_cast<double>(obs::now_ns() - start) / 1000.0;
     if (lane == Lane::kLatency) {
       PTRACK_HIST_US("ptrack.runtime.sched.latency.queue_wait_us", wait_us);

@@ -14,6 +14,9 @@ namespace ptrack::synth {
 
 namespace {
 
+/// Largest roll/pitch (rad) of the random device mount.
+constexpr double kMaxMountTilt = 0.45;
+
 /// Central-difference second derivative of a position path.
 std::vector<Vec3> second_derivative(const std::vector<Vec3>& pos, double fs) {
   const std::size_t n = pos.size();
@@ -219,10 +222,8 @@ SynthResult synthesize(const Scenario& scenario, const UserProfile& user,
   // Constant mounting rotation (device frame = R^T * world frame).
   Mat3 mount = Mat3::identity();
   if (options.random_mount) {
-    mount = Mat3::from_euler(rng.uniform(-options.max_mount_tilt,
-                                         options.max_mount_tilt),
-                             rng.uniform(-options.max_mount_tilt,
-                                         options.max_mount_tilt),
+    mount = Mat3::from_euler(rng.uniform(-kMaxMountTilt, kMaxMountTilt),
+                             rng.uniform(-kMaxMountTilt, kMaxMountTilt),
                              rng.uniform(0.0, kTwoPi));
   }
   const Mat3 world_to_device = mount.transposed();

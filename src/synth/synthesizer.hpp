@@ -28,7 +28,6 @@ struct SynthOptions {
   double internal_fs = 400.0;  ///< kinematics rate (Hz), >= device_fs
   imu::SensorErrorModel noise{};  ///< sensor error model (default consumer)
   bool random_mount = true;    ///< draw a constant random device orientation
-  double max_mount_tilt = 0.45;  ///< max roll/pitch of the mount (rad)
 
   /// Attitude-residual (gravity-leak) fraction: the device physically tilts
   /// with the arm/arc angle; platform sensor fusion removes most of that

@@ -26,7 +26,6 @@ void churn_heap(std::size_t n) {
 }  // namespace
 
 TEST(AllocHooks, ThreadCountersMoveWithNewAndDelete) {
-  if (!alloc::hooks_enabled()) GTEST_SKIP() << "hooks compiled out";
   const alloc::ThreadStats before = alloc::thread_stats();
   churn_heap(512);
   const alloc::ThreadStats after = alloc::thread_stats();
@@ -36,7 +35,6 @@ TEST(AllocHooks, ThreadCountersMoveWithNewAndDelete) {
 }
 
 TEST(AllocHooks, LiveGaugesBalance) {
-  if (!alloc::hooks_enabled()) GTEST_SKIP() << "hooks compiled out";
   const std::uint64_t live_before = alloc::live_allocations();
   {
     auto p = std::make_unique<volatile std::uint8_t[]>(1024);
@@ -49,7 +47,6 @@ TEST(AllocHooks, LiveGaugesBalance) {
 }
 
 TEST(AllocHooks, CountingScopeObservesAllocations) {
-  if (!alloc::hooks_enabled()) GTEST_SKIP() << "hooks compiled out";
   alloc::NoAllocScope scope("test-count", alloc::NoAllocScope::Mode::kCount);
   EXPECT_EQ(scope.observed(), 0u);
   churn_heap(256);
@@ -64,7 +61,7 @@ TEST(AllocHooks, CountingScopeNeverThrows) {
 
 TEST(AllocHooks, EnforcedScopeThrowsAtTheAllocationSite) {
   if (!alloc::NoAllocScope::enforcement_available()) {
-    GTEST_SKIP() << "hooks or contract checks compiled out";
+    GTEST_SKIP() << "contract checks compiled out";
   }
   alloc::NoAllocScope scope("test-enforce",
                             alloc::NoAllocScope::Mode::kEnforce);
@@ -73,7 +70,7 @@ TEST(AllocHooks, EnforcedScopeThrowsAtTheAllocationSite) {
 
 TEST(AllocHooks, EnforcedScopeDisarmsOnExit) {
   if (!alloc::NoAllocScope::enforcement_available()) {
-    GTEST_SKIP() << "hooks or contract checks compiled out";
+    GTEST_SKIP() << "contract checks compiled out";
   }
   {
     alloc::NoAllocScope scope("test-enforce-exit",
@@ -85,7 +82,7 @@ TEST(AllocHooks, EnforcedScopeDisarmsOnExit) {
 
 TEST(AllocHooks, NestedScopesStayArmed) {
   if (!alloc::NoAllocScope::enforcement_available()) {
-    GTEST_SKIP() << "hooks or contract checks compiled out";
+    GTEST_SKIP() << "contract checks compiled out";
   }
   alloc::NoAllocScope outer("outer", alloc::NoAllocScope::Mode::kEnforce);
   {

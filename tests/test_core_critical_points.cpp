@@ -117,10 +117,10 @@ TEST(OffsetMetric, WeightingUsesGapToPreviousPoint) {
 TEST(OffsetMetric, WeightCapBoundsQuietGapInfluence) {
   const std::vector<CriticalPoint> late{{90, CriticalKind::Maximum}};
   const std::vector<CriticalPoint> match{{80, CriticalKind::Zero}};
-  const double capped = core::cycle_offset(late, match, 100, true, 0.35);
-  const double uncapped = core::cycle_offset(late, match, 100, true, 10.0);
-  EXPECT_LT(capped, uncapped);
-  EXPECT_DOUBLE_EQ(capped, 0.35 * 10.0 / 100.0);
+  // The 90-sample quiet gap would weigh 0.9; the cap holds it at 0.35.
+  const double capped = core::cycle_offset(late, match, 100);
+  EXPECT_LT(capped, 0.9 * 10.0 / 100.0);
+  EXPECT_DOUBLE_EQ(capped, core::kWeightCap * 10.0 / 100.0);
 }
 
 TEST(OffsetMetric, UnweightedVariant) {

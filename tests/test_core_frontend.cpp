@@ -401,9 +401,6 @@ TEST(ProjectionStage, WarmUpSumsMatchPerSampleFit) {
 // the stage itself holds falls below its warm-up peak by at least the 139
 // sums it stored.
 TEST(ProjectionStage, ReleasesWarmUpStateWithFirstFullWindow) {
-  if (!alloc::hooks_enabled()) {
-    GTEST_SKIP() << "allocation hooks compiled out";
-  }
   const auto r = turning_walk(814);
   const double fs = r.trace.fs();
   ASSERT_DOUBLE_EQ(fs, 100.0);

@@ -100,7 +100,7 @@ TEST(SegmentCycles, CycleSpansTwoSteps) {
 }
 
 TEST(SegmentCycles, SlowPeaksRejectedByMaxInterval) {
-  // 0.5 Hz "steps": gaps of 2 s exceed max_step_interval_s.
+  // 0.5 Hz "steps": gaps of 2 s exceed kMaxStepIntervalS.
   const auto xs = step_signal(100.0, 20.0, 0.5);
   EXPECT_TRUE(segment(xs, 100.0, {}).empty());
 }
@@ -121,7 +121,7 @@ TEST(SegmentCycles, GapSplitsCandidates) {
   core::StepCounterConfig cfg;
   const auto cycles = segment(xs, 100.0, cfg);
   const auto max_len =
-      static_cast<std::size_t>(2.0 * cfg.max_step_interval_s * 100.0);
+      static_cast<std::size_t>(2.0 * core::kMaxStepIntervalS * 100.0);
   for (const auto& c : cycles) {
     EXPECT_LE(c.end - c.begin, max_len);
   }
@@ -207,7 +207,7 @@ TEST(SegmentationStage, RetainsUnpairedPeaksAcceptedLate) {
 
 TEST(SegmentationStage, RetiresPeaksThatCanNoLongerPair) {
   // A lone peak followed by silence: once no future peak can land within
-  // max_step_interval_s of it, the stage stops retaining it.
+  // kMaxStepIntervalS of it, the stage stops retaining it.
   const double fs = 100.0;
   const core::StepCounterConfig cfg;
   std::vector<double> xs(3000, 0.0);

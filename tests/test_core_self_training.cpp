@@ -63,10 +63,6 @@ TEST(SelfTraining, InvalidInputsThrow) {
   const auto cal = calibration_trace(user, 95);
   EXPECT_THROW(core::train_leg_length(cal.trace, 0.0, 100.0), InvalidArgument);
   EXPECT_THROW(core::train_leg_length(cal.trace, 0.7, -5.0), InvalidArgument);
-  core::SelfTrainingConfig bad;
-  bad.arm_min = 0.9;
-  bad.arm_max = 0.5;
-  EXPECT_THROW(core::train_arm_length(cal.trace, bad), InvalidArgument);
 }
 
 TEST(SelfTraining, TrainedProfileBeatsWildGuess) {

@@ -254,9 +254,6 @@ TEST(Streaming, FinishThenContinue) {
 // filter scratch is the thread's. The peak of its live heap, sampled after
 // every push of an 80 s walk at 100 Hz, warm-up included, is bounded.
 TEST(Streaming, PeakLiveHeapIsBounded) {
-  if (!alloc::hooks_enabled()) {
-    GTEST_SKIP() << "allocation hooks compiled out";
-  }
   const auto r = make(synth::Scenario::pure_walking(80.0), 512);
   ASSERT_DOUBLE_EQ(r.trace.fs(), 100.0);
   std::vector<core::StepEvent> sink;

@@ -33,13 +33,13 @@ bool finite_and_bounded(double v, double limit) {
   return std::isfinite(v) && std::abs(v) <= limit;
 }
 
-bool sample_physical(const imu::Sample& s, const imu::QualityConfig& cfg) {
-  return finite_and_bounded(s.accel.x, cfg.nonphysical_accel) &&
-         finite_and_bounded(s.accel.y, cfg.nonphysical_accel) &&
-         finite_and_bounded(s.accel.z, cfg.nonphysical_accel) &&
-         finite_and_bounded(s.gyro.x, cfg.nonphysical_gyro) &&
-         finite_and_bounded(s.gyro.y, cfg.nonphysical_gyro) &&
-         finite_and_bounded(s.gyro.z, cfg.nonphysical_gyro);
+bool sample_physical(const imu::Sample& s) {
+  return finite_and_bounded(s.accel.x, imu::kNonphysicalAccel) &&
+         finite_and_bounded(s.accel.y, imu::kNonphysicalAccel) &&
+         finite_and_bounded(s.accel.z, imu::kNonphysicalAccel) &&
+         finite_and_bounded(s.gyro.x, imu::kNonphysicalGyro) &&
+         finite_and_bounded(s.gyro.y, imu::kNonphysicalGyro) &&
+         finite_and_bounded(s.gyro.z, imu::kNonphysicalGyro);
 }
 
 double max_abs_accel(const imu::Sample& s) {
@@ -53,10 +53,9 @@ double max_abs_gyro(const imu::Sample& s) {
 }
 
 void detect_nonfinite(const std::vector<imu::Sample>& samples,
-                      const imu::QualityConfig& cfg,
                       std::vector<std::uint8_t>& flags) {
   for (std::size_t i = 0; i < samples.size(); ++i) {
-    if (!sample_physical(samples[i], cfg)) {
+    if (!sample_physical(samples[i])) {
       set_flag(flags[i], imu::kFlagNonFinite);
     }
   }
@@ -113,7 +112,7 @@ void detect_saturation(const std::vector<imu::Sample>& samples,
         }
       }
     }
-    if (at_rail >= cfg.min_saturation_plateau) accel_limit = rail;
+    if (at_rail >= imu::kMinSaturationPlateau) accel_limit = rail;
   }
   if (accel_limit > 0.0) {
     const double thr = accel_limit * (1.0 - 1e-9);
@@ -164,7 +163,7 @@ void detect_spikes(const std::vector<imu::Sample>& samples,
   for (double Vec3::*comp : {&Vec3::x, &Vec3::y, &Vec3::z}) {
     detect_component_spikes(samples, cfg.spike_delta, comp,
                             &imu::Sample::accel, flags);
-    detect_component_spikes(samples, cfg.gyro_spike_delta, comp,
+    detect_component_spikes(samples, imu::kGyroSpikeDelta, comp,
                             &imu::Sample::gyro, flags);
   }
 }
@@ -217,7 +216,7 @@ Reference reference_repair(const imu::Trace& trace,
   Reference ref{trace.samples(), std::vector<std::uint8_t>(n, imu::kFlagClean)};
   const std::vector<imu::Sample>& samples = trace.samples();
   std::vector<std::uint8_t>& flags = ref.flags;
-  detect_nonfinite(samples, cfg, flags);
+  detect_nonfinite(samples, flags);
   detect_dropouts(samples, cfg, flags);
   detect_saturation(samples, cfg, flags);
   detect_spikes(samples, cfg, flags);
@@ -242,7 +241,7 @@ Reference reference_repair(const imu::Trace& trace,
   }
 
   const auto max_fill = static_cast<std::size_t>(
-      std::llround(cfg.max_fill_s * trace.fs()));
+      std::llround(imu::kMaxFillS * trace.fs()));
 
   // Repair plan over maximal flagged runs. Interpolation needs a clean
   // sample on both sides; runs that are too long, touch a trace edge, or
@@ -381,7 +380,7 @@ TEST(IncrementalQuality, CleanTracePassesThroughBitExact) {
 TEST(IncrementalQuality, ShortDropoutsMatchBatchFlags) {
   const imu::Trace t = walking_trace(30.0, 621);
   Rng rng(6210);
-  // Runs short enough to gap-fill (<= max_fill_s at 100 Hz = 25 samples).
+  // Runs short enough to gap-fill (<= kMaxFillS at 100 Hz = 25 samples).
   const imu::Trace faulty = imu::inject_dropouts(t, 6.0, 5, 20, rng);
   expect_parity(faulty, {}, 0);
 }

@@ -108,11 +108,9 @@ void expect_steady_hops_allocation_free(
   stream.set_enforce_no_alloc(true);
   const std::uint64_t allocs =
       run_hops(stream, s.trace, hop_samples, cursor, kMeasuredHops, sink);
-  if (alloc::hooks_enabled()) {
-    EXPECT_EQ(allocs, 0u) << s.name << ": " << allocs
-                          << " heap allocations across " << kMeasuredHops
-                          << " steady-state hops";
-  }
+  EXPECT_EQ(allocs, 0u) << s.name << ": " << allocs
+                        << " heap allocations across " << kMeasuredHops
+                        << " steady-state hops";
   // The stream stayed live through the measured region (sanity: the hops
   // actually processed samples, not a stalled pipeline).
   EXPECT_GE(stream.stats().windows_processed, warmup_hops + kMeasuredHops);

@@ -176,7 +176,7 @@ TEST(ObsExport, QuantileFromBuckets) {
 
 TEST(ObsExport, FromJsonRoundTrip) {
   const std::string doc_text =
-      "{\"schema\":\"ptrack.metrics.v1\",\"obs_compiled\":true,"
+      "{\"schema\":\"ptrack.metrics.v1\","
       "\"metrics\":{"
       "\"counters\":{\"ptrack.test.export.c\":17},"
       "\"gauges\":{\"ptrack.test.export.g\":2.25},"
@@ -219,7 +219,6 @@ TEST(ObsExport, FromJsonRejectsBadSchemaAndBadBounds) {
       Error);
 }
 
-#if PTRACK_OBS_ENABLED
 TEST(ObsExport, LiveDocumentRoundTripsThroughFromJson) {
   PTRACK_COUNT_N("ptrack.test.export.live", 3);
   PTRACK_HIST_US("ptrack.test.export.live_us", 250.0);
@@ -227,7 +226,6 @@ TEST(ObsExport, LiveDocumentRoundTripsThroughFromJson) {
   obs::write_metrics_document(os);
   const json::Value doc = json::parse(os.str());
   EXPECT_EQ(doc.at("schema").as_string(), "ptrack.metrics.v1");
-  EXPECT_TRUE(doc.at("obs_compiled").as_bool());
   const obs::Snapshot snap = obs::Snapshot::from_json(doc, 1.0);
   EXPECT_GE(snap.counters.at("ptrack.test.export.live"), 3u);
   const obs::Histogram::Snapshot& h =
@@ -246,4 +244,3 @@ TEST(ObsExport, TakeMatchesRegistry) {
   EXPECT_GE(snap.counters.at("ptrack.test.export.take"), 1u);
   EXPECT_GT(snap.taken_at_s, 0.0);
 }
-#endif

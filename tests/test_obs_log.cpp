@@ -178,7 +178,6 @@ TEST(ObsLog, DrainGoesToConfiguredSink) {
   EXPECT_NE(sink.str().find("\"level\":\"warn\""), std::string::npos);
 }
 
-#if PTRACK_OBS_ENABLED
 TEST(ObsLog, MacroEmitsAndRespectsLevel) {
   clear_rings();
   obs::log::set_level("testlog_macro", Level::kInfo);
@@ -189,4 +188,3 @@ TEST(ObsLog, MacroEmitsAndRespectsLevel) {
   EXPECT_NE(os.str().find("\"event\":\"macro_event\""), std::string::npos);
   EXPECT_EQ(os.str().find("\"event\":\"quiet_event\""), std::string::npos);
 }
-#endif

@@ -381,10 +381,8 @@ TEST(Scheduler, SubmissionIsAllocationFreeAfterWarmup) {
     }
   }
   const auto after = alloc::thread_stats();
-  if (alloc::hooks_enabled()) {
-    EXPECT_EQ(after.allocations, before.allocations)
-        << "steady-state submit must not touch the heap";
-  }
+  EXPECT_EQ(after.allocations, before.allocations)
+      << "steady-state submit must not touch the heap";
   ASSERT_TRUE(wait_until([&] { return sink.load() == 236; }));
 }
 

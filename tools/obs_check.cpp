@@ -1,20 +1,19 @@
 // obs_check — CI validator for the observability outputs of ptrack_cli
 // and ptrack_serve.
 //
-//   obs_check --metrics m.json [--trace t.json] [--allow-empty] [--net|--sched]
+//   obs_check --metrics m.json [--trace t.json] [--net|--sched]
 //   obs_check --prom scrape.txt [--net]
 //
 // Metrics snapshot checks:
 //   - the file parses with common/json and carries schema
-//     "ptrack.metrics.v1" plus the obs_compiled marker;
+//     "ptrack.metrics.v1";
 //   - every metric name matches the ptrack.<layer>.<name> scheme;
 //   - every histogram's exported bucket boundaries are strictly ascending
 //     and its per-bucket counts (plus overflow) sum to its total count;
-//   - unless --allow-empty (or obs_compiled=false), the counters every
-//     batch run must touch (load, quality, process, projection,
-//     segmentation, critical points, stride, batch bookkeeping) are present
-//     and non-zero, at least one gait decision was recorded, and the batch
-//     latency histograms saw at least one observation;
+//   - the counters every batch run must touch (load, quality, process,
+//     projection, segmentation, critical points, stride, batch bookkeeping)
+//     are present and non-zero, at least one gait decision was recorded,
+//     and the batch latency histograms saw at least one observation;
 //   - with --net the required set switches to the ptrack.net.* ingest
 //     counters ptrack_serve drives (sessions accepted/closed, bytes in/out,
 //     the active-sessions gauge, the queue-depth histogram) — the serve
@@ -41,7 +40,7 @@
 //   - per tid the B/E events nest like balanced parentheses (matching
 //     names), with nothing left open — the invariant the exporter's
 //     re-balancing promises;
-//   - unless --allow-empty, at least one "ptrack.core.process" span is present.
+//   - at least one "ptrack.core.process" span is present.
 //
 // Exit code 0 when everything holds, 1 with a message on the first
 // violation — cheap enough to run on every CI batch smoke.
@@ -175,14 +174,12 @@ int check_sched_metrics(const std::string& path,
   return 0;
 }
 
-int check_metrics(const std::string& path, bool allow_empty, bool net,
-                  bool sched) {
+int check_metrics(const std::string& path, bool net, bool sched) {
   const json::Value doc = json::parse(slurp(path));
   if (doc.at("schema").as_string() != "ptrack.metrics.v1") {
     std::cerr << "obs_check: " << path << ": unexpected schema\n";
     return 1;
   }
-  const bool compiled = doc.at("obs_compiled").as_bool();
   const json::Value& metrics = doc.at("metrics");
   const auto& counters = metrics.at("counters").members();
   const auto& gauges = metrics.at("gauges").members();
@@ -223,12 +220,6 @@ int check_metrics(const std::string& path, bool allow_empty, bool net,
                 << "' buckets do not sum to count\n";
       return 1;
     }
-  }
-
-  if (allow_empty || !compiled) {
-    std::cout << "obs_check: " << path << ": structure OK ("
-              << counters.size() << " counters)\n";
-    return 0;
   }
 
   if (sched) return check_sched_metrics(path, counters, gauges, histograms);
@@ -484,7 +475,7 @@ int check_prom(const std::string& path, bool net) {
   return 0;
 }
 
-int check_trace(const std::string& path, bool allow_empty) {
+int check_trace(const std::string& path) {
   const json::Value doc = json::parse(slurp(path));
   const auto& events = doc.at("traceEvents").items();
 
@@ -527,11 +518,11 @@ int check_trace(const std::string& path, bool allow_empty) {
       return 1;
     }
   }
-  if (!allow_empty && spans == 0) {
+  if (spans == 0) {
     std::cerr << "obs_check: " << path << ": no spans recorded\n";
     return 1;
   }
-  if (!allow_empty && !saw_process) {
+  if (!saw_process) {
     std::cerr << "obs_check: " << path << ": no ptrack.core.process span\n";
     return 1;
   }
@@ -553,10 +544,6 @@ int main(int argc, char** argv) {
           "Prometheus text exposition scraped from the admin plane's "
           "/metrics",
           "", false},
-         {"allow-empty",
-          "only check structure, not that the pipeline counters are "
-          "non-zero (for PTRACK_OBS=OFF builds)",
-          "", true},
          {"net",
           "the metrics file comes from ptrack_serve: require the "
           "ptrack.net.* ingest counters instead of the batch pipeline set",
@@ -570,21 +557,20 @@ int main(int argc, char** argv) {
       std::cout << args.usage("obs_check");
       return 0;
     }
-    const bool allow_empty = args.get_bool("allow-empty");
     if (!args.has("metrics") && !args.has("trace") && !args.has("prom")) {
       std::cerr << "obs_check: pass --metrics, --trace and/or --prom\n";
       return 1;
     }
     int rc = 0;
     if (args.has("metrics")) {
-      rc = check_metrics(args.get_string("metrics"), allow_empty,
-                         args.get_bool("net"), args.get_bool("sched"));
+      rc = check_metrics(args.get_string("metrics"), args.get_bool("net"),
+                         args.get_bool("sched"));
     }
     if (rc == 0 && args.has("prom")) {
       rc = check_prom(args.get_string("prom"), args.get_bool("net"));
     }
     if (rc == 0 && args.has("trace")) {
-      rc = check_trace(args.get_string("trace"), allow_empty);
+      rc = check_trace(args.get_string("trace"));
     }
     return rc;
   } catch (const Error& e) {
