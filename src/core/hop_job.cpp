@@ -74,13 +74,12 @@ void HopJob::ensure_scheduled() {
   }
 }
 
-void HopJob::run_scheduled(std::size_t executor) {
+void HopJob::run_scheduled(std::size_t /*executor*/) {
   // Exactly one scheduled execution exists at a time (ensure_scheduled's
   // kIdle -> kScheduled transition is the only submit), so entry always
   // observes its own kScheduled.
   PTRACK_CHECK_MSG(state_.load(std::memory_order_acquire) == kScheduled,
                    "HopJob::run_scheduled: one execution in flight");
-  last_executor_.store(executor, std::memory_order_relaxed);
   state_.store(kRunning, std::memory_order_release);
   for (;;) {
     scratch_.clear();

@@ -98,20 +98,14 @@ class HopJob {
     return runs_completed_.load(std::memory_order_relaxed);
   }
 
-  /// Executor index of the most recent hop task (kNoExecutor before the
-  /// first). Affinity diagnostics only.
-  static constexpr std::size_t kNoExecutor = ~std::size_t{0};
-  [[nodiscard]] std::size_t last_executor() const {
-    return last_executor_.load(std::memory_order_relaxed);
-  }
-
   /// Tracker statistics. Only meaningful when the job is idle (call after
   /// wait_idle()); the tracker is the executor's to touch otherwise.
   [[nodiscard]] StreamingStats stats() const { return tracker_.stats(); }
 
   /// Executor-side entry point — called exactly once per HopExecutor
   /// submit, on whatever thread the executor picked. Not part of the
-  /// producer API.
+  /// producer API. The executor index is unread; the parameter stays
+  /// because the end-to-end benchmark's executor passes one.
   void run_scheduled(std::size_t executor);
 
  private:
@@ -144,7 +138,6 @@ class HopJob {
   std::exception_ptr error_;  ///< first hop error; guarded by err_mu_
 
   std::atomic<std::uint64_t> runs_completed_{0};
-  std::atomic<std::size_t> last_executor_{kNoExecutor};
 };
 
 }  // namespace ptrack::core

@@ -42,8 +42,8 @@ void write_server_stats(json::Writer& w, const AdminStatusView& view) {
   w.key("bytes_out").value(s.bytes_out);
   w.key("sessions_active").value(s.sessions_active);
   w.key("memory_charged_bytes").value(s.memory_charged_bytes);
-  w.key("admin_requests").value(view.admin_requests);
-  w.key("admin_shed").value(view.admin_shed);
+  w.key("admin_requests").value(s.admin_requests);
+  w.key("admin_shed").value(s.admin_shed);
   w.end_object();
 }
 
@@ -140,11 +140,6 @@ std::string render_admin_body(AdminRoute route, const AdminStatusView& view,
 
 namespace {
 
-double admin_seconds_between(std::chrono::steady_clock::time_point a,
-                             std::chrono::steady_clock::time_point b) {
-  return std::chrono::duration<double>(b - a).count();
-}
-
 std::span<const std::uint8_t> as_bytes(const std::string& s,
                                        std::size_t from) {
   return {reinterpret_cast<const std::uint8_t*>(s.data()) + from,
@@ -168,8 +163,7 @@ void Server::accept_admin_pending(const Socket& listener) {
       } catch (const Error&) {
         // peer already gone
       }
-      counters_.admin_shed.fetch_add(1, std::memory_order_relaxed);
-      PTRACK_COUNT("ptrack.net.admin.shed");
+      counters_.admin_shed.add(1);
       PTRACK_LOG_WARN("net", "admin_shed",
                       kv("budget", cfg_.admin_max_sessions));
       continue;
@@ -186,12 +180,12 @@ void Server::handle_admin_readable(AdminConn& conn) {
   try {
     n = conn.sock.read_some(read_buf_);
   } catch (const Error&) {
-    admin_to_close_.push_back(conn.sock.fd());
+    to_close_.push_back(conn.sock.fd());
     return;
   }
   if (n < 0) return;  // spurious wakeup
   if (n == 0) {
-    admin_to_close_.push_back(conn.sock.fd());
+    to_close_.push_back(conn.sock.fd());
     return;
   }
   const HttpParseStatus status = conn.parser.feed(
@@ -208,13 +202,13 @@ void Server::handle_admin_writable(AdminConn& conn) {
     try {
       written = conn.sock.write_some(as_bytes(conn.out, conn.out_pos));
     } catch (const Error&) {
-      admin_to_close_.push_back(conn.sock.fd());
+      to_close_.push_back(conn.sock.fd());
       return;
     }
     if (written == 0) return;  // socket buffer full; POLLOUT resumes
     conn.out_pos += written;
   }
-  if (conn.responded) admin_to_close_.push_back(conn.sock.fd());
+  if (conn.responded) to_close_.push_back(conn.sock.fd());
 }
 
 void Server::build_admin_response(AdminConn& conn,
@@ -234,11 +228,9 @@ void Server::build_admin_response(AdminConn& conn,
     const AdminRoute route = admin_route(target);
     const Clock::time_point now = Clock::now();
     AdminStatusView view;
-    view.uptime_s = admin_seconds_between(start_time_, now);
+    view.uptime_s = seconds_between(start_time_, now);
     view.draining = draining_;
     view.stats = stats();
-    view.admin_requests = view.stats.admin_requests;
-    view.admin_shed = view.stats.admin_shed;
     std::vector<AdminSessionRow> rows;
     if (route == AdminRoute::kSessions) {
       rows.reserve(conns_.size());
@@ -252,7 +244,7 @@ void Server::build_admin_response(AdminConn& conn,
           case Session::State::kClosing: row.state = "closing"; break;
         }
         row.fs = c.session.fs();
-        row.uptime_s = admin_seconds_between(c.established, now);
+        row.uptime_s = seconds_between(c.established, now);
         const SessionCounters& sc = c.session.counters();
         row.frames_ok = sc.frames_ok;
         row.frames_rejected = sc.frames_rejected;
@@ -274,38 +266,17 @@ void Server::build_admin_response(AdminConn& conn,
   conn.out = http_response(code, content_type, body);
   conn.out_pos = 0;
   conn.responded = true;
-  counters_.admin_requests.fetch_add(1, std::memory_order_relaxed);
-  PTRACK_COUNT("ptrack.net.admin.requests");
+  counters_.admin_requests.add(1);
   PTRACK_LOG_DEBUG("net", "admin_request", kv("target", target),
                    kv("status", code));
 }
 
 void Server::enforce_admin_deadlines(Clock::time_point now) {
   for (const auto& [fd, conn] : admin_conns_) {
-    if (admin_seconds_between(conn.since, now) > kAdminTimeoutS) {
-      admin_to_close_.push_back(fd);
+    if (seconds_between(conn.since, now) > kAdminTimeoutS) {
+      to_close_.push_back(fd);
     }
   }
-}
-
-void Server::close_marked_admin() {
-  if (admin_to_close_.empty()) return;
-  std::sort(admin_to_close_.begin(), admin_to_close_.end());
-  admin_to_close_.erase(
-      std::unique(admin_to_close_.begin(), admin_to_close_.end()),
-      admin_to_close_.end());
-  for (const int fd : admin_to_close_) admin_conns_.erase(fd);
-  admin_to_close_.clear();
-}
-
-void Server::teardown_admin() {
-  admin_conns_.clear();
-  for (std::size_t i = 0; i < admin_listeners_.size(); ++i) {
-    admin_listeners_[i].close();
-    unlink_uds(admin_endpoints_[i]);
-  }
-  admin_listeners_.clear();
-  admin_endpoints_.clear();
 }
 
 }  // namespace ptrack::net

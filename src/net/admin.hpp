@@ -60,8 +60,6 @@ struct AdminStatusView {
   double uptime_s = 0.0;
   bool draining = false;
   ServerStats stats;
-  std::uint64_t admin_requests = 0;
-  std::uint64_t admin_shed = 0;
 };
 
 /// Renders the response body (and content type) for a route. kUnknown

@@ -25,11 +25,6 @@ constexpr int kPollTimeoutMs = 50;
 /// How long a closing connection may linger to flush its final frames.
 constexpr double kLingerS = 1.0;
 
-double seconds_between(std::chrono::steady_clock::time_point a,
-                       std::chrono::steady_clock::time_point b) {
-  return std::chrono::duration<double>(b - a).count();
-}
-
 void observe_queue_depth(std::size_t depth) {
   if (!obs::enabled()) return;
   static constexpr std::array<double, 6> kBounds = {
@@ -57,38 +52,42 @@ Server::Server(ServerConfig cfg) : cfg_(std::move(cfg)) {
 }
 
 Server::~Server() {
-  for (std::size_t i = 0; i < listeners_.size(); ++i) {
-    listeners_[i].close();
-    unlink_uds(endpoints_[i]);
-  }
-  for (std::size_t i = 0; i < admin_listeners_.size(); ++i) {
-    admin_listeners_[i].close();
-    unlink_uds(admin_endpoints_[i]);
-  }
+  close_listeners(true);
   if (wake_rd_ >= 0) ::close(wake_rd_);
   if (wake_wr_ >= 0) ::close(wake_wr_);
 }
 
-void Server::listen(const Endpoint& ep) {
+void Server::listen(const Endpoint& ep) { bind_listener(ep, false); }
+
+void Server::listen_admin(const Endpoint& ep) { bind_listener(ep, true); }
+
+void Server::bind_listener(const Endpoint& ep, bool admin) {
   expects(!running_.load(std::memory_order_acquire),
           "Server::listen: bind before run()");
   Socket s = listen_on(ep);
-  if (ep.kind == Endpoint::Kind::kTcp) tcp_port_ = local_port(s);
+  if (ep.kind == Endpoint::Kind::kTcp) {
+    (admin ? admin_tcp_port_ : tcp_port_) = local_port(s);
+  }
   // ptrack-lint: allow(alloc) bind-time setup, before the reactor runs
-  listeners_.push_back(std::move(s));
-  // ptrack-lint: allow(alloc) bind-time setup, before the reactor runs
-  endpoints_.push_back(ep);
+  listeners_.push_back(Listener{std::move(s), ep, admin});
 }
 
-void Server::listen_admin(const Endpoint& ep) {
-  expects(!running_.load(std::memory_order_acquire),
-          "Server::listen_admin: bind before run()");
-  Socket s = listen_on(ep);
-  if (ep.kind == Endpoint::Kind::kTcp) admin_tcp_port_ = local_port(s);
-  // ptrack-lint: allow(alloc) bind-time setup, before the reactor runs
-  admin_listeners_.push_back(std::move(s));
-  // ptrack-lint: allow(alloc) bind-time setup, before the reactor runs
-  admin_endpoints_.push_back(ep);
+void Server::close_listeners(bool admin_too) {
+  for (Listener& l : listeners_) {
+    if (!l.sock.valid() || (l.admin && !admin_too)) continue;
+    l.sock.close();
+    unlink_uds(l.ep);
+  }
+}
+
+void Server::Tally::add(std::uint64_t n) {
+  if (n == 0) return;
+  value_.fetch_add(n, std::memory_order_relaxed);
+  if (!obs::enabled()) return;
+  if (registry_ == nullptr) {
+    registry_ = &obs::Registry::instance().counter(metric_);
+  }
+  registry_->inc(n);
 }
 
 void Server::request_stop() {
@@ -105,24 +104,21 @@ void Server::request_drain() {
 
 ServerStats Server::stats() const {
   ServerStats s;
-  s.accepted = counters_.accepted.load(std::memory_order_relaxed);
-  s.shed = counters_.shed.load(std::memory_order_relaxed);
-  s.evicted_idle = counters_.evicted_idle.load(std::memory_order_relaxed);
-  s.evicted_stall = counters_.evicted_stall.load(std::memory_order_relaxed);
-  s.evicted_slow = counters_.evicted_slow.load(std::memory_order_relaxed);
-  s.closed = counters_.closed.load(std::memory_order_relaxed);
-  s.session_errors =
-      counters_.session_errors.load(std::memory_order_relaxed);
-  s.frames_ok = counters_.frames_ok.load(std::memory_order_relaxed);
-  s.frames_rejected =
-      counters_.frames_rejected.load(std::memory_order_relaxed);
-  s.samples_in = counters_.samples_in.load(std::memory_order_relaxed);
-  s.events_out = counters_.events_out.load(std::memory_order_relaxed);
-  s.bytes_in = counters_.bytes_in.load(std::memory_order_relaxed);
-  s.bytes_out = counters_.bytes_out.load(std::memory_order_relaxed);
-  s.admin_requests =
-      counters_.admin_requests.load(std::memory_order_relaxed);
-  s.admin_shed = counters_.admin_shed.load(std::memory_order_relaxed);
+  s.accepted = counters_.accepted.load();
+  s.shed = counters_.shed.load();
+  s.evicted_idle = counters_.evicted_idle.load();
+  s.evicted_stall = counters_.evicted_stall.load();
+  s.evicted_slow = counters_.evicted_slow.load();
+  s.closed = counters_.closed.load();
+  s.session_errors = counters_.session_errors.load();
+  s.frames_ok = counters_.frames_ok.load();
+  s.frames_rejected = counters_.frames_rejected.load();
+  s.samples_in = counters_.samples_in.load();
+  s.events_out = counters_.events_out.load();
+  s.bytes_in = counters_.bytes_in.load();
+  s.bytes_out = counters_.bytes_out.load();
+  s.admin_requests = counters_.admin_requests.load();
+  s.admin_shed = counters_.admin_shed.load();
   s.sessions_active = counters_.active.load(std::memory_order_relaxed);
   s.memory_charged_bytes =
       counters_.memory_charged.load(std::memory_order_relaxed);
@@ -177,12 +173,16 @@ void Server::service_shutdown_fd() {
 }
 
 void Server::run() {
-  expects(!listeners_.empty(), "Server::run: call listen() first");
+  const auto admin_listeners = static_cast<std::size_t>(
+      std::count_if(listeners_.begin(), listeners_.end(),
+                    [](const Listener& l) { return l.admin; }));
+  expects(listeners_.size() > admin_listeners,
+          "Server::run: call listen() first");
   start_time_ = Clock::now();
   running_.store(true, std::memory_order_release);
   PTRACK_LOG_INFO("net", "server_started",
-                  kv("listeners", listeners_.size()),
-                  kv("admin_listeners", admin_listeners_.size()),
+                  kv("listeners", listeners_.size() - admin_listeners),
+                  kv("admin_listeners", admin_listeners),
                   kv("max_sessions", cfg_.max_sessions));
   std::vector<pollfd> pfds;
   // Reactor-setup reservation; the per-iteration rebuilds below stay
@@ -190,7 +190,7 @@ void Server::run() {
   // admission budgets).
   // ptrack-lint: allow(alloc) one-time reactor-setup reservation
   pfds.reserve(cfg_.max_sessions + cfg_.admin_max_sessions +
-               listeners_.size() + admin_listeners_.size() + 2);
+               listeners_.size() + 2);
 
   while (true) {
     if (stop_flag_.load(std::memory_order_acquire)) break;
@@ -211,16 +211,12 @@ void Server::run() {
       // ptrack-lint: allow(alloc) within the run()-entry reservation
       pfds.push_back({cfg_.shutdown_fd, POLLIN, 0});
     }
-    if (!draining_) {
-      for (const Socket& l : listeners_) {
-        // ptrack-lint: allow(alloc) within the run()-entry reservation
-        pfds.push_back({l.fd(), POLLIN, 0});
-      }
-    }
-    // The admin plane stays up during drain: operators watch it finish.
-    for (const Socket& l : admin_listeners_) {
+    // Drain has closed the ingest listeners; the admin plane's stay up so
+    // operators can watch it finish.
+    for (const Listener& l : listeners_) {
+      if (!l.sock.valid()) continue;
       // ptrack-lint: allow(alloc) within the run()-entry reservation
-      pfds.push_back({l.fd(), POLLIN, 0});
+      pfds.push_back({l.sock.fd(), POLLIN, 0});
     }
     for (const auto& [fd, ac] : admin_conns_) {
       int events = 0;
@@ -260,49 +256,32 @@ void Server::run() {
         service_shutdown_fd();
         continue;
       }
-      bool is_listener = false;
-      for (const Socket& l : listeners_) {
-        if (l.fd() == p.fd) {
-          if (!draining_) accept_pending(l);
-          is_listener = true;
-          break;
-        }
-      }
-      if (is_listener) continue;
-      for (const Socket& l : admin_listeners_) {
-        if (l.fd() == p.fd) {
-          accept_admin_pending(l);
-          is_listener = true;
-          break;
-        }
-      }
-      if (is_listener) continue;
-      const auto it = conns_.find(p.fd);
-      if (it == conns_.end()) {
-        const auto ait = admin_conns_.find(p.fd);
-        if (ait == admin_conns_.end()) continue;
-        AdminConn& ac = ait->second;
-        if ((p.revents & (POLLERR | POLLNVAL)) != 0) {
-          // ptrack-lint: allow(alloc) reused close list, bounded by budget
-          admin_to_close_.push_back(p.fd);
-          continue;
-        }
-        if ((p.revents & POLLIN) != 0) handle_admin_readable(ac);
-        if ((p.revents & POLLOUT) != 0) handle_admin_writable(ac);
-        if ((p.revents & POLLHUP) != 0 && (p.revents & POLLIN) == 0) {
-          // ptrack-lint: allow(alloc) reused close list, bounded by budget
-          admin_to_close_.push_back(p.fd);
+      const auto lit = std::find_if(
+          listeners_.begin(), listeners_.end(),
+          [&](const Listener& l) { return l.sock.fd() == p.fd; });
+      if (lit != listeners_.end()) {
+        if (lit->admin) {
+          accept_admin_pending(lit->sock);
+        } else {
+          accept_pending(lit->sock);
         }
         continue;
       }
-      Conn& conn = it->second;
       if ((p.revents & (POLLERR | POLLNVAL)) != 0) {
         // ptrack-lint: allow(alloc) reused close list, bounded by live fds
         to_close_.push_back(p.fd);
         continue;
       }
-      if ((p.revents & POLLIN) != 0) handle_readable(conn);
-      if ((p.revents & POLLOUT) != 0) handle_writable(conn);
+      const bool readable = (p.revents & POLLIN) != 0;
+      const bool writable = (p.revents & POLLOUT) != 0;
+      if (const auto it = conns_.find(p.fd); it != conns_.end()) {
+        if (readable) handle_readable(it->second);
+        if (writable) handle_writable(it->second);
+      } else if (const auto ait = admin_conns_.find(p.fd);
+                 ait != admin_conns_.end()) {
+        if (readable) handle_admin_readable(ait->second);
+        if (writable) handle_admin_writable(ait->second);
+      }
       // POLLHUP with unread data still delivers POLLIN first; a bare HUP
       // means the peer is gone for good.
       if ((p.revents & POLLHUP) != 0 && (p.revents & POLLIN) == 0) {
@@ -315,7 +294,6 @@ void Server::run() {
     enforce_deadlines(tick_end);
     enforce_admin_deadlines(tick_end);
     close_marked();
-    close_marked_admin();
     // The reactor is the log drainer: every ring flushes to the sink at
     // tick cadence, so records are at most one poll interval stale.
     obs::log::drain();
@@ -323,26 +301,16 @@ void Server::run() {
 
   // Teardown: whatever is still open gets closed; drain already flushed
   // what the deadline allowed.
-  for (auto& [fd, conn] : conns_) {
-    static_cast<void>(fd);
-    memory_charged_ -= std::min(memory_charged_, conn.charged);
-    counters_.closed.fetch_add(1, std::memory_order_relaxed);
-    PTRACK_COUNT("ptrack.net.sessions.closed");
-  }
+  counters_.closed.add(conns_.size());
   conns_.clear();
-  for (std::size_t i = 0; i < listeners_.size(); ++i) {
-    listeners_[i].close();
-    unlink_uds(endpoints_[i]);
-  }
+  admin_conns_.clear();
+  memory_charged_ = 0;
+  close_listeners(true);
   listeners_.clear();
-  endpoints_.clear();
-  teardown_admin();
   publish_gauges();
   PTRACK_LOG_INFO("net", "server_stopped",
-                  kv("accepted",
-                     counters_.accepted.load(std::memory_order_relaxed)),
-                  kv("closed",
-                     counters_.closed.load(std::memory_order_relaxed)));
+                  kv("accepted", counters_.accepted.load()),
+                  kv("closed", counters_.closed.load()));
   obs::log::drain();
   running_.store(false, std::memory_order_release);
 }
@@ -370,8 +338,7 @@ void Server::accept_pending(const Socket& listener) {
     it->second.stalled = true;  // pre-HELLO counts against the stall clock
     it->second.stall_since = now;
     memory_charged_ += pre_charge;
-    counters_.accepted.fetch_add(1, std::memory_order_relaxed);
-    PTRACK_COUNT("ptrack.net.sessions.accepted");
+    counters_.accepted.add(1);
     publish_gauges();
   }
 }
@@ -387,8 +354,7 @@ void Server::shed_connection(Socket sock) {
   } catch (const Error&) {
     // peer already gone: nothing to hint at
   }
-  counters_.shed.fetch_add(1, std::memory_order_relaxed);
-  PTRACK_COUNT("ptrack.net.sessions.shed");
+  counters_.shed.add(1);
   PTRACK_LOG_WARN("net", "session_shed",
                   kv("sessions_active", conns_.size()),
                   kv("memory_charged_bytes", memory_charged_));
@@ -414,15 +380,20 @@ void Server::handle_readable(Conn& conn) {
 
   const SessionCounters before = conn.session.counters();
   Session::IoResult result = Session::IoResult::kClose;
+  bool failed = false;
   try {
     result = conn.session.on_bytes(
         std::span<const std::uint8_t>(read_buf_.data(),
                                       static_cast<std::size_t>(n)));
   } catch (const std::exception&) {
+    failed = true;
+  }
+  const SessionCounters& after = conn.session.counters();
+  count_session(before, after);
+  if (failed) {
     // Pipeline contract violation inside this session: contain it. The
     // neighbor sessions keep streaming; this one is torn down.
-    counters_.session_errors.fetch_add(1, std::memory_order_relaxed);
-    PTRACK_COUNT("ptrack.net.sessions.errors");
+    counters_.session_errors.add(1);
     PTRACK_LOG_ERROR("net", "session_error",
                      kv("session_id", conn.session.id()),
                      kv("fd", conn.sock.fd()));
@@ -430,20 +401,6 @@ void Server::handle_readable(Conn& conn) {
     to_close_.push_back(conn.sock.fd());
     return;
   }
-  const SessionCounters& after = conn.session.counters();
-
-  counters_.bytes_in.fetch_add(after.bytes_in - before.bytes_in,
-                               std::memory_order_relaxed);
-  counters_.frames_ok.fetch_add(after.frames_ok - before.frames_ok,
-                                std::memory_order_relaxed);
-  counters_.frames_rejected.fetch_add(
-      after.frames_rejected - before.frames_rejected,
-      std::memory_order_relaxed);
-  counters_.samples_in.fetch_add(after.samples - before.samples,
-                                 std::memory_order_relaxed);
-  counters_.events_out.fetch_add(after.events - before.events,
-                                 std::memory_order_relaxed);
-  PTRACK_COUNT_N("ptrack.net.bytes.in", static_cast<std::size_t>(n));
   observe_queue_depth(conn.session.queue_depth());
 
   const Clock::time_point now = Clock::now();
@@ -473,8 +430,7 @@ void Server::handle_readable(Conn& conn) {
     if (memory_charged_ > cfg_.memory_budget_bytes) {
       conn.session.reject(ErrorCode::kOverloaded, cfg_.retry_after_s,
                           "memory budget exhausted; retry later");
-      counters_.shed.fetch_add(1, std::memory_order_relaxed);
-      PTRACK_COUNT("ptrack.net.sessions.shed");
+      counters_.shed.add(1);
       begin_close(conn);
       return;
     }
@@ -499,13 +455,22 @@ void Server::handle_writable(Conn& conn) {
     }
     if (written == 0) break;  // socket buffer full; POLLOUT will resume
     conn.session.consume_out(written);
-    counters_.bytes_out.fetch_add(written, std::memory_order_relaxed);
-    PTRACK_COUNT_N("ptrack.net.bytes.out", written);
+    counters_.bytes_out.add(written);
   }
   if (conn.closing && conn.session.out_pending() == 0) {
     // ptrack-lint: allow(alloc) reused close list, bounded by live fds
     to_close_.push_back(conn.sock.fd());
   }
+}
+
+void Server::count_session(const SessionCounters& before,
+                           const SessionCounters& after) {
+  counters_.frames_ok.add(after.frames_ok - before.frames_ok);
+  counters_.frames_rejected.add(after.frames_rejected -
+                                before.frames_rejected);
+  counters_.samples_in.add(after.samples - before.samples);
+  counters_.events_out.add(after.events - before.events);
+  counters_.bytes_in.add(after.bytes_in - before.bytes_in);
 }
 
 void Server::begin_close(Conn& conn) {
@@ -530,8 +495,7 @@ void Server::enforce_deadlines(Clock::time_point now) {
                           conn.session.hello_done()
                               ? "frame stalled past the deadline"
                               : "HELLO not completed in time");
-      counters_.evicted_stall.fetch_add(1, std::memory_order_relaxed);
-      PTRACK_COUNT("ptrack.net.sessions.evicted");
+      counters_.evicted_stall.add(1);
       PTRACK_LOG_WARN("net", "session_evicted", kv("reason", "stall"),
                       kv("session_id", conn.session.id()));
       begin_close(conn);
@@ -552,8 +516,7 @@ void Server::enforce_deadlines(Clock::time_point now) {
               cfg_.slow_consumer_timeout_s) {
         conn.session.reject(ErrorCode::kSlowConsumer, 0,
                             "event backlog not being read");
-        counters_.evicted_slow.fetch_add(1, std::memory_order_relaxed);
-        PTRACK_COUNT("ptrack.net.sessions.evicted");
+        counters_.evicted_slow.add(1);
         PTRACK_LOG_WARN("net", "session_evicted",
                         kv("reason", "slow_consumer"),
                         kv("session_id", conn.session.id()),
@@ -568,8 +531,7 @@ void Server::enforce_deadlines(Clock::time_point now) {
         cfg_.idle_timeout_s) {
       conn.session.reject(ErrorCode::kIdleTimeout, 0,
                           "no complete frame within the idle timeout");
-      counters_.evicted_idle.fetch_add(1, std::memory_order_relaxed);
-      PTRACK_COUNT("ptrack.net.sessions.evicted");
+      counters_.evicted_idle.add(1);
       PTRACK_LOG_WARN("net", "session_evicted", kv("reason", "idle"),
                       kv("session_id", conn.session.id()));
       begin_close(conn);
@@ -584,24 +546,18 @@ void Server::enter_drain(Clock::time_point now) {
   drain_deadline_ =
       now + std::chrono::duration_cast<Clock::duration>(
                 std::chrono::duration<double>(cfg_.drain_deadline_s));
-  for (std::size_t i = 0; i < listeners_.size(); ++i) {
-    listeners_[i].close();
-    unlink_uds(endpoints_[i]);
-  }
+  close_listeners(false);
   for (auto& [fd, conn] : conns_) {
     static_cast<void>(fd);
     if (conn.closing) continue;
     if (conn.session.state() == Session::State::kStreaming) {
-      const std::uint64_t events_before = conn.session.counters().events;
+      const SessionCounters before = conn.session.counters();
       try {
         conn.session.drain();
       } catch (const std::exception&) {
-        counters_.session_errors.fetch_add(1, std::memory_order_relaxed);
-        PTRACK_COUNT("ptrack.net.sessions.errors");
+        counters_.session_errors.add(1);
       }
-      counters_.events_out.fetch_add(
-          conn.session.counters().events - events_before,
-          std::memory_order_relaxed);
+      count_session(before, conn.session.counters());
     } else {
       conn.session.reject(ErrorCode::kShuttingDown, cfg_.retry_after_s,
                           "draining; reconnect later");
@@ -619,11 +575,13 @@ void Server::close_marked() {
                   to_close_.end());
   for (const int fd : to_close_) {
     const auto it = conns_.find(fd);
-    if (it == conns_.end()) continue;
+    if (it == conns_.end()) {
+      admin_conns_.erase(fd);  // an fd is in at most one of the two maps
+      continue;
+    }
     memory_charged_ -= std::min(memory_charged_, it->second.charged);
     conns_.erase(it);
-    counters_.closed.fetch_add(1, std::memory_order_relaxed);
-    PTRACK_COUNT("ptrack.net.sessions.closed");
+    counters_.closed.add(1);
   }
   to_close_.clear();
   publish_gauges();

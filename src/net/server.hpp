@@ -15,9 +15,9 @@
 // Overload & failure policy (DESIGN.md §16):
 //   * Admission: a new connection is shed with ERROR{kOverloaded,
 //     RETRY-AFTER} when the session table is full or the global memory
-//     budget (sum of per-session estimates) is exhausted. Budgets are
-//     re-checked at HELLO time, when the session's true sample rate is
-//     known.
+//     budget (sum of per-session estimates) is exhausted. A connection is
+//     charged session_memory_estimate(cfg, 0.0) until HELLO; budgets are
+//     re-checked then, when the session's true sample rate is known.
 //   * Backpressure: the server stops reading a connection whose output
 //     backlog crosses half the slow-consumer limit — the kernel socket
 //     buffer fills and TCP/UDS flow control pushes back on the device.
@@ -32,6 +32,13 @@
 //     flushes every open tracker through StreamingTracker::drain_into,
 //     writes the final EVENT/DRAINED frames within drain_deadline_s and
 //     returns from run().
+//
+// Bookkeeping: ingest and admin connections share one listener table
+// (each entry names its plane) and one close list, drained by one pass
+// per tick. Each event is counted at one site: the server reads a
+// session's counter delta after on_bytes (also when it throws) and after
+// the drain flush, and every count, delta or server-level event, is one
+// Tally::add that feeds both ServerStats and the ptrack.net.* registry.
 
 #pragma once
 
@@ -47,6 +54,10 @@
 #include "net/http.hpp"
 #include "net/session.hpp"
 #include "net/socket.hpp"
+
+namespace ptrack::obs {
+class Counter;
+}  // namespace ptrack::obs
 
 namespace ptrack::net {
 
@@ -186,13 +197,51 @@ class Server {
         : sock(std::move(s)), since(now) {}
   };
 
+  /// A bound listener and the plane its connections join. Drain closes
+  /// the ingest entries; the admin ones stay up until run() returns.
+  struct Listener {
+    Socket sock;
+    Endpoint ep;
+    bool admin = false;  ///< HTTP admin plane rather than ingest
+  };
+
+  /// One lifetime counter. add() bumps the per-instance relaxed atomic
+  /// that stats() reads from any thread and, while obs is enabled, the
+  /// process-wide registry counter `metric`, so ServerStats and the
+  /// ptrack.net.* counters cannot disagree.
+  class Tally {
+   public:
+    explicit Tally(const char* metric) : metric_(metric) {}
+    void add(std::uint64_t n);
+    [[nodiscard]] std::uint64_t load() const {
+      return value_.load(std::memory_order_relaxed);
+    }
+
+   private:
+    const char* metric_;
+    obs::Counter* registry_ = nullptr;  ///< looked up on the first add
+    std::atomic<std::uint64_t> value_{0};
+  };
+
+  static double seconds_between(Clock::time_point a, Clock::time_point b) {
+    return std::chrono::duration<double>(b - a).count();
+  }
+
+  void bind_listener(const Endpoint& ep, bool admin);
+  /// Closes and unlinks the ingest listeners, and the admin ones too if
+  /// `admin_too`.
+  void close_listeners(bool admin_too);
   void accept_pending(const Socket& listener);
   void shed_connection(Socket sock);
   void handle_readable(Conn& conn);
   void handle_writable(Conn& conn);
+  /// Adds what a session counted between two reads of its counters.
+  void count_session(const SessionCounters& before,
+                     const SessionCounters& after);
   void begin_close(Conn& conn);
   void enforce_deadlines(Clock::time_point now);
   void enter_drain(Clock::time_point now);
+  /// Closes every fd marked this iteration, ingest or admin.
   void close_marked();
   void charge(Conn& conn);
   void publish_gauges();
@@ -205,22 +254,15 @@ class Server {
   void handle_admin_writable(AdminConn& conn);
   void build_admin_response(AdminConn& conn, HttpParseStatus status);
   void enforce_admin_deadlines(Clock::time_point now);
-  void close_marked_admin();
-  void teardown_admin();
 
   ServerConfig cfg_;
-  std::vector<Socket> listeners_;
-  std::vector<Endpoint> endpoints_;
+  std::vector<Listener> listeners_;
   std::uint16_t tcp_port_ = 0;
+  std::uint16_t admin_tcp_port_ = 0;
   std::unordered_map<int, Conn> conns_;
+  std::unordered_map<int, AdminConn> admin_conns_;
   std::vector<int> to_close_;        ///< fds marked dead this iteration
   std::vector<std::uint8_t> read_buf_;
-
-  std::vector<Socket> admin_listeners_;
-  std::vector<Endpoint> admin_endpoints_;
-  std::uint16_t admin_tcp_port_ = 0;
-  std::unordered_map<int, AdminConn> admin_conns_;
-  std::vector<int> admin_to_close_;
   Clock::time_point start_time_{};   ///< run() entry (uptime reporting)
 
   int wake_rd_ = -1;                 ///< self-pipe (request_stop/drain)
@@ -233,13 +275,24 @@ class Server {
 
   std::size_t memory_charged_ = 0;
 
-  // Lifetime counters (relaxed atomics: written by the reactor thread,
-  // snapshot by stats() from anywhere).
+  // Lifetime counters, written by the reactor thread only. The three
+  // eviction reasons share ptrack.net.sessions.evicted.
   struct Counters {
-    std::atomic<std::uint64_t> accepted{0}, shed{0}, evicted_idle{0},
-        evicted_stall{0}, evicted_slow{0}, closed{0}, session_errors{0},
-        frames_ok{0}, frames_rejected{0}, samples_in{0}, events_out{0},
-        bytes_in{0}, bytes_out{0}, admin_requests{0}, admin_shed{0};
+    Tally accepted{"ptrack.net.sessions.accepted"};
+    Tally shed{"ptrack.net.sessions.shed"};
+    Tally evicted_idle{"ptrack.net.sessions.evicted"};
+    Tally evicted_stall{"ptrack.net.sessions.evicted"};
+    Tally evicted_slow{"ptrack.net.sessions.evicted"};
+    Tally closed{"ptrack.net.sessions.closed"};
+    Tally session_errors{"ptrack.net.sessions.errors"};
+    Tally frames_ok{"ptrack.net.frames.ok"};
+    Tally frames_rejected{"ptrack.net.frames.rejected"};
+    Tally samples_in{"ptrack.net.samples.in"};
+    Tally events_out{"ptrack.net.events.out"};
+    Tally bytes_in{"ptrack.net.bytes.in"};
+    Tally bytes_out{"ptrack.net.bytes.out"};
+    Tally admin_requests{"ptrack.net.admin.requests"};
+    Tally admin_shed{"ptrack.net.admin.shed"};
     std::atomic<std::size_t> active{0}, memory_charged{0};
   };
   Counters counters_;

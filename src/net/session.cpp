@@ -5,7 +5,6 @@
 
 #include "common/check.hpp"
 #include "obs/log.hpp"
-#include "obs/metrics.hpp"
 
 namespace ptrack::net {
 
@@ -29,10 +28,9 @@ constexpr std::size_t kBytesPerRetainedSample = 80;
 }  // namespace
 
 std::size_t session_memory_estimate(const SessionConfig& cfg, double fs) {
-  const double rate = std::max(1.0, fs);
   const auto ring_bytes = static_cast<std::size_t>(
-      rate * kTrackerRetentionS * static_cast<double>(
-                                      kBytesPerRetainedSample));
+      fs * kTrackerRetentionS * static_cast<double>(
+                                    kBytesPerRetainedSample));
   const std::size_t decoder_bytes =
       kHeaderBytes + kMaxPayloadBytes + kReadChunkBytes;
   return decoder_bytes + cfg.out_buf_limit + ring_bytes;
@@ -41,12 +39,7 @@ std::size_t session_memory_estimate(const SessionConfig& cfg, double fs) {
 Session::Session(const SessionConfig& cfg)
     : cfg_(cfg),
       decoder_(kMaxPayloadBytes, kReadChunkBytes),
-      // Pre-HELLO estimate (no tracker yet): what admission charges until
-      // the HELLO announces the real sample rate.
-      mem_estimate_(session_memory_estimate(cfg, 0.0) -
-                    static_cast<std::size_t>(
-                        kTrackerRetentionS *
-                        static_cast<double>(kBytesPerRetainedSample))) {
+      mem_estimate_(session_memory_estimate(cfg, 0.0)) {
   // Connection-setup reservations: steady-state appends stay within them.
   out_.reserve(cfg.out_buf_limit / 4);
   events_.reserve(kEventsPerFrame);
@@ -63,7 +56,6 @@ Session::IoResult Session::on_bytes(std::span<const std::uint8_t> bytes) {
         return IoResult::kOk;
       case DecodeStatus::kError:
         ++counters_.frames_rejected;
-        PTRACK_COUNT("ptrack.net.frames.rejected");
         return protocol_error(decoder_.error(), decoder_.error_detail());
       case DecodeStatus::kFrame: {
         const IoResult r = dispatch(frame);
@@ -82,7 +74,6 @@ Session::IoResult Session::dispatch(const Frame& frame) {
       return on_samples(frame);
     case FrameType::kBye:
       ++counters_.frames_ok;
-      PTRACK_COUNT("ptrack.net.frames.ok");
       drain();
       return IoResult::kClose;
     case FrameType::kHelloAck:
@@ -90,7 +81,6 @@ Session::IoResult Session::dispatch(const Frame& frame) {
     case FrameType::kError:
     case FrameType::kDrained:
       ++counters_.frames_rejected;
-      PTRACK_COUNT("ptrack.net.frames.rejected");
       return protocol_error(ErrorCode::kProtocol,
                             "server-to-client frame type from a client");
   }
@@ -101,14 +91,12 @@ Session::IoResult Session::on_hello(const Frame& frame) {
   Hello hello;
   if (!parse_hello(frame.payload, hello)) {
     ++counters_.frames_rejected;
-    PTRACK_COUNT("ptrack.net.frames.rejected");
     return protocol_error(ErrorCode::kMalformedFrame, "bad HELLO payload");
   }
   if (state_ != State::kAwaitHello) {
     // Re-HELLO (including the fs-mismatch re-negotiation attempt the chaos
     // suite sends): one stream is one session; reconnect to renegotiate.
     ++counters_.frames_rejected;
-    PTRACK_COUNT("ptrack.net.frames.rejected");
     return protocol_error(ErrorCode::kProtocol, "HELLO on an open session");
   }
   const bool fs_ok = std::isfinite(hello.fs) && hello.fs >= kMinHelloFs &&
@@ -116,7 +104,6 @@ Session::IoResult Session::on_hello(const Frame& frame) {
   // Streams are served in double only; the wire keeps the precision byte.
   if (!fs_ok || hello.precision != 0) {
     ++counters_.frames_rejected;
-    PTRACK_COUNT("ptrack.net.frames.rejected");
     return protocol_error(ErrorCode::kBadHello,
                           fs_ok ? "unsupported precision"
                                 : "sample rate out of range");
@@ -132,7 +119,6 @@ Session::IoResult Session::on_hello(const Frame& frame) {
   PTRACK_LOG_DEBUG("net", "session_hello", kv("session_id", id_),
                    kv("fs", fs_));
   ++counters_.frames_ok;
-  PTRACK_COUNT("ptrack.net.frames.ok");
   HelloAck ack;
   ack.session_id = hello.session_id;
   ack.max_samples_per_frame =
@@ -146,14 +132,12 @@ Session::IoResult Session::on_hello(const Frame& frame) {
 Session::IoResult Session::on_samples(const Frame& frame) {
   if (state_ != State::kStreaming) {
     ++counters_.frames_rejected;
-    PTRACK_COUNT("ptrack.net.frames.rejected");
     return protocol_error(ErrorCode::kProtocol, "SAMPLES before HELLO");
   }
   SampleBlockView block;
   if (!parse_samples(frame.payload, block) ||
       block.count > cfg_.max_samples_per_frame) {
     ++counters_.frames_rejected;
-    PTRACK_COUNT("ptrack.net.frames.rejected");
     return protocol_error(ErrorCode::kMalformedFrame,
                           "bad SAMPLES payload");
   }
@@ -164,8 +148,6 @@ Session::IoResult Session::on_samples(const Frame& frame) {
   }
   counters_.samples += block.count;
   ++counters_.frames_ok;
-  PTRACK_COUNT("ptrack.net.frames.ok");
-  PTRACK_COUNT_N("ptrack.net.samples.in", block.count);
   flush_events();
   return IoResult::kOk;
 }
@@ -176,7 +158,6 @@ void Session::drain() {
     events_.clear();
     tracker_->drain_into(events_);
     counters_.events += events_.size();
-    PTRACK_COUNT_N("ptrack.net.events.out", events_.size());
     compact_out();
     std::span<const core::StepEvent> rest(events_);
     while (!rest.empty()) {
@@ -231,7 +212,6 @@ void Session::flush_events() {
   tracker_->poll_into(events_);
   if (events_.empty()) return;
   counters_.events += events_.size();
-  PTRACK_COUNT_N("ptrack.net.events.out", events_.size());
   compact_out();
   std::span<const core::StepEvent> rest(events_);
   while (!rest.empty()) {

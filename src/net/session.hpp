@@ -19,6 +19,9 @@
 //     come from pipeline contract violations, which the server catches and
 //     converts into a session close (fault isolation, matching the batch
 //     runner's per-trace Expected capture).
+//   * The session counts into its SessionCounters only; it touches no
+//     registry metric. The server turns counter deltas into ServerStats
+//     and the ptrack.net.* counters.
 //
 // Sample time base: the wire carries no timestamps; the tracker assigns
 // t = index/fs exactly as it does for every other ingest path, so a healthy
@@ -57,7 +60,8 @@ struct SessionConfig {
   std::size_t out_buf_limit = 256 * 1024;
 };
 
-/// Monotone per-session counters (server aggregates them into ptrack.net.*).
+/// Monotone per-session counters: the DRAINED totals and /sessions rows
+/// read them, and the server aggregates their deltas into ptrack.net.*.
 struct SessionCounters {
   std::uint64_t frames_ok = 0;
   std::uint64_t frames_rejected = 0;
@@ -68,7 +72,8 @@ struct SessionCounters {
 
 /// Estimated steady-state memory footprint of one session at sample rate
 /// `fs` (decoder + output reservations + tracker ring retention) — the
-/// unit of the server's global memory budget.
+/// unit of the server's global memory budget. fs = 0 gives the pre-HELLO
+/// charge, with no tracker bytes.
 [[nodiscard]] std::size_t session_memory_estimate(const SessionConfig& cfg,
                                                   double fs);
 

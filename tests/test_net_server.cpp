@@ -17,6 +17,7 @@
 #include <string>
 #include <thread>
 #include <unistd.h>
+#include <utility>
 #include <vector>
 
 #include "core/ptrack.hpp"
@@ -26,6 +27,7 @@
 #include "net/http.hpp"
 #include "net/server.hpp"
 #include "net/wire.hpp"
+#include "obs/export.hpp"
 #include "synth/synthesizer.hpp"
 
 using namespace ptrack;
@@ -190,6 +192,10 @@ TEST(NetServer, SoakChaosCannotHarmHealthyNeighbors) {
   ServerConfig cfg;
   cfg.stall_timeout_s = 1.0;  // reclaim slowloris/truncation quickly
   cfg.idle_timeout_s = 20.0;
+  // The registry is process-wide: compare this server's counts against
+  // its movement, not its totals, so earlier tests in one process don't
+  // leak in.
+  const obs::Snapshot registry_before = obs::Snapshot::take();
   ServerRunner runner(std::move(cfg), "soak", /*with_admin=*/true);
 
   constexpr std::size_t kHealthy = 8;
@@ -281,6 +287,39 @@ TEST(NetServer, SoakChaosCannotHarmHealthyNeighbors) {
   EXPECT_EQ(s.session_errors, 0u);
   EXPECT_GE(s.accepted, kHealthy + std::size(kModes) - 1);  // storm-free
   EXPECT_GE(s.frames_rejected, 5u);  // the malformed-frame chaos family
+
+  // The ptrack.net.* registry counters agree with ServerStats. Stopping
+  // the reactor first makes every count it wrote visible here.
+  runner.server.request_stop();
+  runner.thread.join();
+  const ServerStats fin = runner.server.stats();
+  const obs::SnapshotDelta moved =
+      obs::delta(registry_before, obs::Snapshot::take());
+  const auto registry = [&](const std::string& name) {
+    const auto it = moved.counter_deltas.find(name);
+    return it == moved.counter_deltas.end() ? std::uint64_t{0} : it->second;
+  };
+  const std::pair<const char*, std::uint64_t> expected[] = {
+      {"ptrack.net.sessions.accepted", fin.accepted},
+      {"ptrack.net.sessions.shed", fin.shed},
+      {"ptrack.net.sessions.evicted",
+       fin.evicted_idle + fin.evicted_stall + fin.evicted_slow},
+      {"ptrack.net.sessions.closed", fin.closed},
+      {"ptrack.net.sessions.errors", fin.session_errors},
+      {"ptrack.net.frames.ok", fin.frames_ok},
+      {"ptrack.net.frames.rejected", fin.frames_rejected},
+      {"ptrack.net.samples.in", fin.samples_in},
+      {"ptrack.net.events.out", fin.events_out},
+      {"ptrack.net.bytes.in", fin.bytes_in},
+      {"ptrack.net.bytes.out", fin.bytes_out},
+      {"ptrack.net.admin.requests", fin.admin_requests},
+      {"ptrack.net.admin.shed", fin.admin_shed},
+  };
+  for (const auto& [name, value] : expected) {
+    EXPECT_EQ(registry(name), value) << name;
+  }
+  EXPECT_GT(fin.evicted_stall, 0u);  // the slowloris/truncation clients
+  EXPECT_GT(fin.events_out, 0u);
 }
 
 TEST(NetServer, ChaosGetsTypedErrors) {

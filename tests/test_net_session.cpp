@@ -1,16 +1,20 @@
 // Session state-machine tests, no sockets involved: bytes in, frames out.
 // Covers the HELLO handshake, protocol-order violations, HELLO validation,
-// malformed-frame containment, the BYE/drain flush, and the central oracle
-// property — a session's event stream is bit-identical (at wire precision)
-// to a local StreamingTracker fed the same samples.
+// malformed-frame containment, the BYE/drain flush, the admission unit
+// (a session's live heap stays within its memory estimate), and the
+// central oracle property — a session's event stream is bit-identical
+// (at wire precision) to a local StreamingTracker fed the same samples.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <memory>
 #include <span>
 #include <vector>
 
+#include "common/alloc_hooks.hpp"
 #include "core/streaming.hpp"
 #include "net/session.hpp"
 #include "net/wire.hpp"
@@ -274,4 +278,79 @@ TEST(NetSession, MemoryEstimateGrowsWithRate) {
   ASSERT_EQ(feed(session, hello_bytes(1, 800.0)), Session::IoResult::kOk);
   EXPECT_GT(session.memory_estimate(), pre_hello);
   EXPECT_EQ(session.memory_estimate(), fast);
+}
+
+// Admission charges a connection session_memory_estimate(cfg, 0.0) until
+// HELLO names its rate: the decoder and output budgets, no tracker bytes.
+TEST(NetSession, PreHelloEstimateIsTheAdmissionCharge) {
+  const SessionConfig cfg;
+  const Session session{cfg};
+  EXPECT_EQ(session.memory_estimate(), session_memory_estimate(cfg, 0.0));
+  EXPECT_EQ(session_memory_estimate(cfg, 0.0),
+            kHeaderBytes + kMaxPayloadBytes + kReadChunkBytes +
+                cfg.out_buf_limit);
+}
+
+// The admission unit bounds a real session: across the HELLO rate range,
+// the peak live heap of one session, sampled after every frame of a 65 s
+// walk whose output a client drains as it goes, stays within the
+// post-HELLO memory_estimate() the server charges it.
+TEST(NetSession, MemoryEstimateBoundsPeakLiveHeap) {
+  const SessionConfig cfg;
+  for (const double fs : {1.0, 25.0, 100.0, 400.0, 1024.0}) {
+    SCOPED_TRACE(::testing::Message() << "fs " << fs << " Hz");
+    Rng rng(4242);
+    synth::SynthOptions opts;
+    opts.device_fs = fs;
+    opts.internal_fs = std::max(opts.internal_fs, fs);
+    const imu::Trace trace =
+        synth::synthesize(synth::Scenario::pure_walking(65.0),
+                          synth::UserProfile{}, opts, rng)
+            .trace;
+    ASSERT_GE(static_cast<double>(trace.size()), 60.0 * fs);
+    // Quarter-second SAMPLES frames, encoded into one client buffer
+    // reserved before any baseline so only the session's heap is measured.
+    const std::size_t per_frame =
+        std::max<std::size_t>(1, static_cast<std::size_t>(fs / 4.0));
+    std::vector<std::uint8_t> bytes;
+    bytes.reserve(kHeaderBytes + kMaxPayloadBytes);
+
+    std::int64_t peak = 0;
+    std::size_t estimate = 0;
+    const auto run = [&](std::int64_t before) {
+      auto session = std::make_unique<Session>(cfg);
+      const auto send = [&] {
+        const Session::IoResult r = session->on_bytes(bytes);
+        session->consume_out(session->out_pending());
+        peak = std::max(
+            peak, static_cast<std::int64_t>(alloc::live_bytes()) - before);
+        return r;
+      };
+      bytes.clear();
+      append_hello(bytes, Hello{1, fs, 0});
+      EXPECT_EQ(send(), Session::IoResult::kOk);
+      estimate = session->memory_estimate();
+      for (std::size_t i = 0; i < trace.size(); i += per_frame) {
+        bytes.clear();
+        append_samples(bytes, std::span<const imu::Sample>(
+                                  trace.samples().data() + i,
+                                  std::min(per_frame, trace.size() - i)));
+        EXPECT_EQ(send(), Session::IoResult::kOk);
+      }
+      bytes.clear();
+      append_bye(bytes);
+      EXPECT_EQ(send(), Session::IoResult::kClose);
+      EXPECT_EQ(session->counters().samples, trace.size());
+    };
+    // A first session takes what sessions share (the gravity weight
+    // tables of this fs, the thread's filter scratch, telemetry handles),
+    // so the second one's peak is its own heap.
+    run(0);
+    peak = 0;
+    run(static_cast<std::int64_t>(alloc::live_bytes()));
+    EXPECT_EQ(estimate, session_memory_estimate(cfg, fs));
+    EXPECT_LE(peak, static_cast<std::int64_t>(estimate))
+        << "session peak live heap " << peak / 1024 << " KB, estimate "
+        << estimate / 1024 << " KB";
+  }
 }
