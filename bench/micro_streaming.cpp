@@ -20,9 +20,11 @@
 // third.
 //
 // Hop sweep: the same trace is pushed through a fresh `inc` tracker at
-// hops of 0.1, 0.2, 0.5, 1, 2 and 4 s, timed from the first push through
-// finish(); the best repeat's CPU per pushed sample is reported per hop,
-// with the steps and distance the stream ended with.
+// hops of 0.1, 0.2, 0.5, 1, 2 and 4 s, polled every 10 samples, timed
+// from the first push through finish(); the best repeat's CPU per pushed
+// sample is reported per hop, with the steps and distance the stream
+// ended with and the median release delay of its polled events (stream
+// time of the newest pushed sample at the poll minus StepEvent::t).
 //
 // Tracker heap: the live operator-new bytes one fresh `inc` tracker holds
 // after 80 s of the trace (replayed from its start when shorter), hop 2 s,
@@ -35,7 +37,9 @@
 //   --reduced     shorter trace, fewer repeats (the CI smoke configuration)
 //   --gate        fail (exit 1) unless, for the `inc` arm, the post-flush
 //                 mean hop cost over the trace's last third is <= 1.5x
-//                 its first third (hop cost does not grow with stream age)
+//                 its first third (hop cost does not grow with stream age),
+//                 and unless the sweep's 1 s hop releases its median event
+//                 within kMaxReleaseDelayP50S
 //   --json PATH   write {"bench":"micro_streaming","host":{...},
 //                 "metrics":{...},"historical_recompute":{...}} (also via
 //                 the PTRACK_BENCH_JSON environment variable); "host" is
@@ -150,24 +154,46 @@ ArmResult run_arm(const std::string& name, const imu::Trace& trace,
   return best;
 }
 
+/// Samples pushed between polls in the hop sweep.
+constexpr std::size_t kPollEvery = 10;
+/// --gate's bound on the 1 s hop's median release delay (s).
+constexpr double kMaxReleaseDelayP50S = 4.8;
+
 struct SweepRow {
   double hop_s = 0.0;
   double ns_per_sample = 0.0;
   std::size_t steps = 0;
   double distance_m = 0.0;
+  double confirm_delay_p50_s = 0.0;
 };
 
-/// Push-to-finish cost per sample at one hop, best of `repeats`.
+/// Push-to-finish cost per sample at one hop, best of `repeats`, polling
+/// every kPollEvery samples.
 SweepRow sweep_hop(const imu::Trace& trace, core::StreamingConfig cfg,
                    double hop_s, std::size_t repeats) {
   using clock = std::chrono::steady_clock;
   cfg.hop_s = hop_s;
   SweepRow row;
   row.hop_s = hop_s;
+  std::vector<core::StepEvent> events;
+  events.reserve(4096);
+  std::vector<double> delays;
+  delays.reserve(4096);
   for (std::size_t rep = 0; rep < repeats; ++rep) {
     core::StreamingTracker stream(trace.fs(), cfg);
+    events.clear();
+    delays.clear();
     const auto t0 = clock::now();
-    for (std::size_t i = 0; i < trace.size(); ++i) stream.push(trace[i]);
+    for (std::size_t i = 0; i < trace.size(); ++i) {
+      stream.push(trace[i]);
+      if ((i + 1) % kPollEvery != 0) continue;
+      const std::size_t before = events.size();
+      stream.poll_into(events);
+      const double frontier = static_cast<double>(i) / trace.fs();
+      for (std::size_t k = before; k < events.size(); ++k) {
+        delays.push_back(frontier - events[k].t);
+      }
+    }
     stream.finish();
     const double ns =
         std::chrono::duration<double, std::nano>(clock::now() - t0).count() /
@@ -175,6 +201,8 @@ SweepRow sweep_hop(const imu::Trace& trace, core::StreamingConfig cfg,
     if (rep == 0 || ns < row.ns_per_sample) row.ns_per_sample = ns;
     row.steps = stream.steps();
     row.distance_m = stream.distance();
+    row.confirm_delay_p50_s =
+        delays.empty() ? 0.0 : stats::percentile(delays, 50.0);
   }
   return row;
 }
@@ -248,7 +276,8 @@ int main(int argc, char** argv) {
         {{"reduced", "shorter trace and fewer repeats (CI smoke)", "", true},
          {"gate",
           "fail unless the post-flush hop cost over the trace's last third "
-          "is <= 1.5x its first third",
+          "is <= 1.5x its first third and the 1 s hop's median release "
+          "delay is <= 4.8 s",
           "", true},
          {"json", "output JSON path (overrides PTRACK_BENCH_JSON)", "",
           false}});
@@ -300,11 +329,12 @@ int main(int argc, char** argv) {
     }
 
     std::printf("  hop sweep (push to finish, best of %zu):\n", repeats);
-    std::printf("  %8s %14s %6s %12s\n", "hop s", "ns/sample", "steps",
-                "distance m");
+    std::printf("  %8s %14s %6s %12s %12s\n", "hop s", "ns/sample", "steps",
+                "distance m", "delay p50 s");
     for (const SweepRow& r : sweep) {
-      std::printf("  %8.1f %14.1f %6zu %12.2f\n", r.hop_s, r.ns_per_sample,
-                  r.steps, r.distance_m);
+      std::printf("  %8.1f %14.1f %6zu %12.2f %12.2f\n", r.hop_s,
+                  r.ns_per_sample, r.steps, r.distance_m,
+                  r.confirm_delay_p50_s);
     }
     std::printf("  tracker live heap after 80 s: %.1f KB (peak %.1f KB)\n",
                 heap.live_kb, heap.peak_kb);
@@ -323,6 +353,15 @@ int main(int argc, char** argv) {
     std::printf("  simd %s: scalar %.1f us -> %.1f us (%.2fx)\n",
                 dsp::simd::isa_name(dsp::simd::detected()),
                 inc_scalar.hop_mean_us, inc.hop_mean_us, simd_speedup);
+    const auto one_s = std::find_if(sweep.begin(), sweep.end(),
+                                    [](const SweepRow& r) {
+                                      return r.hop_s == 1.0;
+                                    });
+    const bool delay_ok =
+        one_s->confirm_delay_p50_s <= kMaxReleaseDelayP50S;
+    std::printf("  1 s hop median release delay vs %.1f s: %.2f s (%s)\n",
+                kMaxReleaseDelayP50S, one_s->confirm_delay_p50_s,
+                delay_ok ? "ok" : "VIOLATION");
 
     std::string path = "BENCH_streaming.json";
     if (args.has("json")) {
@@ -358,6 +397,7 @@ int main(int argc, char** argv) {
         w.key(key + "_ns_per_sample").value(r.ns_per_sample);
         w.key(key + "_steps").value(r.steps);
         w.key(key + "_distance_m").value(r.distance_m);
+        w.key(key + "_confirm_delay_p50_s").value(r.confirm_delay_p50_s);
       }
       w.key("tracker_live_kb").value(heap.live_kb);
       w.key("tracker_peak_kb").value(heap.peak_kb);
@@ -372,7 +412,7 @@ int main(int argc, char** argv) {
     }
     std::printf("wrote %s\n", path.c_str());
 
-    if (gate && !hop_cost_flat) {
+    if (gate && !(hop_cost_flat && delay_ok)) {
       std::printf("STREAMING GATE VIOLATION\n");
       return 1;
     }

@@ -10,10 +10,12 @@
 // (StepCounterConfig::anterior_window_s, cut to whole blocks) that ends at
 // the block's end; a stream's first fit waits for kMinAxisWindowS and
 // projects everything before it. Both channels then pass through
-// GridLowpass below. A batch trace is the same computation with its final
-// partial block flushed on the last grid fit's axes (a trace shorter than
-// the first fit is fit over all of it). ProjectionStage (core/stages.hpp)
-// drives both; project_trace is its flush over a trace.
+// GridLowpass below, which at each grid point g finalizes them below
+// g - grid_settle(B), half a block back. A batch trace is the same
+// computation with its final partial block flushed on the last grid fit's
+// axes (a trace shorter than the first fit is fit over all of it).
+// ProjectionStage (core/stages.hpp) drives both; project_trace is its flush
+// over a trace.
 //
 // Each block has one up axis, so the channels must be in a platform frame
 // whose vertical does not turn with the wrist. A device-frame recording is
@@ -54,9 +56,13 @@ inline constexpr double kMinAxisWindowS = 4.0;
 /// one by one, and whole blocks between by their mean weight.
 inline constexpr double kTaperS = 5.0;
 
-/// Grid blocks between a block's end and the grid point its low-pass
-/// backward pass starts from.
-inline constexpr std::size_t kSettleBlocks = 1;
+/// Samples a low-pass backward pass settles over: the pass from grid point
+/// g finalizes the samples below g - grid_settle(B). Half a grid block,
+/// 0.5 s from 16 Hz up (longer below): six time constants of the output
+/// low-pass's slowest pole (tau ~ 83 ms at 5 Hz).
+[[nodiscard]] constexpr std::size_t grid_settle(std::size_t block) {
+  return block / 2;
+}
 
 /// Reflected pad (samples per side, clamped to the signal) of the output
 /// low-pass.

@@ -57,7 +57,7 @@ void ProjectionStage::advance(const imu::SampleRing& ring, bool flush) {
   PTRACK_CHECK_MSG(projected_ <= ring.end(),
                    "ProjectionStage: projected frontier within the ring");
   dsp::Workspace& ws = dsp::thread_workspace();
-  const std::size_t settle = kSettleBlocks * block_;
+  const std::size_t settle = grid_settle(block_);
   // Every grid point the raw ring has reached, in order: project the block
   // that ends there, then finalize what a backward pass from it settles.
   for (std::size_t g = (projected_ / block_ + 1) * block_; g <= ring.end();

@@ -31,24 +31,28 @@
 //     samples (1 s) once the raw ring reaches its end, with axes fit over
 //     the trailing axis window ending there, and runs the output
 //     low-pass's forward pass over it (core::GridLowpass). At each grid
-//     point g it finalizes the samples below g - kSettleBlocks * B with a
-//     backward pass from g. A flush projects the final partial block with
-//     the last grid fit's axes and finalizes the rest from there. The
-//     axis window is whole blocks, and each block's taper-weighted gravity
-//     sums, for the full window and for every warm-up window that weighs
-//     it sample by sample, are taken when the block is (ProjectionStage),
-//     so from a stream's first fit on the stage keeps raw samples only
-//     from the block being filled: the raw ring's retention is then set by
-//     segmentation and the assembler, a few seconds.
+//     point g it finalizes the samples below g - grid_settle(B), half a
+//     block, with a backward pass from g. A flush projects the final
+//     partial block with the last grid fit's axes and finalizes the rest
+//     from there. The axis window is whole blocks, and each block's
+//     taper-weighted gravity sums, for the full window and for every
+//     warm-up window that weighs it sample by sample, are taken when the
+//     block is (ProjectionStage), so from a stream's first fit on the
+//     stage keeps raw samples only from the block being filled: the raw
+//     ring's retention is then set by segmentation and the assembler, a
+//     few seconds.
 //   - SegmentationStage finds step peaks with prominence windows bounded
-//     to kPeakWindowS and greedy min-distance suppression followed
-//     kSuppressionDepth levels deep (dsp::PeakScan), so a peak is final
-//     at the latest kPeakWindowS plus kSuppressionDepth min distances
-//     behind the projected frontier, and pairs them into candidate cycles;
+//     to kPeakWindowS (half the longest step) and greedy min-distance
+//     suppression followed kSuppressionDepth levels deep (dsp::PeakScan),
+//     so a peak is final at the latest kPeakWindowS plus
+//     kSuppressionDepth min distances behind the projected frontier, and
+//     pairs them into candidate cycles;
 //   - EventAssembler withholds cycles in an open stepping streak
 //     (<= streak-1) and events whose median-smoothing window is still
 //     open (<= smooth_window/2 future events).
-// Finalized output is never retracted.
+// Finalized output is never retracted. StreamingTracker hops when its raw
+// ring reaches a hop boundary, so with hops on the grid each block's
+// events come out in the push that completes the block.
 
 #pragma once
 
@@ -72,13 +76,15 @@
 
 namespace ptrack::core {
 
-/// Half-length (s) of a step peak's prominence window (scipy's wlen / 2).
-inline constexpr double kPeakWindowS = 1.0;
-/// Minimum prominence (m/s^2) of a segmentation step peak.
-inline constexpr double kMinCycleProminence = 0.5;
 /// Longest step interval (s) a candidate cycle may span; slower peak pairs
 /// are rejected.
 inline constexpr double kMaxStepIntervalS = 1.20;
+/// Half-length (s) of a step peak's prominence window (scipy's wlen / 2):
+/// half the longest step, so at the slowest cadence pairing accepts the
+/// valleys between a step peak and its neighbours still fall inside it.
+inline constexpr double kPeakWindowS = kMaxStepIntervalS / 2.0;
+/// Minimum prominence (m/s^2) of a segmentation step peak.
+inline constexpr double kMinCycleProminence = 0.5;
 /// Levels of greedy min-distance suppression a peak decision follows
 /// (dsp::PeakScan): chains of ever taller step peaks longer than this are
 /// cut, so a peak is final at the latest kPeakWindowS plus this many min

@@ -28,14 +28,15 @@ StreamingTracker::StreamingTracker(double fs, StreamingConfig config)
       config_(config),
       pipe_(config.pipeline.counter, config.pipeline.stride, fs),
       hop_samples_(std::max<std::size_t>(
-          1, static_cast<std::size_t>(config.hop_s * fs))) {
+          1, static_cast<std::size_t>(config.hop_s * fs))),
+      next_hop_end_(hop_samples_) {
   if (config_.pipeline.quality.enabled) {
     quality_.emplace(fs_, config_.pipeline.quality);
   }
 }
 
 void StreamingTracker::push(const imu::Sample& sample) {
-  PTRACK_CHECK_MSG(samples_since_hop_ < hop_samples_,
+  PTRACK_CHECK_MSG(ring_.end() < next_hop_end_,
                    "StreamingTracker::push: hop cadence invariant");
   imu::Sample s = sample;
   s.t = next_t_;
@@ -50,10 +51,10 @@ void StreamingTracker::push(const imu::Sample& sample) {
     ring_.push(s, 0);
   }
 
-  if (++samples_since_hop_ >= hop_samples_) {
-    samples_since_hop_ = 0;
-    run_hop(/*flush=*/false);
-  }
+  // Hop as soon as the ring reaches the next hop boundary. The quality
+  // stage holds samples back, so the ring, not the push count, says when
+  // a boundary (a grid point, at hops of whole blocks) is complete.
+  if (ring_.end() >= next_hop_end_) run_hop(/*flush=*/false);
 }
 
 void StreamingTracker::push(const imu::Trace& trace) {
@@ -92,6 +93,7 @@ void StreamingTracker::run_hop(bool flush) {
     // Bounded memory: drop raw samples no stage will read again.
     ring_.trim_to(std::min(pipe_.min_required_index(), ring_.end()));
   }
+  next_hop_end_ = (ring_.end() / hop_samples_ + 1) * hop_samples_;
   if (flush) warmed_up_ = true;
 }
 
@@ -126,7 +128,6 @@ std::vector<StepEvent> StreamingTracker::finish() {
 void StreamingTracker::drain_into(std::vector<StepEvent>& out) {
   if (quality_) quality_->flush(ring_);
   run_hop(/*flush=*/true);
-  samples_since_hop_ = 0;
   poll_into(out);
 }
 

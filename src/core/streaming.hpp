@@ -38,9 +38,11 @@ namespace ptrack::core {
 /// Streaming configuration on top of the batch PTrackConfig.
 struct StreamingConfig {
   PTrackConfig pipeline{};
-  /// Advance the pipeline after this many seconds of new samples. (No
-  /// analysis window: stage state carries across hops, and what a stage
-  /// finalizes does not depend on the hop; see core/stages.hpp.)
+  /// Advance the pipeline each time this many seconds of samples have
+  /// reached the ring (past the quality stage's holdback), on a hop grid
+  /// anchored at the stream's first sample. (No analysis window: stage
+  /// state carries across hops, and what a stage finalizes does not
+  /// depend on the hop; see core/stages.hpp.)
   double hop_s = 2.0;
 };
 
@@ -152,7 +154,9 @@ class StreamingTracker {
   StagePipeline pipe_;
   std::optional<imu::IncrementalQuality> quality_;
   std::size_t hop_samples_;
-  std::size_t samples_since_hop_ = 0;
+  /// The next hop runs once ring_.end() reaches this multiple of
+  /// hop_samples_; between hops ring_.end() stays below it.
+  std::size_t next_hop_end_;
   bool warmed_up_ = false;         ///< a flush hop has run (buffers sized)
   bool enforce_no_alloc_ = false;  ///< see set_enforce_no_alloc()
   double next_t_ = 0.0;            ///< stream time of the next sample

@@ -4,6 +4,7 @@
 #include <cmath>
 
 #include "common/check.hpp"
+#include "dsp/simd.hpp"
 #include "obs/log.hpp"
 
 namespace ptrack::net {
@@ -15,22 +16,38 @@ namespace {
 constexpr std::size_t kEventsPerFrame = 512;
 static_assert(4 + kEventsPerFrame * kEventWireBytes <= kMaxPayloadBytes);
 
-/// Retention horizon of the incremental pipeline (projection context +
-/// axis history + finalization margins), used for admission accounting —
-/// deliberately rounded up: shedding slightly early beats paging.
-constexpr double kTrackerRetentionS = 40.0;
-/// Ring bytes per retained sample: 3 accel channels of f64 and a flag byte
-/// (25 bytes) plus quality bookkeeping, rounded well up. The figure was
-/// sized when the ring also kept the gyro channels; the headroom is kept
-/// so admission stays conservative.
-constexpr std::size_t kBytesPerRetainedSample = 80;
+/// Bytes a tracker keeps per retained sample across its per-sample
+/// buffers: the raw ring (three f64 accel channels and a flag byte), the
+/// projected channels and the low-pass's input (two f64 each) and the
+/// low-pass's filter rows (one f64 per lane).
+constexpr std::size_t kBytesPerRetainedSample =
+    (3 + 2 + 2 + dsp::simd::kIirLanes) * sizeof(double) + 1;
+
+/// Stream time (s) a tracker's per-sample buffers span at most: the grid
+/// block being filled and the low-pass settle behind it, a step peak's
+/// decision behind that (its prominence window and kSuppressionDepth min
+/// distances), then the cycle its peaks open and the streak - 1 cycles an
+/// open stepping streak withholds, each at most two longest steps. Only
+/// the raw ring spans all of it; charging every buffer over the whole
+/// span is the slack for the rings' dead prefixes.
+double tracker_retention_s(const core::StreamingConfig& cfg, double fs) {
+  const std::size_t block = core::grid_block(fs);
+  const core::StepCounterConfig& counter = cfg.pipeline.counter;
+  return static_cast<double>(block + core::grid_settle(block)) / fs +
+         core::kPeakWindowS +
+         static_cast<double>(core::kSuppressionDepth) *
+             counter.min_step_interval_s +
+         static_cast<double>(counter.streak) * 2.0 * core::kMaxStepIntervalS;
+}
 
 }  // namespace
 
 std::size_t session_memory_estimate(const SessionConfig& cfg, double fs) {
-  const auto ring_bytes = static_cast<std::size_t>(
-      fs * kTrackerRetentionS * static_cast<double>(
-                                    kBytesPerRetainedSample));
+  const auto ring_bytes =
+      fs > 0.0 ? static_cast<std::size_t>(
+                     std::ceil(fs * tracker_retention_s(cfg.streaming, fs) *
+                               static_cast<double>(kBytesPerRetainedSample)))
+               : 0;
   const std::size_t decoder_bytes =
       kHeaderBytes + kMaxPayloadBytes + kReadChunkBytes;
   return decoder_bytes + cfg.out_buf_limit + ring_bytes;

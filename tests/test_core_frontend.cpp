@@ -160,8 +160,9 @@ TEST(GridLowpass, FlushIsFiltfilt) {
 // Hop invariance: a ProjectionStage advanced at any hop, with its raw ring
 // trimmed to what it still needs, finalizes exactly the channels its flush
 // over the whole trace finalizes, and, once its first fit is in, holds no
-// sample back longer than (kSettleBlocks + 1) grid blocks and needs less
-// than one grid block of raw samples.
+// sample back longer than one grid block plus grid_settle(B) (the block
+// being filled, then the settle behind its start) and needs less than one
+// grid block of raw samples.
 
 namespace {
 
@@ -172,7 +173,7 @@ core::ProjectedChannels stream_projection(const imu::Trace& trace,
                                           std::size_t hop) {
   const double fs = trace.fs();
   const std::size_t block = core::grid_block(fs);
-  const std::size_t lag = (core::kSettleBlocks + 1) * block;
+  const std::size_t lag = block + core::grid_settle(block);
   // The stream's first fit waits for kMinAxisWindowS of samples.
   const std::size_t first_fit =
       (static_cast<std::size_t>(core::kMinAxisWindowS * fs) + block - 1) /
@@ -262,7 +263,7 @@ core::ProjectedChannels per_sample_projection(
       window,
       (static_cast<std::size_t>(core::kMinAxisWindowS * fs) + block - 1) /
           block * block);
-  const std::size_t settle = core::kSettleBlocks * block;
+  const std::size_t settle = core::grid_settle(block);
   const Vec3 shift{x[0], y[0], z[0]};
 
   dsp::Workspace ws;

@@ -16,6 +16,7 @@
 #include "common/error.hpp"
 #include "core/streaming.hpp"
 #include "imu/faults.hpp"
+#include "imu/quality.hpp"
 #include "synth/synthesizer.hpp"
 
 using namespace ptrack;
@@ -258,9 +259,11 @@ TEST(Streaming, PeakLiveHeapIsBounded) {
   ASSERT_DOUBLE_EQ(r.trace.fs(), 100.0);
   std::vector<core::StepEvent> sink;
   sink.reserve(4096);
-  // Bounds (KB) ~10 % above the measured peaks: 79.5 at 1 s hops and
-  // 92.3 at 2 s (a private 14.5 KB workspace, or raw samples retained
-  // through the warm-up, breaks them).
+  // Bounds (KB) set ~10 % above the peaks measured with a 1 s prominence
+  // window and a whole-block low-pass settle, 79.2 at 1 s hops and 92.0
+  // at 2 s; the shorter margins read 80.8 and 81.1 (a private 14.5 KB
+  // workspace, or raw samples retained through the warm-up, breaks
+  // them).
   struct Case {
     double hop_s;
     std::int64_t bound_kb;
@@ -442,4 +445,105 @@ TEST(Streaming, SharedGravityTableAcrossThreads) {
       EXPECT_EQ(together[i][e].degraded, alone[i][e].degraded);
     }
   }
+}
+
+// The hop runs when the ring, not the push count, reaches a hop boundary.
+// The quality stage holds a clean stream's newest sample back, so the ring
+// reaches each grid point one push after the push count does. At 1 s hops
+// (one grid block at 100 Hz) the tracker still projects each block, and
+// releases the events that block finalizes, in the push that brings the
+// ring to the block's end: the push in which a tracker hopping at every
+// sample releases them, not one hop later.
+TEST(Streaming, HopRunsWhenRingReachesHopEnd) {
+  const auto r = make(synth::Scenario::pure_walking(30.0), 513);
+  const double fs = r.trace.fs();
+  ASSERT_EQ(core::grid_block(fs), 100u);
+  core::StreamingConfig grid_cfg = config_for_user();
+  ASSERT_TRUE(grid_cfg.pipeline.quality.enabled);
+  grid_cfg.hop_s = 1.0;
+  core::StreamingConfig every_cfg = grid_cfg;
+  every_cfg.hop_s = 1.0 / fs;
+  core::StreamingTracker grid(fs, grid_cfg);
+  core::StreamingTracker every(fs, every_cfg);
+
+  std::vector<core::StepEvent> got;
+  std::vector<core::StepEvent> want;
+  std::size_t releasing_pushes = 0;
+  for (std::size_t i = 0; i < r.trace.size(); ++i) {
+    grid.push(r.trace[i]);
+    every.push(r.trace[i]);
+    got.clear();
+    want.clear();
+    grid.poll_into(got);
+    every.poll_into(want);
+    ASSERT_EQ(got.size(), want.size()) << "push " << i + 1;
+    for (std::size_t k = 0; k < want.size(); ++k) {
+      EXPECT_EQ(got[k].t, want[k].t) << "push " << i + 1;
+    }
+    releasing_pushes += want.empty() ? 0 : 1;
+  }
+  // Events come out while the walk goes on, one grid block at a time.
+  EXPECT_GE(releasing_pushes, 15u);
+  EXPECT_LE(grid.stats().windows_processed, r.trace.size() / 100);
+}
+
+// Release delay: the stream time from a step to the poll that hands it
+// out. A clean 60 s walk at 1 s hops, fed 10 samples at a time with a poll
+// after each (a daemon's shape), releases its median step within 4.8 s.
+// Its cycles form one unbroken chain of walking cycles, so no step waits
+// longer than the stage budget: its cycle and the smoothing window's
+// later steps, at most (smooth_window / 2 + 1) longest steps after it;
+// the peak decision after the last of those (the prominence window and
+// kSuppressionDepth min distances); the low-pass settle and the wait for
+// the next grid point (at most one block); the quality stage's holdback;
+// and the poll interval. (A gap in the chain, or a withheld stepping
+// streak, adds the cycles it skips or withholds.)
+TEST(Streaming, ReleaseDelayWithinBudget) {
+  const auto r = make(synth::Scenario::pure_walking(60.0), 514);
+  const double fs = r.trace.fs();
+  core::StreamingConfig cfg = config_for_user();
+  cfg.hop_s = 1.0;
+  ASSERT_EQ(core::grid_block(fs), static_cast<std::size_t>(cfg.hop_s * fs));
+  const core::TrackResult batch = core::PTrack(cfg.pipeline).process(r.trace);
+  ASSERT_FALSE(batch.cycles.empty());
+  for (std::size_t i = 0; i < batch.cycles.size(); ++i) {
+    ASSERT_EQ(batch.cycles[i].type, core::GaitType::Walking) << "cycle " << i;
+    if (i > 0) {
+      ASSERT_EQ(batch.cycles[i].begin, batch.cycles[i - 1].end)
+          << "cycle " << i;
+    }
+  }
+  constexpr std::size_t kChunk = 10;
+  core::StreamingTracker stream(fs, cfg);
+  std::vector<core::StepEvent> events;
+  std::vector<double> delays;
+  for (std::size_t i = 0; i < r.trace.size(); i += kChunk) {
+    const std::size_t end = std::min(i + kChunk, r.trace.size());
+    for (std::size_t k = i; k < end; ++k) stream.push(r.trace[k]);
+    events.clear();
+    stream.poll_into(events);
+    const double frontier = static_cast<double>(end - 1) / fs;
+    for (const core::StepEvent& e : events) delays.push_back(frontier - e.t);
+  }
+  ASSERT_GT(delays.size(), 80u);
+
+  const std::size_t block = core::grid_block(fs);
+  const imu::IncrementalQuality quality(fs, cfg.pipeline.quality);
+  const double budget_s =
+      static_cast<double>(cfg.pipeline.stride.smooth_window / 2 + 1) *
+          core::kMaxStepIntervalS +
+      core::kPeakWindowS +
+      static_cast<double>(core::kSuppressionDepth) *
+          cfg.pipeline.counter.min_step_interval_s +
+      static_cast<double>(core::grid_settle(block) + block +
+                          quality.latency_bound() + kChunk) /
+          fs;
+  for (std::size_t i = 0; i < delays.size(); ++i) {
+    EXPECT_GE(delays[i], 0.0) << "event " << i;
+    EXPECT_LT(delays[i], budget_s) << "event " << i;
+  }
+  const auto mid =
+      delays.begin() + static_cast<std::ptrdiff_t>(delays.size() / 2);
+  std::nth_element(delays.begin(), mid, delays.end());
+  EXPECT_LE(*mid, 4.8) << "p50 release delay";
 }
